@@ -223,7 +223,7 @@ func measureSteadyStateAllocs(cfg sim.Config, w sim.Workload, warmup, window uin
 
 // BenchmarkSimulatorThroughput is the headline ns-per-simulated-cycle
 // number benchjson records. The workload is specjbb — the idle-heavy
-// extreme (IPC ~0.34, ~73% of cycles quiescent) — so the number
+// extreme (IPC ~0.34, ~70% of cycles skipped) — so the number
 // reflects the next-event fast-forward path that dominates real
 // sweeps; ff-skip-fraction travels with it so a skip collapse is
 // visible next to the wall-time regression it causes. Cycle counts

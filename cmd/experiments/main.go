@@ -82,6 +82,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -interconnect %q (use %s)\n", *icKind, strings.Join(bus.Kinds(), "|"))
 		os.Exit(2)
 	}
+	if err := sim.ValidateCPUs(*cpus); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	p := experiments.Params{CPUs: *cpus, Scale: *scale, Seeds: *seeds, Jobs: *jobs, Check: *chk,
 		Interconnect: *icKind, Telemetry: tel, Timing: *timing, NoFastForward: *noFF}
 

@@ -208,6 +208,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -interconnect %q (use %s)\n", *icKind, strings.Join(bus.Kinds(), "|"))
 		os.Exit(2)
 	}
+	if err := sim.ValidateCPUs(*cpus); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *litmusShape != "" {
 		os.Exit(litmusShapeMain(*litmusShape, *enumerate, tech, *noFF, *icKind))
 	}

@@ -104,20 +104,6 @@ type Port interface {
 	CompleteTxn(t *Txn)
 }
 
-// Scheduler is an optional Port extension. A port that implements it
-// is told the scheduled completion cycle of each of its transactions
-// at the grant instant — the moment doneAt becomes architecturally
-// determined (the data network's latency and occupancy are fixed at
-// grant; only arbitration wait is variable). Controllers use the
-// callback to expose known-latency horizons to the fast-forward
-// scheduler: a core blocked solely on a granted miss can report the
-// fill cycle instead of "unknown". The callback fires after GrantTxn
-// (and any type rewrite it performs) and before the completion is
-// delivered; the *Txn is the bus's and must not be retained.
-type Scheduler interface {
-	TxnScheduled(t *Txn, doneAt uint64)
-}
-
 // SnoopReply is one node's contribution to the combined response.
 type SnoopReply struct {
 	Shared bool      // assert the shared/useful line
@@ -246,11 +232,10 @@ type Bus struct {
 	hMiss *stats.Hist
 
 	ports    []Port
-	scheds   []Scheduler // ports[i] as Scheduler, nil when unimplemented (resolved at Attach)
-	queues   [][]*Txn    // per-node pending requests, FIFO
-	rr       int         // round-robin arbitration pointer
-	addrFree uint64      // first cycle the address bus is free
-	dataFree uint64      // first cycle the data network is free
+	queues   [][]*Txn // per-node pending requests, FIFO
+	rr       int      // round-robin arbitration pointer
+	addrFree uint64   // first cycle the address bus is free
+	dataFree uint64   // first cycle the data network is free
 
 	inflight []*Txn // granted, awaiting completion delivery
 
@@ -357,8 +342,6 @@ func (b *Bus) LineBusy(addr uint64) bool { return b.busyCount(mem.LineAddr(addr)
 // Attach registers a controller and returns its node id.
 func (b *Bus) Attach(p Port) int {
 	b.ports = append(b.ports, p)
-	s, _ := p.(Scheduler)
-	b.scheds = append(b.scheds, s)
 	b.queues = append(b.queues, nil)
 	return len(b.ports) - 1
 }
@@ -614,13 +597,10 @@ func (b *Bus) scheduleData(t *Txn, supplier *mem.Line, now uint64) {
 	t.doneAt = start + base + b.jitter()
 }
 
-// finishGrant commits a granted transaction: in-flight tracking, the
-// scheduler horizon callback, and the serialization observer.
+// finishGrant commits a granted transaction: in-flight tracking and
+// the serialization observer.
 func (b *Bus) finishGrant(t *Txn, now uint64) {
 	b.inflight = append(b.inflight, t)
-	if s := b.scheds[t.Src]; s != nil {
-		s.TxnScheduled(t, t.doneAt)
-	}
 	if b.onSerialized != nil {
 		b.onSerialized(now, t)
 	}

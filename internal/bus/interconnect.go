@@ -26,9 +26,8 @@ import (
 //     structural-identity argument, DESIGN.md §16).
 //   - OnSerialized fires once per successful grant after all state
 //     transitions and memory side effects — where internal/check hangs.
-//   - LineBusy custody, Scheduler/TxnScheduled horizons, NextEvent
-//     underestimation, and the Txn free list behave as on the atomic
-//     bus.
+//   - LineBusy custody, NextEvent underestimation, and the Txn free
+//     list behave as on the atomic bus.
 //
 // *Bus (atomic snoop bus), *SplitBus (split-transaction bus), and
 // *Directory all implement it.

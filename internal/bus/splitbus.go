@@ -95,8 +95,7 @@ func (sb *SplitBus) NextEvent(now uint64) uint64 {
 // payload becomes ready at grant + source latency (+ jitter), then
 // waits for the data bus and occupies it for DataOccupancy, completing
 // when the transfer ends. doneAt is still fully determined at the
-// grant instant, so Scheduler horizons and fast-forward work
-// unchanged.
+// grant instant, so NextEvent and fast-forward work unchanged.
 func (sb *SplitBus) grantSplit(t *Txn, now uint64) {
 	if !sb.acceptGrant(t, now) {
 		return

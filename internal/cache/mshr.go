@@ -27,14 +27,6 @@ type MSHR struct {
 	Write  bool   // true when the line is wanted exclusively (ReadX)
 	Issued bool   // bus transaction has been sent
 
-	// FillAt is the scheduled completion cycle of the miss, known from
-	// the instant the bus grants the transaction (the data-network
-	// latency is fixed at grant). Zero while the request is still
-	// queued for arbitration. Fast-forward horizons read it to skip
-	// miss-blocked stretches in one step instead of one cycle at a
-	// time.
-	FillAt uint64
-
 	// LVP speculative state.
 	SpecDelivered bool     // some value was speculatively delivered
 	SpecWords     uint8    // bitmask of word slots delivered
@@ -164,25 +156,6 @@ func (f *MSHRFile) InUse() int { return f.used }
 
 // Cap returns the file capacity.
 func (f *MSHRFile) Cap() int { return len(f.entries) }
-
-// EarliestFill returns the earliest scheduled completion cycle among
-// live MSHRs whose bus transaction has been granted (FillAt set). The
-// second result is false when no live MSHR has a known fill time — the
-// file is empty, or every entry is still queued for arbitration.
-func (f *MSHRFile) EarliestFill() (uint64, bool) {
-	var at uint64
-	found := false
-	for i := range f.entries {
-		e := &f.entries[i]
-		if e.Valid && e.FillAt != 0 {
-			if !found || e.FillAt < at {
-				at = e.FillAt
-				found = true
-			}
-		}
-	}
-	return at, found
-}
 
 // OldestSpecSeq scans all MSHRs for the oldest op in program order
 // with outstanding speculative data, mirroring the commit-pointer scan

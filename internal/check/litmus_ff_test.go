@@ -72,11 +72,11 @@ func TestLitmusFastForwardDifferential(t *testing.T) {
 		{Seed: 0x4242424242424242, CPUs: 4, Ops: 24},
 		{Seed: 0x9e3779b97f4a7c15, CPUs: 4, Ops: 32},
 		{Seed: 0x94d049bb133111eb, CPUs: 4, Ops: 48},
-		// Max-length programs added with the LSQ disambiguation filter
-		// and the known-latency horizons: dense store/load interleavings
-		// drive the filter through its fast path, its memo, and the
-		// false-positive fallback, while the 4-MSHR litmus machine keeps
-		// the EarliestFill and FillAt horizons on the skip path.
+		// Max-length programs for the LSQ disambiguation filter: dense
+		// store/load interleavings drive it through its fast path, its
+		// memo, and the false-positive fallback, while the 4-MSHR litmus
+		// machine's exhausted file keeps counted load retries on the
+		// skip path.
 		{Seed: 0x5deece66d00051e5, CPUs: 2, Ops: 48},
 		{Seed: 0xa076bdf30cbe90d1, CPUs: 3, Ops: 48},
 		{Seed: 0xc3a5c85c97cb3127, CPUs: 4, Ops: 48},

@@ -168,12 +168,12 @@ type Controller struct {
 	wbPending map[uint64]int
 
 	// stateVer counts the controller-state transitions that can change
-	// the attached core's quiescence classification without a Client
-	// callback: store-buffer pops, and this node's own bus grants and
-	// completions (MSHR frees, fills, validate state moves). Remote
-	// transactions already reach the core via ExternalSnoop. The core
-	// snapshots the version when it caches a fast-forward horizon and
-	// drops the cache on mismatch.
+	// what Load, StoreCommit or SCExecute answer the attached core
+	// without a Client callback: store-buffer pops, and this node's own
+	// bus grants and completions (MSHR frees, fills, validate state
+	// moves). Remote transactions already reach the core via
+	// ExternalSnoop. The core snapshots the version with its idle
+	// verdict and drops the verdict on mismatch.
 	stateVer uint64
 }
 
@@ -360,7 +360,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		m = c.mshrs.Alloc(la, isLL)
 		if m == nil {
 			c.cnt.l2MSHRFull.Inc()
-			return LoadResult{Status: LoadRetry}
+			return LoadResult{Status: LoadRetry, Counted: true}
 		}
 		ty := bus.TxnRead
 		if isLL {
@@ -385,42 +385,6 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 	}
 	m.Waiters = append(m.Waiters, w)
 	return LoadResult{Status: LoadMiss}
-}
-
-// PeekLoad classifies what Load would do for the word at addr right
-// now, with no side effects. It mirrors Load's decision tree exactly:
-// a buffered SC to the same word forces a silent retry, any other
-// buffered store forwards, then L1/L2 readable hits, an MSHR waiter
-// merge, and finally allocation — which either issues a request or,
-// with the MSHR file exhausted, retries after bumping the miss and
-// mshr_full counters. Any divergence from Load here breaks the
-// fast-forward path's bit-identity.
-func (c *Controller) PeekLoad(addr uint64) LoadProbe {
-	addr = mem.AlignWord(addr)
-	la := mem.LineAddr(addr)
-	for i := len(c.storeBuf) - 1; i >= 0; i-- {
-		e := &c.storeBuf[i]
-		if e.addr != addr {
-			continue
-		}
-		if e.isSC {
-			return LoadProbeRetryPure
-		}
-		return LoadProbeActive // would forward
-	}
-	if c.l1.Lookup(la) != nil {
-		return LoadProbeActive // L1 hit
-	}
-	if l2line := c.l2.Lookup(la); l2line != nil && Readable(l2line.State) {
-		return LoadProbeActive // L2 hit
-	}
-	if c.mshrs.Lookup(la) != nil {
-		return LoadProbeActive // would merge as a waiter
-	}
-	if c.mshrs.InUse() >= c.mshrs.Cap() {
-		return LoadProbeRetryCounted
-	}
-	return LoadProbeActive // would allocate and request
 }
 
 // StoreCommit accepts a retired store into the store buffer. A false
@@ -454,11 +418,6 @@ func (c *Controller) SCExecute(seq, pc, addr, val uint64) bool {
 // StoreBufEmpty reports whether all retired stores have performed.
 func (c *Controller) StoreBufEmpty() bool { return len(c.storeBuf) == 0 }
 
-// StoreBufFull reports whether StoreCommit would refuse a retired
-// store right now (side-effect-free; the core's fast-forward path uses
-// it to classify a commit stall).
-func (c *Controller) StoreBufFull() bool { return len(c.storeBuf) >= c.cfg.StoreBuf }
-
 func (c *Controller) setReservation(lineAddr uint64) {
 	c.resAddr = lineAddr
 	c.resValid = true
@@ -487,23 +446,17 @@ func (c *Controller) Tick(now uint64) {
 	c.tickStore()
 }
 
-// NextEvent returns the earliest future cycle at which Tick could
-// change observable state, now when the next tick acts immediately,
-// or ^uint64(0) when the controller is idle until an external event
-// (bus grant/completion) arrives. It mirrors tickStore exactly: the
-// head store is active if tryPerformHead would consume it (SC
-// reservation loss, update-silent squash, writable line), if a
+// NextEvent returns now when the next Tick would change observable
+// state, else ^uint64(0): the controller keeps no timers, so once idle
+// it stays idle until a bus grant or completion calls into it, and
+// those the interconnect's horizon bounds. It mirrors tickStore
+// exactly: the head store is active if tryPerformHead would consume it
+// (SC reservation loss, update-silent squash, writable line), if a
 // first-touch reuse observation or VS->S transition is pending, or if
 // a permission request would be issued; it is a pure stall while a
 // transaction is outstanding or the MSHR file blocks the request.
-// Timed wakeups originate at the bus, but when the head store is
-// blocked on a granted transaction the completion cycle is already
-// known (MSHR.FillAt, recorded at grant via bus.Scheduler): those
-// cases return the scheduled fill instead of "never", making the
-// controller's horizon self-contained. Every FillAt equals a bus
-// in-flight doneAt, so the returned value never undercuts the global
-// minimum — underestimating (waking early) costs a few wasted ticks,
-// overestimating would corrupt determinism.
+// Answering now too often costs a wasted tick; answering never when
+// the tick would act corrupts determinism.
 func (c *Controller) NextEvent(now uint64) uint64 {
 	const never = ^uint64(0)
 	if len(c.storeBuf) == 0 {
@@ -527,14 +480,7 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 		}
 	}
 	if e.waiting {
-		// The permission transaction is outstanding. Once granted, the
-		// completion cycle is on the line's MSHR; before grant (or
-		// after an at-grant perform already consumed the head) the
-		// wake comes through arbitration, which the bus horizon owns.
-		if m := c.mshrs.Lookup(la); m != nil && m.FillAt > now {
-			return m.FillAt
-		}
-		return never
+		return never // permission transaction outstanding
 	}
 	if len(c.validatedAt) > 0 {
 		if _, ok := c.validatedAt[la]; ok {
@@ -544,31 +490,13 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 	if l != nil && l.State == StateVS {
 		return now // VS -> S transition plus counter
 	}
-	if m := c.mshrs.Lookup(la); m != nil {
-		// A miss to the head store's line is in flight; the head
-		// retries when it lands.
-		if m.FillAt > now {
-			return m.FillAt
-		}
-		return never
-	}
-	if c.mshrs.InUse() >= c.mshrs.Cap() {
-		// The file is exhausted; the head retries when any entry
-		// frees, bounded by the earliest scheduled fill.
-		if at, ok := c.mshrs.EarliestFill(); ok && at > now {
-			return at
-		}
+	if c.mshrs.Lookup(la) != nil || c.mshrs.InUse() >= c.mshrs.Cap() {
+		// A miss to the head store's line is in flight, or the file is
+		// exhausted: the head retries when a completion lands.
 		return never
 	}
 	return now // a permission request would be issued this tick
 }
-
-// EarliestFill implements the cpu.MemSystem horizon hook: the earliest
-// scheduled completion cycle among this node's granted outstanding
-// misses, false when none is known. The attached core folds it into
-// its quiescence horizon so a core idle behind its own in-flight loads
-// reports the fill cycle rather than "unknown".
-func (c *Controller) EarliestFill() (uint64, bool) { return c.mshrs.EarliestFill() }
 
 // SkipCycles replays the side effects of ticking every cycle in
 // [from, to) while the controller is quiescent: the occupancy
@@ -710,10 +638,8 @@ func (c *Controller) popStore() {
 	c.storeBuf = c.storeBuf[:n]
 }
 
-// StateVersion implements the cpu.MemSystem invalidation hook: it
-// changes whenever controller state that feeds the core's quiescence
-// classification (StoreBufFull, PeekLoad) may have changed without a
-// Client callback.
+// StateVersion implements the cpu.MemSystem invalidation hook (see
+// stateVer).
 func (c *Controller) StateVersion() uint64 { return c.stateVer }
 
 // performStore writes one word into a line held in M or E and runs the

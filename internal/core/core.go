@@ -152,29 +152,13 @@ type LoadResult struct {
 	Status LoadStatus
 	Value  uint64 // valid for LoadHit and LoadSpec
 	Lat    int    // cycles until the value may be used (Hit/Spec)
+
+	// Counted marks a LoadRetry that bumped l1/miss, l2/miss and
+	// l2/mshr_full on its way to the exhausted MSHR file — the retry
+	// repeats those bumps every cycle until an entry frees. A LoadRetry
+	// without it changed nothing.
+	Counted bool
 }
-
-// LoadProbe classifies, without side effects, what a Load call would
-// do right now. The core's fast-forward path uses it to decide whether
-// a ready-but-unissued load pins the machine to the current cycle
-// (LoadProbeActive), stalls silently (LoadProbeRetryPure), or spins on
-// a fixed set of counters each cycle (LoadProbeRetryCounted) that a
-// skip can replay batched.
-type LoadProbe int
-
-// Probe outcomes.
-const (
-	// LoadProbeActive: the Load would change state — a hit or store
-	// forward, an MSHR waiter merge, or a new bus request.
-	LoadProbeActive LoadProbe = iota
-	// LoadProbeRetryPure: the Load would return LoadRetry with no
-	// observable side effect (a pending SC blocks forwarding).
-	LoadProbeRetryPure
-	// LoadProbeRetryCounted: the Load would return LoadRetry after
-	// bumping exactly l1/miss, l2/miss, and l2/mshr_full (MSHR file
-	// exhausted).
-	LoadProbeRetryCounted
-)
 
 // Client is the CPU-side listener for asynchronous controller events.
 type Client interface {

@@ -85,24 +85,6 @@ func (c *Controller) GrantTxn(t *bus.Txn) bool {
 	panic(fmt.Sprintf("core: grant of unknown txn type %v", t.Type))
 }
 
-// TxnScheduled implements bus.Scheduler: at the grant instant of this
-// node's transaction — when the bus has fixed the completion cycle —
-// the scheduled fill time is recorded on the MSHR tracking the line.
-// Controller.NextEvent then reports that cycle for phases blocked
-// solely on the outstanding miss, so the fast-forward scheduler's
-// horizon for a miss-blocked node is self-contained instead of leaning
-// on the bus's in-flight term. The value equals the bus's own doneAt
-// for the transaction, so folding it into the global horizon minimum
-// can never change the skip target — bit-identity is structural.
-func (c *Controller) TxnScheduled(t *bus.Txn, doneAt uint64) {
-	switch t.Type {
-	case bus.TxnRead, bus.TxnReadX, bus.TxnUpgrade:
-		if m := c.mshrs.Lookup(t.Addr); m != nil {
-			m.FillAt = doneAt
-		}
-	}
-}
-
 // SnoopTxn applies the remote-side transition for another node's
 // granted transaction and returns this node's snoop response.
 func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
@@ -328,9 +310,6 @@ func (c *Controller) CompleteTxn(t *bus.Txn) {
 					c.serveMSHR(&served)
 				} else {
 					c.cnt.cohUpgradeStolen.Inc()
-					// The refetch is queued but not yet granted: its
-					// completion cycle is unknown until arbitration.
-					m.FillAt = 0
 					c.request(bus.TxnReadX, la)
 				}
 			}

@@ -31,33 +31,12 @@ type MemSystem interface {
 	SLECommitStores(stores []core.SpecStore) bool
 	StoreBufEmpty() bool
 
-	// StoreBufFull reports whether StoreCommit would refuse a retired
-	// store right now. It must be side-effect-free: the fast-forward
-	// path uses it to classify a commit stall without performing the
-	// failing StoreCommit call.
-	StoreBufFull() bool
-
-	// PeekLoad classifies, without side effects, what Load would do
-	// for the word at addr right now (see core.LoadProbe). The
-	// fast-forward path uses it to decide whether a ready load that
-	// cannot issue pins the machine to the current cycle.
-	PeekLoad(addr uint64) core.LoadProbe
-
-	// StateVersion changes whenever memory-system state feeding
-	// StoreBufFull or PeekLoad may have changed without a core.Client
-	// callback (store-buffer drains, this node's bus grants and
-	// completions). The core snapshots it when caching a quiescence
-	// horizon and revalidates before trusting the cache.
+	// StateVersion changes whenever memory-system state that decides
+	// what Load, StoreCommit or SCExecute answer may have changed
+	// without a core.Client callback (store-buffer drains, this node's
+	// bus grants and completions). The core snapshots it with its idle
+	// verdict and revalidates before trusting the verdict.
 	StateVersion() uint64
-
-	// EarliestFill reports the earliest scheduled completion cycle
-	// among this node's granted outstanding misses, false when none is
-	// known. The fast-forward path folds it into the quiescence
-	// horizon so a core waiting only on its own in-flight loads
-	// reports the known fill cycle instead of "unknown". The value is
-	// always one of the bus's in-flight completion times, so it can
-	// never pull the global skip target below what the bus reports.
-	EarliestFill() (uint64, bool)
 }
 
 // Config sizes the core. Zero values take the paper-flavored defaults
@@ -197,8 +176,8 @@ type entry struct {
 	consHead *consChunk
 
 	// Memoized olderStoreScan verdict, valid while scanVer matches the
-	// core's lsqVer — quiesce reuses what issue just computed instead
-	// of re-walking the window.
+	// core's lsqVer: a load stalled behind an older store asks again on
+	// every tick and is answered without re-walking the window.
 	scanVer   uint64
 	scanStall bool
 	scanFwd   *entry
@@ -288,9 +267,9 @@ type cpuCounters struct {
 	loadReplay    stats.Counter
 
 	// storeBufFull, l1Miss, l2Miss and mshrFull are the controller's
-	// handles (the counters object is shared machine-wide): SkipCycles
-	// replays the bumps the refused StoreCommit and counted load
-	// retries of each skipped stall cycle would have made.
+	// handles (the counters object is shared machine-wide): replaySpin
+	// makes the bumps the controller's refused StoreCommit and counted
+	// load retries would have made on a tick that is not run.
 	storeBufFull stats.Counter
 	l1Miss       stats.Counter
 	l2Miss       stats.Counter
@@ -398,9 +377,8 @@ type Core struct {
 	// before this cycle (fetch, dispatch, everything). It is the
 	// per-core start-offset schedule-perturbation knob the litmus
 	// enumeration mode sweeps; 0 (the default) is the historical
-	// behavior. The gate is fast-forward-exact: quiesce reports
-	// startAt as the horizon and the pre-start ticks are pure no-ops,
-	// so skipped and naive runs stay bit-identical.
+	// behavior. The gate is fast-forward-exact: a pre-start tick moves
+	// nothing, so its idle verdict wakes the core at startAt.
 	startAt uint64
 
 	// Machine-wide aggregation hooks (see AttachMachine): bumped at
@@ -421,19 +399,28 @@ type Core struct {
 	// OnCommitDebug additionally exposes captured operands and result.
 	OnCommitDebug func(seq uint64, pc int, ins isa.Instr, src0, src1, result uint64)
 
-	// Cached fast-forward horizon. A quiescent core's quiesce result
-	// is invariant until something it read changes: every mutating
-	// core entry point (LoadDone, LoadsVerified, SquashSpec, SCDone,
-	// ExternalSnoop) drops the cache, and memory-system changes are
-	// caught by revalidating memsys.StateVersion against the snapshot
-	// taken at cache time. While the cache holds, a Tick is by
-	// contract a pure spin and replays the cached spin set in O(1);
-	// SkipCycles only advances counters and the clock, so it keeps
-	// the cache alive across a skip.
-	horizonValid  bool
-	horizonNext   uint64
-	horizonSpin   coreSpin
-	horizonMemVer uint64
+	// What the tick in progress has done so far: the stages that moved
+	// something (set where the move happens) and the stall counters it
+	// bumped (set where they are bumped).
+	acted stages
+	spin  coreSpin
+
+	// The idle verdict. A tick that moved nothing leaves the core
+	// exactly as it found it, so every later tick repeats it — bumps
+	// idleSpin and nothing else — until something the pipeline reads
+	// changes: a core.Client callback (each clears idle), the memory
+	// system (StateVersion no longer equals idleMemVer), or the clock
+	// reaching idleUntil, the earliest execution-done or fetch-ready
+	// time in flight. While the verdict holds, Tick and SkipCycles
+	// replay idleSpin instead of running the pipeline.
+	idle       bool
+	idleUntil  uint64
+	idleSpin   coreSpin
+	idleMemVer uint64
+
+	// audit, when non-nil, makes this core the oracle (see SetOracle).
+	audit    *error
+	replayed uint64 // ticks answered from the verdict
 }
 
 // New builds a core running prog against the given memory system. id
@@ -492,6 +479,18 @@ func (c *Core) EnableChecker() { c.checker = true }
 // one of its memory accesses relative to its rivals without touching
 // any latency parameter.
 func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
+
+// SetOracle makes this core the slow twin the fast path is compared
+// against (sim.Config.NoFastForward): every Tick runs the full
+// pipeline, never the verdict's replay. A tick the verdict called idle
+// is audited — it must move nothing and bump exactly the cached spin
+// set — and the first violation machine-wide is stored in *violation
+// for the run loop to fail on. Must be called before the first Tick.
+func (c *Core) SetOracle(violation *error) { c.audit = violation }
+
+// ReplayedTicks counts the ticks this core answered from its idle
+// verdict instead of running the pipeline (always 0 on an oracle).
+func (c *Core) ReplayedTicks() uint64 { return c.replayed }
 
 // AttachMachine registers machine-wide aggregation targets: retired is
 // incremented once per committed instruction and halted once when this
@@ -638,234 +637,113 @@ func (c *Core) enqueueReady(e *entry) {
 	c.readyQ = q
 }
 
-// Tick advances the core one cycle. When a cached quiescence horizon
-// is still valid and strictly in the future, this tick is by the
-// NextEvent contract a pure spin — nothing in the pipeline can move —
-// so the full commit/issue/dispatch scan is replaced by an O(1)
-// replay of the cached spin-counter set (the same bumps the scan
-// would have made).
+// Tick advances the core one cycle. While the idle verdict holds the
+// pipeline is not run: the tick is known to repeat the one that
+// established the verdict, so its counter bumps are replayed in O(1).
+// Otherwise the pipeline runs, and if no stage moved anything that
+// tick becomes the verdict. An oracle core (SetOracle) always runs the
+// pipeline and checks it against a verdict that holds.
 func (c *Core) Tick(now uint64) {
-	if c.horizonValid && c.horizonNext > now &&
-		c.memsys.StateVersion() == c.horizonMemVer {
-		c.now = now
-		c.replaySpin(c.horizonSpin, 1)
-		return
-	}
-	c.horizonValid = false
+	held := c.idle && c.idleUntil > now && c.memsys.StateVersion() == c.idleMemVer
 	c.now = now
-	if c.halted || now < c.startAt {
+	if held && c.audit == nil {
+		c.replaySpin(c.idleSpin, 1)
+		c.replayed++
 		return
 	}
-	c.commit()
-	c.complete()
-	c.issue()
-	c.dispatch()
-	c.fetch()
+	c.acted, c.spin = stages{}, coreSpin{}
+	if !c.halted && now >= c.startAt {
+		c.commit()
+		c.complete()
+		c.issue()
+		c.dispatch()
+		c.fetch()
+	}
+	c.idle = c.acted == stages{}
+	if held && (!c.idle || c.spin != c.idleSpin) && *c.audit == nil {
+		*c.audit = fmt.Errorf("cpu%d cycle %d: idle verdict (wake at %d) violated: moved %+v; spin set expected %+v, ticked %+v",
+			c.id, now, c.idleUntil, c.acted, c.idleSpin, c.spin)
+	}
+	if c.idle {
+		c.idleUntil = c.wakeAt()
+		c.idleSpin = c.spin
+		c.idleMemVer = c.memsys.StateVersion()
+	}
 }
 
-// Spin flags classify the constant per-cycle counter effects a
-// quiescent core still produces each tick: a stalled machine is not
-// silent — a blocked dispatch bumps ruu_full/lsq_full and a refused
-// StoreCommit bumps store/buffer_full every single cycle. SkipCycles
-// replays them batched so skipped and ticked runs stay bit-identical.
-const (
-	spinRUUFull = 1 << iota
-	spinLSQFull
-	spinStoreBufFull
-)
+// stages names the pipeline stages that moved something in one tick.
+type stages struct{ commit, complete, issue, dispatch, fetch bool }
 
-// coreSpin is the constant per-cycle effect set of a quiescent core:
-// the stall-counter flags above plus the number of ready loads whose
-// retry reaches the exhausted MSHR file each cycle (each such retry
-// bumps l1/miss, l2/miss, and l2/mshr_full).
+// coreSpin counts the stall-counter bumps one tick made. A stalled
+// machine is not silent: a blocked dispatch bumps ruu_full or lsq_full
+// and a refused StoreCommit bumps store/buffer_full (each 0 or 1 per
+// tick), and every ready load whose retry reaches the exhausted MSHR
+// file bumps l1/miss, l2/miss and l2/mshr_full.
 type coreSpin struct {
-	flags       uint8
-	loadRetries uint64
+	ruuFull, lsqFull, storeBufFull, loadRetries uint64
 }
 
-// quiesce computes the core's fast-forward horizon at cycle now: the
-// earliest future cycle Tick could change state beyond the constant
-// spin-counter effects reported in spin. next == now means the next
-// tick acts immediately (nothing to skip, spin meaningless); a future
-// next is the minimum over execution doneAt and fetch-queue readyAt
-// times; ^uint64(0) means idle until an external callback (LoadDone,
-// SCDone, snoop). Underestimating (waking early) merely wastes a
-// tick; overestimating, or misclassifying an effect as constant,
-// would break bit-identity with the naive loop.
-func (c *Core) quiesce(now uint64) (next uint64, spin coreSpin) {
+// wakeAt is the horizon of the verdict the tick that just ran
+// establishes: the earliest cycle the clock alone makes a stage move,
+// or ^uint64(0) when only a callback or the memory system can.
+func (c *Core) wakeAt() uint64 {
 	const never = ^uint64(0)
 	if c.halted {
-		return never, coreSpin{}
+		return never
 	}
-	if now < c.startAt {
-		// Not yet started: the pre-start ticks are pure no-ops, so the
-		// horizon is exactly the start cycle with no spin effects.
-		return c.startAt, coreSpin{}
+	if c.now < c.startAt {
+		return c.startAt
 	}
-	if c.sle != nil && c.sle.speculating() {
-		return now, coreSpin{} // sle.tick runs every cycle while a region is live
-	}
-	next = never
-	if len(c.ruu) > 0 {
-		if h := c.ruu[0]; h.done && !h.specVal {
-			if h.ins.Op == isa.OpSt && c.memsys.StoreBufFull() {
-				// Commit is blocked on the full store buffer; the
-				// refused StoreCommit bumps store/buffer_full each
-				// cycle. The buffer drains only via bus events, which
-				// the bus horizon bounds.
-				spin.flags |= spinStoreBufFull
-			} else {
-				return now, coreSpin{} // head retires
-			}
-		}
-	}
-	// Executing entries bound the horizon by their completion times;
-	// only readyQ entries (dispatched, unissued, actionable) can pin
-	// the machine to now. Together they cover exactly the cases the
-	// full window walk distinguished: everything else in the window is
-	// operand-blocked (visited nothing in the old walk either) or
-	// issued/done and waiting on a callback.
+	next := never
+	// complete just pruned execQ to the live in-flight entries, and a
+	// tick that moved nothing added none since.
 	for _, r := range c.execQ {
-		e := r.e
-		if e.dead || e.seq != r.seq || !e.executing {
-			continue // stale reference from a squash
-		}
-		if e.doneAt < next {
-			next = e.doneAt
+		if r.e.doneAt < next {
+			next = r.e.doneAt
 		}
 	}
-	for _, r := range c.readyQ {
-		e := r.e
-		if e.dead || e.seq != r.seq || e.issued || e.done {
-			continue // stale reference, or left the actionable set
-		}
-		if e.needsAddr && e.srcReady[0] {
-			return now, coreSpin{} // store address resolves this tick
-		}
-		if e.pendingSrcs != 0 {
-			continue // resolved store waiting on its data broadcast
-		}
-		switch {
-		case e.isLoad:
-			if !e.addrKnown {
-				return now, coreSpin{} // first issueLoad call resolves the address
-			}
-			stall, fwd := c.olderStoreScan(e)
-			if stall {
-				continue // pure disambiguation stall
-			}
-			if fwd != nil {
-				return now, coreSpin{} // forwards from an older store
-			}
-			switch c.memsys.PeekLoad(e.effAddr) {
-			case core.LoadProbeActive:
-				return now, coreSpin{} // hit, merge, or new request
-			case core.LoadProbeRetryCounted:
-				spin.loadRetries++ // miss counters bump every cycle
-			}
-			// LoadProbeRetryPure: silent retry, nothing to replay.
-		case e.ins.Op == isa.OpSC:
-			if len(c.ruu) > 0 && e == c.ruu[0] && !e.scSent {
-				return now, coreSpin{}
-			}
-		default:
-			return now, coreSpin{} // ALU/store/branch/nop executes immediately
-		}
-	}
+	// A fetch-queue head that is already ready is stalled (window or
+	// LSQ full, isync drain) until commit moves, not until a time.
 	if len(c.fetchQ) > 0 {
-		if h := c.fetchQ[0].readyAt; h > now {
-			if h < next {
-				next = h
-			}
-		} else if len(c.ruu) >= c.cfg.RUUSize {
-			spin.flags |= spinRUUFull // ruu_full bumps every cycle
-		} else if c.fetchQ[0].ins.IsMem() && c.lsqUsed >= c.cfg.LSQSize {
-			spin.flags |= spinLSQFull // lsq_full bumps every cycle
-		} else if c.drainISync == nil {
-			return now, coreSpin{} // head dispatches
+		if h := c.fetchQ[0].readyAt; h > c.now && h < next {
+			next = h
 		}
-		// drainISync-blocked dispatch is a pure stall: the drain ends
-		// when the serializing entry retires, which the head-retire and
-		// doneAt terms above already cover.
-	}
-	if !c.fetchStop && len(c.fetchQ)+len(c.ruu) < c.cfg.RUUSize {
-		return now, coreSpin{} // fetch fills the queue
-	}
-	if next == never {
-		// Callback-waiting: every in-window op is blocked on a memory
-		// completion (LoadDone/SCDone) or a dependent broadcast. When
-		// the memory system already knows the earliest fill cycle of
-		// this node's granted misses, report it — the known-latency
-		// horizon — instead of "unknown". Ungranted requests stay
-		// "never": arbitration is the bus horizon's to bound.
-		if at, ok := c.memsys.EarliestFill(); ok && at > now {
-			next = at
-		}
-	}
-	return next, spin
-}
-
-// NextEvent returns the earliest future cycle at which Tick could
-// change state beyond constant per-cycle counter spins, or ^uint64(0)
-// when the core waits on an external callback. now means the next
-// tick acts immediately.
-func (c *Core) NextEvent(now uint64) uint64 {
-	if c.horizonValid {
-		if c.memsys.StateVersion() == c.horizonMemVer {
-			return c.horizonNext
-		}
-		c.horizonValid = false
-	}
-	next, spin := c.quiesce(now)
-	if next > now {
-		// Only a strictly-future horizon is cacheable: it cannot
-		// arrive without this core noticing — ticks while it holds
-		// are pure spins, and every state change that could break
-		// quiescence either enters through a Client callback (which
-		// invalidates) or bumps the memory system's StateVersion.
-		c.horizonValid = true
-		c.horizonNext = next
-		c.horizonSpin = spin
-		c.horizonMemVer = c.memsys.StateVersion()
 	}
 	return next
 }
 
-// SkipCycles replays the side effects of ticking every cycle in
-// [from, to) while the core is quiescent: the spin counters of the
-// stalled state advance by the skipped cycle count, and the clock
-// lands on to-1 — the value Tick(to-1) would have left, which
-// controller callbacks firing during the next cycle's bus phase
-// (LoadDone, SCDone) read before the core's next Tick.
-func (c *Core) SkipCycles(from, to uint64) {
-	spin := c.horizonSpin
-	if !c.horizonValid || c.memsys.StateVersion() != c.horizonMemVer {
-		_, spin = c.quiesce(from)
+// NextEvent returns the earliest future cycle at which Tick could do
+// anything but repeat the idle verdict's counter bumps, ^uint64(0)
+// when the core waits on an external callback, or now when no verdict
+// holds: idleness is only ever observed, so a core that has not just
+// ticked idle must be ticked to find out.
+func (c *Core) NextEvent(now uint64) uint64 {
+	if c.idle && c.memsys.StateVersion() == c.idleMemVer {
+		return c.idleUntil
 	}
-	c.replaySpin(spin, to-from)
+	return now
+}
+
+// SkipCycles replays the side effects of ticking every cycle in
+// [from, to) under the idle verdict (the caller has just seen
+// NextEvent(from) >= to): the verdict's spin counters advance by the
+// skipped cycle count, and the clock lands on to-1 — the value
+// Tick(to-1) would have left, which controller callbacks firing during
+// the next cycle's bus phase (LoadDone, SCDone) read before the core's
+// next Tick.
+func (c *Core) SkipCycles(from, to uint64) {
+	c.replaySpin(c.idleSpin, to-from)
 	c.now = to - 1
 }
 
-// replaySpin applies k cycles' worth of the constant counter effects a
-// quiescent core produces each tick (the bumps commit/dispatch/issue
-// would have made).
+// replaySpin applies k ticks' worth of the counter bumps in spin.
 func (c *Core) replaySpin(spin coreSpin, k uint64) {
-	if spin.flags&spinStoreBufFull != 0 {
-		c.cnt.storeBufFull.Add(k)
-	}
-	if spin.flags&spinRUUFull != 0 {
-		c.cnt.ruuFull.Add(k)
-	}
-	if spin.flags&spinLSQFull != 0 {
-		c.cnt.lsqFull.Add(k)
-	}
-	if n := spin.loadRetries; n > 0 {
-		// Each retrying load misses L1 and L2 and finds the MSHR file
-		// exhausted every cycle (Controller.Load's counted-retry path).
-		c.cnt.l1Miss.Add(k * n)
-		c.cnt.l2Miss.Add(k * n)
-		c.cnt.mshrFull.Add(k * n)
-	}
+	c.cnt.storeBufFull.Add(k * spin.storeBufFull)
+	c.cnt.ruuFull.Add(k * spin.ruuFull)
+	c.cnt.lsqFull.Add(k * spin.lsqFull)
+	c.cnt.l1Miss.Add(k * spin.loadRetries)
+	c.cnt.l2Miss.Add(k * spin.loadRetries)
+	c.cnt.mshrFull.Add(k * spin.loadRetries)
 }
 
 // ---------------------------------------------------------------------------
@@ -876,7 +754,10 @@ func (c *Core) commit() {
 	if c.sle != nil && c.sle.speculating() {
 		// While an elision is live the commit pointer is frozen at
 		// the region head; the engine decides when the whole region
-		// commits atomically (or aborts).
+		// commits atomically (or aborts). It rescans the region and
+		// re-requests its write set every cycle, so a live region is
+		// never idle.
+		c.acted.commit = true
 		c.sle.tick()
 		return
 	}
@@ -889,6 +770,7 @@ func (c *Core) commit() {
 			// The store performs at retirement; a full store buffer
 			// stalls commit.
 			if !c.memsys.StoreCommit(e.seq, uint64(e.pc), e.effAddr, e.src[1]) {
+				c.spin.storeBufFull = 1 // the refusal counted itself
 				return
 			}
 		}
@@ -898,6 +780,7 @@ func (c *Core) commit() {
 
 // retireHead retires ruu[0] into architected state.
 func (c *Core) retireHead() {
+	c.acted.commit = true
 	e := c.ruu[0]
 	c.ruu = c.ruu[1:]
 	if e.isStore {
@@ -996,6 +879,7 @@ func (c *Core) complete() {
 			out = append(out, r)
 			continue
 		}
+		c.acted.complete = true
 		e.executing = false
 		c.numExecuting--
 		e.done = true
@@ -1162,6 +1046,7 @@ func (c *Core) issue() {
 		// them separately, and the SLE release scan and load
 		// disambiguation both depend on early address resolution.
 		if e.needsAddr && e.srcReady[0] {
+			c.acted.issue = true
 			e.effAddr = isa.EffAddr(e.ins, e.src[0])
 			e.addrKnown = true
 			e.needsAddr = false
@@ -1179,6 +1064,7 @@ func (c *Core) issue() {
 			switch {
 			case e.isLoad:
 				if memIssued < c.cfg.MemPorts && c.issueLoad(e) {
+					c.acted.issue = true
 					issued++
 					memIssued++
 					keep = false
@@ -1186,6 +1072,7 @@ func (c *Core) issue() {
 			case e.ins.Op == isa.OpSt:
 				// Stores "execute" once address and data are known; the
 				// write happens at retirement.
+				c.acted.issue = true
 				e.issued = true
 				e.done = true
 				e.result = 0
@@ -1200,12 +1087,14 @@ func (c *Core) issue() {
 				}
 				keep = !e.done
 			case e.isBranch || e.ins.Op == isa.OpNop || e.ins.Op == isa.OpISync || e.ins.Op == isa.OpHalt:
+				c.acted.issue = true
 				e.issued = true
 				e.doneAt = c.now + uint64(e.ins.BaseLatency())
 				c.markExecuting(e)
 				issued++
 				keep = false
 			default: // ALU
+				c.acted.issue = true
 				e.issued = true
 				e.doneAt = c.now + uint64(e.ins.BaseLatency())
 				e.result = isa.EvalALU(e.ins, e.src[0], e.src[1])
@@ -1225,6 +1114,9 @@ func (c *Core) issue() {
 // issueSC starts a store-conditional at the window head: either the
 // SLE engine elides it, or it goes to the memory system.
 func (c *Core) issueSC(e *entry) {
+	// Even an attempt that ends in a refused SCExecute has consulted
+	// the elision engine, which counts and trains on every ask.
+	c.acted.issue = true
 	if c.sle != nil && c.sle.tryStart(e) {
 		return // elided: engine completed the SC
 	}
@@ -1262,15 +1154,14 @@ func (c *Core) lsqStoreLeft(e *entry) {
 // matching store whose data operand is not ready) and otherwise the
 // youngest older store to the same word to forward from (nil: go to
 // memory). Failed SCs are transparent (they wrote nothing).
-// NextEvent shares the scan to classify a stalled load as pure.
 //
 // The common case is O(1): when every in-window store address is
 // resolved and no store hashes to the load's address bucket, the walk
 // could only answer (false, nil). The summary counts include stores
 // younger than the load, so a hit is conservative — it just falls
 // back to the full scan. Verdicts are memoized per entry under
-// lsqVer, which changes whenever any scan input does, so quiesce
-// reuses what issue computed the same cycle instead of re-walking.
+// lsqVer, which changes whenever any scan input does, so a stalled
+// load's per-tick retry does not re-walk the window.
 func (c *Core) olderStoreScan(e *entry) (stall bool, fwd *entry) {
 	if c.storesInFlight == 0 {
 		return false, nil
@@ -1324,8 +1215,11 @@ func (c *Core) olderStoreScanFull(e *entry) (stall bool, fwd *entry) {
 // store addresses, forwards from an exact match, and otherwise goes to
 // memory.
 func (c *Core) issueLoad(e *entry) bool {
-	e.effAddr = isa.EffAddr(e.ins, e.src[0])
-	e.addrKnown = true
+	if !e.addrKnown {
+		c.acted.issue = true // the address resolves even if the load then stalls
+		e.effAddr = isa.EffAddr(e.ins, e.src[0])
+		e.addrKnown = true
+	}
 	stall, fwd := c.olderStoreScan(e)
 	if stall {
 		return false
@@ -1344,6 +1238,9 @@ func (c *Core) issueLoad(e *entry) bool {
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
 	switch r.Status {
 	case core.LoadRetry:
+		if r.Counted {
+			c.spin.loadRetries++
+		}
 		return false
 	case core.LoadHit:
 		e.issued = true
@@ -1379,11 +1276,13 @@ func (c *Core) dispatch() {
 		}
 		if len(c.ruu) >= c.cfg.RUUSize {
 			c.cnt.ruuFull.Inc()
+			c.spin.ruuFull = 1
 			return
 		}
 		slot := c.fetchQ[0]
 		if slot.ins.IsMem() && c.lsqUsed >= c.cfg.LSQSize {
 			c.cnt.lsqFull.Inc()
+			c.spin.lsqFull = 1
 			return
 		}
 		// A serializing isync blocks younger dispatch until it
@@ -1404,6 +1303,7 @@ func (c *Core) dispatch() {
 }
 
 func (c *Core) dispatchOne(slot fetchSlot) {
+	c.acted.dispatch = true
 	c.nextSeq++
 	var e *entry
 	if n := len(c.entryPool); n > 0 {
@@ -1507,6 +1407,7 @@ func (c *Core) fetch() {
 			n := copy(c.fetchBuf, c.fetchQ)
 			c.fetchQ = c.fetchBuf[:n]
 		}
+		c.acted.fetch = true
 		c.fetchQ = append(c.fetchQ, slot)
 		c.fetchPC = next
 	}
@@ -1518,7 +1419,7 @@ func (c *Core) fetch() {
 
 // LoadDone implements core.Client.
 func (c *Core) LoadDone(seq uint64, value uint64) {
-	c.horizonValid = false
+	c.idle = false
 	e := c.entryBySeq(seq)
 	if e == nil || !e.memSent || e.done {
 		return // squashed or stale
@@ -1532,7 +1433,7 @@ func (c *Core) LoadDone(seq uint64, value uint64) {
 // LoadsVerified implements core.Client: LVP predictions confirmed;
 // the loads may now retire.
 func (c *Core) LoadsVerified(seqs []uint64) {
-	c.horizonValid = false
+	c.idle = false
 	for _, s := range seqs {
 		if e := c.entryBySeq(s); e != nil {
 			e.specVal = false
@@ -1546,7 +1447,7 @@ func (c *Core) LoadsVerified(seqs []uint64) {
 // replacements carry no speculative value from the failed line, so a
 // fully dead list is a no-op.
 func (c *Core) SquashSpec(seqs []uint64) {
-	c.horizonValid = false
+	c.idle = false
 	var oldest uint64
 	found := false
 	for _, s := range seqs {
@@ -1564,7 +1465,7 @@ func (c *Core) SquashSpec(seqs []uint64) {
 
 // SCDone implements core.Client.
 func (c *Core) SCDone(seq uint64, success bool) {
-	c.horizonValid = false
+	c.idle = false
 	e := c.entryBySeq(seq)
 	if e == nil || !e.scSent {
 		return
@@ -1586,7 +1487,7 @@ func (c *Core) SCDone(seq uint64, success bool) {
 // a line read by a not-yet-retired load squashes that load and
 // everything younger, forcing it to re-execute and observe the write.
 func (c *Core) ExternalSnoop(lineAddr uint64, isWrite bool) {
-	c.horizonValid = false
+	c.idle = false
 	if c.sle != nil {
 		c.sle.onSnoop(lineAddr, isWrite)
 	}

@@ -12,7 +12,9 @@ import (
 // fakeMem is a scriptable MemSystem: loads hit with fixed latency over
 // a functional memory; stores apply at commit; SCs succeed unless
 // scripted otherwise. Optional hooks let tests inject misses,
-// speculative (LVP) deliveries, and delayed SC results.
+// speculative (LVP) deliveries, delayed SC results, and the
+// controller's refusals (which count themselves on ctrs, as the real
+// controller does on the shared counter set).
 type fakeMem struct {
 	mem      *mem.Memory
 	loadLat  int
@@ -21,6 +23,11 @@ type fakeMem struct {
 	delayed  map[uint64]bool   // word addrs whose loads go async
 	spec     map[uint64]uint64 // word addr -> speculative value to deliver
 	core     *Core
+	ctrs     *stats.Counters
+
+	sbFull    bool            // StoreCommit refuses, counting store/buffer_full
+	mshrFull  map[uint64]bool // word addrs whose loads get a counted retry
+	scBlocked map[uint64]bool // word addrs whose loads get a pure retry
 
 	prefetches   []uint64
 	sleCommits   [][]core.SpecStore
@@ -36,12 +43,23 @@ func newFakeMem() *fakeMem {
 		pendLoad:     map[uint64]uint64{},
 		delayed:      map[uint64]bool{},
 		spec:         map[uint64]uint64{},
+		mshrFull:     map[uint64]bool{},
+		scBlocked:    map[uint64]bool{},
 		sleWritable:  true,
 		reservations: true,
 	}
 }
 
 func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
+	if f.scBlocked[addr] {
+		return core.LoadResult{Status: core.LoadRetry}
+	}
+	if f.mshrFull[addr] {
+		f.ctrs.Inc("l1/miss")
+		f.ctrs.Inc("l2/miss")
+		f.ctrs.Inc("l2/mshr_full")
+		return core.LoadResult{Status: core.LoadRetry, Counted: true}
+	}
 	if v, ok := f.spec[addr]; ok {
 		return core.LoadResult{Status: core.LoadSpec, Value: v, Lat: f.loadLat}
 	}
@@ -53,6 +71,10 @@ func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 }
 
 func (f *fakeMem) StoreCommit(seq, pc, addr, val uint64) bool {
+	if f.sbFull {
+		f.ctrs.Inc("store/buffer_full")
+		return false
+	}
 	f.mem.WriteWord(addr, val)
 	return true
 }
@@ -72,10 +94,7 @@ func (f *fakeMem) HasReservation(lineAddr uint64) bool { return f.reservations }
 func (f *fakeMem) PrefetchExclusive(addr uint64)       { f.prefetches = append(f.prefetches, addr) }
 func (f *fakeMem) HoldsWritable(addr uint64) bool      { return f.sleWritable }
 func (f *fakeMem) StoreBufEmpty() bool                 { return true }
-func (f *fakeMem) StoreBufFull() bool                  { return false }
-func (f *fakeMem) PeekLoad(addr uint64) core.LoadProbe { return core.LoadProbeActive }
 func (f *fakeMem) StateVersion() uint64                { return 0 }
-func (f *fakeMem) EarliestFill() (uint64, bool)        { return 0, false }
 func (f *fakeMem) SLECommitStores(st []core.SpecStore) bool {
 	if !f.sleWritable {
 		return false
@@ -107,7 +126,7 @@ func newTestCore(t *testing.T, prog *isa.Program, sle bool) (*Core, *fakeMem, *s
 	cfg.SLE.Enabled = sle
 	c := New(cfg, 0, prog, f, ctrs)
 	c.EnableChecker()
-	f.core = c
+	f.core, f.ctrs = c, ctrs
 	return c, f, ctrs
 }
 

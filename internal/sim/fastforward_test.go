@@ -3,65 +3,122 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"tssim/internal/workload"
 )
 
-// renderedReport runs one workload/technique configuration and returns
-// the rendered report bytes (every counter, histogram, cycle count and
-// config field) plus the raw result. Fast-forward is controlled by
-// noFF; everything else is identical.
-func renderedReport(t *testing.T, name string, tech Techniques, noFF bool) ([]byte, Result) {
+// ffCell is one cell of the fast-forward differential: a workload and
+// technique combo on a fabric at a CPU count ("" is the atomic bus).
+type ffCell struct {
+	workload string
+	tech     Techniques
+	fabric   string
+	cpus     int
+}
+
+// name keeps the historical workload/tech label for the default
+// machine and appends the fabric and CPU count otherwise.
+func (c ffCell) name() string {
+	n := c.workload + "/" + c.tech.String()
+	if c.fabric != "" || c.cpus != 4 {
+		n += fmt.Sprintf("/%s/%d", c.fabric, c.cpus)
+	}
+	return n
+}
+
+// renderedReport runs one cell and returns the rendered report bytes
+// (every counter, histogram, cycle count and config field), the raw
+// result, and the ticks the cores answered from their idle verdicts.
+// Fast-forward is controlled by noFF; everything else is identical.
+func renderedReport(t *testing.T, c ffCell, noFF bool) ([]byte, Result, uint64) {
 	t.Helper()
 	cfg := ExperimentConfig()
-	cfg.Tech = tech
+	cfg.CPUs = c.cpus
+	cfg.Interconnect = c.fabric
+	cfg.Tech = c.tech
 	cfg.NoFastForward = noFF
-	w, err := workload.ByName(name, workload.Params{CPUs: cfg.CPUs, Scale: 1})
+	w, err := workload.ByName(c.workload, workload.Params{CPUs: cfg.CPUs, Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(cfg, w)
 	r, rerr := s.RunErr(w)
 	if rerr != nil {
-		t.Fatalf("%s under %s (noFF=%v): %v", name, tech, noFF, rerr)
+		t.Fatalf("%s (noFF=%v): %v", c.name(), noFF, rerr)
 	}
 	var buf bytes.Buffer
 	if err := NewReport(cfg, r).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), r
+	var replayed uint64
+	for _, core := range s.Cores {
+		replayed += core.ReplayedTicks()
+	}
+	return buf.Bytes(), r, replayed
 }
 
-// TestFastForwardBitIdentical is the tentpole differential: for every
-// technique combo of Figure 7, a fast-forwarded run must render a
-// byte-identical report to the naive every-cycle loop — same cycles,
-// same counters (including the spin counters replayed across skipped
-// stall cycles), same downsampled occupancy histograms. tpc-b is the
-// compute-bound extreme (few skips, exercises the no-op boundary);
-// specjbb is the idle-heavy extreme (~70% of cycles skipped).
+// TestFastForwardBitIdentical is the tentpole differential: a
+// fast-forwarded run must render a byte-identical report to the
+// every-cycle loop — same cycles, same counters (including the spin
+// counters replayed across idle ticks and skipped cycles), same
+// downsampled occupancy histograms — and the every-cycle loop must be
+// a real twin: its cores audit every idle verdict and never take the
+// replay shortcut themselves. Every Figure 7 combo runs on the default
+// machine for tpc-b (the compute-bound extreme: few skips, exercises
+// the no-op boundary) and specjbb (the idle-heavy extreme, ~70% of
+// cycles skipped); two more cells put the verdict on the other two
+// fabrics at the sizes where most cores sit idle behind an active one.
 func TestFastForwardBitIdentical(t *testing.T) {
-	workloads := []string{"tpc-b", "specjbb"}
-	if testing.Short() {
-		workloads = workloads[:1]
-	}
-	for _, name := range workloads {
-		for _, tech := range AllCombos() {
-			name, tech := name, tech
-			t.Run(name+"/"+tech.String(), func(t *testing.T) {
-				t.Parallel()
-				naive, _ := renderedReport(t, name, tech, true)
-				ff, r := renderedReport(t, name, tech, false)
-				if !bytes.Equal(naive, ff) {
-					t.Fatalf("%s under %s: fast-forward report diverges from naive loop\nnaive:\n%s\nfast-forward:\n%s",
-						name, tech, naive, ff)
-				}
-				if r.SkippedCycles == 0 {
-					t.Errorf("%s under %s: fast-forward skipped no cycles — the path under test never ran",
-						name, tech)
-				}
-			})
+	var cells []ffCell
+	for _, name := range []string{"tpc-b", "specjbb"} {
+		if name == "specjbb" && testing.Short() {
+			continue
 		}
+		for _, tech := range AllCombos() {
+			cells = append(cells, ffCell{name, tech, "", 4})
+		}
+	}
+	if !testing.Short() {
+		cells = append(cells,
+			ffCell{"specjbb", Techniques{MESTI: true}, "directory", 16},
+			ffCell{"tpc-b", Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}, "splitbus", 8})
+	}
+	for _, c := range cells {
+		t.Run(c.name(), func(t *testing.T) {
+			t.Parallel()
+			naive, _, naiveReplayed := renderedReport(t, c, true)
+			ff, r, ffReplayed := renderedReport(t, c, false)
+			if !bytes.Equal(naive, ff) {
+				t.Fatalf("%s: fast-forward report diverges from naive loop\nnaive:\n%s\nfast-forward:\n%s",
+					c.name(), naive, ff)
+			}
+			if r.SkippedCycles == 0 || ffReplayed == 0 {
+				t.Errorf("%s: fast-forward skipped %d cycles and replayed %d ticks — the path under test never ran",
+					c.name(), r.SkippedCycles, ffReplayed)
+			}
+			if naiveReplayed != 0 {
+				t.Errorf("%s: the every-cycle loop replayed %d ticks — the oracle took the shortcut it checks",
+					c.name(), naiveReplayed)
+			}
+		})
+	}
+}
+
+// TestAuditViolationFailsRun pins the wiring from an oracle core's
+// audit to the run's outcome: a latched violation ends the run as a
+// RunError carrying the core's message and the machine dump.
+func TestAuditViolationFailsRun(t *testing.T) {
+	w, cfg := stallWorkload(2)
+	cfg.CPUs = 2
+	cfg.NoFastForward = true
+	s := New(cfg, w)
+	s.auditErr = errors.New("cpu1 cycle 7: idle verdict violated")
+	_, err := s.RunErr(w)
+	var re *RunError
+	if !errors.As(err, &re) || re.Reason != s.auditErr.Error() || re.PostMortem == "" {
+		t.Fatalf("want a RunError with the audit message and a post-mortem, got %v", err)
 	}
 }
 

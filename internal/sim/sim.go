@@ -137,8 +137,10 @@ type Config struct {
 	// stride in bus grants (0 = check.DefaultSweepEvery).
 	CheckSweepEvery int
 
-	// NoFastForward disables the next-event fast-forward path and
-	// ticks every cycle naively. The two paths are bit-identical in
+	// NoFastForward disables the next-event fast-forward path: every
+	// cycle is ticked and every core runs its full pipeline on every
+	// tick (cpu.Core.SetOracle), auditing each idle verdict the fast
+	// path would have trusted. The two paths are bit-identical in
 	// every simulated observable (cycles, counters, histograms, trace
 	// timestamps, check verdicts); this escape hatch exists for
 	// differential testing and as a diagnostic fallback.
@@ -159,6 +161,16 @@ type Config struct {
 	// interleavings: every knob is plain configuration, so each
 	// perturbed run is exactly as reproducible as an unperturbed one.
 	StartOffsets []uint64
+}
+
+// ValidateCPUs rejects a -cpus value outside 1..64: the workload
+// generators' address layouts and the directory's 64-bit sharer vector
+// both end there.
+func ValidateCPUs(n int) error {
+	if n < 1 || n > 64 {
+		return fmt.Errorf("-cpus %d: must be between 1 and 64", n)
+	}
+	return nil
 }
 
 // DefaultMaxCycles bounds runaway workloads.
@@ -294,6 +306,10 @@ type System struct {
 
 	// check is the attached coherence oracle (nil unless Config.Check).
 	check *check.Checker
+
+	// auditErr is where the oracle cores (cpu.Core.SetOracle) report
+	// the first idle-verdict violation.
+	auditErr error
 }
 
 // New assembles a system for the workload.
@@ -347,6 +363,9 @@ func New(cfg Config, w Workload) *System {
 		c := cpu.New(coreCfg, i, w.Programs[i], nil, s.Counters)
 		if i < len(cfg.StartOffsets) {
 			c.SetStartCycle(cfg.StartOffsets[i])
+		}
+		if cfg.NoFastForward {
+			c.SetOracle(&s.auditErr)
 		}
 		c.SetTracer(cfg.Trace)
 		c.AttachMachine(&s.retired, &s.haltedCores)
@@ -511,6 +530,10 @@ func (s *System) runErr(w Workload, ph *telemetry.JobPhases) (Result, error) {
 				runErr = s.failWithPostMortem(w, err.Error())
 				break
 			}
+		}
+		if s.auditErr != nil {
+			runErr = s.failWithPostMortem(w, s.auditErr.Error())
+			break
 		}
 		if err := s.Bus.Err(); err != nil {
 			// A latched fabric protocol violation (e.g. two owners in a

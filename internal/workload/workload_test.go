@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"tssim/internal/isa"
@@ -102,17 +103,29 @@ func TestByNameAndNames(t *testing.T) {
 	if len(names) != 7 {
 		t.Fatalf("names = %v", names)
 	}
-	for _, n := range names {
-		w, err := ByName(n, Params{CPUs: 4, Scale: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.Name != n {
-			t.Fatalf("ByName(%q).Name = %q", n, w.Name)
+	for _, cpus := range []int{4, 16} {
+		p := Params{CPUs: cpus, Scale: 1}
+		all := All(p)
+		for i, n := range names {
+			w, err := ByName(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Name != n || all[i].Name != n {
+				t.Fatalf("ByName(%q).Name = %q, All[%d].Name = %q", n, w.Name, i, all[i].Name)
+			}
+			if !reflect.DeepEqual(w.Programs, all[i].Programs) {
+				t.Fatalf("ByName(%q) at %d CPUs builds different programs from All's entry", n, cpus)
+			}
 		}
 	}
 	if _, err := ByName("nosuch", Params{}); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+	// Only the named generator is built: tpc-h's layout guard (which
+	// panics past 64 CPUs) must not fail a request for tpc-b.
+	if _, err := ByName("tpc-b", Params{CPUs: 65, Scale: 1}); err != nil {
+		t.Fatal(err)
 	}
 }
 
