@@ -86,6 +86,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := sim.ValidateSizes(*scale, *seeds, *jobs); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	p := experiments.Params{CPUs: *cpus, Scale: *scale, Seeds: *seeds, Jobs: *jobs, Check: *chk,
 		Interconnect: *icKind, Telemetry: tel, Timing: *timing, NoFastForward: *noFF}
 
@@ -141,7 +145,7 @@ func main() {
 		ran = true
 	}
 	if *dump != "" {
-		tech := map[string]sim.Techniques{
+		tech, ok := map[string]sim.Techniques{
 			"baseline": {},
 			"mesti":    {MESTI: true},
 			"emesti":   {MESTI: true, EMESTI: true},
@@ -149,6 +153,10 @@ func main() {
 			"sle":      {SLE: true},
 			"all":      {MESTI: true, EMESTI: true, LVP: true, SLE: true},
 		}[*techStr]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown -tech %q (use baseline|mesti|emesti|lvp|sle|all)\n", *techStr)
+			os.Exit(2)
+		}
 		fmt.Println(experiments.CountersDump(p, *dump, tech))
 		if *report != "" {
 			rep, err := experiments.DumpReport(p, *dump, tech)

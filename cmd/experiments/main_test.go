@@ -34,3 +34,30 @@ func TestCPUsOutOfRangeRejected(t *testing.T) {
 		}
 	}
 }
+
+// Sizes the library would quietly run as scale 1, one seed are usage
+// errors too, as is a technique name the parser does not know — the
+// message names "baseline", the one spelling of no technique it takes.
+func TestNonsenseSizesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table2", "-scale", "0", "-seeds", "0"}, "-scale 0:"},
+		{[]string{"-table2", "-scale", "-2"}, "-scale -2:"},
+		{[]string{"-fig7", "-seeds", "-1"}, "-seeds -1:"},
+		{[]string{"-table2", "-j", "-1"}, "-j -1:"},
+		{[]string{"-dump", "tpc-b", "-tech", "base"}, `unknown -tech "base" (use baseline|`},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("%v: want exit status 2, got %v\n%s", tc.args, err, out)
+		}
+		if s := string(out); !strings.Contains(s, tc.want) || strings.Contains(s, "goroutine") || strings.Count(s, "\n") != 1 {
+			t.Fatalf("%v: want one line with %q, got:\n%s", tc.args, tc.want, s)
+		}
+	}
+}

@@ -40,7 +40,7 @@ func parseTech(s string) (sim.Techniques, error) {
 		case "sle":
 			t.SLE = true
 		default:
-			return t, fmt.Errorf("unknown technique %q (use mesti|emesti|lvp|sle, joined with +)", part)
+			return t, fmt.Errorf("unknown technique %q (use baseline, or mesti|emesti|lvp|sle joined with +)", part)
 		}
 	}
 	return t, nil
@@ -146,7 +146,7 @@ func runSingle(cfg sim.Config, w sim.Workload, tel *telemetry.Collector) sim.Res
 func main() {
 	var (
 		name      = flag.String("workload", "tpc-b", "workload: "+strings.Join(workload.Names(), "|"))
-		techStr   = flag.String("tech", "baseline", "technique combo, e.g. emesti+lvp")
+		techStr   = flag.String("tech", "baseline", "technique combo: baseline, or mesti|emesti|lvp|sle joined with +, e.g. emesti+lvp")
 		cpus      = flag.Int("cpus", 4, "number of CPUs")
 		scale     = flag.Int("scale", 1, "workload scale factor")
 		seeds     = flag.Int("seeds", 1, "runs with latency jitter (CI when > 1)")
@@ -209,6 +209,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := sim.ValidateCPUs(*cpus); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := sim.ValidateSizes(*scale, *seeds, *jobs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

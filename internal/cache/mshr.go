@@ -121,6 +121,9 @@ func (f *MSHRFile) Alloc(addr uint64, write bool) *MSHR {
 	if f.Lookup(addr) != nil {
 		panic(fmt.Sprintf("cache: duplicate MSHR for %#x", mem.LineAddr(addr)))
 	}
+	if f.used == len(f.entries) {
+		return nil // full: the answer every retry of a stalled miss gets
+	}
 	for i := range f.entries {
 		if !f.entries[i].Valid {
 			m := &f.entries[i]

@@ -114,3 +114,56 @@ func TestMSHRFileForEach(t *testing.T) {
 		t.Fatalf("ForEach visited %d, want 2", seen)
 	}
 }
+
+// fullMSHRFile returns an n-entry file with every entry live, on lines
+// 0x1000, 0x1040, ...
+func fullMSHRFile(n int) *MSHRFile {
+	f := NewMSHRFile(n)
+	for i := 0; i < n; i++ {
+		f.Alloc(0x1000+uint64(i)*mem.LineSize, false)
+	}
+	return f
+}
+
+// A full file answers Alloc from its occupancy count, and the
+// duplicate-line check still comes first.
+func TestMSHRAllocOnFullFile(t *testing.T) {
+	f := fullMSHRFile(8)
+	if f.Alloc(0x9000, false) != nil {
+		t.Fatal("alloc on a full file succeeded")
+	}
+	if f.InUse() != 8 {
+		t.Fatalf("refused alloc changed the occupancy to %d", f.InUse())
+	}
+	f.Free(f.Lookup(0x1040))
+	if m := f.Alloc(0x9000, true); m == nil || m.Addr != 0x9000 || f.InUse() != 8 {
+		t.Fatalf("alloc after a free on a full file = %+v, in use %d", m, f.InUse())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate alloc on a full file must panic")
+		}
+	}()
+	f.Alloc(0x1008, false)
+}
+
+// The two calls a load retrying against an exhausted file makes every
+// cycle: the lookup that finds no MSHR for its line, and the alloc that
+// finds none free.
+func BenchmarkMSHRFileLookupMiss(b *testing.B) {
+	f := fullMSHRFile(8)
+	for i := 0; i < b.N; i++ {
+		if f.Lookup(0x9000) != nil {
+			b.Fatal("hit")
+		}
+	}
+}
+
+func BenchmarkMSHRFileAllocFull(b *testing.B) {
+	f := fullMSHRFile(8)
+	for i := 0; i < b.N; i++ {
+		if f.Alloc(0x9000, false) != nil {
+			b.Fatal("allocated")
+		}
+	}
+}

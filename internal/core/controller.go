@@ -172,8 +172,13 @@ type Controller struct {
 	// without a Client callback: store-buffer pops, and this node's own
 	// bus grants and completions (MSHR frees, fills, validate state
 	// moves). Remote transactions already reach the core via
-	// ExternalSnoop. The core snapshots the version with its idle
-	// verdict and drops the verdict on mismatch.
+	// ExternalSnoop; the one that can turn a refused load into a hit —
+	// a snooped validate moving T back to S/VS — bumps the version as
+	// well, because the callback does not say which lines it touched.
+	// The core snapshots the version with its idle verdict and drops the
+	// verdict on mismatch, and keys each load's memoized MSHR-exhausted
+	// refusal on it (cpu.entry.retryVer): while the version stands, a
+	// counted LoadRetry stands.
 	stateVer uint64
 }
 

@@ -38,7 +38,7 @@ func (c *testClient) ExternalSnoop(uint64, bool)      { c.snoops++ }
 
 // harness wires N controllers to an interconnect over one memory.
 type harness struct {
-	t       *testing.T
+	t       testing.TB
 	mem     *mem.Memory
 	bus     bus.Interconnect
 	ctrs    *stats.Counters
@@ -63,12 +63,12 @@ func smallNodeCfg() Config {
 	}
 }
 
-func newHarness(t *testing.T, n int, mut func(i int, c *Config)) *harness {
+func newHarness(t testing.TB, n int, mut func(i int, c *Config)) *harness {
 	return newHarnessIC(t, n, "", mut)
 }
 
 // newHarnessIC is newHarness on a chosen interconnect backend.
-func newHarnessIC(t *testing.T, n int, kind string, mut func(i int, c *Config)) *harness {
+func newHarnessIC(t testing.TB, n int, kind string, mut func(i int, c *Config)) *harness {
 	h := &harness{t: t, mem: mem.New(), ctrs: stats.NewCounters()}
 	ic, err := bus.NewInterconnect(kind, fastBusCfg(), h.mem, h.ctrs, nil)
 	if err != nil {
@@ -162,6 +162,18 @@ func (h *harness) loadValue(node int, addr uint64) uint64 {
 	}
 	h.t.Fatalf("load of %#x livelocked", addr)
 	return 0
+}
+
+// fillMSHRs occupies every MSHR of a node with a load miss to a line
+// of its own (0x8000, 0x8040, ...); the bus is not ticked, so they stay
+// outstanding.
+func (h *harness) fillMSHRs(node int) {
+	n := h.nodes[node]
+	for i := 0; i < n.Config().MSHRs; i++ {
+		if r := n.Load(h.seq(), 0x8000+uint64(i)*mem.LineSize, false); r.Status != LoadMiss {
+			h.t.Fatalf("filler load %d: %+v, want a miss", i, r)
+		}
+	}
 }
 
 // store commits a store on a node and drains it to the cache.

@@ -186,6 +186,9 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 				c.cnt.mestiRevalidate.Inc()
 				c.traceState(la, StateT, l.State)
 				c.validatedAt[la] = c.now
+				// The one snoop that restores read permission: a load
+				// this node refused for want of an MSHR now hits.
+				c.stateVer++
 			} else {
 				// The candidate belongs to an older visibility
 				// epoch (an intervening owner changed the line and

@@ -236,3 +236,36 @@ func TestUpgradeStolenServedFromLiveLine(t *testing.T) {
 		t.Fatal("live-line serve issued a spurious bus transaction")
 	}
 }
+
+// --- StateVersion: the key of the core's retry memo ---
+
+// A counted refusal (no MSHR left for a line the L2 cannot read) may
+// turn into anything else only under a new StateVersion: the core does
+// not ask again while the version stands. The one remote transaction
+// that restores permission is a matching validate; snoops that leave
+// the refusal standing need not move the version.
+func TestRefusalFlipsOnlyUnderNewStateVersion(t *testing.T) {
+	refused := LoadResult{Status: LoadRetry, Counted: true}
+	for _, emesti := range []bool{false, true} {
+		h, n, la := snoopHarness(t, emesti, StateT, lineOf(7))
+		h.fillMSHRs(0)
+		if r := n.Load(h.seq(), la, false); r != refused {
+			t.Fatalf("load with the MSHR file full: %+v, want %+v", r, refused)
+		}
+		ver := n.StateVersion()
+
+		n.SnoopTxn(&bus.Txn{Type: bus.TxnRead, Addr: la})
+		n.SnoopTxn(&bus.Txn{Type: bus.TxnReadX, Addr: la})
+		if r := n.Load(h.seq(), la, false); r != refused {
+			t.Fatalf("emesti=%v: remote read and write flipped the refusal to %+v", emesti, r)
+		}
+
+		n.SnoopTxn(&bus.Txn{Type: bus.TxnValidate, Addr: la, WData: lineOf(7)})
+		if r := n.Load(h.seq(), la, false); r.Status != LoadHit || r.Value != 7 {
+			t.Fatalf("emesti=%v: load after the revalidate: %+v, want a hit of 7", emesti, r)
+		}
+		if n.StateVersion() == ver {
+			t.Fatalf("emesti=%v: a snooped validate turned a refused load into a hit under StateVersion %d", emesti, ver)
+		}
+	}
+}

@@ -34,8 +34,11 @@ type MemSystem interface {
 	// StateVersion changes whenever memory-system state that decides
 	// what Load, StoreCommit or SCExecute answer may have changed
 	// without a core.Client callback (store-buffer drains, this node's
-	// bus grants and completions). The core snapshots it with its idle
-	// verdict and revalidates before trusting the verdict.
+	// bus grants and completions), and whenever a Load answered
+	// LoadRetry{Counted} may be answered otherwise (those, plus a
+	// snooped validate restoring read permission). The core snapshots it
+	// with its idle verdict and revalidates before trusting the verdict,
+	// and keys each load's memoized counted refusal on it.
 	StateVersion() uint64
 }
 
@@ -181,6 +184,12 @@ type entry struct {
 	scanVer   uint64
 	scanStall bool
 	scanFwd   *entry
+
+	// Memoized counted refusal: memsys.StateVersion()+1 at the load's
+	// last LoadRetry{Counted}, 0 (dispatch's reset) when there is none.
+	// While the version stands the refusal stands, so issueLoad makes the
+	// refusal's counter bumps itself instead of asking again.
+	retryVer uint64
 }
 
 // consRef is one wakeup registration: entry e (identified by seq, so a
@@ -267,9 +276,11 @@ type cpuCounters struct {
 	loadReplay    stats.Counter
 
 	// storeBufFull, l1Miss, l2Miss and mshrFull are the controller's
-	// handles (the counters object is shared machine-wide): replaySpin
-	// makes the bumps the controller's refused StoreCommit and counted
-	// load retries would have made on a tick that is not run.
+	// handles (the counters object is shared machine-wide). The core
+	// makes the bumps of a refusal the controller is not asked for:
+	// replaySpin those of a refused StoreCommit and of counted load
+	// retries on a tick that is not run, issueLoad those of a counted
+	// load retry it answers from the entry's memo on a tick that is.
 	storeBufFull stats.Counter
 	l1Miss       stats.Counter
 	l2Miss       stats.Counter
@@ -421,6 +432,7 @@ type Core struct {
 	// audit, when non-nil, makes this core the oracle (see SetOracle).
 	audit    *error
 	replayed uint64 // ticks answered from the verdict
+	memoized uint64 // load retries answered from entry.retryVer
 }
 
 // New builds a core running prog against the given memory system. id
@@ -482,15 +494,23 @@ func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
 
 // SetOracle makes this core the slow twin the fast path is compared
 // against (sim.Config.NoFastForward): every Tick runs the full
-// pipeline, never the verdict's replay. A tick the verdict called idle
+// pipeline, never the verdict's replay, and every ready load asks the
+// memory system, never its retry memo. A tick the verdict called idle
 // is audited — it must move nothing and bump exactly the cached spin
-// set — and the first violation machine-wide is stored in *violation
-// for the run loop to fail on. Must be called before the first Tick.
+// set — and so is a load the memo called refused — the memory system
+// must refuse it, counted; the first violation machine-wide is stored
+// in *violation for the run loop to fail on. Must be called before the
+// first Tick.
 func (c *Core) SetOracle(violation *error) { c.audit = violation }
 
 // ReplayedTicks counts the ticks this core answered from its idle
 // verdict instead of running the pipeline (always 0 on an oracle).
 func (c *Core) ReplayedTicks() uint64 { return c.replayed }
+
+// MemoizedRetries counts the counted load retries this core answered
+// from the load's retry memo instead of asking the memory system
+// (always 0 on an oracle).
+func (c *Core) MemoizedRetries() uint64 { return c.memoized }
 
 // AttachMachine registers machine-wide aggregation targets: retired is
 // incremented once per committed instruction and halted once when this
@@ -1235,11 +1255,31 @@ func (c *Core) issueLoad(e *entry) bool {
 		}
 		return true
 	}
+	// A counted refusal (L1 miss, L2 miss, MSHR file full) stands until
+	// the memory system's version moves: only this node's own grants
+	// and completions free an MSHR or fill a line, a snooped validate
+	// restoring permission bumps the version too, and no store that can
+	// still retire ahead of a load past olderStoreScan writes its word.
+	ver := c.memsys.StateVersion() + 1 // never 0, a fresh entry's retryVer
+	memo := e.retryVer == ver
+	if memo && c.audit == nil {
+		c.cnt.l1Miss.Inc()
+		c.cnt.l2Miss.Inc()
+		c.cnt.mshrFull.Inc()
+		c.spin.loadRetries++
+		c.memoized++
+		return false
+	}
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
+	if memo && r != (core.LoadResult{Status: core.LoadRetry, Counted: true}) && *c.audit == nil {
+		*c.audit = fmt.Errorf("cpu%d cycle %d: retry memo (version %d) violated: seq %d addr %#x answered %+v",
+			c.id, c.now, ver-1, e.seq, e.effAddr, r)
+	}
 	switch r.Status {
 	case core.LoadRetry:
 		if r.Counted {
 			c.spin.loadRetries++
+			e.retryVer = ver
 		}
 		return false
 	case core.LoadHit:

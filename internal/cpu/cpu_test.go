@@ -25,6 +25,7 @@ type fakeMem struct {
 	core     *Core
 	ctrs     *stats.Counters
 
+	ver       uint64          // StateVersion; tests bump it when they change an answer
 	sbFull    bool            // StoreCommit refuses, counting store/buffer_full
 	mshrFull  map[uint64]bool // word addrs whose loads get a counted retry
 	scBlocked map[uint64]bool // word addrs whose loads get a pure retry
@@ -94,7 +95,7 @@ func (f *fakeMem) HasReservation(lineAddr uint64) bool { return f.reservations }
 func (f *fakeMem) PrefetchExclusive(addr uint64)       { f.prefetches = append(f.prefetches, addr) }
 func (f *fakeMem) HoldsWritable(addr uint64) bool      { return f.sleWritable }
 func (f *fakeMem) StoreBufEmpty() bool                 { return true }
-func (f *fakeMem) StateVersion() uint64                { return 0 }
+func (f *fakeMem) StateVersion() uint64                { return f.ver }
 func (f *fakeMem) SLECommitStores(st []core.SpecStore) bool {
 	if !f.sleWritable {
 		return false

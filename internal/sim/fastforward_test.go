@@ -30,9 +30,10 @@ func (c ffCell) name() string {
 
 // renderedReport runs one cell and returns the rendered report bytes
 // (every counter, histogram, cycle count and config field), the raw
-// result, and the ticks the cores answered from their idle verdicts.
-// Fast-forward is controlled by noFF; everything else is identical.
-func renderedReport(t *testing.T, c ffCell, noFF bool) ([]byte, Result, uint64) {
+// result, and the ticks the cores answered from their idle verdicts and
+// the load retries they answered from their retry memos. Fast-forward
+// is controlled by noFF; everything else is identical.
+func renderedReport(t *testing.T, c ffCell, noFF bool) (report []byte, r Result, replayed, memoized uint64) {
 	t.Helper()
 	cfg := ExperimentConfig()
 	cfg.CPUs = c.cpus
@@ -52,11 +53,11 @@ func renderedReport(t *testing.T, c ffCell, noFF bool) ([]byte, Result, uint64) 
 	if err := NewReport(cfg, r).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var replayed uint64
 	for _, core := range s.Cores {
 		replayed += core.ReplayedTicks()
+		memoized += core.MemoizedRetries()
 	}
-	return buf.Bytes(), r, replayed
+	return buf.Bytes(), r, replayed, memoized
 }
 
 // TestFastForwardBitIdentical is the tentpole differential: a
@@ -64,8 +65,8 @@ func renderedReport(t *testing.T, c ffCell, noFF bool) ([]byte, Result, uint64) 
 // every-cycle loop — same cycles, same counters (including the spin
 // counters replayed across idle ticks and skipped cycles), same
 // downsampled occupancy histograms — and the every-cycle loop must be
-// a real twin: its cores audit every idle verdict and never take the
-// replay shortcut themselves. Every Figure 7 combo runs on the default
+// a real twin: its cores audit every idle verdict and every memoized
+// load refusal and take neither shortcut themselves. Every Figure 7 combo runs on the default
 // machine for tpc-b (the compute-bound extreme: few skips, exercises
 // the no-op boundary) and specjbb (the idle-heavy extreme, ~70% of
 // cycles skipped); two more cells put the verdict on the other two
@@ -88,8 +89,8 @@ func TestFastForwardBitIdentical(t *testing.T) {
 	for _, c := range cells {
 		t.Run(c.name(), func(t *testing.T) {
 			t.Parallel()
-			naive, _, naiveReplayed := renderedReport(t, c, true)
-			ff, r, ffReplayed := renderedReport(t, c, false)
+			naive, _, naiveReplayed, naiveMemoized := renderedReport(t, c, true)
+			ff, r, ffReplayed, ffMemoized := renderedReport(t, c, false)
 			if !bytes.Equal(naive, ff) {
 				t.Fatalf("%s: fast-forward report diverges from naive loop\nnaive:\n%s\nfast-forward:\n%s",
 					c.name(), naive, ff)
@@ -98,9 +99,14 @@ func TestFastForwardBitIdentical(t *testing.T) {
 				t.Errorf("%s: fast-forward skipped %d cycles and replayed %d ticks — the path under test never ran",
 					c.name(), r.SkippedCycles, ffReplayed)
 			}
-			if naiveReplayed != 0 {
-				t.Errorf("%s: the every-cycle loop replayed %d ticks — the oracle took the shortcut it checks",
-					c.name(), naiveReplayed)
+			if naiveReplayed != 0 || naiveMemoized != 0 {
+				t.Errorf("%s: the every-cycle loop replayed %d ticks and memoized %d load retries — the oracle took the shortcut it checks",
+					c.name(), naiveReplayed, naiveMemoized)
+			}
+			// specjbb is where loads pile up behind the exhausted MSHR
+			// file; tpc-b never fills it.
+			if c.workload == "specjbb" && ffMemoized == 0 {
+				t.Errorf("%s: no load retry was answered from its memo — the path under test never ran", c.name())
 			}
 		})
 	}

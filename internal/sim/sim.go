@@ -173,6 +173,22 @@ func ValidateCPUs(n int) error {
 	return nil
 }
 
+// ValidateSizes rejects the -scale, -seeds and -j values the CLIs would
+// otherwise run as something else: the library's Params treat a
+// non-positive scale or seed count as "unset" and answer with scale 1,
+// one seed.
+func ValidateSizes(scale, seeds, jobs int) error {
+	switch {
+	case scale < 1:
+		return fmt.Errorf("-scale %d: must be at least 1", scale)
+	case seeds < 1:
+		return fmt.Errorf("-seeds %d: must be at least 1", seeds)
+	case jobs < 0:
+		return fmt.Errorf("-j %d: must be 0 (GOMAXPROCS) or more", jobs)
+	}
+	return nil
+}
+
 // DefaultMaxCycles bounds runaway workloads.
 const DefaultMaxCycles = 50_000_000
 
