@@ -53,6 +53,10 @@ func main() {
 		runnerStats    = flag.String("runnerstats", "", "write a tssim-runnerstats/v1 JSON harness report to this file at exit")
 	)
 	flag.Parse()
+	if err := sim.ValidateNoArgs(flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Config{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile, Block: *blockProfile}.Start()
 	if err != nil {

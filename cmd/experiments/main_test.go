@@ -37,7 +37,9 @@ func TestCPUsOutOfRangeRejected(t *testing.T) {
 
 // Sizes the library would quietly run as scale 1, one seed are usage
 // errors too, as is a technique name the parser does not know — the
-// message names "baseline", the one spelling of no technique it takes.
+// message names "baseline", the one spelling of no technique it takes —
+// and a stray positional argument, which ends flag parsing: `-table2 16
+// -scale 0` would otherwise run although `-scale 0` alone is rejected.
 func TestNonsenseSizesRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -48,6 +50,7 @@ func TestNonsenseSizesRejected(t *testing.T) {
 		{[]string{"-fig7", "-seeds", "-1"}, "-seeds -1:"},
 		{[]string{"-table2", "-j", "-1"}, "-j -1:"},
 		{[]string{"-dump", "tpc-b", "-tech", "base"}, `unknown -tech "base" (use baseline|`},
+		{[]string{"-table2", "16", "-scale", "0"}, `unexpected argument "16" (flags after it were not read)`},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")

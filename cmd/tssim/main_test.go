@@ -37,7 +37,9 @@ func TestCPUsOutOfRangeRejected(t *testing.T) {
 
 // Sizes the library would quietly run as scale 1, one seed are usage
 // errors too, as is a technique name the parser does not know — the
-// message names "baseline", the one spelling of no technique it takes.
+// message names "baseline", the one spelling of no technique it takes —
+// and a stray positional argument, which ends flag parsing: a forgotten
+// -tech would otherwise run Baseline on the default machine.
 func TestNonsenseSizesRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -49,6 +51,7 @@ func TestNonsenseSizesRejected(t *testing.T) {
 		{[]string{"-seeds", "-3"}, "-seeds -3:"},
 		{[]string{"-seeds", "2", "-j", "-1"}, "-j -1:"},
 		{[]string{"-tech", "base"}, `unknown technique "base" (use baseline, or `},
+		{[]string{"mesti", "-cpus", "16", "-interconnect", "directory"}, `unexpected argument "mesti" (flags after it were not read)`},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-workload", "tpc-b"}, tc.args...)...)
 		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkControllerLoadRefused is the cost of one counted LoadRetry
 // on a real controller — store-buffer scan, L1 and L2 lookups, MSHR
 // lookup, Alloc on the full file — which is what the core's retry memo
-// (cpu.entry.retryVer) avoids paying per parked load per cycle.
+// (cpu.readyRef.retryVer) avoids paying per parked load per cycle.
 func BenchmarkControllerLoadRefused(b *testing.B) {
 	h := newHarness(b, 1, func(_ int, c *Config) { c.MSHRs = 8 })
 	n := h.nodes[0]

@@ -177,7 +177,7 @@ type Controller struct {
 	// well, because the callback does not say which lines it touched.
 	// The core snapshots the version with its idle verdict and drops the
 	// verdict on mismatch, and keys each load's memoized MSHR-exhausted
-	// refusal on it (cpu.entry.retryVer): while the version stands, a
+	// refusal on it (cpu.readyRef.retryVer): while the version stands, a
 	// counted LoadRetry stands.
 	stateVer uint64
 }

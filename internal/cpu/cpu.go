@@ -38,7 +38,7 @@ type MemSystem interface {
 	// LoadRetry{Counted} may be answered otherwise (those, plus a
 	// snooped validate restoring read permission). The core snapshots it
 	// with its idle verdict and revalidates before trusting the verdict,
-	// and keys each load's memoized counted refusal on it.
+	// and keys each load's memoized counted refusal on it (readyRef).
 	StateVersion() uint64
 }
 
@@ -148,6 +148,7 @@ type entry struct {
 	effAddr   uint64
 	addrKnown bool
 	memSent   bool // request handed to the memory system
+	clear     bool // load: no older store stalls or forwards to it, for good
 	specVal   bool // LVP: value is speculative, retire blocked
 
 	// Branch state.
@@ -162,8 +163,9 @@ type entry struct {
 	elided bool
 
 	// dead marks an entry returned to the pool (retired or squashed).
-	// The scheduler queues hold seq-tagged references that go stale on
-	// squash; dead plus a seq mismatch is how they are detected lazily.
+	// execQ and the wakeup lists hold seq-tagged references that a squash
+	// leaves stale, and readyQ can hold one to an SC that has retired;
+	// dead plus a seq mismatch is how they are detected lazily.
 	dead bool
 
 	// queued: this entry has been placed on the core's readyQ. Set at
@@ -177,19 +179,6 @@ type entry struct {
 	// broadcast. Chunks come from the core's free list (see
 	// consChunk), so steady state allocates nothing.
 	consHead *consChunk
-
-	// Memoized olderStoreScan verdict, valid while scanVer matches the
-	// core's lsqVer: a load stalled behind an older store asks again on
-	// every tick and is answered without re-walking the window.
-	scanVer   uint64
-	scanStall bool
-	scanFwd   *entry
-
-	// Memoized counted refusal: memsys.StateVersion()+1 at the load's
-	// last LoadRetry{Counted}, 0 (dispatch's reset) when there is none.
-	// While the version stands the refusal stands, so issueLoad makes the
-	// refusal's counter bumps itself instead of asking again.
-	retryVer uint64
 }
 
 // consRef is one wakeup registration: entry e (identified by seq, so a
@@ -215,14 +204,27 @@ type consChunk struct {
 	next *consChunk
 }
 
-// entryRef is a seq-tagged reference into the window used by the
-// scheduler queues (execQ, pendQ). A squash leaves stale references
-// behind; they are skipped when the slot is dead or was recycled under
-// a new seq. Seqs strictly increase and are never reused, so the tag
-// is unambiguous.
+// entryRef is a seq-tagged reference into the window, execQ's element.
+// A squash leaves stale references behind; they are skipped when the
+// slot is dead or was recycled under a new seq. Seqs strictly increase
+// and are never reused, so the tag is unambiguous.
 type entryRef struct {
 	e   *entry
 	seq uint64
+}
+
+// readyRef is readyQ's element: an entryRef that also carries a load's
+// memoized counted refusal — memsys.StateVersion()+1 at its last
+// LoadRetry{Counted}, 0 when it has none. While the version stands the
+// refusal stands, and issue makes its counter bumps without asking
+// again or touching the entry: squashAfter cuts readyQ's tail and only
+// a squash kills an unissued load, so a reference that carries a memo
+// is a live, unissued load with a clear verdict by construction. A
+// reference without one is checked like an entryRef (an SC stays queued
+// until done, and may have retired since).
+type readyRef struct {
+	e             *entry
+	seq, retryVer uint64
 }
 
 func (e *entry) srcCount() int {
@@ -279,8 +281,8 @@ type cpuCounters struct {
 	// handles (the counters object is shared machine-wide). The core
 	// makes the bumps of a refusal the controller is not asked for:
 	// replaySpin those of a refused StoreCommit and of counted load
-	// retries on a tick that is not run, issueLoad those of a counted
-	// load retry it answers from the entry's memo on a tick that is.
+	// retries on a tick that is not run, issue those of the counted load
+	// retries it answers from readyQ's memos on a tick that is.
 	storeBufFull stats.Counter
 	l1Miss       stats.Counter
 	l2Miss       stats.Counter
@@ -326,6 +328,13 @@ type Core struct {
 	ruuBuf  []*entry // backing storage: ruu slides forward as heads retire and is compacted back onto this buffer when the capacity is reached
 	lsqUsed int
 
+	// stq is the store queue: the window's stores in program order, what
+	// a load disambiguates against. dispatchOne appends, retireHead pops
+	// the head, squashAfter cuts the tail; it slides over stqBuf as ruu
+	// does over ruuBuf.
+	stq    []*entry
+	stqBuf []*entry
+
 	// entryPool recycles retired/squashed RUU entries so dispatch does
 	// not allocate in steady state. chunkFree is the consChunk free
 	// list (intrusive, via next).
@@ -333,8 +342,7 @@ type Core struct {
 	chunkFree *consChunk
 
 	// Scheduler fast-path bookkeeping.
-	numExecuting   int // entries between issue and completion
-	storesInFlight int // unretired stores in the window
+	numExecuting int // entries between issue and completion
 
 	// execQ holds the executing entries sorted by seq, so complete
 	// touches only in-flight work instead of walking the whole window.
@@ -343,23 +351,10 @@ type Core struct {
 	// enqueued exactly once, see entry.queued) when its last operand
 	// broadcast arrives, or, for a store, when its base register is
 	// ready for address resolution; operand-blocked entries are never
-	// visited. Both queues hold seq-tagged references pruned lazily
-	// (see entryRef).
+	// visited. A squash cuts readyQ's tail (see readyRef) and leaves
+	// execQ's stale references to be pruned lazily (see entryRef).
 	execQ  []entryRef
-	readyQ []entryRef
-
-	// LSQ disambiguation filter: an incrementally-maintained summary
-	// of the window's stores. lsqUnresolved counts in-window stores
-	// whose address is still unknown; lsqBucket counts resolved stores
-	// per word-address hash bucket. A load whose bucket is empty while
-	// every store address is resolved provably has no older-store
-	// conflict, so olderStoreScan answers O(1) without walking the
-	// window. lsqVer changes whenever any scan input changes (store
-	// address resolves, store data arrives, SC completes or elides,
-	// store retires or is squashed) and keys the per-entry memo.
-	lsqUnresolved int
-	lsqBucket     [64]uint16
-	lsqVer        uint64
+	readyQ []readyRef
 
 	fetchQ    []fetchSlot
 	fetchBuf  []fetchSlot // backing storage for fetchQ, compacted like ruuBuf
@@ -432,7 +427,7 @@ type Core struct {
 	// audit, when non-nil, makes this core the oracle (see SetOracle).
 	audit    *error
 	replayed uint64 // ticks answered from the verdict
-	memoized uint64 // load retries answered from entry.retryVer
+	memoized uint64 // load retries answered from readyRef.retryVer
 }
 
 // New builds a core running prog against the given memory system. id
@@ -449,19 +444,21 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 		memsys:   m,
 		cnt:      resolveCPUCounters(counters),
 		ruuBuf:   make([]*entry, cfg.RUUSize),
+		stqBuf:   make([]*entry, cfg.LSQSize),
 		fetchBuf: make([]fetchSlot, cfg.RUUSize),
 		bpred:    newBpred(1024),
-		lsqVer:   1, // nonzero so a recycled entry's zeroed scanVer never matches
 	}
 	c.ruu = c.ruuBuf[:0]
+	c.stq = c.stqBuf[:0]
 	c.fetchQ = c.fetchBuf[:0]
 	// Preallocate the scheduler structures to their worst-case bounds
-	// so the cycle loop never allocates: the queues hold at most the
-	// window plus compaction slack in stale references, and the chunk
-	// free list at most one partial chunk per producer plus the full
+	// so the cycle loop never allocates: execQ holds at most the window
+	// plus compaction slack in stale references, readyQ the window plus
+	// the one SC that retired since the last walk, and the chunk free
+	// list at most one partial chunk per producer plus the full
 	// registration load (two source slots per window entry).
 	c.execQ = make([]entryRef, 0, 2*cfg.RUUSize)
-	c.readyQ = make([]entryRef, 0, 2*cfg.RUUSize)
+	c.readyQ = make([]readyRef, 0, cfg.RUUSize+1)
 	for i := 0; i < cfg.RUUSize+2*cfg.RUUSize/consChunkCap; i++ {
 		c.putChunk(&consChunk{})
 	}
@@ -494,14 +491,24 @@ func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
 
 // SetOracle makes this core the slow twin the fast path is compared
 // against (sim.Config.NoFastForward): every Tick runs the full
-// pipeline, never the verdict's replay, and every ready load asks the
-// memory system, never its retry memo. A tick the verdict called idle
-// is audited — it must move nothing and bump exactly the cached spin
-// set — and so is a load the memo called refused — the memory system
-// must refuse it, counted; the first violation machine-wide is stored
-// in *violation for the run loop to fail on. Must be called before the
-// first Tick.
+// pipeline, never the verdict's replay, and every ready load is
+// disambiguated and put to the memory system, never answered from its
+// clear verdict or its retry memo. Each shortcut is audited: a tick the
+// verdict called idle must move nothing and bump exactly the cached
+// spin set; the store queue must hold exactly the window's stores, and
+// a clear load must still be clear; a reference carrying a memo must be
+// to a live unissued load that the memory system refuses, counted, and
+// no squash may run inside the issue walk. The first violation
+// machine-wide is stored in *violation for the run loop to fail on.
+// Must be called before the first Tick.
 func (c *Core) SetOracle(violation *error) { c.audit = violation }
+
+// violated latches the oracle's finding unless an earlier one stands.
+func (c *Core) violated(format string, args ...any) {
+	if *c.audit == nil {
+		*c.audit = fmt.Errorf("cpu%d cycle %d: "+format, append([]any{c.id, c.now}, args...)...)
+	}
+}
 
 // ReplayedTicks counts the ticks this core answered from its idle
 // verdict instead of running the pipeline (always 0 on an oracle).
@@ -555,8 +562,9 @@ func (c *Core) ElidedLockValue() (addr, val uint64, ok bool) {
 
 // freeEntry returns a dead RUU entry to the pool for reuse by
 // dispatchOne. Callers must have dropped every strong reference to it
-// first (regProd, drainISync, the SLE engine's region view); the lazy
-// seq-tagged references in execQ/pendQ/cons see the dead flag.
+// first (regProd, drainISync, stq, the SLE engine's region view); the
+// lazy seq-tagged references in execQ, readyQ and the wakeup lists see
+// the dead flag.
 func (c *Core) freeEntry(e *entry) {
 	e.dead = true
 	for ch := e.consHead; ch != nil; {
@@ -647,13 +655,13 @@ func (c *Core) enqueueReady(e *entry) {
 		return
 	}
 	e.queued = true
-	q := append(c.readyQ, entryRef{})
+	q := append(c.readyQ, readyRef{})
 	i := len(q) - 1
 	for i > 0 && q[i-1].seq > e.seq {
 		q[i] = q[i-1]
 		i--
 	}
-	q[i] = entryRef{e, e.seq}
+	q[i] = readyRef{e: e, seq: e.seq}
 	c.readyQ = q
 }
 
@@ -680,9 +688,9 @@ func (c *Core) Tick(now uint64) {
 		c.fetch()
 	}
 	c.idle = c.acted == stages{}
-	if held && (!c.idle || c.spin != c.idleSpin) && *c.audit == nil {
-		*c.audit = fmt.Errorf("cpu%d cycle %d: idle verdict (wake at %d) violated: moved %+v; spin set expected %+v, ticked %+v",
-			c.id, now, c.idleUntil, c.acted, c.idleSpin, c.spin)
+	if held && (!c.idle || c.spin != c.idleSpin) {
+		c.violated("idle verdict (wake at %d) violated: moved %+v; spin set expected %+v, ticked %+v",
+			c.idleUntil, c.acted, c.idleSpin, c.spin)
 	}
 	if c.idle {
 		c.idleUntil = c.wakeAt()
@@ -804,7 +812,7 @@ func (c *Core) retireHead() {
 	e := c.ruu[0]
 	c.ruu = c.ruu[1:]
 	if e.isStore {
-		c.lsqStoreLeft(e)
+		c.stq = c.stq[1:]
 	}
 	if e.executing {
 		c.numExecuting--
@@ -903,9 +911,6 @@ func (c *Core) complete() {
 		e.executing = false
 		c.numExecuting--
 		e.done = true
-		if e.isStore {
-			c.lsqVer++ // an SC completing changes disambiguation verdicts
-		}
 		c.broadcast(e)
 		if e.isBranch {
 			c.resolveBranch(e)
@@ -916,10 +921,9 @@ func (c *Core) complete() {
 
 // broadcast wakes the consumers registered against e at dispatch. The
 // list can hold references to squashed (recycled or pooled) entries;
-// the seq tag filters them. Waking a store's data operand changes
-// forwarding verdicts, so it bumps lsqVer. Wake order (chunk order,
-// not window order) is immaterial: the per-slot effects are disjoint
-// and enqueueReady's sorted insert canonicalizes the issue order.
+// the seq tag filters them. Wake order (chunk order, not window order)
+// is immaterial: the per-slot effects are disjoint and enqueueReady's
+// sorted insert canonicalizes the issue order.
 func (c *Core) broadcast(e *entry) {
 	ch := e.consHead
 	if ch == nil {
@@ -939,9 +943,6 @@ func (c *Core) broadcast(e *entry) {
 				w.srcReady[i] = true
 				w.src[i] = res
 				w.pendingSrcs--
-				if w.isStore && i == 1 {
-					c.lsqVer++
-				}
 				if w.pendingSrcs == 0 || (i == 0 && w.needsAddr) {
 					// Fully woken, or a store whose address can now
 					// resolve: it becomes the issue walk's business.
@@ -983,9 +984,6 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 			if e.ins.IsMem() {
 				c.lsqUsed--
 			}
-			if e.isStore {
-				c.lsqStoreLeft(e)
-			}
 			if e.executing {
 				c.numExecuting--
 			}
@@ -998,6 +996,13 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 	// entries are exactly the tail past the survivors.
 	killed := c.ruu[len(keep):]
 	c.ruu = keep
+	// stq and readyQ are seq-sorted too: cut their killed tails.
+	for n := len(c.stq); n > 0 && c.stq[n-1].seq > seq; n-- {
+		c.stq = c.stq[:n-1]
+	}
+	for n := len(c.readyQ); n > 0 && c.readyQ[n-1].seq > seq; n-- {
+		c.readyQ = c.readyQ[:n-1]
+	}
 	c.fetchQ = c.fetchQ[:0]
 	c.fetchPC = newPC
 	c.fetchStop = false
@@ -1042,7 +1047,14 @@ func (c *Core) rebuildRename() {
 // ---------------------------------------------------------------------------
 
 func (c *Core) issue() {
-	issued, memIssued := 0, 0
+	if c.audit != nil {
+		c.auditStoreQueue()
+	}
+	issued, memIssued, window := 0, 0, len(c.ruu)
+	// ver is memsys.StateVersion()+1, read when the first memo needs it
+	// and dropped after every call that can move it; refused counts the
+	// loads refused again from their memo.
+	var ver, refused uint64
 	// Walk the actionable entries in program order, compacting
 	// in place with a write cursor. The queue can grow mid-walk (an
 	// elided SC's broadcast enqueues consumers, always beyond the read
@@ -1050,16 +1062,39 @@ func (c *Core) issue() {
 	// than snapshotting it.
 	w := 0
 	for i := 0; i < len(c.readyQ); i++ {
-		r := c.readyQ[i]
-		e := r.e
-		if e.dead || e.seq != r.seq || e.issued || e.done {
-			continue // issued, completed (elided SC), or squashed
-		}
 		if issued >= c.cfg.IssueWidth {
 			// Width exhausted: like the old walk's early return, no
 			// further store address may resolve this cycle.
 			w += copy(c.readyQ[w:], c.readyQ[i:])
 			break
+		}
+		r := c.readyQ[i]
+		if r.retryVer != 0 && c.audit == nil {
+			if ver == 0 {
+				ver = c.memsys.StateVersion() + 1
+			}
+			if r.retryVer == ver {
+				// The refusal stands (see readyRef): the load takes its
+				// turn at the port limit and is refused again, unasked.
+				if memIssued < c.cfg.MemPorts {
+					refused++
+				}
+				if w != i { // else it is where it stays
+					c.readyQ[w] = r
+				}
+				w++
+				continue
+			}
+		}
+		e := r.e
+		if e.dead || e.seq != r.seq || e.issued || e.done {
+			// Issued, completed or retired since (an SC): memo-less
+			// references are pruned lazily.
+			if r.retryVer != 0 && c.audit != nil {
+				c.violated("ready reference violated: seq %d addr %#x carries retry memo %d, its entry has seq %d dead=%v issued=%v done=%v",
+					r.seq, e.effAddr, r.retryVer-1, e.seq, e.dead, e.issued, e.done)
+			}
+			continue
 		}
 		// Store addresses resolve as soon as the base register is
 		// ready, independent of the data operand — real LSQs compute
@@ -1070,9 +1105,6 @@ func (c *Core) issue() {
 			e.effAddr = isa.EffAddr(e.ins, e.src[0])
 			e.addrKnown = true
 			e.needsAddr = false
-			c.lsqUnresolved--
-			c.lsqBucket[lsqBucketOf(e.effAddr)]++
-			c.lsqVer++
 			if c.sle != nil && e.ins.Op == isa.OpSt {
 				c.sle.onStoreResolved(e)
 			}
@@ -1083,11 +1115,16 @@ func (c *Core) issue() {
 		} else {
 			switch {
 			case e.isLoad:
-				if memIssued < c.cfg.MemPorts && c.issueLoad(e) {
-					c.acted.issue = true
-					issued++
-					memIssued++
-					keep = false
+				if memIssued < c.cfg.MemPorts {
+					var ok bool
+					ok, r.retryVer = c.issueLoad(e, r.retryVer)
+					ver = 0
+					if ok {
+						c.acted.issue = true
+						issued++
+						memIssued++
+						keep = false
+					}
 				}
 			case e.ins.Op == isa.OpSt:
 				// Stores "execute" once address and data are known; the
@@ -1104,6 +1141,7 @@ func (c *Core) issue() {
 				// until its completion or elision marks it done.
 				if len(c.ruu) > 0 && e == c.ruu[0] && !e.scSent {
 					c.issueSC(e)
+					ver = 0
 				}
 				keep = !e.done
 			case e.isBranch || e.ins.Op == isa.OpNop || e.ins.Op == isa.OpISync || e.ins.Op == isa.OpHalt:
@@ -1129,6 +1167,16 @@ func (c *Core) issue() {
 		}
 	}
 	c.readyQ = c.readyQ[:w]
+	if refused > 0 {
+		c.replaySpin(coreSpin{loadRetries: refused}, 1)
+		c.spin.loadRetries += refused
+		c.memoized += refused
+	}
+	// The write cursor assumes nothing cut the queue under it: Load and
+	// SCExecute answer without a squashing callback.
+	if c.audit != nil && len(c.ruu) != window {
+		c.violated("ready reference violated: a squash inside the issue walk cut the window from %d to %d entries", window, len(c.ruu))
+	}
 }
 
 // issueSC starts a store-conditional at the window head: either the
@@ -1150,63 +1198,16 @@ func (c *Core) issueSC(e *entry) {
 	}
 }
 
-// lsqBucketOf hashes a word address into the disambiguation filter's
-// bucket space. Equal addresses always share a bucket, so an empty
-// bucket proves no-conflict; a collision merely costs a full scan.
-func lsqBucketOf(addr uint64) int { return int((addr >> 3) & 63) }
-
-// lsqStoreLeft removes a store leaving the window (retired or
-// squashed) from the disambiguation filter and invalidates memoized
-// scan verdicts, which may hold a forwarding pointer to it.
-func (c *Core) lsqStoreLeft(e *entry) {
-	c.storesInFlight--
-	if e.addrKnown {
-		c.lsqBucket[lsqBucketOf(e.effAddr)]--
-	} else {
-		c.lsqUnresolved--
-	}
-	c.lsqVer++
-}
-
 // olderStoreScan performs conservative LSQ disambiguation for a load
-// whose address is known: it reports whether the load must stall (an
-// unresolved older store address, an unresolved older SC, or a
-// matching store whose data operand is not ready) and otherwise the
-// youngest older store to the same word to forward from (nil: go to
-// memory). Failed SCs are transparent (they wrote nothing).
-//
-// The common case is O(1): when every in-window store address is
-// resolved and no store hashes to the load's address bucket, the walk
-// could only answer (false, nil). The summary counts include stores
-// younger than the load, so a hit is conservative — it just falls
-// back to the full scan. Verdicts are memoized per entry under
-// lsqVer, which changes whenever any scan input does, so a stalled
-// load's per-tick retry does not re-walk the window.
+// whose address is known, against the store queue: it reports whether
+// the load must stall (an unresolved older store address, an unresolved
+// older SC, or a matching store whose data operand is not ready) and
+// otherwise the youngest older store to the same word to forward from
+// (nil: go to memory). Failed SCs are transparent (they wrote nothing).
 func (c *Core) olderStoreScan(e *entry) (stall bool, fwd *entry) {
-	if c.storesInFlight == 0 {
-		return false, nil
-	}
-	if c.lsqUnresolved == 0 && c.lsqBucket[lsqBucketOf(e.effAddr)] == 0 {
-		return false, nil
-	}
-	if e.scanVer == c.lsqVer {
-		return e.scanStall, e.scanFwd
-	}
-	stall, fwd = c.olderStoreScanFull(e)
-	e.scanVer = c.lsqVer
-	e.scanStall, e.scanFwd = stall, fwd
-	return stall, fwd
-}
-
-// olderStoreScanFull is the filter's fallback: the original
-// O(older-stores) window walk.
-func (c *Core) olderStoreScanFull(e *entry) (stall bool, fwd *entry) {
-	for _, s := range c.ruu {
+	for _, s := range c.stq {
 		if s.seq >= e.seq {
 			break
-		}
-		if !s.isStore {
-			continue
 		}
 		if !s.addrKnown {
 			return true, nil // unresolved older store address: stall
@@ -1230,58 +1231,80 @@ func (c *Core) olderStoreScanFull(e *entry) (stall bool, fwd *entry) {
 	return false, fwd
 }
 
-// issueLoad tries to issue one load; returns true if it consumed a
-// port. Conservative LSQ disambiguation: the load waits for all older
-// store addresses, forwards from an exact match, and otherwise goes to
-// memory.
-func (c *Core) issueLoad(e *entry) bool {
+// auditStoreQueue is the oracle's check of the store queue, made before
+// anything scans it: it must hold exactly the window's stores, in
+// order, so that a scan of it answers what a walk of the whole window
+// would.
+func (c *Core) auditStoreQueue() {
+	q, bad, how := c.stq, (*entry)(nil), ""
+	for _, e := range c.ruu {
+		if !e.isStore {
+			continue
+		}
+		if len(q) == 0 || q[0] != e {
+			bad, how = e, "is in the window and not next in the queue"
+			break
+		}
+		q = q[1:]
+	}
+	if bad == nil && len(q) > 0 {
+		bad, how = q[0], "is queued and not in the window"
+	}
+	if bad != nil {
+		c.violated("store queue violated: seq %d addr %#x %s (%d window entries, %d queued)",
+			bad.seq, bad.effAddr, how, len(c.ruu), len(c.stq))
+	}
+}
+
+// issueLoad tries to issue one load whose readyQ reference carries
+// retryVer; ok reports that it consumed a port, refusedAt is the memo
+// the reference carries from here on. Conservative LSQ disambiguation:
+// the load waits for all older store addresses, forwards from an exact
+// match, and otherwise goes to memory.
+func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) {
 	if !e.addrKnown {
 		c.acted.issue = true // the address resolves even if the load then stalls
 		e.effAddr = isa.EffAddr(e.ins, e.src[0])
 		e.addrKnown = true
 	}
-	stall, fwd := c.olderStoreScan(e)
-	if stall {
-		return false
-	}
-	if fwd != nil {
-		e.issued = true
-		e.doneAt = c.now + 1
-		e.result = fwd.src[1]
-		c.markExecuting(e)
-		c.cnt.lsqForward.Inc()
-		if c.sle != nil {
-			c.sle.onLoadIssued(e)
+	if !e.clear || c.audit != nil {
+		stall, fwd := c.olderStoreScan(e)
+		if e.clear && (stall || fwd != nil) {
+			c.violated("clear verdict violated: seq %d addr %#x now answers stall=%v forward=%v", e.seq, e.effAddr, stall, fwd != nil)
 		}
-		return true
+		if stall {
+			return false, 0
+		}
+		if fwd != nil {
+			e.issued = true
+			e.doneAt = c.now + 1
+			e.result = fwd.src[1]
+			c.markExecuting(e)
+			c.cnt.lsqForward.Inc()
+			if c.sle != nil {
+				c.sle.onLoadIssued(e)
+			}
+			return true, 0
+		}
+		e.clear = true
 	}
 	// A counted refusal (L1 miss, L2 miss, MSHR file full) stands until
 	// the memory system's version moves: only this node's own grants
 	// and completions free an MSHR or fill a line, a snooped validate
 	// restoring permission bumps the version too, and no store that can
-	// still retire ahead of a load past olderStoreScan writes its word.
-	ver := c.memsys.StateVersion() + 1 // never 0, a fresh entry's retryVer
-	memo := e.retryVer == ver
-	if memo && c.audit == nil {
-		c.cnt.l1Miss.Inc()
-		c.cnt.l2Miss.Inc()
-		c.cnt.mshrFull.Inc()
-		c.spin.loadRetries++
-		c.memoized++
-		return false
-	}
+	// still retire ahead of a clear load writes its word.
+	ver := c.memsys.StateVersion() + 1 // never 0, a reference without a memo
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
-	if memo && r != (core.LoadResult{Status: core.LoadRetry, Counted: true}) && *c.audit == nil {
-		*c.audit = fmt.Errorf("cpu%d cycle %d: retry memo (version %d) violated: seq %d addr %#x answered %+v",
-			c.id, c.now, ver-1, e.seq, e.effAddr, r)
+	if c.audit != nil && retryVer == ver && r != (core.LoadResult{Status: core.LoadRetry, Counted: true}) {
+		c.violated("retry memo (version %d) violated: seq %d addr %#x answered %+v", ver-1, e.seq, e.effAddr, r)
 	}
 	switch r.Status {
 	case core.LoadRetry:
 		if r.Counted {
 			c.spin.loadRetries++
-			e.retryVer = ver
+			return false, ver
 		}
-		return false
+		return false, 0
 	case core.LoadHit:
 		e.issued = true
 		e.doneAt = c.now + uint64(r.Lat)
@@ -1302,7 +1325,7 @@ func (c *Core) issueLoad(e *entry) bool {
 	if c.sle != nil {
 		c.sle.onLoadIssued(e)
 	}
-	return true
+	return true, 0
 }
 
 // ---------------------------------------------------------------------------
@@ -1384,8 +1407,10 @@ func (c *Core) dispatchOne(slot fetchSlot) {
 		}
 	}
 	if e.isStore {
-		c.storesInFlight++
-		c.lsqUnresolved++ // address unknown until issue resolves it
+		if len(c.stq) == cap(c.stq) {
+			c.stq = c.stqBuf[:copy(c.stqBuf, c.stq)] // slid off the end: see ruu below
+		}
+		c.stq = append(c.stq, e)
 	}
 	if rd, ok := slot.ins.WritesReg(); ok {
 		c.regProd[rd] = e
@@ -1569,8 +1594,14 @@ func (c *Core) DebugSLE() string {
 
 // DebugState renders the core's window for deadlock diagnostics.
 func (c *Core) DebugState() string {
-	out := fmt.Sprintf("cpu%d halted=%v retired=%d fetchPC=%d fetchQ=%d drain=%v ruu=%d lsq=%d\n",
-		c.id, c.halted, c.retired, c.fetchPC, len(c.fetchQ), c.drainISync != nil, len(c.ruu), c.lsqUsed)
+	memos := 0
+	for _, r := range c.readyQ {
+		if r.retryVer != 0 {
+			memos++
+		}
+	}
+	out := fmt.Sprintf("cpu%d halted=%v retired=%d fetchPC=%d fetchQ=%d drain=%v ruu=%d lsq=%d stq=%d readyQ=%d (%d with a retry memo)\n",
+		c.id, c.halted, c.retired, c.fetchPC, len(c.fetchQ), c.drainISync != nil, len(c.ruu), c.lsqUsed, len(c.stq), len(c.readyQ), memos)
 	if c.sle != nil {
 		out += fmt.Sprintf("  sle active=%v", c.sle.active)
 		if c.sle.active {

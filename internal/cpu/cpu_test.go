@@ -26,6 +26,7 @@ type fakeMem struct {
 	ctrs     *stats.Counters
 
 	ver       uint64          // StateVersion; tests bump it when they change an answer
+	bumps     map[uint64]bool // word addrs whose loads move ver themselves when they hit
 	sbFull    bool            // StoreCommit refuses, counting store/buffer_full
 	mshrFull  map[uint64]bool // word addrs whose loads get a counted retry
 	scBlocked map[uint64]bool // word addrs whose loads get a pure retry
@@ -44,6 +45,7 @@ func newFakeMem() *fakeMem {
 		pendLoad:     map[uint64]uint64{},
 		delayed:      map[uint64]bool{},
 		spec:         map[uint64]uint64{},
+		bumps:        map[uint64]bool{},
 		mshrFull:     map[uint64]bool{},
 		scBlocked:    map[uint64]bool{},
 		sleWritable:  true,
@@ -67,6 +69,9 @@ func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 	if f.delayed[addr] {
 		f.pendLoad[seq] = addr
 		return core.LoadResult{Status: core.LoadMiss}
+	}
+	if f.bumps[addr] {
+		f.ver++
 	}
 	return core.LoadResult{Status: core.LoadHit, Value: f.mem.ReadWord(addr), Lat: f.loadLat}
 }

@@ -172,12 +172,10 @@ func (s *sleEngine) tryStart(e *entry) bool {
 		}
 	}
 	// The SC appears to succeed instantly, with no coherence action:
-	// the acquire is never made visible. A done SC changes load
-	// disambiguation verdicts, so memoized scans must drop.
+	// the acquire is never made visible.
 	e.done = true
 	e.elided = true
 	e.result = 1
-	s.core.lsqVer++
 	s.core.broadcast(e)
 	s.cnt.attempt.Inc()
 	s.core.tr.Emit(trace.Event{Kind: trace.KSLEElide, Node: int32(s.core.id), Addr: s.lockAddr})

@@ -189,6 +189,16 @@ func ValidateSizes(scale, seeds, jobs int) error {
 	return nil
 }
 
+// ValidateNoArgs rejects positional arguments: neither CLI takes one,
+// and package flag stops reading at the first, so a forgotten -tech in
+// `-workload specjbb mesti -cpus 16` would otherwise run the defaults.
+func ValidateNoArgs(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q (flags after it were not read)", args[0])
+	}
+	return nil
+}
+
 // DefaultMaxCycles bounds runaway workloads.
 const DefaultMaxCycles = 50_000_000
 
