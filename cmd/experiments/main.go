@@ -31,7 +31,7 @@ func main() {
 		all      = flag.Bool("all", false, "run everything")
 		dump     = flag.String("dump", "", "dump all counters for one workload (use with -tech)")
 		report   = flag.String("report", "", "with -dump: also write a machine-readable JSON report here")
-		techStr  = flag.String("tech", "baseline", "technique for -dump: baseline|mesti|emesti|lvp|sle|all")
+		techStr  = flag.String("tech", "baseline", "technique for -dump: baseline, all, or mesti|emesti|lvp|sle joined with +")
 		cpus     = flag.Int("cpus", 4, "number of CPUs")
 		scale    = flag.Int("scale", 2, "workload scale factor")
 		seeds    = flag.Int("seeds", 3, "runs per configuration (CI)")
@@ -149,16 +149,9 @@ func main() {
 		ran = true
 	}
 	if *dump != "" {
-		tech, ok := map[string]sim.Techniques{
-			"baseline": {},
-			"mesti":    {MESTI: true},
-			"emesti":   {MESTI: true, EMESTI: true},
-			"lvp":      {LVP: true},
-			"sle":      {SLE: true},
-			"all":      {MESTI: true, EMESTI: true, LVP: true, SLE: true},
-		}[*techStr]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -tech %q (use baseline|mesti|emesti|lvp|sle|all)\n", *techStr)
+		tech, err := sim.ParseTechniques(*techStr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		fmt.Println(experiments.CountersDump(p, *dump, tech))

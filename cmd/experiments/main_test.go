@@ -49,7 +49,7 @@ func TestNonsenseSizesRejected(t *testing.T) {
 		{[]string{"-table2", "-scale", "-2"}, "-scale -2:"},
 		{[]string{"-fig7", "-seeds", "-1"}, "-seeds -1:"},
 		{[]string{"-table2", "-j", "-1"}, "-j -1:"},
-		{[]string{"-dump", "tpc-b", "-tech", "base"}, `unknown -tech "base" (use baseline|`},
+		{[]string{"-dump", "tpc-b", "-tech", "base"}, `unknown technique "base" (use baseline, or `},
 		{[]string{"-table2", "16", "-scale", "0"}, `unexpected argument "16" (flags after it were not read)`},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)

@@ -23,29 +23,6 @@ import (
 	"tssim/internal/workload"
 )
 
-func parseTech(s string) (sim.Techniques, error) {
-	var t sim.Techniques
-	if s == "" || s == "baseline" {
-		return t, nil
-	}
-	for _, part := range strings.Split(strings.ToLower(s), "+") {
-		switch part {
-		case "mesti":
-			t.MESTI = true
-		case "emesti", "e-mesti":
-			t.MESTI = true
-			t.EMESTI = true
-		case "lvp":
-			t.LVP = true
-		case "sle":
-			t.SLE = true
-		default:
-			return t, fmt.Errorf("unknown technique %q (use baseline, or mesti|emesti|lvp|sle joined with +)", part)
-		}
-	}
-	return t, nil
-}
-
 // litmusShapeMain runs one litmus shape from the library on the tiny
 // litmus machine with both checkers attached. Without -enumerate it
 // is a single run under the chosen -tech (and kernel path), printing
@@ -203,7 +180,7 @@ func main() {
 		}
 	}()
 
-	tech, err := parseTech(*techStr)
+	tech, err := sim.ParseTechniques(*techStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

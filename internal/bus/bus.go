@@ -66,12 +66,10 @@ type Txn struct {
 	Type TxnType
 	Addr uint64 // line-aligned
 	Src  int    // requesting node id
-	Tag  uint64 // requester-private cookie (e.g. MSHR identity)
 
 	// WData carries the line payload for TxnWriteback, and the
-	// reverted line value for TxnValidate so that snooping T-state
-	// holders can (in debug builds) check the protocol invariant
-	// that their saved copy matches.
+	// reverted line value for TxnValidate, which snooping T-state
+	// holders compare with their saved copy.
 	WData mem.Line
 
 	// Response fields, valid from grant time onward.
@@ -255,15 +253,12 @@ type Bus struct {
 	// holds are deferred busy-line releases (post-delivery FillHold).
 	holds []lineHold
 
-	// CheckValidateData enables the debug invariant that a
-	// validate's payload matches live T-state copies; the check
-	// itself lives in the controllers, which read this flag.
-	CheckValidateData bool
-
-	// TraceGrant, when non-nil, observes every granted transaction
-	// (diagnostics). It fires after the requester's GrantTxn accepts
-	// but before the snoop phase.
-	TraceGrant func(now uint64, t *Txn)
+	// The two things a backend varies, set by its constructor: the bound
+	// on granted transactions awaiting completion, past which address
+	// grants stall (0 = none), and the grant function — who is probed,
+	// what the directory records, when the data phase ends.
+	maxInflight int
+	grantFn     func(t *Txn, now uint64)
 
 	// onSerialized, when non-nil, observes every granted transaction
 	// *after* the snoop phase and memory side effects — i.e. at the
@@ -299,6 +294,7 @@ func New(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Ran
 		b.cntTxn[ty] = counters.Counter("bus/txn/" + ty.String())
 		b.cntAborted[ty] = counters.Counter("bus/aborted/" + ty.String())
 	}
+	b.grantFn = b.grant
 	return b
 }
 
@@ -359,11 +355,6 @@ func (b *Bus) Request(t *Txn) {
 	b.queues[t.Src] = append(b.queues[t.Src], t)
 }
 
-// PendingFrom returns the queued-but-ungranted transactions of a node.
-// The coherence layer uses it to detect upgrade races early; tests use
-// it for invariants.
-func (b *Bus) PendingFrom(src int) []*Txn { return b.queues[src] }
-
 // Idle reports whether no transaction is queued or in flight.
 func (b *Bus) Idle() bool {
 	for _, q := range b.queues {
@@ -386,12 +377,18 @@ func (b *Bus) jitter() uint64 {
 func (b *Bus) Tick(now uint64) {
 	b.now = now
 	b.releaseHolds(now)
-	if now >= b.addrFree {
+	if now >= b.addrFree && b.hasSlot() {
 		if t := b.nextRequest(); t != nil {
-			b.grant(t, now)
+			b.grantFn(t, now)
 		}
 	}
 	b.deliver(now)
+}
+
+// hasSlot reports whether another transaction may be granted under the
+// backend's in-flight bound.
+func (b *Bus) hasSlot() bool {
+	return b.maxInflight == 0 || len(b.inflight) < b.maxInflight
 }
 
 // NextEvent returns the earliest future cycle at which the bus can
@@ -399,8 +396,9 @@ func (b *Bus) Tick(now uint64) {
 // busy-line hold release, or the next possible grant when a grantable
 // request is queued. It returns now when the next Tick would act
 // immediately, and ^uint64(0) when the bus is fully idle. Queues whose
-// head targets a busy line need no separate term: they unblock only at
-// a delivery or hold release, both already in the horizon.
+// head targets a busy line need no separate term, nor does any queue
+// while the in-flight bound is reached: they unblock only at a delivery
+// or hold release, both already in the horizon.
 func (b *Bus) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
 	for _, t := range b.inflight {
@@ -412,6 +410,9 @@ func (b *Bus) NextEvent(now uint64) uint64 {
 		if h.at < next {
 			next = h.at
 		}
+	}
+	if !b.hasSlot() {
+		return next
 	}
 	for _, q := range b.queues {
 		if len(q) == 0 || b.busyCount(q[0].Addr) > 0 {
@@ -530,9 +531,6 @@ func (b *Bus) acceptGrant(t *Txn, now uint64) bool {
 	b.cntTxn[t.Type].Inc()
 	b.hWait.Observe(now - t.reqAt)
 	b.tr.Emit(trace.Event{Kind: trace.KBusGrant, Node: int32(t.Src), Addr: t.Addr, A: uint8(t.Type), Arg: now - t.reqAt})
-	if b.TraceGrant != nil {
-		b.TraceGrant(now, t)
-	}
 	b.addrFree = now + uint64(b.cfg.AddrOccupancy)
 	return true
 }
@@ -572,34 +570,51 @@ func (b *Bus) snoopCombine(t *Txn) *mem.Line {
 	return supplier
 }
 
-// scheduleData sources a Read/ReadX payload (owner cache or memory),
-// reserves a data-network slot at the grant instant, and stamps the
-// delivery cycle: the transfer waits for a free slot, then takes the
-// full latency.
-func (b *Bus) scheduleData(t *Txn, supplier *mem.Line, now uint64) {
+// sourceData fills a Read/ReadX payload from the supplying owner cache
+// or from memory, marks the line busy until the transfer lands, and
+// returns the source's latency, jitter included.
+func (b *Bus) sourceData(t *Txn, supplier *mem.Line) uint64 {
 	t.HasData = true
 	b.busyInc(t.Addr)
-	var base uint64
 	if supplier != nil {
 		t.Data = *supplier
-		base = uint64(b.cfg.C2CLatency)
 		b.cntC2C.Inc()
-	} else {
-		t.Data = b.memory.ReadLine(t.Addr)
-		base = uint64(b.cfg.MemLatency)
-		b.cntMem.Inc()
+		return uint64(b.cfg.C2CLatency) + b.jitter()
 	}
+	t.Data = b.memory.ReadLine(t.Addr)
+	b.cntMem.Inc()
+	return uint64(b.cfg.MemLatency) + b.jitter()
+}
+
+// scheduleData sources a Read/ReadX payload, reserves a data-network
+// slot at the grant instant, and stamps the delivery cycle: the
+// transfer waits for a free slot, then takes the full latency.
+func (b *Bus) scheduleData(t *Txn, supplier *mem.Line, now uint64) {
+	lat := b.sourceData(t, supplier)
 	start := now
 	if b.dataFree > start {
 		start = b.dataFree
 	}
 	b.dataFree = start + uint64(b.cfg.DataOccupancy)
-	t.doneAt = start + base + b.jitter()
+	t.doneAt = start + lat
 }
 
-// finishGrant commits a granted transaction: in-flight tracking and
-// the serialization observer.
-func (b *Bus) finishGrant(t *Txn, now uint64) {
+// finishGrant commits a granted transaction. The backend has scheduled
+// a Read/ReadX's transfer; a dataless transaction completes when its
+// address phase does, plus whatever acknowledgement time the backend
+// collects (a writeback's payload reaches memory here). Then in-flight
+// tracking and the serialization observer.
+func (b *Bus) finishGrant(t *Txn, now, acks uint64) {
+	switch t.Type {
+	case TxnRead, TxnReadX:
+	case TxnWriteback:
+		b.memory.WriteLine(t.Addr, t.WData)
+		fallthrough
+	case TxnUpgrade, TxnValidate:
+		t.doneAt = now + uint64(b.cfg.AddrLatency) + acks
+	default:
+		panic(fmt.Sprintf("bus: unknown txn type %d", t.Type))
+	}
 	b.inflight = append(b.inflight, t)
 	if b.onSerialized != nil {
 		b.onSerialized(now, t)
@@ -611,18 +626,10 @@ func (b *Bus) grant(t *Txn, now uint64) {
 		return
 	}
 	supplier := b.snoopCombine(t)
-	switch t.Type {
-	case TxnRead, TxnReadX:
+	if t.Type == TxnRead || t.Type == TxnReadX {
 		b.scheduleData(t, supplier, now)
-	case TxnWriteback:
-		b.memory.WriteLine(t.Addr, t.WData)
-		t.doneAt = now + uint64(b.cfg.AddrLatency)
-	case TxnUpgrade, TxnValidate:
-		t.doneAt = now + uint64(b.cfg.AddrLatency)
-	default:
-		panic(fmt.Sprintf("bus: unknown txn type %d", t.Type))
 	}
-	b.finishGrant(t, now)
+	b.finishGrant(t, now, 0)
 }
 
 func (b *Bus) deliver(now uint64) {

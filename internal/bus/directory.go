@@ -70,17 +70,18 @@ func NewDirectory(cfg Config, memory *mem.Memory, counters *stats.Counters, rng 
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
-	b := New(cfg, memory, counters, rng)
 	ack := cfg.AckPerTarget
 	if ack <= 0 {
 		ack = DefaultAckPerTarget
 	}
-	return &Directory{
-		Bus:       b,
+	d := &Directory{
+		Bus:       New(cfg, memory, counters, rng),
 		ack:       uint64(ack),
 		dir:       make(map[uint64]*dirLine),
 		cntProbes: counters.Counter("bus/dir/probes"),
 	}
+	d.grantFn = d.grantDir
+	return d
 }
 
 // Attach registers a controller, enforcing the sharer-vector width.
@@ -100,18 +101,6 @@ func (d *Directory) line(addr uint64) *dirLine {
 	e := &dirLine{owner: -1}
 	d.dir[addr] = e
 	return e
-}
-
-// Tick advances the directory one cycle.
-func (d *Directory) Tick(now uint64) {
-	d.now = now
-	d.releaseHolds(now)
-	if now >= d.addrFree {
-		if t := d.nextRequest(); t != nil {
-			d.grantDir(t, now)
-		}
-	}
-	d.deliver(now)
 }
 
 // probeSet delivers the transaction to every node in the mask and
@@ -211,23 +200,18 @@ func (d *Directory) grantDir(t *Txn, now uint64) {
 		panic(fmt.Sprintf("directory: unknown txn type %d", t.Type))
 	}
 
-	switch t.Type {
-	case TxnRead, TxnReadX:
+	acks := d.ack * uint64(probed)
+	if t.Type == TxnRead || t.Type == TxnReadX {
 		d.scheduleData(t, supplier, now)
 		if t.Type == TxnReadX && probed > 0 {
 			// Invalidation acks can outlast the data transfer when the
 			// probe fan-out is wide.
-			if ackDone := now + uint64(d.cfg.AddrLatency) + d.ack*uint64(probed); ackDone > t.doneAt {
+			if ackDone := now + uint64(d.cfg.AddrLatency) + acks; ackDone > t.doneAt {
 				t.doneAt = ackDone
 			}
 		}
-	case TxnWriteback:
-		d.memory.WriteLine(t.Addr, t.WData)
-		t.doneAt = now + uint64(d.cfg.AddrLatency)
-	case TxnUpgrade, TxnValidate:
-		t.doneAt = now + uint64(d.cfg.AddrLatency) + d.ack*uint64(probed)
 	}
-	d.finishGrant(t, now)
+	d.finishGrant(t, now, acks)
 }
 
 // DebugString renders the inherited queue/in-flight state plus the

@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"fmt"
 	"math/rand"
 
 	"tssim/internal/mem"
@@ -30,66 +29,22 @@ const DefaultMaxOutstanding = 8
 // must tolerate.
 type SplitBus struct {
 	*Bus
-	maxOut int
 }
 
 // NewSplit builds a split-transaction bus over the given backing
 // memory.
 func NewSplit(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Rand) *SplitBus {
-	b := New(cfg, memory, counters, rng)
-	mo := cfg.MaxOutstanding
-	if mo <= 0 {
-		mo = DefaultMaxOutstanding
+	sb := &SplitBus{New(cfg, memory, counters, rng)}
+	sb.maxInflight = cfg.MaxOutstanding
+	if sb.maxInflight <= 0 {
+		sb.maxInflight = DefaultMaxOutstanding
 	}
-	return &SplitBus{Bus: b, maxOut: mo}
+	sb.grantFn = sb.grantSplit
+	return sb
 }
 
 // MaxOutstanding returns the effective in-flight transaction bound.
-func (sb *SplitBus) MaxOutstanding() int { return sb.maxOut }
-
-// Tick advances the bus one cycle. Address grants additionally require
-// a free transaction slot.
-func (sb *SplitBus) Tick(now uint64) {
-	sb.now = now
-	sb.releaseHolds(now)
-	if now >= sb.addrFree && len(sb.inflight) < sb.maxOut {
-		if t := sb.nextRequest(); t != nil {
-			sb.grantSplit(t, now)
-		}
-	}
-	sb.deliver(now)
-}
-
-// NextEvent mirrors Bus.NextEvent with one change: the grant term only
-// applies while a transaction slot is free. At capacity the queues
-// unblock only at a delivery, which the in-flight term already covers.
-func (sb *SplitBus) NextEvent(now uint64) uint64 {
-	next := ^uint64(0)
-	for _, t := range sb.inflight {
-		if t.doneAt < next {
-			next = t.doneAt
-		}
-	}
-	for _, h := range sb.holds {
-		if h.at < next {
-			next = h.at
-		}
-	}
-	if len(sb.inflight) < sb.maxOut {
-		for _, q := range sb.queues {
-			if len(q) == 0 || sb.busyCount(q[0].Addr) > 0 {
-				continue
-			}
-			if sb.addrFree <= now {
-				return now
-			}
-			if sb.addrFree < next {
-				next = sb.addrFree
-			}
-		}
-	}
-	return next
-}
+func (sb *SplitBus) MaxOutstanding() int { return sb.maxInflight }
 
 // grantSplit is Bus.grant with the split data-network schedule: the
 // payload becomes ready at grant + source latency (+ jitter), then
@@ -101,33 +56,13 @@ func (sb *SplitBus) grantSplit(t *Txn, now uint64) {
 		return
 	}
 	supplier := sb.snoopCombine(t)
-	switch t.Type {
-	case TxnRead, TxnReadX:
-		t.HasData = true
-		sb.busyInc(t.Addr)
-		var base uint64
-		if supplier != nil {
-			t.Data = *supplier
-			base = uint64(sb.cfg.C2CLatency)
-			sb.cntC2C.Inc()
-		} else {
-			t.Data = sb.memory.ReadLine(t.Addr)
-			base = uint64(sb.cfg.MemLatency)
-			sb.cntMem.Inc()
-		}
-		start := now + base + sb.jitter()
+	if t.Type == TxnRead || t.Type == TxnReadX {
+		start := now + sb.sourceData(t, supplier)
 		if sb.dataFree > start {
 			start = sb.dataFree
 		}
 		sb.dataFree = start + uint64(sb.cfg.DataOccupancy)
 		t.doneAt = sb.dataFree
-	case TxnWriteback:
-		sb.memory.WriteLine(t.Addr, t.WData)
-		t.doneAt = now + uint64(sb.cfg.AddrLatency)
-	case TxnUpgrade, TxnValidate:
-		t.doneAt = now + uint64(sb.cfg.AddrLatency)
-	default:
-		panic(fmt.Sprintf("splitbus: unknown txn type %d", t.Type))
 	}
-	sb.finishGrant(t, now)
+	sb.finishGrant(t, now, 0)
 }

@@ -22,10 +22,9 @@ type Waiter struct {
 // program order holding speculative data (the squash point on a value
 // mismatch).
 type MSHR struct {
-	Valid  bool
-	Addr   uint64 // line-aligned address of the miss
-	Write  bool   // true when the line is wanted exclusively (ReadX)
-	Issued bool   // bus transaction has been sent
+	Valid bool
+	Addr  uint64 // line-aligned address of the miss
+	Write bool   // true when the line is wanted exclusively (ReadX)
 
 	// LVP speculative state.
 	SpecDelivered bool     // some value was speculatively delivered

@@ -155,17 +155,14 @@ func (k *Checker) Err() error { return k.err }
 func (k *Checker) Violations() int { return k.violations }
 
 // Tick advances the checker's clock and reports the latched violation,
-// if any. The sim run loop calls it once per cycle.
+// if any. The sim run loop calls it before every cycle it ticks; the
+// checker is a pure observer driven by bus serialization events, so a
+// cycle the fast-forward path skips would only have overwritten the
+// clock the next Tick sets, and the checker bounds no skip.
 func (k *Checker) Tick(now uint64) error {
 	k.now = now
 	return k.err
 }
-
-// NextEvent implements the fast-forward quiescence contract: the
-// checker is a pure observer driven by bus serialization events, so on
-// its own it never changes state — skipped Tick calls only overwrite
-// its clock, which the next Tick restores.
-func (k *Checker) NextEvent(uint64) uint64 { return ^uint64(0) }
 
 // goldenLine returns the golden copy of a line, lazily initializing
 // from backing memory on first observation.

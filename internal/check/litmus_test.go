@@ -86,7 +86,7 @@ func runLitmusRepro(r check.Repro) error {
 		_, err := runLitmusAll(r.Params)
 		return err
 	}
-	tech, err := checkrun.TechByLabel(r.Tech)
+	tech, err := sim.ParseTechniques(r.Tech)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,7 @@
 // library and enumeration engine are written against a run callback;
 // this package provides the standard adapter (RunShapeVariant), the
 // litmus machine configuration shared by the fuzz harness, the shape
-// acceptance tests and cmd/tssim, and technique-label resolution.
+// acceptance tests and cmd/tssim.
 package checkrun
 
 import (
@@ -58,17 +58,6 @@ func ComboLabels() []string {
 	return labels
 }
 
-// TechByLabel resolves a combo label as printed by
-// sim.Techniques.String back to the Techniques value.
-func TechByLabel(label string) (sim.Techniques, error) {
-	for _, t := range sim.AllCombos() {
-		if t.String() == label {
-			return t, nil
-		}
-	}
-	return sim.Techniques{}, fmt.Errorf("unknown technique combo %q (have %v)", label, ComboLabels())
-}
-
 // RunShapeVariant executes one litmus shape at one grid point on the
 // real machine and returns the observed outcome tuple. The full
 // oracle surface applies to every run: the SWMR/data-value coherence
@@ -77,7 +66,7 @@ func TechByLabel(label string) (sim.Techniques, error) {
 // compared after halt, and the outcome is read from committed
 // architectural registers.
 func RunShapeVariant(s *check.Shape, v check.Variant) (isa.Outcome, error) {
-	tech, err := TechByLabel(v.Combo)
+	tech, err := sim.ParseTechniques(v.Combo)
 	if err != nil {
 		return isa.Outcome{}, err
 	}

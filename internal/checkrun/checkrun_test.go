@@ -195,7 +195,7 @@ func TestEnumerateUnknownShape(t *testing.T) {
 	if _, err := EnumerateShape("nope", check.Knobs{}); err == nil {
 		t.Fatal("unknown shape should error")
 	}
-	if _, err := TechByLabel("nope"); err == nil {
+	if _, err := RunShapeVariant(check.ShapeByName("SB"), check.Variant{Combo: "nope"}); err == nil {
 		t.Fatal("unknown combo should error")
 	}
 }

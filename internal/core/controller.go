@@ -180,6 +180,16 @@ type Controller struct {
 	// refusal on it (cpu.readyRef.retryVer): while the version stands, a
 	// counted LoadRetry stands.
 	stateVer uint64
+
+	// idle is the idle verdict: the last Tick moved nothing (see
+	// tickStore) and nothing has called in since, so the next would
+	// repeat it. Whatever can change what tickStore reads drops the
+	// verdict where it writes: an accepted StoreCommit or SCExecute,
+	// every Load that is not refused, PrefetchExclusive, SLECommitStores
+	// and the three bus callbacks. audit, when non-nil, checks it (see
+	// SetOracle).
+	idle  bool
+	audit *error
 }
 
 // NewController builds a controller, attaches it to the interconnect,
@@ -240,15 +250,19 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 	return c
 }
 
-// ID returns the node id on the bus.
-func (c *Controller) ID() int { return c.id }
-
 // SetTracer attaches the event tracer (nil disables tracing).
 func (c *Controller) SetTracer(tr *trace.Tracer) { c.tr = tr }
 
 // SetCheckSink attaches the coherence checker's store-visibility tap
 // (nil disables it).
 func (c *Controller) SetCheckSink(s CheckSink) { c.sink = s }
+
+// SetOracle makes the controller audit its idle verdict on the
+// every-cycle loop (sim.Config.NoFastForward), where NextEvent is never
+// asked: a Tick that finds the verdict standing and then moves something
+// is one the fast path would have skipped. The first violation
+// machine-wide goes to *violation, the latch the oracle cores share.
+func (c *Controller) SetOracle(violation *error) { c.audit = violation }
 
 // traceState emits a protocol state-transition event.
 func (c *Controller) traceState(la uint64, from, to State) {
@@ -258,15 +272,17 @@ func (c *Controller) traceState(la uint64, from, to State) {
 // noteReuse observes the validate-to-reuse distance on the first local
 // access to a line a snooped validate revalidated. The len guard keeps
 // the common case (no outstanding validated lines) to a single
-// comparison on the load hit path.
-func (c *Controller) noteReuse(la uint64) {
+// comparison on the load hit path. It reports whether it observed one.
+func (c *Controller) noteReuse(la uint64) bool {
 	if len(c.validatedAt) == 0 {
-		return
+		return false
 	}
-	if at, ok := c.validatedAt[la]; ok {
+	at, ok := c.validatedAt[la]
+	if ok {
 		c.hVreuse.Observe(c.now - at)
 		delete(c.validatedAt, la)
 	}
+	return ok
 }
 
 // Config returns the controller configuration.
@@ -303,6 +319,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		if e.isSC {
 			return LoadResult{Status: LoadRetry}
 		}
+		c.idle = false
 		c.cnt.l1StoreForward.Inc()
 		if isLL {
 			c.setReservation(la)
@@ -317,6 +334,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		if l2line == nil || !Readable(l2line.State) {
 			panic(fmt.Sprintf("core: L1 presence without readable L2 line at %#x", la))
 		}
+		c.idle = false
 		c.l1.Touch(l1line)
 		c.cnt.l1Hit.Inc()
 		c.noteReuse(la)
@@ -334,6 +352,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 
 	// L2 hit with read permission.
 	if l2line != nil && Readable(l2line.State) {
+		c.idle = false
 		if l2line.State == StateVS {
 			// A local request transitions Validate_Shared to Shared
 			// (§2.3) — the line has now been *used* since its
@@ -374,6 +393,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		}
 		c.request(ty, la)
 	}
+	c.idle = false
 	w := cache.Waiter{Seq: seq, WordIdx: slot, IsLoad: true, IsLL: isLL}
 
 	// LVP: a tag-match invalid line (state I after an invalidation or
@@ -399,6 +419,7 @@ func (c *Controller) StoreCommit(seq, pc, addr, val uint64) bool {
 		c.cnt.storeBufferFull.Inc()
 		return false
 	}
+	c.idle = false
 	c.storeBuf = append(c.storeBuf, storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val})
 	if c.sink != nil {
 		c.sink.StoreBuffered(c.id, mem.AlignWord(addr), val, false)
@@ -413,6 +434,7 @@ func (c *Controller) SCExecute(seq, pc, addr, val uint64) bool {
 	if len(c.storeBuf) >= c.cfg.StoreBuf {
 		return false
 	}
+	c.idle = false
 	c.storeBuf = append(c.storeBuf, storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val, isSC: true})
 	if c.sink != nil {
 		c.sink.StoreBuffered(c.id, mem.AlignWord(addr), val, true)
@@ -440,7 +462,7 @@ func (c *Controller) HasReservation(lineAddr uint64) bool {
 
 // Tick advances the controller one cycle: it samples the occupancy
 // histograms and tries to perform the store at the head of the store
-// buffer.
+// buffer. A tick that moved nothing becomes the idle verdict.
 func (c *Controller) Tick(now uint64) {
 	c.now = now
 	if c.occCountdown--; c.occCountdown == 0 {
@@ -448,59 +470,31 @@ func (c *Controller) Tick(now uint64) {
 		c.hOccMSHR.Observe(uint64(c.mshrs.InUse()))
 		c.hOccSB.Observe(uint64(len(c.storeBuf)))
 	}
-	c.tickStore()
+	// Only a buffered store can move, and a move may pop it: read the
+	// head the audit would name before the tick.
+	var head storeEntry
+	held := c.idle && c.audit != nil && len(c.storeBuf) > 0
+	if held {
+		head = c.storeBuf[0]
+	}
+	c.idle = !c.tickStore()
+	if held && !c.idle && *c.audit == nil {
+		*c.audit = fmt.Errorf("node %d cycle %d: controller idle verdict violated: the tick moved store-buffer head seq %d addr %#x (line %#x, sc=%v waiting=%v) and nothing had called in since it stalled",
+			c.id, now, head.seq, head.addr, mem.LineAddr(head.addr), head.isSC, head.waiting)
+	}
 }
 
-// NextEvent returns now when the next Tick would change observable
-// state, else ^uint64(0): the controller keeps no timers, so once idle
-// it stays idle until a bus grant or completion calls into it, and
-// those the interconnect's horizon bounds. It mirrors tickStore
-// exactly: the head store is active if tryPerformHead would consume it
-// (SC reservation loss, update-silent squash, writable line), if a
-// first-touch reuse observation or VS->S transition is pending, or if
-// a permission request would be issued; it is a pure stall while a
-// transaction is outstanding or the MSHR file blocks the request.
-// Answering now too often costs a wasted tick; answering never when
-// the tick would act corrupts determinism.
+// NextEvent returns ^uint64(0) while the idle verdict stands and now
+// otherwise: the controller keeps no timers, so once a tick has moved
+// nothing it stays idle until its core or the bus calls into it (the
+// interconnect's horizon bounds the bus). Idleness is only ever
+// observed: a woken controller must be ticked to find out, which costs
+// at most one tick per wake.
 func (c *Controller) NextEvent(now uint64) uint64 {
-	const never = ^uint64(0)
-	if len(c.storeBuf) == 0 {
-		return never
+	if c.idle {
+		return ^uint64(0)
 	}
-	e := &c.storeBuf[0]
-	la := mem.LineAddr(e.addr)
-	// tryPerformHead runs even for waiting heads, so its conditions
-	// come before the e.waiting early-out.
-	if e.isSC && !c.HasReservation(la) {
-		return now
-	}
-	l := c.l2.Lookup(la)
-	if l != nil {
-		if c.cfg.SquashUpdateSilent && Readable(l.State) &&
-			l.Data.Word(mem.WordIndex(e.addr)) == e.val {
-			return now
-		}
-		if Writable(l.State) {
-			return now
-		}
-	}
-	if e.waiting {
-		return never // permission transaction outstanding
-	}
-	if len(c.validatedAt) > 0 {
-		if _, ok := c.validatedAt[la]; ok {
-			return now // noteReuse observes the histogram
-		}
-	}
-	if l != nil && l.State == StateVS {
-		return now // VS -> S transition plus counter
-	}
-	if c.mshrs.Lookup(la) != nil || c.mshrs.InUse() >= c.mshrs.Cap() {
-		// A miss to the head store's line is in flight, or the file is
-		// exhausted: the head retries when a completion lands.
-		return never
-	}
-	return now // a permission request would be issued this tick
+	return now
 }
 
 // SkipCycles replays the side effects of ticking every cycle in
@@ -522,56 +516,52 @@ func (c *Controller) SkipCycles(from, to uint64) {
 	c.now = to - 1
 }
 
-func (c *Controller) tickStore() {
+// tickStore performs the head of the store buffer if it can, else gets
+// it the permission it lacks, and reports whether it moved anything:
+// the head consumed (performed, squashed, SC failed), a validate-to-reuse
+// distance observed, a VS line moved to S, a permission request issued.
+// A false return is a pure stall — a transaction outstanding, or the
+// MSHR file in the way — that repeats until something calls in.
+func (c *Controller) tickStore() bool {
 	if c.tryPerformHead() {
-		return
+		return true
 	}
 	if len(c.storeBuf) == 0 {
-		return
+		return false
 	}
 	e := &c.storeBuf[0]
 	la := mem.LineAddr(e.addr)
 
 	if e.waiting {
-		return // permission transaction outstanding
+		return false // permission transaction outstanding
 	}
-	c.noteReuse(la) // a store is a use of a revalidated line too
-	l2line := c.l2.Lookup(la)
+	moved := c.noteReuse(la) // a store is a use of a revalidated line too
 
-	// Upgradable: dataless Upgrade.
-	if l2line != nil && Upgradable(l2line.State) || (l2line != nil && l2line.State == StateVS) {
+	// Invalid (I/T/absent) takes a ReadX; a node that holds current data
+	// takes a dataless Upgrade.
+	ty := bus.TxnReadX
+	if l2line := c.l2.Lookup(la); l2line != nil && (Upgradable(l2line.State) || l2line.State == StateVS) {
+		ty = bus.TxnUpgrade
 		if l2line.State == StateVS {
 			l2line.State = StateS // local request moves VS to S
 			c.cnt.emestiVSUse.Inc()
+			moved = true
 		}
-		if c.mshrs.Lookup(la) != nil {
-			return // line busy; retry when it clears
-		}
-		m := c.mshrs.Alloc(la, true)
-		if m == nil {
-			return
-		}
-		if c.tsSilent[la] && c.vpred != nil {
-			// The intermediate-value store is being made visible;
-			// the predictor moves to its upgrade-request state and
-			// will consume the combined useful snoop response.
-			c.vpred.OnIntermediateStoreVisible(la)
-		}
-		c.request(bus.TxnUpgrade, la)
-		e.waiting = true
-		return
 	}
-
-	// Invalid (I/T/absent): ReadX.
-	if c.mshrs.Lookup(la) != nil {
-		return // a read miss is in flight; wait for it to land
+	if c.mshrs.Lookup(la) != nil || c.mshrs.Alloc(la, true) == nil {
+		// A miss to the line is in flight, or the file is exhausted: the
+		// head retries when a completion lands.
+		return moved
 	}
-	m := c.mshrs.Alloc(la, true)
-	if m == nil {
-		return
+	if ty == bus.TxnUpgrade && c.tsSilent[la] && c.vpred != nil {
+		// The intermediate-value store is being made visible;
+		// the predictor moves to its upgrade-request state and
+		// will consume the combined useful snoop response.
+		c.vpred.OnIntermediateStoreVisible(la)
 	}
-	c.request(bus.TxnReadX, la)
+	c.request(ty, la)
 	e.waiting = true
+	return true
 }
 
 // tryPerformHead performs the store at the head of the store buffer
@@ -737,6 +727,7 @@ func (c *Controller) PrefetchExclusive(addr uint64) {
 	if m == nil {
 		return
 	}
+	c.idle = false
 	if l != nil && (Upgradable(l.State) || l.State == StateVS) {
 		if l.State == StateVS {
 			l.State = StateS
@@ -767,6 +758,7 @@ func (c *Controller) SLECommitStores(stores []SpecStore) bool {
 			return false
 		}
 	}
+	c.idle = false
 	for i := range stores {
 		s := &stores[i]
 		la := mem.LineAddr(s.Addr)

@@ -20,6 +20,7 @@ import (
 // serialization point.
 func (c *Controller) GrantTxn(t *bus.Txn) bool {
 	c.stateVer++
+	c.idle = false
 	la := t.Addr
 	switch t.Type {
 	case bus.TxnValidate:
@@ -88,6 +89,7 @@ func (c *Controller) GrantTxn(t *bus.Txn) bool {
 // SnoopTxn applies the remote-side transition for another node's
 // granted transaction and returns this node's snoop response.
 func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
+	c.idle = false
 	la := t.Addr
 	isWrite := t.Type == bus.TxnReadX || t.Type == bus.TxnUpgrade
 	c.client.ExternalSnoop(la, isWrite)
@@ -248,6 +250,7 @@ func (c *Controller) enterT(l *cache.Line) {
 // Read/ReadX, or the end of the address phase for dataless types.
 func (c *Controller) CompleteTxn(t *bus.Txn) {
 	c.stateVer++
+	c.idle = false
 	la := t.Addr
 	switch t.Type {
 	case bus.TxnWriteback:

@@ -155,7 +155,6 @@ func TestUpgradeStolenRefetches(t *testing.T) {
 	// Upgrade in flight: granted (line M, store performed), MSHR live.
 	n.installL2(la, lineOf(1, 2), StateM)
 	m := n.mshrs.Alloc(la, true)
-	m.Issued = true
 	// The steal: a remote ReadX snoop in the grant->completion window.
 	n.SnoopTxn(&bus.Txn{Type: bus.TxnReadX, Addr: la})
 	if st := n.LineState(la); Readable(st) {
@@ -205,7 +204,6 @@ func TestUpgradeStolenServedFromLiveLine(t *testing.T) {
 
 	n.installL2(la, lineOf(10, 20, 30), StateS)
 	m := n.mshrs.Alloc(la, true)
-	m.Issued = true
 	plain, spec := h.seq(), h.seq()
 	m.Waiters = append(m.Waiters,
 		cache.Waiter{Seq: plain, WordIdx: 1, IsLoad: true},

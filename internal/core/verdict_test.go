@@ -1,0 +1,188 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"tssim/internal/bus"
+)
+
+// settle ticks node 0 alone — the bus stands still, so a requested
+// permission never arrives — until its tick moves nothing, and fails if
+// the verdict does not come.
+func (h *harness) settle() {
+	h.t.Helper()
+	for i := 0; i < 4; i++ {
+		h.nodes[0].Tick(h.now)
+		h.now++
+		if h.nodes[0].NextEvent(h.now) == ^uint64(0) {
+			return
+		}
+	}
+	h.t.Fatal("controller still not idle after 4 ticks with the bus standing still")
+}
+
+// One row per way into the controller: settle to the idle verdict, make
+// the call, and require NextEvent to ask for a tick — or, for the three
+// refusals, which change nothing the tick reads, to keep the verdict.
+func TestIdleVerdictDroppedAtEveryWakeSite(t *testing.T) {
+	const la, other = uint64(0x2000), uint64(0x3000)
+	// scWaiting leaves a store-conditional, sc, at the head of the buffer
+	// with its reservation live and its upgrade requested.
+	var sc uint64
+	scWaiting := func(h *harness) {
+		n := h.nodes[0]
+		n.installL2(la, lineOf(0), StateS)
+		n.installL2(other, lineOf(0), StateS)
+		if r := n.Load(h.seq(), la, true); r.Status != LoadHit || !n.HasReservation(la) {
+			h.t.Fatalf("load-locked: %+v, reservation %v", r, n.HasReservation(la))
+		}
+		sc = h.seq()
+		if !n.SCExecute(sc, 0, la, 1) {
+			h.t.Fatal("SCExecute refused")
+		}
+	}
+	rows := []struct {
+		name  string
+		setup func(h *harness)
+		call  func(h *harness, n *Controller) bool // false: the call did not take the path the row names
+		wakes bool
+		// after runs once the woken controller has ticked.
+		after func(h *harness) string
+	}{
+		{name: "StoreCommit accepted", wakes: true,
+			call: func(h *harness, n *Controller) bool { return n.StoreCommit(h.seq(), 0, la, 1) }},
+		{name: "SCExecute accepted", wakes: true,
+			call: func(h *harness, n *Controller) bool { return n.SCExecute(h.seq(), 0, la, 1) }},
+		{name: "StoreCommit refused, buffer full",
+			setup: func(h *harness) {
+				for i := 0; i < h.nodes[0].Config().StoreBuf; i++ {
+					h.nodes[0].StoreCommit(h.seq(), 0, la, uint64(i))
+				}
+			},
+			call: func(h *harness, n *Controller) bool { return !n.StoreCommit(h.seq(), 0, la, 9) }},
+		{name: "Load forwarded from the store buffer", wakes: true,
+			setup: func(h *harness) { h.nodes[0].StoreCommit(h.seq(), 0, la, 7) },
+			call: func(h *harness, n *Controller) bool {
+				r := n.Load(h.seq(), la, false)
+				return r.Status == LoadHit && r.Value == 7
+			}},
+		{name: "Load hits the L1", wakes: true,
+			setup: func(h *harness) { h.nodes[0].installL2(la, lineOf(3), StateS); h.nodes[0].fillL1(la) },
+			call: func(h *harness, n *Controller) bool {
+				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadHit, Value: 3, Lat: 1}
+			}},
+		{name: "Load hits the L2", wakes: true,
+			setup: func(h *harness) { h.nodes[0].installL2(la, lineOf(3), StateS) },
+			call: func(h *harness, n *Controller) bool {
+				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadHit, Value: 3, Lat: 3}
+			}},
+		{name: "Load misses", wakes: true,
+			call: func(h *harness, n *Controller) bool { return n.Load(h.seq(), la, false).Status == LoadMiss }},
+		{name: "Load refused, MSHR file full",
+			setup: func(h *harness) { h.fillMSHRs(0) },
+			call: func(h *harness, n *Controller) bool {
+				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadRetry, Counted: true}
+			}},
+		{name: "Load refused behind a buffered SC",
+			setup: scWaiting,
+			call: func(h *harness, n *Controller) bool {
+				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadRetry}
+			}},
+		{
+			// The younger load-locked changes no line and no MSHR, and
+			// the head it strands must fail on the very next tick.
+			name: "LL hit moves the reservation off a waiting SC head", wakes: true,
+			setup: scWaiting,
+			call: func(h *harness, n *Controller) bool {
+				return n.Load(h.seq(), other, true).Status == LoadHit && !n.HasReservation(la)
+			},
+			after: func(h *harness) string {
+				if ok, done := h.clients[0].scResults[sc]; !done || ok {
+					return "the SC that lost its reservation did not fail on the next tick"
+				}
+				return ""
+			},
+		},
+		{name: "PrefetchExclusive requests a line", wakes: true,
+			call: func(h *harness, n *Controller) bool { n.PrefetchExclusive(la); return n.MSHRsInUse() == 1 }},
+		{name: "SLECommitStores performs", wakes: true,
+			setup: func(h *harness) { h.nodes[0].installL2(la, lineOf(0), StateM) },
+			call:  func(h *harness, n *Controller) bool { return n.SLECommitStores([]SpecStore{{Addr: la, Value: 5}}) }},
+		{name: "GrantTxn", wakes: true,
+			call: func(h *harness, n *Controller) bool { return n.GrantTxn(&bus.Txn{Type: bus.TxnRead, Addr: la}) }},
+		{name: "SnoopTxn", wakes: true,
+			call: func(h *harness, n *Controller) bool {
+				n.SnoopTxn(&bus.Txn{Type: bus.TxnRead, Addr: la, Src: 1})
+				return true
+			}},
+		{name: "CompleteTxn", wakes: true,
+			call: func(h *harness, n *Controller) bool {
+				n.CompleteTxn(&bus.Txn{Type: bus.TxnWriteback, Addr: la})
+				return true
+			}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			h := newHarness(t, 2, nil)
+			n := h.nodes[0]
+			if n.NextEvent(h.now) != h.now {
+				t.Fatal("a controller that has never ticked claims to be idle")
+			}
+			if r.setup != nil {
+				r.setup(h)
+			}
+			h.settle()
+			if !r.call(h, n) {
+				t.Fatal("the call did not take the path this row is about")
+			}
+			want := ^uint64(0)
+			if r.wakes {
+				want = h.now
+			}
+			if got := n.NextEvent(h.now); got != want {
+				t.Fatalf("NextEvent(%d) = %d after the call, want %d", h.now, got, want)
+			}
+			if r.after != nil {
+				n.Tick(h.now)
+				if msg := r.after(h); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+		})
+	}
+}
+
+// The controller's audit on the every-cycle loop: a head that becomes
+// performable with the verdict standing — here a line made writable
+// behind the controller's back, as a wake site that forgot to drop the
+// verdict would leave it — is a tick the fast path would have skipped,
+// and the oracle says which node, when, and which line.
+func TestOracleAuditLocatesControllerVerdictViolation(t *testing.T) {
+	const la = uint64(0x2040)
+	h := newHarness(t, 2, nil)
+	n := h.nodes[1]
+	var violation error
+	n.SetOracle(&violation)
+	n.installL2(la, lineOf(0), StateS)
+	n.StoreCommit(h.seq(), 0, la+8, 5)
+	for ; h.now < 40; h.now++ {
+		n.Tick(h.now) // requests the upgrade, then stalls on it
+	}
+	if violation != nil || n.NextEvent(h.now) != ^uint64(0) {
+		t.Fatalf("before the plant: violation %v, next event %d", violation, n.NextEvent(h.now))
+	}
+	n.l2.Lookup(la).State = StateM
+	n.Tick(h.now)
+	if violation == nil {
+		t.Fatal("the oracle ticked through a broken verdict without reporting it")
+	}
+	for _, w := range []string{"node 1 cycle 40: controller idle verdict violated", "addr 0x2048", "line 0x2040"} {
+		if !strings.Contains(violation.Error(), w) {
+			t.Errorf("violation %q does not name %q", violation, w)
+		}
+	}
+	if !n.StoreBufEmpty() || n.NextEvent(h.now) != h.now {
+		t.Error("the audited tick must still perform the store and drop the verdict")
+	}
+}

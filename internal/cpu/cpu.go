@@ -141,7 +141,6 @@ type entry struct {
 	isStore     bool
 	isBranch    bool
 	needsAddr   bool // store whose address is not yet resolved
-	nSrc        int8 // srcCount(), computed once at dispatch
 	pendingSrcs int8 // count of not-yet-ready source operands
 
 	// Memory state.
@@ -157,10 +156,6 @@ type entry struct {
 
 	// SC state.
 	scSent bool
-	scDone bool
-
-	// SLE: this entry was handled by an elided region commit.
-	elided bool
 
 	// dead marks an entry returned to the pool (retired or squashed).
 	// execQ and the wakeup lists hold seq-tagged references that a squash
@@ -272,7 +267,6 @@ type cpuCounters struct {
 	scIssued      stats.Counter
 	lsqForward    stats.Counter
 	loadSpec      stats.Counter
-	ruuFull       stats.Counter
 	lsqFull       stats.Counter
 	lvpSquash     stats.Counter
 	loadReplay    stats.Counter
@@ -298,7 +292,6 @@ func resolveCPUCounters(cs *stats.Counters) cpuCounters {
 		scIssued:      cs.Counter("cpu/sc_issued"),
 		lsqForward:    cs.Counter("cpu/lsq_forward"),
 		loadSpec:      cs.Counter("cpu/load_spec"),
-		ruuFull:       cs.Counter("cpu/ruu_full"),
 		lsqFull:       cs.Counter("cpu/lsq_full"),
 		lvpSquash:     cs.Counter("cpu/lvp_squash"),
 		loadReplay:    cs.Counter("cpu/load_replay"),
@@ -703,12 +696,12 @@ func (c *Core) Tick(now uint64) {
 type stages struct{ commit, complete, issue, dispatch, fetch bool }
 
 // coreSpin counts the stall-counter bumps one tick made. A stalled
-// machine is not silent: a blocked dispatch bumps ruu_full or lsq_full
+// machine is not silent: a dispatch blocked on the LSQ bumps lsq_full
 // and a refused StoreCommit bumps store/buffer_full (each 0 or 1 per
 // tick), and every ready load whose retry reaches the exhausted MSHR
 // file bumps l1/miss, l2/miss and l2/mshr_full.
 type coreSpin struct {
-	ruuFull, lsqFull, storeBufFull, loadRetries uint64
+	lsqFull, storeBufFull, loadRetries uint64
 }
 
 // wakeAt is the horizon of the verdict the tick that just ran
@@ -767,7 +760,6 @@ func (c *Core) SkipCycles(from, to uint64) {
 // replaySpin applies k ticks' worth of the counter bumps in spin.
 func (c *Core) replaySpin(spin coreSpin, k uint64) {
 	c.cnt.storeBufFull.Add(k * spin.storeBufFull)
-	c.cnt.ruuFull.Add(k * spin.ruuFull)
 	c.cnt.lsqFull.Add(k * spin.lsqFull)
 	c.cnt.l1Miss.Add(k * spin.loadRetries)
 	c.cnt.l2Miss.Add(k * spin.loadRetries)
@@ -1337,11 +1329,6 @@ func (c *Core) dispatch() {
 		if len(c.fetchQ) == 0 || c.fetchQ[0].readyAt > c.now {
 			return
 		}
-		if len(c.ruu) >= c.cfg.RUUSize {
-			c.cnt.ruuFull.Inc()
-			c.spin.ruuFull = 1
-			return
-		}
 		slot := c.fetchQ[0]
 		if slot.ins.IsMem() && c.lsqUsed >= c.cfg.LSQSize {
 			c.cnt.lsqFull.Inc()
@@ -1385,7 +1372,6 @@ func (c *Core) dispatchOne(slot fetchSlot) {
 	e.needsAddr = e.isStore
 	regs := operandRegs(slot.ins)
 	n := e.srcCount()
-	e.nSrc = int8(n)
 	for i := 0; i < n; i++ {
 		r := regs[i]
 		if r == 0 {
@@ -1431,8 +1417,9 @@ func (c *Core) dispatchOne(slot fetchSlot) {
 	}
 	if len(c.ruu) == cap(c.ruu) {
 		// The window slid forward off the front of ruuBuf as heads
-		// retired; slide it back to the start. The dispatch guard
-		// keeps len(ruu) < RUUSize, so room always reappears.
+		// retired; slide it back to the start. fetch keeps
+		// len(fetchQ)+len(ruu) <= RUUSize and a dispatch has a fetched
+		// slot in hand, so room always reappears.
 		n := copy(c.ruuBuf, c.ruu)
 		c.ruu = c.ruuBuf[:n]
 	}
@@ -1535,7 +1522,6 @@ func (c *Core) SCDone(seq uint64, success bool) {
 	if e == nil || !e.scSent {
 		return
 	}
-	e.scDone = true
 	e.doneAt = c.now
 	if success {
 		e.result = 1
@@ -1583,14 +1569,6 @@ func (c *Core) windowAfter(seq uint64) []*entry {
 }
 
 var _ core.Client = (*Core)(nil)
-
-// DebugSLE renders the SLE engine's last-abort diagnostics (debug aid).
-func (c *Core) DebugSLE() string {
-	if c.sle == nil {
-		return "no sle"
-	}
-	return c.sle.debugLast
-}
 
 // DebugState renders the core's window for deadlock diagnostics.
 func (c *Core) DebugState() string {

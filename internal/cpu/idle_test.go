@@ -49,12 +49,9 @@ func TestSpinReplayMatchesNaiveTicks(t *testing.T) {
 		return b.Build()
 	}
 	rows := []struct {
-		name   string
-		prog   *isa.Program
-		script func(*Core, *fakeMem)
-		// plant runs once on each twin after the warm-up, for the one
-		// state no program reaches.
-		plant   func(*Core)
+		name    string
+		prog    *isa.Program
+		script  func(*Core, *fakeMem)
 		counter string
 		perTick uint64
 		spin    coreSpin
@@ -69,19 +66,6 @@ func TestSpinReplayMatchesNaiveTicks(t *testing.T) {
 			script:  func(_ *Core, f *fakeMem) { f.sbFull = true },
 			counter: "store/buffer_full", perTick: 1,
 			spin: coreSpin{storeBufFull: 1},
-		},
-		{
-			// fetch stops at fetchQ+window == RUUSize, so dispatch never
-			// finds the window full with a slot still queued; the row
-			// plants the slot to cover the replay of the class anyway.
-			name:   "RUU-full dispatch",
-			prog:   behindMiss(func(b *isa.Builder) { b.Addi(isa.R4, isa.R4, 1) }),
-			script: func(_ *Core, f *fakeMem) { f.delayed[0x200] = true },
-			plant: func(c *Core) {
-				c.fetchQ = append(c.fetchQ, fetchSlot{pc: 0, ins: isa.Instr{Op: isa.OpNop}, readyAt: c.now})
-			},
-			counter: "cpu/ruu_full", perTick: 1,
-			spin: coreSpin{ruuFull: 1},
 		},
 		{
 			name:    "LSQ-full dispatch",
@@ -112,13 +96,6 @@ func TestSpinReplayMatchesNaiveTicks(t *testing.T) {
 			for i := uint64(0); i < warm; i++ {
 				naive.Tick(i)
 				fast.Tick(i)
-			}
-			if r.plant != nil {
-				r.plant(naive)
-				r.plant(fast)
-				// The planted state arrived without a callback: drop the
-				// verdict by hand, as the callbacks do.
-				naive.idle, fast.idle = false, false
 			}
 			before := nCtrs.Get(r.counter)
 			for i := uint64(warm); i < warm+k; i++ {
@@ -176,7 +153,7 @@ func TestOracleAuditLocatesVerdictViolation(t *testing.T) {
 		{
 			name:   "retry now counts",
 			change: func(f *fakeMem) { delete(f.scBlocked, 0x300); f.mshrFull[0x300] = true },
-			want:   []string{"cpu0 cycle 40:", "issue:false", "expected {ruuFull:0 lsqFull:0 storeBufFull:0 loadRetries:0}", "ticked {ruuFull:0 lsqFull:0 storeBufFull:0 loadRetries:1}"},
+			want:   []string{"cpu0 cycle 40:", "issue:false", "expected {lsqFull:0 storeBufFull:0 loadRetries:0}", "ticked {lsqFull:0 storeBufFull:0 loadRetries:1}"},
 		},
 	}
 	for _, tc := range cases {

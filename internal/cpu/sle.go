@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"fmt"
 	"slices"
 
 	"tssim/internal/core"
@@ -66,7 +65,6 @@ type sleEngine struct {
 
 	consecFails  map[uint64]int // per-PC consecutive aborts
 	suppressOnce map[uint64]bool
-	debugLast    string
 
 	// Scratch buffers reused across ticks (prefetch address ordering
 	// and the atomic-commit store list).
@@ -174,7 +172,6 @@ func (s *sleEngine) tryStart(e *entry) bool {
 	// The SC appears to succeed instantly, with no coherence action:
 	// the acquire is never made visible.
 	e.done = true
-	e.elided = true
 	e.result = 1
 	s.core.broadcast(e)
 	s.cnt.attempt.Inc()
@@ -378,7 +375,6 @@ func (s *sleEngine) tick() {
 // and re-execute it for real (possibly suppressed for one attempt
 // after repeated failures — the restart threshold of [29]).
 func (s *sleEngine) abort(outcome predictor.ElisionOutcome) {
-	s.debugLast = s.debugRegion(outcome.String())
 	pc := uint64(s.scEntry.pc)
 	scSeq := s.scEntry.seq
 	scPC := s.scEntry.pc
@@ -393,20 +389,4 @@ func (s *sleEngine) abort(outcome predictor.ElisionOutcome) {
 	s.core.tr.Emit(trace.Event{Kind: trace.KSLEAbort, Node: int32(s.core.id), Addr: s.lockAddr,
 		A: uint8(outcome)})
 	s.core.squashAfter(scSeq-1, scPC)
-}
-
-// debugRegion renders the region for diagnostics.
-func (s *sleEngine) debugRegion(reason string) string {
-	out := fmt.Sprintf("abort=%s lock=%#x orig=%d region:\n", reason, s.lockAddr, s.origVal)
-	region := s.core.windowAfter(s.scEntry.seq)
-	for i, e := range region {
-		if i > 40 {
-			out += "...\n"
-			break
-		}
-		out += fmt.Sprintf("  [%d] pc=%d %s done=%v addrKnown=%v addr=%#x issued=%v srcReady=%v,%v src=%d,%d spec=%v\n",
-			i, e.pc, isa.Disassemble(e.pc, e.ins), e.done, e.addrKnown, e.effAddr, e.issued,
-			e.srcReady[0], e.srcReady[1], e.src[0], e.src[1], e.specVal)
-	}
-	return out
 }

@@ -15,7 +15,6 @@ type Builder struct {
 	code     []Instr
 	marks    []int // label -> pc (-1 while unplaced)
 	refs     []ref // pending branch fixups
-	macros   int   // depth counter for error reporting only
 	observed []ObsReg
 }
 

@@ -36,9 +36,9 @@ type ReportConfig struct {
 }
 
 // Report is one run's machine-readable record: configuration, headline
-// outcome, the full counter namespace, and every histogram. Benches
-// and CI diff these files across commits (BENCH_*.json trajectory
-// tracking), and EXPERIMENTS.md tables can be regenerated from them.
+// outcome, the full counter namespace, and every histogram. The files
+// can be diffed across commits, and EXPERIMENTS.md tables regenerated
+// from them.
 type Report struct {
 	Schema     string                        `json:"schema"`
 	Workload   string                        `json:"workload"`

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"tssim/internal/bus"
@@ -40,28 +41,58 @@ type Techniques struct {
 	SLE    bool // speculative lock elision
 }
 
-// String renders the combination the way the paper's figures label it.
+// String renders the combination the way the paper's figures label it:
+// the protocol (MESTI, or E-MESTI which includes it), then LVP, then
+// SLE, joined with "+"; "Baseline" when nothing is on. ParseTechniques
+// reads every label back.
 func (t Techniques) String() string {
+	var parts []string
 	switch {
-	case t.EMESTI && t.LVP && t.SLE:
-		return "E-MESTI+LVP+SLE"
-	case t.EMESTI && t.LVP:
-		return "E-MESTI+LVP"
-	case t.EMESTI && t.SLE:
-		return "E-MESTI+SLE"
-	case t.LVP && t.SLE:
-		return "LVP+SLE"
 	case t.EMESTI:
-		return "E-MESTI"
+		parts = append(parts, "E-MESTI")
 	case t.MESTI:
-		return "MESTI"
-	case t.LVP:
-		return "LVP"
-	case t.SLE:
-		return "SLE"
-	default:
+		parts = append(parts, "MESTI")
+	}
+	if t.LVP {
+		parts = append(parts, "LVP")
+	}
+	if t.SLE {
+		parts = append(parts, "SLE")
+	}
+	if len(parts) == 0 {
 		return "Baseline"
 	}
+	return strings.Join(parts, "+")
+}
+
+// ParseTechniques reads a technique combination, case-insensitively:
+// "baseline" (or nothing), "all", or any of mesti, emesti (also spelled
+// e-mesti; it turns MESTI on too), lvp and sle joined with "+" — the
+// CLIs' -tech syntax, and every label String prints.
+func ParseTechniques(s string) (Techniques, error) {
+	var t Techniques
+	switch s = strings.ToLower(s); s {
+	case "", "baseline":
+		return t, nil
+	case "all":
+		return Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}, nil
+	}
+	for _, part := range strings.Split(s, "+") {
+		switch part {
+		case "mesti":
+			t.MESTI = true
+		case "emesti", "e-mesti":
+			t.MESTI = true
+			t.EMESTI = true
+		case "lvp":
+			t.LVP = true
+		case "sle":
+			t.SLE = true
+		default:
+			return Techniques{}, fmt.Errorf("unknown technique %q (use baseline, or mesti|emesti|lvp|sle joined with +, or all)", part)
+		}
+	}
+	return t, nil
 }
 
 // AllCombos returns the nine configurations of Figure 7/8: baseline,
@@ -140,7 +171,8 @@ type Config struct {
 	// NoFastForward disables the next-event fast-forward path: every
 	// cycle is ticked and every core runs its full pipeline on every
 	// tick (cpu.Core.SetOracle), auditing each idle verdict the fast
-	// path would have trusted. The two paths are bit-identical in
+	// path would have trusted, as every cache controller audits its own
+	// (core.Controller.SetOracle). The two paths are bit-identical in
 	// every simulated observable (cycles, counters, histograms, trace
 	// timestamps, check verdicts); this escape hatch exists for
 	// differential testing and as a diagnostic fallback.
@@ -290,8 +322,8 @@ func (r Result) FastForwardSkipFraction() float64 {
 // — the run-level throughput figure the timing footer reports. The
 // numerator is *architectural* cycles (Result.Cycles), counting cycles
 // the fast-forward path skipped as simulated: throughput numbers stay
-// comparable across hosts and BENCH generations regardless of how many
-// cycles were actually ticked.
+// comparable across hosts regardless of how many cycles were actually
+// ticked.
 func (r Result) SimCyclesPerSec() float64 {
 	if r.Wall <= 0 {
 		return 0
@@ -333,8 +365,8 @@ type System struct {
 	// check is the attached coherence oracle (nil unless Config.Check).
 	check *check.Checker
 
-	// auditErr is where the oracle cores (cpu.Core.SetOracle) report
-	// the first idle-verdict violation.
+	// auditErr is where the oracle cores and controllers (SetOracle)
+	// report the first violation of a verdict the fast path trusts.
 	auditErr error
 }
 
@@ -396,6 +428,9 @@ func New(cfg Config, w Workload) *System {
 		c.SetTracer(cfg.Trace)
 		c.AttachMachine(&s.retired, &s.haltedCores)
 		ctrl := core.NewController(nc, s.Bus, c, s.Counters)
+		if cfg.NoFastForward {
+			ctrl.SetOracle(&s.auditErr)
+		}
 		ctrl.SetTracer(cfg.Trace)
 		c.SetMemSystem(ctrl)
 		if cfg.CheckCommits {
@@ -463,11 +498,6 @@ func (s *System) nextEvent() uint64 {
 		return now
 	} else if ne < next {
 		next = ne
-	}
-	if s.check != nil {
-		if ne := s.check.NextEvent(now); ne < next {
-			next = ne
-		}
 	}
 	return next
 }

@@ -242,15 +242,54 @@ func TestEightCPUsCheckedAllBackendsAllCombos(t *testing.T) {
 	}
 }
 
+// The twelve legal combinations (none / MESTI / E-MESTI × LVP × SLE)
+// each print a label that says what runs and parses back to itself. The
+// nine Figure 7 labels are table headers and bench/golden.json keys.
 func TestTechniquesString(t *testing.T) {
-	if (Techniques{}).String() != "Baseline" {
-		t.Fatal("baseline label")
+	const m, e, l, s = 1, 2, 4, 8
+	labels := []struct {
+		bits  int
+		label string
+	}{
+		{0, "Baseline"}, {l, "LVP"}, {s, "SLE"}, {l | s, "LVP+SLE"},
+		{m, "MESTI"}, {m | l, "MESTI+LVP"}, {m | s, "MESTI+SLE"}, {m | l | s, "MESTI+LVP+SLE"},
+		{m | e, "E-MESTI"}, {m | e | l, "E-MESTI+LVP"}, {m | e | s, "E-MESTI+SLE"}, {m | e | l | s, "E-MESTI+LVP+SLE"},
 	}
-	if (Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}).String() != "E-MESTI+LVP+SLE" {
-		t.Fatal("combo label")
+	fig7 := map[Techniques]bool{}
+	for _, tech := range AllCombos() {
+		fig7[tech] = true
 	}
-	if len(AllCombos()) != 9 {
-		t.Fatalf("combos = %d, want 9", len(AllCombos()))
+	for _, c := range labels {
+		tech := Techniques{MESTI: c.bits&m != 0, EMESTI: c.bits&e != 0, LVP: c.bits&l != 0, SLE: c.bits&s != 0}
+		if got := tech.String(); got != c.label {
+			t.Errorf("%+v prints %q, want %q", tech, got, c.label)
+		}
+		if back, err := ParseTechniques(c.label); err != nil || back != tech {
+			t.Errorf("ParseTechniques(%q) = %+v, %v; want %+v", c.label, back, err, tech)
+		}
+		delete(fig7, tech)
+	}
+	if len(AllCombos()) != 9 || len(fig7) != 0 {
+		t.Fatalf("AllCombos() has %d combos, %d of them not among the twelve", len(AllCombos()), len(fig7))
+	}
+
+	// The CLI spellings of the same values.
+	for in, want := range map[string]Techniques{
+		"":               {},
+		"baseline":       {},
+		"all":            {MESTI: true, EMESTI: true, LVP: true, SLE: true},
+		"emesti":         {MESTI: true, EMESTI: true},
+		"mesti+lvp":      {MESTI: true, LVP: true},
+		"sle+LVP+emesti": {MESTI: true, EMESTI: true, LVP: true, SLE: true},
+	} {
+		if got, err := ParseTechniques(in); err != nil || got != want {
+			t.Errorf("ParseTechniques(%q) = %+v, %v; want %+v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"base", "mesti+", "mesti,lvp", "all+lvp"} {
+		if got, err := ParseTechniques(in); err == nil {
+			t.Errorf("ParseTechniques(%q) = %+v, want an error", in, got)
+		}
 	}
 }
 
