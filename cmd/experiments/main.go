@@ -1,23 +1,21 @@
 // Command experiments regenerates the paper's tables and figures on
 // the simulated machine. Each flag selects one artifact; -all runs the
 // full evaluation (slow). See EXPERIMENTS.md for recorded outputs and
-// the comparison against the paper.
+// the comparison against the paper. One cell alone, with every counter,
+// is cmd/tssim's job: `tssim -workload W -tech T -scale 2 -verbose`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"tssim/internal/bus"
+	"tssim/internal/cli"
 	"tssim/internal/experiments"
-	"tssim/internal/prof"
-	"tssim/internal/sim"
-	"tssim/internal/telemetry"
 )
 
 func main() {
+	shared := cli.Register(flag.CommandLine, 2, 3)
 	var (
 		table1   = flag.Bool("table1", false, "print machine parameters (paper Table 1)")
 		table2   = flag.Bool("table2", false, "workload characteristics (paper Table 2)")
@@ -29,73 +27,16 @@ func main() {
 		misses   = flag.Bool("misses", false, "miss classification and false-sharing fractions (§5.3.2)")
 		scaling  = flag.Bool("scaling", false, "communication-miss elimination at 4/8/16 CPUs (use -interconnect directory for the interesting case)")
 		all      = flag.Bool("all", false, "run everything")
-		dump     = flag.String("dump", "", "dump all counters for one workload (use with -tech)")
-		report   = flag.String("report", "", "with -dump: also write a machine-readable JSON report here")
-		techStr  = flag.String("tech", "baseline", "technique for -dump: baseline, all, or mesti|emesti|lvp|sle joined with +")
-		cpus     = flag.Int("cpus", 4, "number of CPUs")
-		scale    = flag.Int("scale", 2, "workload scale factor")
-		seeds    = flag.Int("seeds", 3, "runs per configuration (CI)")
-		jobs     = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		chk      = flag.Bool("check", false, "attach the coherence invariant checker to every run")
-		noFF     = flag.Bool("no-fastforward", false, "disable next-event fast-forward and tick every cycle (bit-identical; debugging escape hatch)")
-		icKind   = flag.String("interconnect", "", "coherence fabric: "+strings.Join(bus.Kinds(), "|")+" (default: atomic snoop bus)")
-
-		timing = flag.Bool("timing", false, "append a wall-clock/sim-cycles-per-second footer to each table")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
-		blockProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file at exit")
-
-		progress       = flag.Duration("progress", 0, "emit periodic sweep-progress heartbeats to stderr at this interval (e.g. 1s; 0 = off)")
-		progressFormat = flag.String("progress-format", "text", "heartbeat format: text|jsonl")
-		statusAddr     = flag.String("status-addr", "", "serve GET /status, expvar and pprof on this address while running (e.g. :8080 or 127.0.0.1:0)")
-		runnerStats    = flag.String("runnerstats", "", "write a tssim-runnerstats/v1 JSON harness report to this file at exit")
 	)
 	flag.Parse()
-	if err := sim.ValidateNoArgs(flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
-	stopProf, err := prof.Config{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile, Block: *blockProfile}.Start()
+	stop, err := shared.Start(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	defer stopProf()
-
-	telOpts := telemetry.CLIOptions{
-		Progress:       *progress,
-		ProgressFormat: *progressFormat,
-		StatusAddr:     *statusAddr,
-		StatsPath:      *runnerStats,
-	}
-	tel, stopTel, err := telOpts.Start(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer func() {
-		if err := stopTel(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
-	if !bus.ValidKind(*icKind) {
-		fmt.Fprintf(os.Stderr, "unknown -interconnect %q (use %s)\n", *icKind, strings.Join(bus.Kinds(), "|"))
-		os.Exit(2)
-	}
-	if err := sim.ValidateCPUs(*cpus); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := sim.ValidateSizes(*scale, *seeds, *jobs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	p := experiments.Params{CPUs: *cpus, Scale: *scale, Seeds: *seeds, Jobs: *jobs, Check: *chk,
-		Interconnect: *icKind, Telemetry: tel, Timing: *timing, NoFastForward: *noFF}
+	p := experiments.Params{Machine: shared.Config(), Scale: shared.Scale, Seeds: shared.Seeds,
+		Jobs: shared.Jobs, Telemetry: shared.Telemetry}
 
 	ran := false
 	if *table1 || *all {
@@ -140,7 +81,7 @@ func main() {
 		ran = true
 	}
 	if *scaling || *all {
-		label := p.Interconnect
+		label := p.Machine.Interconnect
 		if label == "" {
 			label = "bus"
 		}
@@ -148,30 +89,7 @@ func main() {
 		fmt.Println(experiments.Scaling(p, nil))
 		ran = true
 	}
-	if *dump != "" {
-		tech, err := sim.ParseTechniques(*techStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(experiments.CountersDump(p, *dump, tech))
-		if *report != "" {
-			rep, err := experiments.DumpReport(p, *dump, tech)
-			if err == nil {
-				err = rep.WriteFile(*report)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "report -> %s\n", *report)
-		}
-		ran = true
-	}
-	if *report != "" && *dump == "" {
-		fmt.Fprintln(os.Stderr, "-report requires -dump")
-		os.Exit(2)
-	}
+	stop()
 	if !ran {
 		flag.Usage()
 		os.Exit(2)

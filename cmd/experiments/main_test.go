@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
@@ -9,58 +10,80 @@ import (
 )
 
 // TestMain lets the test binary stand in for the command: re-executed
-// with TSSIM_TEST_MAIN set, it runs main with the given arguments.
+// with TSSIM_TEST_MAIN set, it runs main with the given arguments on a
+// flag set free of the testing package's own flags.
 func TestMain(m *testing.M) {
 	if os.Getenv("TSSIM_TEST_MAIN") != "" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-// A CPU count no generator layout or sharer vector supports is a usage
-// error: exit status 2, one line, no stack trace.
+// runMain runs the command and returns what it printed and its exit
+// status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// The rules for the flags shared with cmd/tssim live, and are tested
+// row by row, in internal/cli; this row proves main is wired to them:
+// exit status 2, one line, no stack trace.
 func TestCPUsOutOfRangeRejected(t *testing.T) {
-	for _, n := range []string{"0", "65", "-3"} {
-		cmd := exec.Command(os.Args[0], "-table2", "-cpus", n)
-		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("-cpus %s: want exit status 2, got %v\n%s", n, err, out)
-		}
-		if s := string(out); !strings.Contains(s, "-cpus "+n) || strings.Contains(s, "goroutine") || strings.Count(s, "\n") != 1 {
-			t.Fatalf("-cpus %s: want one line naming the flag, got:\n%s", n, s)
+	out, code := runMain(t, "-table2", "-cpus", "65")
+	if code != 2 || out != "-cpus 65: must be between 1 and 64\n" {
+		t.Errorf("-table2 -cpus 65: want exit status 2 and one line naming the flag, got status %d:\n%s", code, out)
+	}
+}
+
+// ... and that they are checked before anything runs: `-table2 16
+// -scale 0` is refused for its stray argument, not run at the defaults.
+func TestNonsenseSizesRejected(t *testing.T) {
+	out, code := runMain(t, "-table2", "16", "-scale", "0")
+	if code != 2 || out != "unexpected argument \"16\" (flags after it were not read)\n" {
+		t.Errorf("-table2 16 -scale 0: want exit status 2 and one line, got status %d:\n%s", code, out)
+	}
+}
+
+// The single-run spellings this command used to take are usage errors
+// now, not silently ignored: `tssim -workload W -tech T -scale 2
+// -verbose -report f` is `-dump W -tech T -report f`, and -runnerstats
+// records what -timing printed.
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dump", "tpc-b"},
+		{"-timing", "-table2"},
+		{"-tech", "mesti", "-table2"},
+		{"-report", os.DevNull, "-table2"},
+	} {
+		out, code := runMain(t, args...)
+		if want := "flag provided but not defined: " + args[0] + "\n"; code != 2 || !strings.HasPrefix(out, want) {
+			t.Errorf("%v: want exit status 2 and %q, got status %d:\n%s", args, want, code, out)
 		}
 	}
 }
 
-// Sizes the library would quietly run as scale 1, one seed are usage
-// errors too, as is a technique name the parser does not know — the
-// message names "baseline", the one spelling of no technique it takes —
-// and a stray positional argument, which ends flag parsing: `-table2 16
-// -scale 0` would otherwise run although `-scale 0` alone is rejected.
-func TestNonsenseSizesRejected(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-table2", "-scale", "0", "-seeds", "0"}, "-scale 0:"},
-		{[]string{"-table2", "-scale", "-2"}, "-scale -2:"},
-		{[]string{"-fig7", "-seeds", "-1"}, "-seeds -1:"},
-		{[]string{"-table2", "-j", "-1"}, "-j -1:"},
-		{[]string{"-dump", "tpc-b", "-tech", "base"}, `unknown technique "base" (use baseline, or `},
-		{[]string{"-table2", "16", "-scale", "0"}, `unexpected argument "16" (flags after it were not read)`},
-	} {
-		cmd := exec.Command(os.Args[0], tc.args...)
-		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("%v: want exit status 2, got %v\n%s", tc.args, err, out)
-		}
-		if s := string(out); !strings.Contains(s, tc.want) || strings.Contains(s, "goroutine") || strings.Count(s, "\n") != 1 {
-			t.Fatalf("%v: want one line with %q, got:\n%s", tc.args, tc.want, s)
-		}
+// Any flag added, dropped or reworded shows up as a diff against
+// testdata/usage.txt (regenerate: go run ./cmd/experiments -h 2> cmd/experiments/testdata/usage.txt).
+// The first line names the binary and is not compared.
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, code := runMain(t, "-h")
+	_, got, _ := strings.Cut(out, "\n")
+	_, wantBody, _ := strings.Cut(string(want), "\n")
+	if code != 0 || got != wantBody {
+		t.Errorf("-h: exit status %d, usage differs from testdata/usage.txt:\n%s", code, out)
 	}
 }

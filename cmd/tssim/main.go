@@ -10,15 +10,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"tssim/internal/bus"
 	"tssim/internal/check"
 	"tssim/internal/checkrun"
-	"tssim/internal/prof"
+	"tssim/internal/cli"
 	"tssim/internal/sim"
-	"tssim/internal/telemetry"
 	"tssim/internal/trace"
 	"tssim/internal/workload"
 )
@@ -98,177 +97,138 @@ func newTracer(path, format string) (*trace.Tracer, error) {
 	return trace.New(0, sink), nil
 }
 
-// runSingle executes one run. Without telemetry it keeps the
-// historical fail-fast path (RunOne panics on failure after streaming
-// the post-mortem). With a collector attached the run goes through a
-// one-job Runner so the single-run CLI gets the same heartbeats,
-// /status endpoint, and runner-stats report as a sweep; failures then
-// print cleanly instead of panicking.
-func runSingle(cfg sim.Config, w sim.Workload, tel *telemetry.Collector) sim.Result {
-	if tel == nil {
-		return sim.RunOne(cfg, w)
+// fail reports a failed run on errw — the captured post-mortem, then one
+// error line — and returns the exit status.
+func fail(errw io.Writer, err error) int {
+	var re *sim.RunError
+	if errors.As(err, &re) {
+		io.WriteString(errw, re.PostMortem)
 	}
-	r := sim.NewRunner().Jobs(1).Collect(tel).RunAll([]sim.Job{{Cfg: cfg, W: w}})[0]
-	if r.Err != nil {
-		var re *sim.RunError
-		if errors.As(r.Err, &re) && re.PostMortem != "" {
-			fmt.Fprint(os.Stderr, re.PostMortem)
-		}
-		fmt.Fprintln(os.Stderr, r.Err)
-		os.Exit(1)
-	}
-	return r
+	fmt.Fprintln(errw, err)
+	return 1
 }
 
-func main() {
-	var (
-		name      = flag.String("workload", "tpc-b", "workload: "+strings.Join(workload.Names(), "|"))
-		techStr   = flag.String("tech", "baseline", "technique combo: baseline, or mesti|emesti|lvp|sle joined with +, e.g. emesti+lvp")
-		cpus      = flag.Int("cpus", 4, "number of CPUs")
-		scale     = flag.Int("scale", 1, "workload scale factor")
-		seeds     = flag.Int("seeds", 1, "runs with latency jitter (CI when > 1)")
-		jobs      = flag.Int("j", 0, "concurrent runs for -seeds > 1 (0 = GOMAXPROCS)")
-		verbose   = flag.Bool("verbose", false, "dump all event counters and histograms")
-		checkFlag = flag.Bool("check", false, "attach the coherence invariant checker (and the in-order commit checker)")
-		noFF      = flag.Bool("no-fastforward", false, "disable next-event fast-forward and tick every cycle (bit-identical; debugging escape hatch)")
-		icKind    = flag.String("interconnect", "", "coherence fabric: "+strings.Join(bus.Kinds(), "|")+" (default: atomic snoop bus)")
-
-		litmusShape = flag.String("litmus-shape", "", "run one memory-model litmus shape instead of a workload: "+strings.Join(check.ShapeNames(), "|"))
-		enumerate   = flag.Bool("enumerate", false, "with -litmus-shape: exhaustively sweep the schedule-perturbation grid (all combos, both kernel paths) and compare reachable vs TSO-allowed outcomes")
-
-		tracePath   = flag.String("trace", "", "write a coherence event trace to this file")
-		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl|chrome (chrome loads in Perfetto)")
-		reportPath  = flag.String("report", "", "write a machine-readable JSON run report to this file")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
-		blockProfile = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file at exit")
-
-		progress       = flag.Duration("progress", 0, "emit periodic run-progress heartbeats to stderr at this interval (e.g. 1s; 0 = off)")
-		progressFormat = flag.String("progress-format", "text", "heartbeat format: text|jsonl")
-		statusAddr     = flag.String("status-addr", "", "serve GET /status, expvar and pprof on this address while running (e.g. :8080 or 127.0.0.1:0)")
-		runnerStats    = flag.String("runnerstats", "", "write a tssim-runnerstats/v1 JSON harness report to this file at exit")
-	)
-	flag.Parse()
-	if err := sim.ValidateNoArgs(flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// render prints one run's outcome and returns the exit status: the
+// summary, and under verbose every counter and histogram. A failed run
+// is reported on errw first (fail) and still prints what it reached —
+// under verbose, the counters it accumulated before it stopped.
+func render(out, errw io.Writer, r sim.Result, verbose bool) int {
+	code := 0
+	if r.Err != nil {
+		code = fail(errw, r.Err)
 	}
-
-	stopProf, err := prof.Config{CPU: *cpuProfile, Mem: *memProfile, Mutex: *mutexProfile, Block: *blockProfile}.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer stopProf()
-
-	telOpts := telemetry.CLIOptions{
-		Progress:       *progress,
-		ProgressFormat: *progressFormat,
-		StatusAddr:     *statusAddr,
-		StatsPath:      *runnerStats,
-	}
-	tel, stopTel, err := telOpts.Start(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer func() {
-		if err := stopTel(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
-
-	tech, err := sim.ParseTechniques(*techStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if !bus.ValidKind(*icKind) {
-		fmt.Fprintf(os.Stderr, "unknown -interconnect %q (use %s)\n", *icKind, strings.Join(bus.Kinds(), "|"))
-		os.Exit(2)
-	}
-	if err := sim.ValidateCPUs(*cpus); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := sim.ValidateSizes(*scale, *seeds, *jobs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *litmusShape != "" {
-		os.Exit(litmusShapeMain(*litmusShape, *enumerate, tech, *noFF, *icKind))
-	}
-	if *enumerate {
-		fmt.Fprintln(os.Stderr, "-enumerate requires -litmus-shape")
-		os.Exit(2)
-	}
-	w, err := workload.ByName(*name, workload.Params{CPUs: *cpus, Scale: *scale, UnsafeISyncEvery: 3})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cfg := sim.ExperimentConfig()
-	cfg.CPUs = *cpus
-	cfg.Interconnect = *icKind
-	cfg.Tech = tech
-	cfg.Check = *checkFlag
-	cfg.CheckCommits = *checkFlag
-	cfg.NoFastForward = *noFF
-
-	if *seeds > 1 {
-		if *tracePath != "" || *reportPath != "" {
-			fmt.Fprintln(os.Stderr, "-trace and -report record a single run; use -seeds 1")
-			os.Exit(2)
-		}
-		s, err := sim.NewRunner().Jobs(*jobs).Collect(tel).Sample(cfg, w, *seeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s under %s: %d runs, cycles %.0f ±%.0f (95%% CI), min %.0f max %.0f\n",
-			w.Name, tech, s.N(), s.Mean(), s.CI95(), s.Min(), s.Max())
-		return
-	}
-	if *tracePath != "" {
-		tr, err := newTracer(*tracePath, *traceFormat)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Trace = tr
-	}
-	r := runSingle(cfg, w, tel)
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (%s)\n", cfg.Trace.Total(), *tracePath, *traceFormat)
-	}
-	if *reportPath != "" {
-		if err := sim.NewReport(cfg, r).WriteFile(*reportPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "report -> %s\n", *reportPath)
-	}
-	fmt.Printf("%s under %s\n", w.Name, tech)
-	fmt.Printf("  cycles    %d\n", r.Cycles)
-	fmt.Printf("  retired   %d (IPC %.3f)\n", r.Retired, r.IPC())
-	fmt.Printf("  finished  %v\n", r.Finished)
-	fmt.Printf("  misses    comm=%d mem=%d\n", r.Counters["miss/comm"], r.Counters["miss/mem"])
-	fmt.Printf("  bus txns  read=%d readx=%d upgrade=%d validate=%d wb=%d\n",
+	fmt.Fprintf(out, "%s under %s\n", r.Workload, r.Tech)
+	fmt.Fprintf(out, "  cycles    %d\n", r.Cycles)
+	fmt.Fprintf(out, "  retired   %d (IPC %.3f)\n", r.Retired, r.IPC())
+	fmt.Fprintf(out, "  finished  %v\n", r.Finished)
+	fmt.Fprintf(out, "  misses    comm=%d mem=%d\n", r.Counters["miss/comm"], r.Counters["miss/mem"])
+	fmt.Fprintf(out, "  bus txns  read=%d readx=%d upgrade=%d validate=%d wb=%d\n",
 		r.Counters["bus/txn/read"], r.Counters["bus/txn/readx"],
 		r.Counters["bus/txn/upgrade"], r.Counters["bus/txn/validate"],
 		r.Counters["bus/txn/writeback"])
-	if *verbose {
+	if verbose && r.Stats != nil {
 		for _, k := range r.Stats.Names() {
-			fmt.Printf("  %-36s %d\n", k, r.Counters[k])
+			fmt.Fprintf(out, "  %-36s %d\n", k, r.Counters[k])
 		}
-		if hs := r.Stats.HistString(); hs != "" {
-			fmt.Print(hs)
+		io.WriteString(out, r.Stats.HistString())
+	}
+	return code
+}
+
+// options are tssim's own flags; the ones it shares with cmd/experiments
+// live in internal/cli.
+type options struct {
+	workload, tech     string
+	verbose            bool
+	litmusShape        string
+	enumerate          bool
+	trace, traceFormat string
+	report             string
+}
+
+func main() {
+	shared := cli.Register(flag.CommandLine, 1, 1)
+	var o options
+	flag.StringVar(&o.workload, "workload", "tpc-b", "workload: "+strings.Join(workload.Names(), "|"))
+	flag.StringVar(&o.tech, "tech", "baseline", "technique combo: baseline, all, or mesti|emesti|lvp|sle joined with +, e.g. emesti+lvp")
+	flag.BoolVar(&o.verbose, "verbose", false, "dump all event counters and histograms")
+	flag.StringVar(&o.litmusShape, "litmus-shape", "", "run one memory-model litmus shape instead of a workload: "+strings.Join(check.ShapeNames(), "|"))
+	flag.BoolVar(&o.enumerate, "enumerate", false, "with -litmus-shape: exhaustively sweep the schedule-perturbation grid (all combos, both kernel paths) and compare reachable vs TSO-allowed outcomes")
+	flag.StringVar(&o.trace, "trace", "", "write a coherence event trace to this file")
+	flag.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace format: jsonl|chrome (chrome loads in Perfetto)")
+	flag.StringVar(&o.report, "report", "", "write a machine-readable JSON run report to this file")
+	flag.Parse()
+
+	stop, err := shared.Start(os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	code := run(shared, o)
+	stop()
+	os.Exit(code)
+}
+
+// run is main after the shared flags are validated and their profilers
+// and telemetry started; it returns the exit status (2 for the usage
+// errors in tssim's own flags).
+func run(shared *cli.Flags, o options) int {
+	usage := func(err error) int {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	cfg := shared.Config()
+	var err error
+	if cfg.Tech, err = sim.ParseTechniques(o.tech); err != nil {
+		return usage(err)
+	}
+	if o.litmusShape != "" {
+		return litmusShapeMain(o.litmusShape, o.enumerate, cfg.Tech, cfg.NoFastForward, cfg.Interconnect)
+	}
+	if o.enumerate {
+		return usage(errors.New("-enumerate requires -litmus-shape"))
+	}
+	w, err := workload.ByName(o.workload, workload.Params{CPUs: cfg.CPUs, Scale: shared.Scale, UnsafeISyncEvery: 3})
+	if err != nil {
+		return usage(err)
+	}
+	runner := sim.NewRunner().Jobs(shared.Jobs).Collect(shared.Telemetry)
+
+	if shared.Seeds > 1 {
+		if o.trace != "" || o.report != "" {
+			return usage(errors.New("-trace and -report record a single run; use -seeds 1"))
+		}
+		s, err := runner.Sample(cfg, w, shared.Seeds)
+		if err != nil {
+			return fail(os.Stderr, err)
+		}
+		fmt.Printf("%s under %s: %d runs, cycles %.0f ±%.0f (95%% CI), min %.0f max %.0f\n",
+			w.Name, cfg.Tech, s.N(), s.Mean(), s.CI95(), s.Min(), s.Max())
+		return 0
+	}
+	if o.trace != "" {
+		if cfg.Trace, err = newTracer(o.trace, o.traceFormat); err != nil {
+			return usage(err)
 		}
 	}
+	// One job through the Runner: with telemetry flags the single run
+	// gets the same heartbeats, /status endpoint and runner-stats report
+	// as a sweep, and without them the Runner reads no clock.
+	r := runner.RunAll([]sim.Job{{Cfg: cfg, W: w}})[0]
+	code := render(os.Stdout, os.Stderr, r, o.verbose)
+	if cfg.Trace != nil {
+		if err := cfg.Trace.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (%s)\n", cfg.Trace.Total(), o.trace, o.traceFormat)
+	}
+	if o.report != "" && r.Err == nil {
+		if err := sim.NewReport(cfg, r).WriteFile(o.report); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "report -> %s\n", o.report)
+	}
+	return code
 }

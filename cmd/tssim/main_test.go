@@ -1,67 +1,117 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"tssim/internal/sim"
+	"tssim/internal/stats"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed
-// with TSSIM_TEST_MAIN set, it runs main with the given arguments.
+// with TSSIM_TEST_MAIN set, it runs main with the given arguments on a
+// flag set free of the testing package's own flags.
 func TestMain(m *testing.M) {
 	if os.Getenv("TSSIM_TEST_MAIN") != "" {
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-// A CPU count no generator layout or sharer vector supports is a usage
-// error: exit status 2, one line, no stack trace.
-func TestCPUsOutOfRangeRejected(t *testing.T) {
-	for _, n := range []string{"0", "65", "-3"} {
-		cmd := exec.Command(os.Args[0], "-workload", "tpc-b", "-cpus", n)
-		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("-cpus %s: want exit status 2, got %v\n%s", n, err, out)
-		}
-		if s := string(out); !strings.Contains(s, "-cpus "+n) || strings.Contains(s, "goroutine") || strings.Count(s, "\n") != 1 {
-			t.Fatalf("-cpus %s: want one line naming the flag, got:\n%s", n, s)
-		}
+// runMain runs the command and returns what it printed and its exit
+// status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// usageError checks that args are refused as a usage error: exit status
+// 2 and one line containing want, no stack trace.
+func usageError(t *testing.T, want string, args ...string) {
+	t.Helper()
+	out, code := runMain(t, args...)
+	if code != 2 || !strings.Contains(out, want) || strings.Contains(out, "goroutine") || strings.Count(out, "\n") != 1 {
+		t.Errorf("%v: want exit status 2 and one line with %q, got status %d:\n%s", args, want, code, out)
 	}
 }
 
-// Sizes the library would quietly run as scale 1, one seed are usage
-// errors too, as is a technique name the parser does not know — the
-// message names "baseline", the one spelling of no technique it takes —
-// and a stray positional argument, which ends flag parsing: a forgotten
-// -tech would otherwise run Baseline on the default machine.
+// The rules for the flags shared with cmd/experiments live, and are
+// tested row by row, in internal/cli; this one row proves main is wired
+// to them.
+func TestCPUsOutOfRangeRejected(t *testing.T) {
+	usageError(t, "-cpus 65: must be between 1 and 64", "-workload", "tpc-b", "-cpus", "65")
+}
+
+// The sizes and names tssim checks itself: a technique the parser does
+// not know (the message names "baseline", the one spelling of no
+// technique it takes), a generator that does not exist, and flags that
+// make no sense together.
 func TestNonsenseSizesRejected(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-scale", "0"}, "-scale 0:"},
-		{[]string{"-scale", "-1"}, "-scale -1:"},
-		{[]string{"-seeds", "0"}, "-seeds 0:"},
-		{[]string{"-seeds", "-3"}, "-seeds -3:"},
-		{[]string{"-seeds", "2", "-j", "-1"}, "-j -1:"},
-		{[]string{"-tech", "base"}, `unknown technique "base" (use baseline, or `},
-		{[]string{"mesti", "-cpus", "16", "-interconnect", "directory"}, `unexpected argument "mesti" (flags after it were not read)`},
-	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-workload", "tpc-b"}, tc.args...)...)
-		cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("%v: want exit status 2, got %v\n%s", tc.args, err, out)
+	usageError(t, `unknown technique "base" (use baseline, or `, "-tech", "base")
+	usageError(t, `workload: unknown name "tpc-x"`, "-workload", "tpc-x")
+	usageError(t, "-trace and -report record a single run; use -seeds 1", "-seeds", "2", "-report", "r.json")
+	usageError(t, "-enumerate requires -litmus-shape", "-enumerate")
+	usageError(t, `unknown trace format "xml"`, "-trace", os.DevNull, "-trace-format", "xml")
+}
+
+// Any flag added, dropped or reworded shows up as a diff against
+// testdata/usage.txt (regenerate: go run ./cmd/tssim -h 2> cmd/tssim/testdata/usage.txt).
+// The first line names the binary and is not compared.
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, code := runMain(t, "-h")
+	_, got, _ := strings.Cut(out, "\n")
+	_, wantBody, _ := strings.Cut(string(want), "\n")
+	if code != 0 || got != wantBody {
+		t.Errorf("-h: exit status %d, usage differs from testdata/usage.txt:\n%s", code, out)
+	}
+}
+
+// A failed run prints its post-mortem and one error line on stderr,
+// still prints what it reached — under -verbose the counters it
+// accumulated — and exits 1.
+func TestRenderFailedRun(t *testing.T) {
+	ctrs := stats.NewCounters()
+	ctrs.Counter("miss/comm").Add(7)
+	tech := sim.Techniques{MESTI: true}
+	r := sim.Result{
+		Workload: "stall", Tech: tech, Cycles: 1234, Retired: 5,
+		Counters: ctrs.Snapshot(), Stats: ctrs,
+		Err: &sim.RunError{Workload: "stall", Tech: tech, Reason: "no instruction retired — deadlock",
+			PostMortem: "=== tssim post-mortem ===\ncpu0 ...\n=== end post-mortem ===\n"},
+	}
+	for _, verbose := range []bool{false, true} {
+		var out, errw bytes.Buffer
+		if code := render(&out, &errw, r, verbose); code != 1 {
+			t.Errorf("verbose=%v: exit status %d, want 1", verbose, code)
 		}
-		if s := string(out); !strings.Contains(s, tc.want) || strings.Contains(s, "goroutine") || strings.Count(s, "\n") != 1 {
-			t.Fatalf("%v: want one line with %q, got:\n%s", tc.args, tc.want, s)
+		wantErr := "=== tssim post-mortem ===\ncpu0 ...\n=== end post-mortem ===\n" +
+			"sim: workload \"stall\" under MESTI: no instruction retired — deadlock\n"
+		if errw.String() != wantErr {
+			t.Errorf("verbose=%v: stderr:\n%s\nwant:\n%s", verbose, errw.String(), wantErr)
+		}
+		if s := out.String(); !strings.Contains(s, "cycles    1234") || !strings.Contains(s, "finished  false") {
+			t.Errorf("verbose=%v: summary missing what the run reached:\n%s", verbose, s)
+		}
+		if got := strings.Contains(out.String(), "  miss/comm                            7\n"); got != verbose {
+			t.Errorf("verbose=%v: counter dump present = %v:\n%s", verbose, got, out.String())
 		}
 	}
 }

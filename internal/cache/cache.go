@@ -1,8 +1,8 @@
 // Package cache provides the storage structures under the coherence
-// protocol: set-associative arrays with LRU replacement, per-word
-// dirty bits (the sub-block dirty bits whose NOR signals whole-line
-// temporal silence in Figure 5 of the paper), and miss status holding
-// registers (MSHRs) with the speculative-delivery tracking LVP needs.
+// protocol: set-associative arrays with LRU replacement, and miss
+// status holding registers (MSHRs) with the speculative-delivery
+// tracking LVP needs. Temporal silence is detected by comparing whole
+// lines, in the controller and internal/stale, not here.
 //
 // The array is protocol-agnostic: line state is an opaque byte owned
 // by the coherence layer. Crucially, lines keep their tag and data
@@ -54,32 +54,15 @@ func (c Config) Validate() error {
 // Line is one cache entry. Allocated reports whether the tag is valid
 // (the frame holds *some* line); State is owned by the coherence
 // layer and may well be an "invalid" state while the tag and data are
-// retained.
+// retained. The two one-byte fields sit together so the struct packs
+// into 88 bytes: an L2 of them is most of what a machine allocates.
 type Line struct {
 	Allocated bool
-	Addr      uint64 // line-aligned address
 	State     uint8  // opaque protocol state
+	Addr      uint64 // line-aligned address
 	Data      mem.Line
-	WordDirty uint8  // per-word dirty bits since last clean point
 	lru       uint64 // recency stamp
 }
-
-// DirtyNone means no word in the line has been modified.
-const DirtyNone = uint8(0)
-
-// SetWord writes one word into the line and marks it dirty.
-func (l *Line) SetWord(idx int, v uint64) {
-	l.Data.SetWord(idx, v)
-	l.WordDirty |= 1 << uint(idx)
-}
-
-// CleanAllWords clears all per-word dirty bits (after a writeback or a
-// clean fill).
-func (l *Line) CleanAllWords() { l.WordDirty = DirtyNone }
-
-// AnyDirty reports whether any word has been modified — the complement
-// of the NOR-of-dirty-bits silence signal.
-func (l *Line) AnyDirty() bool { return l.WordDirty != DirtyNone }
 
 // noTag marks an unallocated frame in the dense tag array. It can
 // never collide with a real line address: line addresses are
@@ -161,35 +144,6 @@ func (c *Cache) Touch(l *Line) {
 	l.lru = c.clock
 }
 
-// Victim selects the frame that Allocate(addr) would use, without
-// modifying anything: an unallocated frame if present, otherwise the
-// least recently used (preferring frames the Evictable hook accepts).
-func (c *Cache) Victim(addr uint64) *Line {
-	base := c.setBase(mem.LineAddr(addr))
-	set := c.lines[base : base+c.assoc]
-	var victim *Line
-	var fallback *Line
-	for i := range set {
-		f := &set[i]
-		if !f.Allocated {
-			return f
-		}
-		if fallback == nil || f.lru < fallback.lru {
-			fallback = f
-		}
-		if c.Evictable != nil && !c.Evictable(f) {
-			continue
-		}
-		if victim == nil || f.lru < victim.lru {
-			victim = f
-		}
-	}
-	if victim == nil {
-		victim = fallback
-	}
-	return victim
-}
-
 // Allocate installs a frame for the line containing addr and returns
 // it along with a copy of the displaced line (evicted.Allocated is
 // false when the frame was free). The caller must set State and Data;
@@ -197,7 +151,9 @@ func (c *Cache) Victim(addr uint64) *Line {
 func (c *Cache) Allocate(addr uint64) (frame *Line, evicted Line) {
 	la := mem.LineAddr(addr)
 	// One pass over the set does the residency check (a caller bug)
-	// and the victim choice of Victim() together.
+	// and the victim choice together: a free frame if there is one,
+	// else the least recently used the Evictable hook accepts, else
+	// the least recently used.
 	base := c.setBase(la)
 	set := c.lines[base : base+c.assoc]
 	victim, fallback, free := -1, -1, -1

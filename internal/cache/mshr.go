@@ -156,9 +156,6 @@ func (f *MSHRFile) Free(m *MSHR) {
 // histogram samples it every cycle.
 func (f *MSHRFile) InUse() int { return f.used }
 
-// Cap returns the file capacity.
-func (f *MSHRFile) Cap() int { return len(f.entries) }
-
 // OldestSpecSeq scans all MSHRs for the oldest op in program order
 // with outstanding speculative data, mirroring the commit-pointer scan
 // of §3.2 (performed only on miss/fill events in hardware). The second

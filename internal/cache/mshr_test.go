@@ -25,8 +25,8 @@ func TestMSHRAllocLookupFree(t *testing.T) {
 	if f.Alloc(0x3000, false) != nil {
 		t.Fatal("file overflow not detected")
 	}
-	if f.InUse() != 2 || f.Cap() != 2 {
-		t.Fatalf("InUse/Cap = %d/%d", f.InUse(), f.Cap())
+	if f.InUse() != 2 {
+		t.Fatalf("InUse = %d, want 2", f.InUse())
 	}
 	f.Free(a)
 	if f.Lookup(0x1000) != nil {

@@ -131,9 +131,7 @@ type Controller struct {
 	hOccSB   *stats.Hist
 	hVreuse  *stats.Hist
 
-	// Occupancy sampling stride (cfg.OccSampleEvery with defaults
-	// applied) and the countdown to the next observation.
-	occEvery     uint64
+	// Countdown to the next occupancy observation (occSampleEvery).
 	occCountdown uint64
 
 	// validatedAt records, per line, the cycle a snooped validate
@@ -204,9 +202,6 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 	if cfg.StoreBuf <= 0 {
 		cfg.StoreBuf = 16
 	}
-	if cfg.OccSampleEvery <= 0 {
-		cfg.OccSampleEvery = DefaultOccSampleEvery
-	}
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
@@ -225,7 +220,6 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 		hOccMSHR:     counters.Hist("occ/mshr"),
 		hOccSB:       counters.Hist("occ/storebuf"),
 		hVreuse:      counters.Hist("lat/validate_reuse"),
-		occEvery:     uint64(cfg.OccSampleEvery),
 		occCountdown: 1, // sample cycle 0 so short runs still populate
 	}
 	if cfg.MESTI {
@@ -466,7 +460,7 @@ func (c *Controller) HasReservation(lineAddr uint64) bool {
 func (c *Controller) Tick(now uint64) {
 	c.now = now
 	if c.occCountdown--; c.occCountdown == 0 {
-		c.occCountdown = c.occEvery
+		c.occCountdown = occSampleEvery
 		c.hOccMSHR.Observe(uint64(c.mshrs.InUse()))
 		c.hOccSB.Observe(uint64(len(c.storeBuf)))
 	}
@@ -506,10 +500,10 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 func (c *Controller) SkipCycles(from, to uint64) {
 	k := to - from
 	if c.occCountdown <= k {
-		m := 1 + (k-c.occCountdown)/c.occEvery
+		m := 1 + (k-c.occCountdown)/occSampleEvery
 		c.hOccMSHR.ObserveN(uint64(c.mshrs.InUse()), m)
 		c.hOccSB.ObserveN(uint64(len(c.storeBuf)), m)
-		c.occCountdown = c.occCountdown + m*c.occEvery - k
+		c.occCountdown = c.occCountdown + m*occSampleEvery - k
 	} else {
 		c.occCountdown -= k
 	}
@@ -657,7 +651,7 @@ func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
 		// Table 2 characterization.
 		c.cnt.storeUSDetected.Inc()
 	}
-	l.SetWord(slot, e.val)
+	l.Data.SetWord(slot, e.val)
 	c.l2.Touch(l)
 	c.cnt.storePerformed.Inc()
 	if c.sink != nil {
@@ -801,7 +795,6 @@ func (c *Controller) installL2(la uint64, data mem.Line, state State) *cache.Lin
 	}
 	l.Data = data
 	l.State = state
-	l.CleanAllWords()
 	c.l2.Touch(l)
 	return l
 }

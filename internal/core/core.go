@@ -100,26 +100,20 @@ type Config struct {
 
 	ValidateParams predictor.ValidateParams // E-MESTI predictor tuning
 
-	// OccSampleEvery downsamples the per-cycle occupancy histograms
-	// (occ/mshr, occ/storebuf): one observation every N cycles per
-	// controller. The occupancy curves are statistics, not simulation
-	// state, so the stride changes only histogram resolution — cycle
-	// counts and event counters are bit-identical at any setting.
-	// 0 selects DefaultOccSampleEvery; 1 restores per-cycle sampling.
-	OccSampleEvery int
-
 	// Detector supplies temporal-silence candidates; nil selects the
 	// perfect detector (the paper's assumption for performance
 	// studies). Only consulted when MESTI is enabled.
 	Detector stale.Detector
 }
 
-// DefaultOccSampleEvery is the default occupancy-histogram sampling
-// stride. Occupancies drift over miss-service timescales (tens to
-// hundreds of cycles), so sampling every 8th cycle loses no shape
-// while removing two histogram updates per controller from 7 of every
-// 8 cycles of the hot loop.
-const DefaultOccSampleEvery = 8
+// occSampleEvery is the occupancy-histogram (occ/mshr, occ/storebuf)
+// sampling stride: one observation every 8th cycle per controller.
+// Occupancies drift over miss-service timescales (tens to hundreds of
+// cycles), so the stride loses no shape while removing two histogram
+// updates per controller from 7 of every 8 cycles of the hot loop. The
+// curves are statistics, not simulation state: cycle counts and event
+// counters do not depend on it.
+const occSampleEvery = 8
 
 // DefaultConfig returns a scaled-down version of the paper's Table 1
 // per-node hierarchy. The paper's 64KB L1-D / 512KB L1 / 16MB L2 per

@@ -189,12 +189,12 @@ func TestUpdateSilentSquash(t *testing.T) {
 	h.mem.WriteWord(0x1000, 5)
 	h.loadValue(0, 0x1000)
 	h.loadValue(1, 0x1000) // both S
-	txnBefore := h.ctrs.Sum("bus/txn/")
+	txnBefore := h.busTxns()
 	h.store(0, 0x1000, 5) // update-silent: same value
 	if h.ctrs.Get("store/us_squash") != 1 {
 		t.Fatal("US store not squashed")
 	}
-	if h.ctrs.Sum("bus/txn/") != txnBefore {
+	if h.busTxns() != txnBefore {
 		t.Fatal("US store generated bus traffic")
 	}
 	if s := h.nodes[1].LineState(0x1000); s != StateS {

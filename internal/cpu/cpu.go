@@ -245,8 +245,6 @@ func operandRegs(ins isa.Instr) [2]uint8 {
 	}
 }
 
-func (e *entry) ready() bool { return e.pendingSrcs == 0 }
-
 // fetchSlot is an instruction in the front-end pipeline.
 type fetchSlot struct {
 	pc      int

@@ -13,8 +13,8 @@ import (
 // a functional memory; stores apply at commit; SCs succeed unless
 // scripted otherwise. Optional hooks let tests inject misses,
 // speculative (LVP) deliveries, delayed SC results, and the
-// controller's refusals (which count themselves on ctrs, as the real
-// controller does on the shared counter set).
+// controller's refusals (which count themselves through handles
+// resolved on the shared counter set, as the real controller's do).
 type fakeMem struct {
 	mem      *mem.Memory
 	loadLat  int
@@ -23,7 +23,7 @@ type fakeMem struct {
 	delayed  map[uint64]bool   // word addrs whose loads go async
 	spec     map[uint64]uint64 // word addr -> speculative value to deliver
 	core     *Core
-	ctrs     *stats.Counters
+	cnt      struct{ l1Miss, l2Miss, l2MSHRFull, storeBufFull stats.Counter }
 
 	ver       uint64          // StateVersion; tests bump it when they change an answer
 	bumps     map[uint64]bool // word addrs whose loads move ver themselves when they hit
@@ -53,14 +53,23 @@ func newFakeMem() *fakeMem {
 	}
 }
 
+// attach points the fake at its core and the shared counter set.
+func (f *fakeMem) attach(c *Core, ctrs *stats.Counters) {
+	f.core = c
+	f.cnt.l1Miss = ctrs.Counter("l1/miss")
+	f.cnt.l2Miss = ctrs.Counter("l2/miss")
+	f.cnt.l2MSHRFull = ctrs.Counter("l2/mshr_full")
+	f.cnt.storeBufFull = ctrs.Counter("store/buffer_full")
+}
+
 func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 	if f.scBlocked[addr] {
 		return core.LoadResult{Status: core.LoadRetry}
 	}
 	if f.mshrFull[addr] {
-		f.ctrs.Inc("l1/miss")
-		f.ctrs.Inc("l2/miss")
-		f.ctrs.Inc("l2/mshr_full")
+		f.cnt.l1Miss.Inc()
+		f.cnt.l2Miss.Inc()
+		f.cnt.l2MSHRFull.Inc()
 		return core.LoadResult{Status: core.LoadRetry, Counted: true}
 	}
 	if v, ok := f.spec[addr]; ok {
@@ -78,7 +87,7 @@ func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 
 func (f *fakeMem) StoreCommit(seq, pc, addr, val uint64) bool {
 	if f.sbFull {
-		f.ctrs.Inc("store/buffer_full")
+		f.cnt.storeBufFull.Inc()
 		return false
 	}
 	f.mem.WriteWord(addr, val)
@@ -132,7 +141,7 @@ func newTestCore(t *testing.T, prog *isa.Program, sle bool) (*Core, *fakeMem, *s
 	cfg.SLE.Enabled = sle
 	c := New(cfg, 0, prog, f, ctrs)
 	c.EnableChecker()
-	f.core, f.ctrs = c, ctrs
+	f.attach(c, ctrs)
 	return c, f, ctrs
 }
 

@@ -17,7 +17,7 @@ func stalledCore(prog *isa.Program, script func(*Core, *fakeMem), violation *err
 	cfg := DefaultConfig()
 	cfg.RUUSize, cfg.LSQSize = 8, 2
 	c := New(cfg, 0, prog, f, ctrs)
-	f.core, f.ctrs = c, ctrs
+	f.attach(c, ctrs)
 	if violation != nil {
 		c.SetOracle(violation)
 	}

@@ -66,7 +66,7 @@ func parkedCoreOn(prog *isa.Program, nLoads int, park func(f *fakeMem, addr uint
 	}
 	ctrs := stats.NewCounters()
 	c := New(DefaultConfig(), 0, prog, f, ctrs)
-	f.core, f.ctrs = c, ctrs
+	f.attach(c, ctrs)
 	if violation != nil {
 		c.SetOracle(violation)
 	}

@@ -14,16 +14,13 @@
 // A run that deadlocks or fails validation marks its own cell ERR and
 // is reported in a FAILED footer; the rest of the sweep completes.
 //
-// The cmd/experiments binary and the repository benchmarks are both
-// thin wrappers over this package; EXPERIMENTS.md records the outputs
-// against the paper's numbers.
+// The cmd/experiments binary is a thin wrapper over this package;
+// EXPERIMENTS.md records the outputs against the paper's numbers.
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"tssim/internal/cache"
 	"tssim/internal/predictor"
@@ -36,37 +33,25 @@ import (
 
 // Params scales an experiment run.
 type Params struct {
-	CPUs  int
-	Scale int // workload iteration multiplier
-	Seeds int // runs per configuration for confidence intervals
-	Jobs  int // concurrent simulations (0 = GOMAXPROCS)
-	// Interconnect selects the coherence fabric for every run of the
-	// sweep: "" or bus.KindBus (atomic snoop bus), bus.KindSplitBus,
-	// or bus.KindDirectory.
-	Interconnect string
-	// Check attaches the coherence invariant checker (internal/check)
-	// to every run of the sweep; a violation surfaces as that cell's
-	// failure. Identical results, measurable slowdown.
-	Check bool
+	// Machine is the configuration every cell of the sweep starts from
+	// (CPU count, fabric, checkers, kernel path); each experiment sets
+	// Tech, and what it studies, per cell. The zero value selects
+	// sim.ExperimentConfig. cmd/experiments fills it from the shared
+	// flags (cli.Flags.Config).
+	Machine sim.Config
+	Scale   int // workload iteration multiplier
+	Seeds   int // runs per configuration for confidence intervals
+	Jobs    int // concurrent simulations (0 = GOMAXPROCS)
 	// Telemetry, when non-nil, collects harness telemetry (per-job
 	// spans, worker busy time, runtime metrics) across every sweep
 	// this Params drives. Purely observational: tables are
 	// byte-identical with or without it.
 	Telemetry *telemetry.Collector
-	// Timing appends a wall-clock footer (runs, wall time, aggregate
-	// and per-run sim-cycles/s) after each table. Off by default so
-	// recorded table output stays byte-identical.
-	Timing bool
-	// NoFastForward disables the kernel's next-event fast-forward and
-	// ticks every architectural cycle. Results are bit-identical
-	// either way (CI diffs the two); this is the debugging escape
-	// hatch and the baseline for measuring the skip fraction.
-	NoFastForward bool
 }
 
 func (p Params) withDefaults() Params {
-	if p.CPUs <= 0 {
-		p.CPUs = 4
+	if p.Machine.CPUs <= 0 {
+		p.Machine = sim.ExperimentConfig()
 	}
 	if p.Scale <= 0 {
 		p.Scale = 1
@@ -78,63 +63,18 @@ func (p Params) withDefaults() Params {
 }
 
 func (p Params) workloadParams() workload.Params {
-	return workload.Params{CPUs: p.CPUs, Scale: p.Scale, UnsafeISyncEvery: 3}
+	return workload.Params{CPUs: p.Machine.CPUs, Scale: p.Scale, UnsafeISyncEvery: 3}
 }
 
 func (p Params) config(tech sim.Techniques) sim.Config {
-	cfg := sim.ExperimentConfig()
-	cfg.CPUs = p.CPUs
-	cfg.Interconnect = p.Interconnect
+	cfg := p.Machine
 	cfg.Tech = tech
-	cfg.Check = p.Check
-	cfg.NoFastForward = p.NoFastForward
 	return cfg
 }
 
-func (p Params) runner() *sim.Runner {
-	return sim.NewRunner().Jobs(p.Jobs).Collect(p.Telemetry)
-}
-
-// run executes jobs through the configured runner, timing the sweep
-// for the optional footer. Every table-producing experiment goes
-// through here so -timing covers them uniformly.
-func (p Params) run(jobs []sim.Job) (results []sim.Result, footer string) {
-	t0 := time.Now()
-	results = p.runner().RunAll(jobs)
-	return results, p.timingFooter(results, time.Since(t0))
-}
-
-// timingFooter renders the per-sweep wall-clock summary ("" unless
-// Params.Timing): sweep wall time, the sum of per-run walls (pool
-// busy time), total simulated cycles, and sim-cycles/s both aggregate
-// (cycles over sweep wall — the sweep throughput) and as the mean of
-// per-run rates (how fast one simulator instance runs when sharing
-// the host with its neighbors).
-func (p Params) timingFooter(results []sim.Result, wall time.Duration) string {
-	if !p.Timing {
-		return ""
-	}
-	var cycles uint64
-	var runWall time.Duration
-	var perRun float64
-	n := 0
-	for _, r := range results {
-		cycles += r.Cycles
-		runWall += r.Wall
-		if r.Err == nil && r.Wall > 0 {
-			perRun += r.SimCyclesPerSec()
-			n++
-		}
-	}
-	agg := 0.0
-	if wall > 0 {
-		agg = float64(cycles) / wall.Seconds()
-	}
-	if n > 0 {
-		perRun /= float64(n)
-	}
-	return fmt.Sprintf("timing: %d runs, wall %.2fs (run-wall sum %.2fs), %d sim-cycles, %.2fM sim-cycles/s aggregate, %.2fM/s per-run mean\n",
-		len(results), wall.Seconds(), runWall.Seconds(), cycles, agg/1e6, perRun/1e6)
+// run executes jobs through a runner sized and observed as p says.
+func (p Params) run(jobs []sim.Job) []sim.Result {
+	return sim.NewRunner().Jobs(p.Jobs).Collect(p.Telemetry).RunAll(jobs)
 }
 
 // errCell is the table cell rendered for a failed run; the FAILED
@@ -183,7 +123,7 @@ func Table2(p Params) string {
 	for i, w := range ws {
 		jobs[i] = sim.Job{Cfg: p.config(sim.Techniques{MESTI: true, EMESTI: true}), W: w}
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	t := stats.NewTable("Program", "Instr", "Loads", "Stores", "US Stores", "TS Stores", "IPC")
 	for i, r := range results {
 		if r.Err != nil {
@@ -198,7 +138,7 @@ func Table2(p Params) string {
 			fmt.Sprint(r.Counters["mesti/ts_detect"]),
 			stats.F(r.IPC()))
 	}
-	return t.String() + failNotes(results) + timing
+	return t.String() + failNotes(results)
 }
 
 // Fig6 reproduces the stale-storage study: communication misses under
@@ -236,7 +176,7 @@ func Fig6(p Params) string {
 			jobs = append(jobs, sim.Job{Cfg: cfg, W: w})
 		}
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	header := []string{"Program"}
 	for _, v := range variants {
 		header = append(header, v.name)
@@ -254,7 +194,7 @@ func Fig6(p Params) string {
 		}
 		t.Row(row...)
 	}
-	return t.String() + failNotes(results) + timing
+	return t.String() + failNotes(results)
 }
 
 // Fig7Result holds one workload's normalized performance under every
@@ -280,7 +220,7 @@ func Fig7(p Params) (string, []Fig7Result) {
 			jobs = append(jobs, sim.SampleJobs(p.config(tech), w, p.Seeds)...)
 		}
 	}
-	all, timing := p.run(jobs)
+	all := p.run(jobs)
 
 	header := []string{"Program"}
 	for _, c := range combos[1:] {
@@ -334,7 +274,7 @@ func Fig7(p Params) (string, []Fig7Result) {
 		t.Row(row...)
 		results = append(results, res)
 	}
-	return t.String() + failNotes(all) + timing, results
+	return t.String() + failNotes(all), results
 }
 
 // Fig8 renders the address-transaction breakdown (Read/ReadX/Upgrade/
@@ -350,7 +290,7 @@ func Fig8(p Params) string {
 			jobs = append(jobs, sim.Job{Cfg: p.config(tech), W: w})
 		}
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	t := stats.NewTable("Program", "Tech", "Read", "ReadX", "Upgrade", "Validate", "Total(norm)")
 	for wi, w := range ws {
 		var baseTotal float64
@@ -376,7 +316,7 @@ func Fig8(p Params) string {
 				fmt.Sprint(up), fmt.Sprint(va), stats.F(norm))
 		}
 	}
-	return t.String() + failNotes(results) + timing
+	return t.String() + failNotes(results)
 }
 
 // Scaling reports communication-miss elimination beyond the paper's
@@ -403,7 +343,7 @@ func Scaling(p Params, cpuCounts []int) string {
 	}
 	for _, n := range cpuCounts {
 		pn := p
-		pn.CPUs = n
+		pn.Machine.CPUs = n
 		ws := workload.All(pn.workloadParams())
 		for wi := range ws {
 			for ti, tech := range techs {
@@ -416,7 +356,7 @@ func Scaling(p Params, cpuCounts []int) string {
 			}
 		}
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	names := workload.Names()
 	t := stats.NewTable("CPUs", "Program", "Base comm", "MESTI comm", "elim", "E-MESTI comm", "elim")
 	for i := 0; i < len(results); i += len(techs) {
@@ -438,7 +378,7 @@ func Scaling(p Params, cpuCounts []int) string {
 			fmt.Sprint(m.Counters["miss/comm"]), elim(m),
 			fmt.Sprint(e.Counters["miss/comm"]), elim(e))
 	}
-	return t.String() + failNotes(results) + timing
+	return t.String() + failNotes(results)
 }
 
 // SLEStats reproduces the §4.2.3/§5.3.1 elision statistics: attempts,
@@ -450,7 +390,7 @@ func SLEStats(p Params) string {
 	for i, w := range ws {
 		jobs[i] = sim.Job{Cfg: p.config(sim.Techniques{SLE: true}), W: w}
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	t := stats.NewTable("Program", "SC ops", "Attempts", "Success", "NoRelease", "Conflict", "Overflow", "Unsafe", "Filtered")
 	for i, r := range results {
 		if r.Err != nil {
@@ -467,7 +407,7 @@ func SLEStats(p Params) string {
 			fmt.Sprint(r.Counters["sle/abort_unsafe"]),
 			fmt.Sprint(r.Counters["sle/filtered"]))
 	}
-	return t.String() + failNotes(results) + timing
+	return t.String() + failNotes(results)
 }
 
 // PredictorAblation sweeps useful-validate predictor tunings around
@@ -495,7 +435,7 @@ func PredictorAblation(p Params) string {
 		cfg.Node.ValidateParams = tn
 		jobs = append(jobs, sim.Job{Cfg: cfg, W: w})
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	base := results[0]
 	t := stats.NewTable("Tuning", "Cycles", "Speedup", "Validates", "Revalidates", "Suppressed")
 	for i, tn := range tunings {
@@ -512,7 +452,7 @@ func PredictorAblation(p Params) string {
 			fmt.Sprint(r.Counters["mesti/revalidate"]),
 			fmt.Sprint(r.Counters["mesti/validate_suppressed"]))
 	}
-	return t.String() + failNotes(results) + timing
+	return t.String() + failNotes(results)
 }
 
 // MissBreakdown reports per-workload communication vs memory misses
@@ -528,7 +468,7 @@ func MissBreakdown(p Params) string {
 			sim.Job{Cfg: p.config(sim.Techniques{}), W: w},
 			sim.Job{Cfg: p.config(sim.Techniques{LVP: true}), W: w})
 	}
-	results, timing := p.run(jobs)
+	results := p.run(jobs)
 	t := stats.NewTable("Program", "CommMiss", "MemMiss", "Comm%", "LVP ok", "LVP fail", "FalseShare~%")
 	for i, w := range ws {
 		b, l := results[2*i], results[2*i+1]
@@ -550,51 +490,5 @@ func MissBreakdown(p Params) string {
 		t.Row(w.Name, fmt.Sprint(comm), fmt.Sprint(memm),
 			stats.Pct(commPct), fmt.Sprint(ok), fmt.Sprint(fail), stats.Pct(fsPct))
 	}
-	return t.String() + failNotes(results) + timing
-}
-
-// CountersDump renders all counters of one run (diagnostics). A failed
-// run reports its error and captured post-mortem alongside whatever
-// counters it accumulated.
-func CountersDump(p Params, name string, tech sim.Techniques) string {
-	p = p.withDefaults()
-	w, err := workload.ByName(name, p.workloadParams())
-	if err != nil {
-		return err.Error()
-	}
-	r := sim.RunOneErr(p.config(tech), w)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s under %s: cycles=%d retired=%d IPC=%.3f finished=%v\n",
-		name, tech, r.Cycles, r.Retired, r.IPC(), r.Finished)
-	if r.Err != nil {
-		fmt.Fprintf(&b, "RUN FAILED: %v\n", r.Err)
-		var re *sim.RunError
-		if errors.As(r.Err, &re) && re.PostMortem != "" {
-			b.WriteString(re.PostMortem)
-		}
-	}
-	if r.Stats != nil {
-		for _, k := range r.Stats.Names() {
-			fmt.Fprintf(&b, "  %-34s %d\n", k, r.Counters[k])
-		}
-		b.WriteString(r.Stats.HistString())
-	}
-	return b.String()
-}
-
-// DumpReport runs one workload under one technique and returns the
-// machine-readable report (the library form of `experiments -dump
-// -report`).
-func DumpReport(p Params, name string, tech sim.Techniques) (sim.Report, error) {
-	p = p.withDefaults()
-	w, err := workload.ByName(name, p.workloadParams())
-	if err != nil {
-		return sim.Report{}, err
-	}
-	cfg := p.config(tech)
-	r := sim.RunOneErr(cfg, w)
-	if r.Err != nil {
-		return sim.Report{}, r.Err
-	}
-	return sim.NewReport(cfg, r), nil
+	return t.String() + failNotes(results)
 }

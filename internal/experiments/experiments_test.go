@@ -9,7 +9,7 @@ import (
 	"tssim/internal/workload"
 )
 
-func small() Params { return Params{CPUs: 4, Scale: 1, Seeds: 1} }
+func small() Params { return Params{Scale: 1, Seeds: 1}.withDefaults() }
 
 func TestTable1Renders(t *testing.T) {
 	out := Table1()
@@ -151,18 +151,10 @@ func TestFailNotesReportsCells(t *testing.T) {
 	}
 }
 
-func TestCountersDumpUnknownWorkload(t *testing.T) {
-	out := CountersDump(small(), "nosuch", sim.Techniques{})
-	if !strings.Contains(out, "unknown") {
-		t.Errorf("expected error text, got %q", out)
-	}
-}
-
 // TestTelemetryOutputByteIdentical is the acceptance guard for the
 // observability layer: attaching a collector must leave every rendered
-// artifact byte-identical (Timing off), because telemetry observes the
-// harness without touching what it renders. Timing on appends a footer
-// and nothing else.
+// artifact byte-identical, because telemetry observes the harness
+// without touching what it renders.
 func TestTelemetryOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -184,17 +176,5 @@ func TestTelemetryOutputByteIdentical(t *testing.T) {
 	// The collector must actually have seen those sweeps.
 	if rep := instrumented.Telemetry.Report(); rep.JobsDone == 0 {
 		t.Error("collector attached to the sweep recorded no jobs")
-	}
-
-	timed := small()
-	timed.Timing = true
-	out := Table2(timed)
-	base := Table2(plain)
-	if !strings.HasPrefix(out, base) {
-		t.Errorf("-timing changed the table body, not just the footer:\n%s", out)
-	}
-	footer := strings.TrimPrefix(out, base)
-	if !strings.Contains(footer, "timing:") || !strings.Contains(footer, "sim-cycles/s") {
-		t.Errorf("timing footer malformed: %q", footer)
 	}
 }

@@ -35,9 +35,6 @@ const WordsPerLine = LineSize / WordSize
 // LineAddr returns the line-aligned base of addr.
 func LineAddr(addr uint64) uint64 { return addr &^ uint64(LineMask) }
 
-// LineOffset returns the byte offset of addr within its line.
-func LineOffset(addr uint64) int { return int(addr & LineMask) }
-
 // WordIndex returns the word slot of addr within its line.
 func WordIndex(addr uint64) int { return int(addr&LineMask) >> 3 }
 

@@ -9,21 +9,17 @@ func TestLineArithmetic(t *testing.T) {
 	cases := []struct {
 		addr     uint64
 		lineAddr uint64
-		offset   int
 		wordIdx  int
 	}{
-		{0, 0, 0, 0},
-		{63, 0, 63, 7},
-		{64, 64, 0, 0},
-		{0x1234, 0x1200, 0x34, 6},
-		{0xFFFF_FFFF_FFFF_FFC8, 0xFFFF_FFFF_FFFF_FFC0, 8, 1},
+		{0, 0, 0},
+		{63, 0, 7},
+		{64, 64, 0},
+		{0x1234, 0x1200, 6},
+		{0xFFFF_FFFF_FFFF_FFC8, 0xFFFF_FFFF_FFFF_FFC0, 1},
 	}
 	for _, c := range cases {
 		if got := LineAddr(c.addr); got != c.lineAddr {
 			t.Errorf("LineAddr(%#x) = %#x, want %#x", c.addr, got, c.lineAddr)
-		}
-		if got := LineOffset(c.addr); got != c.offset {
-			t.Errorf("LineOffset(%#x) = %d, want %d", c.addr, got, c.offset)
 		}
 		if got := WordIndex(c.addr); got != c.wordIdx {
 			t.Errorf("WordIndex(%#x) = %d, want %d", c.addr, got, c.wordIdx)

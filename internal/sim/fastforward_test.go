@@ -115,7 +115,7 @@ func TestFastForwardBitIdentical(t *testing.T) {
 			// verdict on every second tick reads 0.6785 here and passes
 			// everything above.
 			if c.fabric == "" && c.cpus == 4 {
-				f := r.FastForwardSkipFraction()
+				f := float64(r.SkippedCycles) / float64(r.Cycles)
 				if c.workload == "specjbb" && c.tech == (Techniques{}) && f < 0.69 {
 					t.Errorf("%s: fast-forward skipped %.4f of the cycles, want at least 0.69", c.name(), f)
 				}

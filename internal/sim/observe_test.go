@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestTracerThreading(t *testing.T) {
 	cfg := fastCfg(Techniques{MESTI: true, EMESTI: true, LVP: true})
 	cfg.Trace = tr
 	w := lockCounterWorkload(cfg.CPUs, 20, 40, false)
-	r := New(cfg, w).Run(w)
+	r := RunOne(cfg, w)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func (s *orderSink) Close() error { return nil }
 func TestHistogramsPopulated(t *testing.T) {
 	cfg := fastCfg(Techniques{MESTI: true, EMESTI: true})
 	w := lockCounterWorkload(cfg.CPUs, 20, 40, false)
-	r := New(cfg, w).Run(w)
+	r := RunOne(cfg, w)
 	for _, name := range []string{"lat/bus_wait", "lat/miss_service", "occ/mshr", "occ/storebuf", "lat/validate_reuse"} {
 		h, ok := r.Hists[name]
 		if !ok {
@@ -92,7 +93,7 @@ func TestHistogramsPopulated(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	cfg := fastCfg(Techniques{MESTI: true, EMESTI: true})
 	w := lockCounterWorkload(cfg.CPUs, 10, 20, false)
-	r := New(cfg, w).Run(w)
+	r := RunOne(cfg, w)
 	rep := NewReport(cfg, r)
 
 	var buf bytes.Buffer
@@ -125,7 +126,8 @@ func TestReportRoundTrip(t *testing.T) {
 
 // TestWatchdogPostMortem tightens the no-progress threshold below one
 // miss-service time so the watchdog fires mid-miss, and checks the
-// post-mortem dump lands in PostMortemTo before the panic.
+// post-mortem dump in the RunError: every section, with the event tail
+// of the configured tracer.
 func TestWatchdogPostMortem(t *testing.T) {
 	b := isa.NewBuilder("stall")
 	b.Li(isa.R10, 0x8000)
@@ -134,32 +136,24 @@ func TestWatchdogPostMortem(t *testing.T) {
 	cfg := fastCfg(Techniques{MESTI: true})
 	w := singleCPUWorkload("stall", b.Build(), cfg.CPUs)
 	cfg.NoProgressCycles = 10
-	var buf bytes.Buffer
-	cfg.PostMortemTo = &buf
 	cfg.Trace = trace.New(64, nil) // ring-only: feeds the dump's event tail
 
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("watchdog did not fire")
+	_, err := New(cfg, w).RunErr(w)
+	var re *RunError
+	if !errors.As(err, &re) || !strings.Contains(re.Reason, "deadlock") {
+		t.Fatalf("watchdog did not fire: %v", err)
+	}
+	for _, want := range []string{
+		"post-mortem",
+		"cpu0",         // per-core pipeline state
+		"mshr addr=",   // outstanding miss registers
+		"trace events", // event tail from the ring
+		"end post-mortem",
+	} {
+		if !strings.Contains(re.PostMortem, want) {
+			t.Errorf("post-mortem missing %q:\n%s", want, re.PostMortem)
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "deadlock") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-		dump := buf.String()
-		for _, want := range []string{
-			"post-mortem",
-			"cpu0",         // per-core pipeline state
-			"mshr addr=",   // outstanding miss registers
-			"trace events", // event tail from the ring
-			"end post-mortem",
-		} {
-			if !strings.Contains(dump, want) {
-				t.Errorf("post-mortem missing %q:\n%s", want, dump)
-			}
-		}
-	}()
-	New(cfg, w).Run(w)
+	}
 }
 
 // TestWatchdogDefault checks the zero value means the documented
@@ -170,7 +164,7 @@ func TestWatchdogDefault(t *testing.T) {
 		t.Fatalf("fastCfg sets NoProgressCycles = %d, expected zero value", cfg.NoProgressCycles)
 	}
 	w := lockCounterWorkload(cfg.CPUs, 5, 10, false)
-	r := New(cfg, w).Run(w) // must not panic
+	r := RunOne(cfg, w)
 	if !r.Finished {
 		t.Error("run did not finish under the default watchdog")
 	}

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"io"
+	"strings"
 
 	"tssim/internal/trace"
 )
@@ -11,27 +11,27 @@ import (
 // includes.
 const postMortemEvents = 64
 
-// PostMortem writes a full machine dump: per-core pipeline state, live
+// postMortem renders a full machine dump: per-core pipeline state, live
 // MSHRs and store buffers, the interconnect's queues and in-flight
 // transactions, and — when a tracer is attached — the last events
-// before the hang. Run calls it when the no-progress watchdog fires,
-// before panicking; tests and debugging sessions may call it directly
-// on a stuck System.
-func (s *System) PostMortem(w io.Writer, reason string) {
-	fmt.Fprintf(w, "=== tssim post-mortem: %s ===\n", reason)
-	fmt.Fprintf(w, "cycle=%d cpus=%d tech=%s\n", s.now, s.cfg.CPUs, s.cfg.Tech)
-	fmt.Fprint(w, s.Bus.DebugString())
+// before the failure. It becomes RunError.PostMortem.
+func (s *System) postMortem(reason string) string {
+	var w strings.Builder
+	fmt.Fprintf(&w, "=== tssim post-mortem: %s ===\n", reason)
+	fmt.Fprintf(&w, "cycle=%d cpus=%d tech=%s\n", s.now, s.cfg.CPUs, s.cfg.Tech)
+	w.WriteString(s.Bus.DebugString())
 	for i, c := range s.Cores {
-		fmt.Fprint(w, c.DebugState())
-		fmt.Fprint(w, s.Nodes[i].DebugMSHRs())
-		fmt.Fprint(w, s.Nodes[i].DebugStoreBuf())
+		w.WriteString(c.DebugState())
+		w.WriteString(s.Nodes[i].DebugMSHRs())
+		w.WriteString(s.Nodes[i].DebugStoreBuf())
 	}
 	if tr := s.cfg.Trace; tr != nil {
 		evs := tr.Last(postMortemEvents)
-		fmt.Fprintf(w, "last %d trace events (of %d emitted):\n%s",
+		fmt.Fprintf(&w, "last %d trace events (of %d emitted):\n%s",
 			len(evs), tr.Total(), trace.FormatEvents(evs))
 	} else {
-		fmt.Fprintln(w, "no event trace recorded (set Config.Trace to capture one)")
+		w.WriteString("no event trace recorded (set Config.Trace to capture one)\n")
 	}
-	fmt.Fprintln(w, "=== end post-mortem ===")
+	w.WriteString("=== end post-mortem ===\n")
+	return w.String()
 }

@@ -34,10 +34,9 @@ type RunError struct {
 	Tech     Techniques
 	Reason   string
 
-	// PostMortem holds the captured machine dump (watchdog trips with
-	// no Config.PostMortemTo destination) or the panic stack trace
-	// (recovered panics). Empty when the dump was streamed to a
-	// configured writer instead.
+	// PostMortem holds the captured machine dump (watchdog trip,
+	// checker or audit violation) or the stack trace of a recovered
+	// panic; empty for a workload-validation failure.
 	PostMortem string
 }
 
@@ -57,30 +56,16 @@ type Job struct {
 // — deadlock watchdog, validation failure, and any panic escaping the
 // simulator — into Result.Err instead of crashing the caller. It is
 // the per-run unit the Runner executes.
-func RunOneErr(cfg Config, w Workload) (res Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res.Workload = w.Name
-			res.Tech = cfg.Tech
-			res.Err = &RunError{
-				Workload:   w.Name,
-				Tech:       cfg.Tech,
-				Reason:     fmt.Sprintf("panic: %v", r),
-				PostMortem: string(debug.Stack()),
-			}
-		}
-	}()
-	res, _ = New(cfg, w).RunErr(w)
-	return res
+func RunOneErr(cfg Config, w Workload) Result {
+	return runOne(cfg, w, nil)
 }
 
-// RunOneErrTimed is RunOneErr with a wall-clock phase breakdown for
-// the telemetry layer: construction (New, including workload memory
-// init) is timed apart from the simulate loop and the result
-// merge/validation epilogue (see System.runErr). The phase clocks are
-// pure observation — simulated cycles and counters are byte-identical
-// to the untimed path.
-func RunOneErrTimed(cfg Config, w Workload) (res Result, ph telemetry.JobPhases) {
+// runOne is RunOneErr with an optional wall-clock phase breakdown for
+// the telemetry layer: when ph is non-nil, construction (New, including
+// workload memory init) is timed apart from the simulate loop and the
+// merge epilogue (see System.run). With ph nil no clock is read; the
+// result is the same either way.
+func runOne(cfg Config, w Workload, ph *telemetry.JobPhases) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Workload = w.Name
@@ -93,11 +78,16 @@ func RunOneErrTimed(cfg Config, w Workload) (res Result, ph telemetry.JobPhases)
 			}
 		}
 	}()
-	t0 := time.Now()
+	var t0 time.Time
+	if ph != nil {
+		t0 = time.Now()
+	}
 	s := New(cfg, w)
-	ph.Construct = time.Since(t0).Nanoseconds()
-	res, _ = s.runErr(w, &ph)
-	return res, ph
+	if ph != nil {
+		ph.Construct = time.Since(t0).Nanoseconds()
+	}
+	res, _ = s.run(w, ph)
+	return res
 }
 
 // Runner fans independent runs out across a bounded worker pool.
@@ -124,9 +114,9 @@ func (r *Runner) Jobs(n int) *Runner {
 
 // Collect attaches a telemetry collector: every subsequent RunAll
 // reports per-job spans, per-worker busy time, and runtime metrics to
-// it. A nil collector (the default) leaves the execution paths exactly
-// as they were — no clocks are read per job, and results are
-// byte-identical either way. Returns the Runner for chaining.
+// it. With a nil collector (the default) no clock is read per job;
+// results are byte-identical either way. Returns the Runner for
+// chaining.
 func (r *Runner) Collect(c *telemetry.Collector) *Runner {
 	r.tel = c
 	return r
@@ -152,18 +142,17 @@ func (r *Runner) RunAll(jobs []Job) []Result {
 		tel.SweepStart(poolWidth, len(jobs))
 		defer tel.SweepEnd()
 	}
-	// runJob executes jobs[i] on the given worker slot. The telemetry
-	// branch times the job's phases and reports them; the plain branch
-	// is the historical zero-overhead path.
+	// runJob executes jobs[i] on the given worker slot; with a
+	// collector it also times the job's phases and reports them.
 	runJob := func(worker, i int) {
 		if tel == nil {
 			results[i] = RunOneErr(jobs[i].Cfg, jobs[i].W)
 			return
 		}
 		tok := tel.JobStart(worker)
-		res, ph := RunOneErrTimed(jobs[i].Cfg, jobs[i].W)
-		results[i] = res
-		tel.JobEnd(tok, res.Cycles, res.Err != nil, ph)
+		var ph telemetry.JobPhases
+		results[i] = runOne(jobs[i].Cfg, jobs[i].W, &ph)
+		tel.JobEnd(tok, results[i].Cycles, results[i].Err != nil, ph)
 	}
 	if workers <= 1 {
 		for i := range jobs {
@@ -194,7 +183,7 @@ func (r *Runner) RunAll(jobs []Job) []Result {
 // a splitmix64-style 64-bit mix. The historical derivation, base +
 // i*7919, collided across sweep cells whose base seeds differ by a
 // multiple of 7919 (cell A's run i reused cell B's run i±k jitter
-// stream), silently correlating "independent" samples in RunSample's
+// stream), silently correlating "independent" samples in Sample's
 // confidence intervals. Mixing both inputs through the full avalanche
 // makes any two (base, i) pairs produce unrelated seeds.
 func sampleSeed(base int64, i int) int64 {

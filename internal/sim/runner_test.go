@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -150,25 +149,6 @@ func TestRunOneErrDeadlockCaptured(t *testing.T) {
 	}
 	if r.Cycles == 0 || len(r.Counters) == 0 {
 		t.Error("partial result missing cycles/counters")
-	}
-}
-
-// TestRunErrRespectsPostMortemTo: with a configured destination the
-// dump streams there and the error's PostMortem stays empty.
-func TestRunErrRespectsPostMortemTo(t *testing.T) {
-	w, cfg := stallWorkload(4)
-	var buf bytes.Buffer
-	cfg.PostMortemTo = &buf
-	_, err := New(cfg, w).RunErr(w)
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("err is %T, want *RunError", err)
-	}
-	if re.PostMortem != "" {
-		t.Error("dump captured into error despite a configured PostMortemTo")
-	}
-	if !strings.Contains(buf.String(), "post-mortem") {
-		t.Error("dump did not reach the configured writer")
 	}
 }
 

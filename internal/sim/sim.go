@@ -4,18 +4,16 @@
 // the statistics the paper's evaluation reports.
 //
 // It is the public face of the simulator: examples, the experiment
-// harness, and benchmarks drive everything through sim.Config /
-// sim.New / sim.Run and the multi-seed RunSample helper implementing
-// the confidence-interval methodology (§5.3, citing Alameldeen-Wood).
+// harness, and the benchmark drive everything through sim.Config and
+// one run path — RunOneErr for a cell, Runner for a matrix of cells
+// (its Sample implements the multi-seed confidence-interval
+// methodology of §5.3, citing Alameldeen-Wood), and System.RunErr for
+// callers that inspect the machine afterwards.
 package sim
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 	"strings"
 	"time"
 
@@ -137,18 +135,15 @@ type Config struct {
 
 	// NoProgressCycles is the deadlock watchdog threshold: if no
 	// instruction retires machine-wide for this many cycles the run
-	// dumps a post-mortem and panics (0 = DefaultNoProgressCycles).
-	// Tests tighten it to exercise the watchdog quickly.
+	// fails with a *RunError carrying the post-mortem dump
+	// (0 = DefaultNoProgressCycles). Tests tighten it to exercise the
+	// watchdog quickly.
 	NoProgressCycles uint64
 
 	// Trace, when non-nil, receives every coherence/speculation event
 	// (see internal/trace). Nil disables tracing entirely: the hot
 	// paths then pay only a nil check per event site.
 	Trace *trace.Tracer
-
-	// PostMortemTo overrides where the watchdog post-mortem dump is
-	// written (nil = os.Stderr).
-	PostMortemTo io.Writer
 
 	// CheckCommits enables the in-order commit checker on every core.
 	CheckCommits bool
@@ -193,42 +188,6 @@ type Config struct {
 	// interleavings: every knob is plain configuration, so each
 	// perturbed run is exactly as reproducible as an unperturbed one.
 	StartOffsets []uint64
-}
-
-// ValidateCPUs rejects a -cpus value outside 1..64: the workload
-// generators' address layouts and the directory's 64-bit sharer vector
-// both end there.
-func ValidateCPUs(n int) error {
-	if n < 1 || n > 64 {
-		return fmt.Errorf("-cpus %d: must be between 1 and 64", n)
-	}
-	return nil
-}
-
-// ValidateSizes rejects the -scale, -seeds and -j values the CLIs would
-// otherwise run as something else: the library's Params treat a
-// non-positive scale or seed count as "unset" and answer with scale 1,
-// one seed.
-func ValidateSizes(scale, seeds, jobs int) error {
-	switch {
-	case scale < 1:
-		return fmt.Errorf("-scale %d: must be at least 1", scale)
-	case seeds < 1:
-		return fmt.Errorf("-seeds %d: must be at least 1", seeds)
-	case jobs < 0:
-		return fmt.Errorf("-j %d: must be 0 (GOMAXPROCS) or more", jobs)
-	}
-	return nil
-}
-
-// ValidateNoArgs rejects positional arguments: neither CLI takes one,
-// and package flag stops reading at the first, so a forgotten -tech in
-// `-workload specjbb mesti -cpus 16` would otherwise run the defaults.
-func ValidateNoArgs(args []string) error {
-	if len(args) > 0 {
-		return fmt.Errorf("unexpected argument %q (flags after it were not read)", args[0])
-	}
-	return nil
 }
 
 // DefaultMaxCycles bounds runaway workloads.
@@ -285,50 +244,18 @@ type Result struct {
 	// reports and verbose CLI output read it directly.
 	Stats *stats.Counters
 
-	// Err records why the run failed (deadlock watchdog, workload
-	// validation, recovered panic) when executed through the
-	// error-carrying paths (RunErr, RunOneErr, Runner). A failed run
-	// still carries whatever cycles/counters it accumulated, so a
+	// Err records why the run failed (deadlock watchdog, checker or
+	// audit violation, workload validation, recovered panic). A failed
+	// run still carries whatever cycles/counters it accumulated, so a
 	// post-mortem can read them. Nil on success.
 	Err error
 
-	// Wall is the host wall-clock time the run took (loop + result
-	// assembly + validation, excluding machine construction). It is a
-	// harness measurement, not a simulated quantity: it varies run to
-	// run and is deliberately excluded from reports, tables, and
-	// determinism comparisons. The experiments timing footer (-timing)
-	// and the telemetry layer read it.
-	Wall time.Duration
-
 	// SkippedCycles counts the simulated cycles the next-event
 	// fast-forward path jumped over instead of ticking (0 under
-	// NoFastForward). Like Wall it is a harness measurement: the
-	// simulated machine behaves identically either way, so it is
-	// excluded from reports, tables, and determinism comparisons.
+	// NoFastForward). It is a harness measurement: the simulated
+	// machine behaves identically either way, so it is excluded from
+	// reports, tables, and determinism comparisons.
 	SkippedCycles uint64
-}
-
-// FastForwardSkipFraction returns the fraction of simulated cycles the
-// fast-forward path skipped (0 when fast-forward is off or the run is
-// empty).
-func (r Result) FastForwardSkipFraction() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.SkippedCycles) / float64(r.Cycles)
-}
-
-// SimCyclesPerSec returns simulated cycles per host wall-clock second
-// — the run-level throughput figure the timing footer reports. The
-// numerator is *architectural* cycles (Result.Cycles), counting cycles
-// the fast-forward path skipped as simulated: throughput numbers stay
-// comparable across hosts regardless of how many cycles were actually
-// ticked.
-func (r Result) SimCyclesPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Cycles) / r.Wall.Seconds()
 }
 
 // IPC returns aggregate committed instructions per cycle across all
@@ -519,50 +446,27 @@ func (s *System) skipTo(target uint64) {
 	s.now = target
 }
 
-// Run executes until every CPU halts (and the interconnect drains) or
-// MaxCycles elapse, then returns the result. Failures (deadlock
-// watchdog, workload validation) panic, preserving the historical
-// fail-fast contract for tests and examples; the deadlock post-mortem
-// goes to Config.PostMortemTo (os.Stderr when nil). Batch callers
-// should prefer RunErr/RunOneErr, which return the failure as an
-// error instead.
-func (s *System) Run(w Workload) Result {
-	res, err := s.RunErr(w)
-	if err != nil {
-		var re *RunError
-		if errors.As(err, &re) && re.PostMortem != "" {
-			// RunErr captured the dump because no destination was
-			// configured; the panicking path streams it to stderr as
-			// it always has.
-			io.WriteString(os.Stderr, re.PostMortem)
-			panic("sim: " + re.Reason)
-		}
-		if re != nil {
-			panic("sim: " + re.Reason)
-		}
-		panic("sim: " + err.Error())
-	}
-	return res
-}
-
-// RunErr executes like Run but reports failures as an error instead of
-// panicking: a deadlock-watchdog trip or a workload-validation failure
+// RunErr executes until every CPU halts (and the interconnect drains)
+// or MaxCycles elapse, then returns the result. A deadlock-watchdog
+// trip, a checker or audit violation, or a workload-validation failure
 // returns a *RunError (also stored in Result.Err) alongside whatever
-// partial result the run accumulated. When the watchdog fires and no
-// Config.PostMortemTo is set, the post-mortem dump is captured into
-// RunError.PostMortem rather than interleaved on stderr — essential
-// when many runs execute concurrently under a Runner.
+// partial result the run accumulated; the machine dump is captured into
+// RunError.PostMortem, never interleaved on stderr — essential when
+// many runs execute concurrently under a Runner.
 func (s *System) RunErr(w Workload) (Result, error) {
-	return s.runErr(w, nil)
+	return s.run(w, nil)
 }
 
-// runErr is the RunErr core. When ph is non-nil the simulate loop and
+// run is the one run loop. When ph is non-nil the simulate loop and
 // the merge epilogue (counter snapshots + validation) are wall-clocked
-// into it for the telemetry layer; with ph nil only the two clock
-// reads backing Result.Wall are taken. Phase timing is a pure
-// observation — nothing simulated reads the host clock.
-func (s *System) runErr(w Workload, ph *telemetry.JobPhases) (Result, error) {
-	start := time.Now()
+// into it for the telemetry layer; with ph nil the host clock is never
+// read. Phase timing is a pure observation — nothing simulated reads
+// the host clock.
+func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
+	var start time.Time
+	if ph != nil {
+		start = time.Now()
+	}
 	lastRetired := uint64(0)
 	lastProgress := uint64(0)
 	watchdog := s.cfg.NoProgressCycles
@@ -627,8 +531,9 @@ func (s *System) runErr(w Workload, ph *telemetry.JobPhases) (Result, error) {
 			runErr = s.failWithPostMortem(w, err.Error())
 		}
 	}
-	mergeStart := time.Now()
+	var mergeStart time.Time
 	if ph != nil {
+		mergeStart = time.Now()
 		ph.Simulate = mergeStart.Sub(start).Nanoseconds()
 	}
 	res := Result{
@@ -658,10 +563,8 @@ func (s *System) runErr(w Workload, ph *telemetry.JobPhases) (Result, error) {
 			}
 		}
 	}
-	end := time.Now()
-	res.Wall = end.Sub(start)
 	if ph != nil {
-		ph.Merge = end.Sub(mergeStart).Nanoseconds()
+		ph.Merge = time.Since(mergeStart).Nanoseconds()
 	}
 	if runErr != nil {
 		res.Err = runErr
@@ -670,19 +573,10 @@ func (s *System) runErr(w Workload, ph *telemetry.JobPhases) (Result, error) {
 	return res, nil
 }
 
-// failWithPostMortem builds a RunError for a failed run and routes the
-// machine dump: streamed to Config.PostMortemTo when set, else
-// captured into the error (essential under a parallel Runner).
+// failWithPostMortem builds the RunError for a failed run, the machine
+// dump captured into it.
 func (s *System) failWithPostMortem(w Workload, reason string) *RunError {
-	re := &RunError{Workload: w.Name, Tech: s.cfg.Tech, Reason: reason}
-	if out := s.cfg.PostMortemTo; out != nil {
-		s.PostMortem(out, reason)
-	} else {
-		var buf bytes.Buffer
-		s.PostMortem(&buf, reason)
-		re.PostMortem = buf.String()
-	}
-	return re
+	return &RunError{Workload: w.Name, Tech: s.cfg.Tech, Reason: reason, PostMortem: s.postMortem(reason)}
 }
 
 func (s *System) storeBuffersEmpty() bool {
@@ -716,23 +610,12 @@ func (s *System) readWord(addr uint64) uint64 {
 	return s.Mem.ReadWord(addr)
 }
 
-// RunOne is the one-shot convenience: assemble, run, return.
+// RunOne is RunOneErr for examples and tests, which have nothing to
+// do with a failed cell: it panics with the post-mortem and the error.
 func RunOne(cfg Config, w Workload) Result {
-	return New(cfg, w).Run(w)
-}
-
-// RunSample runs the same workload/config with n different seeds
-// (enabling latency jitter) and returns the cycle-count sample — the
-// non-deterministic-workload methodology the paper adopts for its 95%
-// confidence intervals. Runs fan out across GOMAXPROCS workers via the
-// default Runner; seed derivation and result order are identical to
-// the historical serial loop, so the sample is bit-for-bit the same at
-// any parallelism. Panics on the first failed run (see Runner.Sample
-// for the error-returning form).
-func RunSample(cfg Config, w Workload, n int) *stats.Sample {
-	s, err := NewRunner().Sample(cfg, w, n)
-	if err != nil {
-		panic(err.Error())
+	r := RunOneErr(cfg, w)
+	if re, ok := r.Err.(*RunError); ok {
+		panic(re.PostMortem + re.Error())
 	}
-	return s
+	return r
 }

@@ -96,13 +96,14 @@ func TestSingleCPUMatchesInterpreter(t *testing.T) {
 	w := singleCPUWorkload("check", prog, 1)
 	cfg := fastCfg(Techniques{})
 	cfg.CPUs = 1
-	res := RunOne(cfg, w)
+	sys := New(cfg, w)
+	res, err := sys.RunErr(w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Finished {
 		t.Fatal("run did not finish")
 	}
-	sys := New(cfg, w)
-	res2 := sys.Run(w)
-	_ = res2
 
 	in := isa.NewInterp(mem.New(), prog)
 	if _, err := in.Run(10000); err != nil {
@@ -202,7 +203,10 @@ func TestRunSampleProducesSpread(t *testing.T) {
 	w := lockCounterWorkload(2, 10, 50, false)
 	cfg := fastCfg(Techniques{})
 	cfg.CPUs = 2
-	s := RunSample(cfg, w, 3)
+	s, err := NewRunner().Sample(cfg, w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.N() != 3 {
 		t.Fatalf("samples = %d, want 3", s.N())
 	}

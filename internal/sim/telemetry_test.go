@@ -59,24 +59,10 @@ func TestCollectorDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestResultWallPopulated: every run carries its harness wall time, and
-// the derived throughput figure is consistent with it.
-func TestResultWallPopulated(t *testing.T) {
-	w := lockCounterWorkload(2, 10, 50, false)
-	cfg := fastCfg(Techniques{})
-	cfg.CPUs = 2
-	r := RunOne(cfg, w)
-	if r.Wall <= 0 {
-		t.Fatalf("Result.Wall = %v, want > 0", r.Wall)
-	}
-	want := float64(r.Cycles) / r.Wall.Seconds()
-	if got := r.SimCyclesPerSec(); got != want {
-		t.Errorf("SimCyclesPerSec = %v, want %v", got, want)
-	}
-}
-
 // TestCollectorSeesFailures: a job that trips the watchdog is counted
-// as failed without disturbing its neighbors' telemetry.
+// as failed without disturbing its neighbors' telemetry, and — the
+// observed and the plain run being one function — comes back as the
+// same Result either way: error, post-mortem and partial counters.
 func TestCollectorSeesFailures(t *testing.T) {
 	w, cfg := stallWorkload(4)
 	okW := lockCounterWorkload(4, 10, 40, false)
@@ -94,5 +80,8 @@ func TestCollectorSeesFailures(t *testing.T) {
 	rep := tel.Report()
 	if rep.JobsDone != 2 || rep.JobsFailed != 1 {
 		t.Errorf("collector saw %d done / %d failed, want 2/1", rep.JobsDone, rep.JobsFailed)
+	}
+	if plain := NewRunner().Jobs(2).RunAll(jobs); !reflect.DeepEqual(plain, results) {
+		t.Errorf("results differ with a collector attached:\nplain:    %+v\nobserved: %+v", plain, results)
 	}
 }

@@ -104,14 +104,6 @@ func TestHistRegistry(t *testing.T) {
 	if snaps["lat/test"].N != 1 || snaps["occ/other"].N != 0 {
 		t.Errorf("snapshot counts wrong: %+v", snaps)
 	}
-
-	// Merge folds histograms as well as counters.
-	d := NewCounters()
-	d.Hist("lat/test").Observe(9)
-	c.Merge(d)
-	if got := c.Hist("lat/test").N(); got != 2 {
-		t.Errorf("after Merge, lat/test has N = %d, want 2", got)
-	}
 }
 
 func TestHistSnapshotJSON(t *testing.T) {

@@ -24,15 +24,15 @@ const counterBlock = 64
 // controller, core, predictor) increments counters on a shared set so
 // experiments can read one flat namespace.
 //
-// Hot paths resolve a Counter handle once at construction (see
-// Counter); the string-keyed methods remain for cold paths, tests, and
-// ad-hoc accounting. Both views alias the same cell: a counter
-// reached through its handle and through its name is one value.
+// Writing goes through a Counter handle, resolved once at construction
+// (see Counter); reading goes by name (Get, Names, Snapshot). Both views
+// alias the same cell: a counter reached through its handle and through
+// its name is one value.
 //
 // A name interned by Counter but never incremented is indistinguishable
-// from a counter that was never touched: Names, Snapshot, Sum and Merge
-// all skip zero-valued cells, so resolving handles eagerly at
-// construction does not change any report or experiment output.
+// from a counter that was never touched: Names and Snapshot skip
+// zero-valued cells, so resolving handles eagerly at construction does
+// not change any report or experiment output.
 type Counters struct {
 	cells  map[string]*uint64
 	blocks [][]uint64 // dense backing storage; blocks are never reallocated
@@ -84,12 +84,6 @@ func (h Counter) Add(delta uint64) { *h.v += delta }
 // Get returns the current value.
 func (h Counter) Get() uint64 { return *h.v }
 
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) { *c.cell(name)++ }
-
-// Add adds delta to the named counter.
-func (c *Counters) Add(name string, delta uint64) { *c.cell(name) += delta }
-
 // Get returns the current value of the named counter (zero if never
 // touched).
 func (c *Counters) Get(name string) uint64 {
@@ -98,11 +92,6 @@ func (c *Counters) Get(name string) uint64 {
 	}
 	return 0
 }
-
-// Set overwrites the named counter. Used for gauge-like values such as
-// final cycle counts. (Setting a counter to zero makes it disappear
-// from Names/Snapshot, like a counter that was never touched.)
-func (c *Counters) Set(name string, v uint64) { *c.cell(name) = v }
 
 // Names returns the names of all non-zero counters in sorted order.
 func (c *Counters) Names() []string {
@@ -125,32 +114,6 @@ func (c *Counters) Snapshot() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// Merge adds every counter and histogram in other into c.
-func (c *Counters) Merge(other *Counters) {
-	for k, p := range other.cells {
-		if *p != 0 {
-			*c.cell(k) += *p
-		}
-	}
-	for k, h := range other.hists {
-		c.Hist(k).Merge(h)
-	}
-}
-
-// Sum returns the total across counters whose name has the given
-// prefix. Counter names use slash-separated hierarchies
-// (e.g. "bus/txn/read"), so Sum("bus/txn/") totals all transaction
-// types.
-func (c *Counters) Sum(prefix string) uint64 {
-	var total uint64
-	for k, p := range c.cells {
-		if strings.HasPrefix(k, prefix) {
-			total += *p
-		}
-	}
-	return total
 }
 
 // Sample accumulates observations of one scalar metric across repeated
@@ -259,15 +222,6 @@ func tCrit95(df int) float64 {
 	return 1.960
 }
 
-// Ratio is a convenience for speedup-style metrics: value relative to a
-// baseline, e.g. Ratio(baseCycles, newCycles) > 1 means faster.
-func Ratio(baseline, measured float64) float64 {
-	if measured == 0 {
-		return 0
-	}
-	return baseline / measured
-}
-
 // Table renders fixed-width text tables for experiment output. Rows
 // are added as string cells; numeric helpers format consistently.
 type Table struct {
@@ -336,8 +290,3 @@ func Pct(x float64) string {
 
 // F formats a float with 3 significant decimals.
 func F(x float64) string { return fmt.Sprintf("%.3f", x) }
-
-// MeanCI formats "mean ± ci".
-func MeanCI(s *Sample) string {
-	return fmt.Sprintf("%.3f ±%.3f", s.Mean(), s.CI95())
-}

@@ -55,7 +55,7 @@ const (
 var phaseNames = []string{PhaseQueue, PhaseConstruct, PhaseSimulate, PhaseMerge, PhaseTeardown}
 
 // JobPhases carries one job's per-phase wall time in nanoseconds. The
-// simulator fills Construct/Simulate/Merge (see sim.RunOneErrTimed);
+// simulator fills Construct/Simulate/Merge (see sim.Runner.RunAll);
 // the Runner derives Queue and Teardown around them.
 type JobPhases struct {
 	Queue     int64

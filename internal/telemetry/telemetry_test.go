@@ -349,30 +349,3 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Errorf("no spans block in report")
 	}
 }
-
-// TestCLIOptionsInactive: the zero value must hand back a nil
-// collector (the Runner's uninstrumented path) and a no-op stop.
-func TestCLIOptionsInactive(t *testing.T) {
-	var buf bytes.Buffer
-	c, stop, err := CLIOptions{}.Start(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != nil {
-		t.Errorf("inactive options built a collector")
-	}
-	if err := stop(); err != nil {
-		t.Errorf("no-op stop errored: %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("inactive options wrote output: %q", buf.String())
-	}
-}
-
-func TestCLIOptionsBadFormat(t *testing.T) {
-	var buf bytes.Buffer
-	_, _, err := CLIOptions{Progress: time.Second, ProgressFormat: "xml"}.Start(&buf)
-	if err == nil {
-		t.Fatal("bad progress format accepted")
-	}
-}

@@ -47,12 +47,6 @@ const (
 	rDel   = isa.R23 // delay chain register
 )
 
-// KernelOpLabels are the shared-routine labels EmitKernelRoutine
-// returns so call sites can jump into it.
-type KernelOpLabels struct {
-	Entry isa.Label // jump here with rKAddr/rMode set and rA3 = return dispatch index
-}
-
 // EmitKernelOp emits the shared "kernel synchronization routine" of
 // §4.1/§4.2.3 inline: a single static LL/SC sequence that implements
 // *both* lock acquisition (rMode != 0: spin until free, swap in 1) and
@@ -106,11 +100,6 @@ func EmitKernelOp(b *isa.Builder, unsafeISync bool, backoff int) {
 	b.Beq(rMode, isa.R0, skipISync)
 	b.ISync(unsafeISync)
 	b.Mark(skipISync)
-}
-
-// idleProgram halts immediately; used to pad CPU counts.
-func idleProgram() *isa.Program {
-	return isa.NewBuilder("idle").Halt().Build()
 }
 
 // expectWord builds a Validate closure checking one final word value.
