@@ -221,15 +221,3 @@ func (c *Cache) ForEach(fn func(l *Line)) {
 		}
 	}
 }
-
-// CountState returns how many allocated lines carry the given protocol
-// state byte. Used by invariant checks in tests.
-func (c *Cache) CountState(state uint8) int {
-	n := 0
-	c.ForEach(func(l *Line) {
-		if l.State == state {
-			n++
-		}
-	})
-	return n
-}

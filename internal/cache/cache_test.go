@@ -132,17 +132,18 @@ func TestLineSize(t *testing.T) {
 	}
 }
 
+// ForEach hands out the lines themselves, protocol state included: the
+// census the checkers take of a cache.
 func TestCountState(t *testing.T) {
 	c := New(cfg(4096, 4))
 	for i := 0; i < 5; i++ {
 		f, _ := c.Allocate(uint64(i) * 64)
 		f.State = uint8(i % 2)
 	}
-	if got := c.CountState(0); got != 3 {
-		t.Fatalf("CountState(0) = %d, want 3", got)
-	}
-	if got := c.CountState(1); got != 2 {
-		t.Fatalf("CountState(1) = %d, want 2", got)
+	var byState [2]int
+	c.ForEach(func(l *Line) { byState[l.State]++ })
+	if byState != [2]int{3, 2} {
+		t.Fatalf("lines by state = %v, want [3 2]", byState)
 	}
 }
 

@@ -156,25 +156,6 @@ func (f *MSHRFile) Free(m *MSHR) {
 // histogram samples it every cycle.
 func (f *MSHRFile) InUse() int { return f.used }
 
-// OldestSpecSeq scans all MSHRs for the oldest op in program order
-// with outstanding speculative data, mirroring the commit-pointer scan
-// of §3.2 (performed only on miss/fill events in hardware). The second
-// result is false when no speculation is outstanding.
-func (f *MSHRFile) OldestSpecSeq() (uint64, bool) {
-	var oldest uint64
-	found := false
-	for i := range f.entries {
-		e := &f.entries[i]
-		if e.Valid && e.SpecDelivered {
-			if !found || e.OldestSeq < oldest {
-				oldest = e.OldestSeq
-				found = true
-			}
-		}
-	}
-	return oldest, found
-}
-
 // ForEach visits every live MSHR.
 func (f *MSHRFile) ForEach(fn func(m *MSHR)) {
 	for i := range f.entries {

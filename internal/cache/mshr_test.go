@@ -85,25 +85,6 @@ func TestMSHRVerifyNoSpeculation(t *testing.T) {
 	}
 }
 
-func TestOldestSpecSeqAcrossFile(t *testing.T) {
-	f := NewMSHRFile(4)
-	if _, ok := f.OldestSpecSeq(); ok {
-		t.Fatal("empty file reported speculation")
-	}
-	a := f.Alloc(0x1000, false)
-	b := f.Alloc(0x2000, false)
-	f.Alloc(0x3000, false) // no spec on this one
-	a.RecordSpec(0, 500, 1)
-	b.RecordSpec(0, 300, 2)
-	if seq, ok := f.OldestSpecSeq(); !ok || seq != 300 {
-		t.Fatalf("OldestSpecSeq = %d,%v; want 300,true", seq, ok)
-	}
-	f.Free(b)
-	if seq, ok := f.OldestSpecSeq(); !ok || seq != 500 {
-		t.Fatalf("after free = %d,%v; want 500,true", seq, ok)
-	}
-}
-
 func TestMSHRFileForEach(t *testing.T) {
 	f := NewMSHRFile(8)
 	f.Alloc(0x1000, false)

@@ -592,8 +592,10 @@ func (c *Controller) tryPerformHead() bool {
 
 	// Update-silent store squashing: a store whose value matches the
 	// current content of a readable line has no architectural effect
-	// and is dropped without acquiring write permission (§1, [21]).
-	if c.cfg.SquashUpdateSilent && l2line != nil && Readable(l2line.State) &&
+	// and is dropped without acquiring write permission (§1, [21]). It
+	// accompanies the silence-exploiting protocols, as in the paper's
+	// lineage ([21] precedes [22]).
+	if c.cfg.MESTI && l2line != nil && Readable(l2line.State) &&
 		l2line.Data.Word(slot) == e.val {
 		c.cnt.storeUSDetected.Inc()
 		c.cnt.storeUSSquash.Inc()

@@ -93,10 +93,9 @@ type Config struct {
 	StoreBuf  int // post-retirement store buffer capacity
 
 	// Technique selection.
-	MESTI              bool // T state + validate broadcast
-	EMESTI             bool // + Validate_Shared, useful response, predictor
-	LVP                bool // speculative load values from tag-match invalid lines
-	SquashUpdateSilent bool // drop stores whose value matches memory (update silence)
+	MESTI  bool // T state + validate broadcast, and update-silent stores dropped
+	EMESTI bool // + Validate_Shared, useful response, predictor
+	LVP    bool // speculative load values from tag-match invalid lines
 
 	ValidateParams predictor.ValidateParams // E-MESTI predictor tuning
 

@@ -7,15 +7,11 @@ import (
 	"tssim/internal/mem"
 )
 
-func mestiCfg(i int, c *Config) {
-	c.MESTI = true
-	c.SquashUpdateSilent = true
-}
+func mestiCfg(i int, c *Config) { c.MESTI = true }
 
 func emestiCfg(i int, c *Config) {
 	c.MESTI = true
 	c.EMESTI = true
-	c.SquashUpdateSilent = true
 }
 
 func lvpCfg(i int, c *Config) { c.LVP = true }

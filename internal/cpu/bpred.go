@@ -24,8 +24,8 @@ func newBpred(size int) *bpred {
 	return &bpred{table: t, mask: n - 1}
 }
 
-func (b *bpred) predict(pc int, ins isa.Instr) bool {
-	if ins.Op == isa.OpJmp {
+func (b *bpred) predict(pc int, op isa.Op) bool {
+	if op == isa.OpJmp {
 		return true
 	}
 	return b.table[pc&b.mask] >= 2

@@ -117,50 +117,65 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one RUU slot.
+// entry is one RUU slot. A core's RUUSize entries rotate through
+// entryPool; the fields are ordered widest first so the struct packs
+// into the allocator's 112-byte class (TestLayout holds the size).
 type entry struct {
 	seq uint64
-	pc  int
-	ins isa.Instr
+	ins *isa.Instr // into prog.Code (or isa's off-the-end halt): never written through
 
 	// Operand tracking: two source slots whose meaning depends on
 	// the op (base/value for stores, comparands for branches).
-	src      [2]uint64
-	srcReady [2]bool
-	srcProd  [2]uint64 // producing seq when not ready
+	src [2]uint64
 
-	issued    bool   // sent to a functional unit / memory
-	done      bool   // result available (broadcast happened)
-	doneAt    uint64 // cycle the result becomes available
-	executing bool   // between issue and doneAt
-	result    uint64
+	doneAt  uint64 // cycle the result becomes available
+	result  uint64
+	effAddr uint64
 
-	// Precomputed classification and readiness bookkeeping, so the
-	// per-cycle scheduler loops are O(1) per entry.
-	isLoad      bool
-	isStore     bool
-	isBranch    bool
-	needsAddr   bool // store whose address is not yet resolved
-	pendingSrcs int8 // count of not-yet-ready source operands
+	// The wake-up chain. A producer holds its youngest waiter — entry
+	// wake, whose source slot wakeSlot is unready for this result — and
+	// each waiting source slot holds the chain's next link in
+	// next/nextSlot. dispatchOne is the only place a link is made and it
+	// runs in seq order, so a chain is strictly descending in (seq,
+	// slot): the waiters a squash kills are a prefix, which squashAfter
+	// pops off every surviving producer before the killed entries are
+	// recycled. broadcast drains the chain; a done entry has none. The
+	// oracle checks all of it (auditWakeChains).
+	wake *entry
+	next [2]*entry
+
+	pc int32
+
+	wakeSlot    int8
+	nextSlot    [2]int8
+	pendingSrcs int8  // count of not-yet-ready source operands
+	dst         uint8 // architected register the result is written to; 0: none
+	srcReady    [2]bool
+
+	issued    bool // sent to a functional unit / memory
+	done      bool // result available (broadcast happened)
+	executing bool // between issue and doneAt
+
+	// Classification, copied from the instruction at dispatch so the
+	// per-cycle scheduler loops do not chase ins.
+	isLoad    bool
+	isStore   bool
+	isBranch  bool
+	needsAddr bool // store whose address is not yet resolved
 
 	// Memory state.
-	effAddr   uint64
 	addrKnown bool
 	memSent   bool // request handed to the memory system
 	clear     bool // load: no older store stalls or forwards to it, for good
 	specVal   bool // LVP: value is speculative, retire blocked
 
-	// Branch state.
-	predTaken bool
-	predNext  int
-
-	// SC state.
-	scSent bool
+	predTaken bool // branch: the direction fetch predicted
+	scSent    bool
 
 	// dead marks an entry returned to the pool (retired or squashed).
-	// execQ and the wakeup lists hold seq-tagged references that a squash
-	// leaves stale, and readyQ can hold one to an SC that has retired;
-	// dead plus a seq mismatch is how they are detected lazily.
+	// execQ holds seq-tagged references that a squash leaves stale, and
+	// readyQ can hold one to an SC that has retired; dead plus a seq
+	// mismatch is how they are detected lazily.
 	dead bool
 
 	// queued: this entry has been placed on the core's readyQ. Set at
@@ -168,35 +183,6 @@ type entry struct {
 	// can never become actionable again — so it doubles as the
 	// enqueue-dedup guard (slot-0 and slot-1 wakeups may both fire).
 	queued bool
-
-	// consHead is the wakeup list: consumers whose source slot waits
-	// on this entry's result, registered at dispatch and drained by
-	// broadcast. Chunks come from the core's free list (see
-	// consChunk), so steady state allocates nothing.
-	consHead *consChunk
-}
-
-// consRef is one wakeup registration: entry e (identified by seq, so a
-// recycled slot is detected) waits on the producer in source slot slot.
-type consRef struct {
-	e    *entry
-	seq  uint64
-	slot int8
-}
-
-// consChunk is a fixed-size block of wakeup registrations. Producers
-// hold a chain of chunks rather than per-entry slices: the core's
-// total live registrations are bounded by two source slots per window
-// entry, so the free list converges to a fixed size and the
-// steady-state cycle loop stays exactly allocation-free — per-entry
-// backing arrays would instead grow lazily forever as pool objects
-// rotate through producer roles.
-const consChunkCap = 7
-
-type consChunk struct {
-	refs [consChunkCap]consRef
-	n    int8
-	next *consChunk
 }
 
 // entryRef is a seq-tagged reference into the window, execQ's element.
@@ -222,37 +208,14 @@ type readyRef struct {
 	seq, retryVer uint64
 }
 
-func (e *entry) srcCount() int {
-	switch e.ins.Op {
-	case isa.OpNop, isa.OpJmp, isa.OpISync, isa.OpHalt:
-		return 0
-	case isa.OpAddi, isa.OpShli, isa.OpShri, isa.OpSlti, isa.OpMix, isa.OpLd, isa.OpLL:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// operandRegs returns the architected registers feeding the two source
-// slots: slot 0 is Ra; slot 1 is Rb for ALU/branch ops and Rd (the
-// store value) for St/SC.
-func operandRegs(ins isa.Instr) [2]uint8 {
-	switch ins.Op {
-	case isa.OpSt, isa.OpSC:
-		return [2]uint8{ins.Ra, ins.Rd}
-	default:
-		return [2]uint8{ins.Ra, ins.Rb}
-	}
-}
-
-// fetchSlot is an instruction in the front-end pipeline.
+// fetchSlot is an instruction in the front-end pipeline: where it is
+// (dispatch reads the instruction itself from the program), the branch
+// direction predicted at fetch (targets are exact: the instruction
+// encodes them), and when it reaches dispatch.
 type fetchSlot struct {
-	pc      int
-	ins     isa.Instr
-	readyAt uint64
-	// Branch prediction made at fetch.
+	readyAt   uint64
+	pc        int32
 	predTaken bool
-	predNext  int
 }
 
 // cpuCounters holds the core's pre-resolved counter handles (see
@@ -326,11 +289,10 @@ type Core struct {
 	stq    []*entry
 	stqBuf []*entry
 
-	// entryPool recycles retired/squashed RUU entries so dispatch does
-	// not allocate in steady state. chunkFree is the consChunk free
-	// list (intrusive, via next).
+	// entryPool holds the window entries not in flight: RUUSize of them
+	// exist, fetch keeps len(fetchQ)+len(ruu) within that, and a retired
+	// or squashed entry comes straight back, so dispatch always finds one.
 	entryPool []*entry
-	chunkFree *consChunk
 
 	// Scheduler fast-path bookkeeping.
 	numExecuting int // entries between issue and completion
@@ -445,17 +407,13 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 	// Preallocate the scheduler structures to their worst-case bounds
 	// so the cycle loop never allocates: execQ holds at most the window
 	// plus compaction slack in stale references, readyQ the window plus
-	// the one SC that retired since the last walk, and the chunk free
-	// list at most one partial chunk per producer plus the full
-	// registration load (two source slots per window entry).
+	// the one SC that retired since the last walk, and every window
+	// entry there will ever be is in the pool.
 	c.execQ = make([]entryRef, 0, 2*cfg.RUUSize)
 	c.readyQ = make([]readyRef, 0, cfg.RUUSize+1)
-	for i := 0; i < cfg.RUUSize+2*cfg.RUUSize/consChunkCap; i++ {
-		c.putChunk(&consChunk{})
-	}
-	c.entryPool = make([]*entry, 0, cfg.RUUSize+1)
-	for i := 0; i < cfg.RUUSize; i++ {
-		c.entryPool = append(c.entryPool, &entry{})
+	c.entryPool = make([]*entry, cfg.RUUSize)
+	for i := range c.entryPool {
+		c.entryPool[i] = &entry{}
 	}
 	if cfg.SLE.Enabled {
 		c.sle = newSLEEngine(c, cfg.SLE, counters)
@@ -486,7 +444,8 @@ func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
 // disambiguated and put to the memory system, never answered from its
 // clear verdict or its retry memo. Each shortcut is audited: a tick the
 // verdict called idle must move nothing and bump exactly the cached
-// spin set; the store queue must hold exactly the window's stores, and
+// spin set; the store queue must hold exactly the window's stores, the
+// wake-up chains exactly the window's unready source slots, and
 // a clear load must still be clear; a reference carrying a memo must be
 // to a live unissued load that the memory system refuses, counted, and
 // no squash may run inside the issue walk. The first violation
@@ -553,46 +512,12 @@ func (c *Core) ElidedLockValue() (addr, val uint64, ok bool) {
 
 // freeEntry returns a dead RUU entry to the pool for reuse by
 // dispatchOne. Callers must have dropped every strong reference to it
-// first (regProd, drainISync, stq, the SLE engine's region view); the
-// lazy seq-tagged references in execQ, readyQ and the wakeup lists see
-// the dead flag.
+// first (regProd, drainISync, stq, the SLE engine's region view, the
+// wake-up chains of surviving producers); the lazy seq-tagged references
+// in execQ and readyQ see the dead flag.
 func (c *Core) freeEntry(e *entry) {
 	e.dead = true
-	for ch := e.consHead; ch != nil; {
-		next := ch.next
-		c.putChunk(ch)
-		ch = next
-	}
-	e.consHead = nil
 	c.entryPool = append(c.entryPool, e)
-}
-
-func (c *Core) getChunk() *consChunk {
-	if ch := c.chunkFree; ch != nil {
-		c.chunkFree = ch.next
-		ch.next = nil
-		return ch
-	}
-	return &consChunk{}
-}
-
-func (c *Core) putChunk(ch *consChunk) {
-	ch.n = 0
-	ch.next = c.chunkFree
-	c.chunkFree = ch
-}
-
-// addConsumer registers consumer w's source slot against producer p.
-func (c *Core) addConsumer(p, w *entry, slot int8) {
-	ch := p.consHead
-	if ch == nil || ch.n == consChunkCap {
-		nc := c.getChunk()
-		nc.next = ch
-		p.consHead = nc
-		ch = nc
-	}
-	ch.refs[ch.n] = consRef{w, w.seq, slot}
-	ch.n++
 }
 
 // entryBySeq resolves a sequence number to its window entry, or nil
@@ -674,6 +599,11 @@ func (c *Core) Tick(now uint64) {
 	if !c.halted && now >= c.startAt {
 		c.commit()
 		c.complete()
+		if c.audit != nil && !held {
+			// A held verdict's tick moves nothing (checked below): the
+			// chains are the ones audited last.
+			c.auditWakeChains()
+		}
 		c.issue()
 		c.dispatch()
 		c.fetch()
@@ -808,15 +738,15 @@ func (c *Core) retireHead() {
 		c.numExecuting--
 	}
 	if c.OnCommit != nil {
-		c.OnCommit(e.pc, e.ins)
+		c.OnCommit(int(e.pc), *e.ins)
 	}
 	if c.OnCommitDebug != nil {
-		c.OnCommitDebug(e.seq, e.pc, e.ins, e.src[0], e.src[1], e.result)
+		c.OnCommitDebug(e.seq, int(e.pc), *e.ins, e.src[0], e.src[1], e.result)
 	}
-	if e.ins.IsMem() {
+	if e.isLoad || e.isStore {
 		c.lsqUsed--
 	}
-	if rd, ok := e.ins.WritesReg(); ok {
+	if rd := e.dst; rd != 0 {
 		c.regs[rd] = e.result
 		if c.regProd[rd] == e {
 			c.regProd[rd] = nil
@@ -855,7 +785,7 @@ func (c *Core) retireHead() {
 // and SCs use the out-of-order value (memory order is the bus's to
 // define); everything else must match a pure in-order evaluation.
 func (c *Core) checkCommit(e *entry) {
-	ins := e.ins
+	ins := *e.ins
 	if ins.IsMem() || ins.IsBranch() || ins.Op == isa.OpNop ||
 		ins.Op == isa.OpISync || ins.Op == isa.OpHalt {
 		return
@@ -863,7 +793,7 @@ func (c *Core) checkCommit(e *entry) {
 	want := isa.EvalALU(ins, e.src[0], e.src[1])
 	if want != e.result {
 		panic(fmt.Sprintf("cpu%d: checker divergence at pc %d (%s): got %d want %d",
-			c.id, e.pc, isa.Disassemble(e.pc, ins), e.result, want))
+			c.id, e.pc, isa.Disassemble(int(e.pc), ins), e.result, want))
 	}
 }
 
@@ -909,55 +839,39 @@ func (c *Core) complete() {
 	c.execQ = out
 }
 
-// broadcast wakes the consumers registered against e at dispatch. The
-// list can hold references to squashed (recycled or pooled) entries;
-// the seq tag filters them. Wake order (chunk order, not window order)
-// is immaterial: the per-slot effects are disjoint and enqueueReady's
-// sorted insert canonicalizes the issue order.
+// broadcast wakes the consumers chained on e at dispatch, youngest
+// first. Wake order is immaterial: the per-slot effects are disjoint
+// and enqueueReady's sorted insert canonicalizes the issue order.
 func (c *Core) broadcast(e *entry) {
-	ch := e.consHead
-	if ch == nil {
-		return
-	}
-	e.consHead = nil
-	seq, res := e.seq, e.result
-	for ch != nil {
-		for k := int8(0); k < ch.n; k++ {
-			r := ch.refs[k]
-			w := r.e
-			if w.dead || w.seq != r.seq {
-				continue
-			}
-			i := r.slot
-			if !w.srcReady[i] && w.srcProd[i] == seq {
-				w.srcReady[i] = true
-				w.src[i] = res
-				w.pendingSrcs--
-				if w.pendingSrcs == 0 || (i == 0 && w.needsAddr) {
-					// Fully woken, or a store whose address can now
-					// resolve: it becomes the issue walk's business.
-					c.enqueueReady(w)
-				}
-			}
+	w, i := e.wake, e.wakeSlot
+	e.wake = nil
+	for w != nil {
+		nw, ni := w.next[i], w.nextSlot[i]
+		w.next[i] = nil
+		w.srcReady[i] = true
+		w.src[i] = e.result
+		w.pendingSrcs--
+		if w.pendingSrcs == 0 || (i == 0 && w.needsAddr) {
+			// Fully woken, or a store whose address can now
+			// resolve: it becomes the issue walk's business.
+			c.enqueueReady(w)
 		}
-		next := ch.next
-		c.putChunk(ch)
-		ch = next
+		w, i = nw, ni
 	}
 }
 
 func (c *Core) resolveBranch(e *entry) {
-	taken := isa.BranchTaken(e.ins, e.src[0], e.src[1])
+	taken := isa.BranchTaken(*e.ins, e.src[0], e.src[1])
 	next := e.pc + 1
 	if taken {
-		next = int(e.ins.Target)
+		next = e.ins.Target
 	}
-	c.bpred.update(e.pc, taken)
-	if taken == e.predTaken && (!taken || next == e.predNext) {
+	c.bpred.update(int(e.pc), taken)
+	if taken == e.predTaken {
 		return
 	}
 	c.cnt.branchMispred.Inc()
-	c.squashAfter(e.seq, next)
+	c.squashAfter(e.seq, int(next))
 }
 
 // ---------------------------------------------------------------------------
@@ -967,11 +881,19 @@ func (c *Core) resolveBranch(e *entry) {
 // squashAfter kills every entry younger than seq and redirects fetch.
 func (c *Core) squashAfter(seq uint64, newPC int) {
 	keep := c.ruu[:0]
+	c.regProd = [isa.NumRegs]*entry{} // renamed again from the survivors
 	for _, e := range c.ruu {
 		if e.seq <= seq {
 			keep = append(keep, e)
+			if e.dst != 0 {
+				c.regProd[e.dst] = e
+			}
+			// The killed waiters are the head of this survivor's chain.
+			for e.wake != nil && e.wake.seq > seq {
+				e.wake, e.wakeSlot = e.wake.next[e.wakeSlot], e.wake.nextSlot[e.wakeSlot]
+			}
 		} else {
-			if e.ins.IsMem() {
+			if e.isLoad || e.isStore {
 				c.lsqUsed--
 			}
 			if e.executing {
@@ -996,7 +918,6 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 	c.fetchQ = c.fetchQ[:0]
 	c.fetchPC = newPC
 	c.fetchStop = false
-	c.rebuildRename()
 	if c.sle != nil {
 		c.sle.onSquash(seq)
 	}
@@ -1018,18 +939,7 @@ func (c *Core) squashFromSeq(seq uint64) {
 	if e == nil {
 		return
 	}
-	c.squashAfter(seq-1, e.pc)
-}
-
-func (c *Core) rebuildRename() {
-	for i := range c.regProd {
-		c.regProd[i] = nil
-	}
-	for _, e := range c.ruu {
-		if rd, ok := e.ins.WritesReg(); ok {
-			c.regProd[rd] = e
-		}
-	}
+	c.squashAfter(seq-1, int(e.pc))
 }
 
 // ---------------------------------------------------------------------------
@@ -1092,7 +1002,7 @@ func (c *Core) issue() {
 		// disambiguation both depend on early address resolution.
 		if e.needsAddr && e.srcReady[0] {
 			c.acted.issue = true
-			e.effAddr = isa.EffAddr(e.ins, e.src[0])
+			e.effAddr = isa.EffAddr(*e.ins, e.src[0])
 			e.addrKnown = true
 			e.needsAddr = false
 			if c.sle != nil && e.ins.Op == isa.OpSt {
@@ -1145,7 +1055,7 @@ func (c *Core) issue() {
 				c.acted.issue = true
 				e.issued = true
 				e.doneAt = c.now + uint64(e.ins.BaseLatency())
-				e.result = isa.EvalALU(e.ins, e.src[0], e.src[1])
+				e.result = isa.EvalALU(*e.ins, e.src[0], e.src[1])
 				c.markExecuting(e)
 				issued++
 				keep = false
@@ -1246,6 +1156,68 @@ func (c *Core) auditStoreQueue() {
 	}
 }
 
+// auditWakeChains is the oracle's check of the wake-up chains (see
+// entry.wake) against a rename of the window made from scratch, youngest
+// entry first: the unready source slots met since the last writer of a
+// register are, in the order met, exactly the chain of the next writer
+// down — which therefore descends strictly in (seq, slot), reaches
+// every waiting slot once and nothing else (no ready slot, no entry
+// that left the window or was recycled under a new seq), and is empty
+// on an entry that is done or writes no register.
+func (c *Core) auditWakeChains() {
+	type link struct {
+		e    *entry
+		slot int8
+	}
+	after := func(l link) link { return link{l.e.next[l.slot], l.e.nextSlot[l.slot]} }
+	seq := func(e *entry) uint64 { // 0: no entry
+		if e == nil {
+			return 0
+		}
+		return e.seq
+	}
+	// Per register, of the waiters met since its last writer: the
+	// youngest, the link after the oldest, and whether any was not the
+	// link after the one before.
+	var first, expect [isa.NumRegs]link
+	var broken [isa.NumRegs]bool
+	for k := len(c.ruu) - 1; k >= 0; k-- {
+		e := c.ruu[k]
+		want, intact := link{}, true
+		if rd := e.dst; rd != 0 {
+			want, intact = first[rd], !broken[rd] && expect[rd].e == nil
+			first[rd], expect[rd], broken[rd] = link{}, link{}, false
+		}
+		if !intact || e.wake != want.e || want.e != nil && (e.wakeSlot != want.slot || e.done) {
+			c.violated("wake chain of seq %d (done=%v) violated: it starts at seq %d slot %d; the youngest slot waiting on r%d is seq %d slot %d (seq 0: none), chained in order down to the oldest and no further: %v",
+				e.seq, e.done, seq(e.wake), e.wakeSlot, e.dst, seq(want.e), want.slot, intact)
+			return
+		}
+		if e.pendingSrcs == 0 {
+			continue
+		}
+		s0, s1, n := e.ins.SrcRegs()
+		for i := int8(n) - 1; i >= 0; i-- {
+			if e.srcReady[i] {
+				continue
+			}
+			r, w := [2]uint8{s0, s1}[i], link{e, i}
+			if first[r].e == nil {
+				first[r] = w
+			} else if expect[r] != w {
+				broken[r] = true
+			}
+			expect[r] = after(w)
+		}
+	}
+	for r, w := range first {
+		if w.e != nil {
+			c.violated("wake chain of seq %d slot %d missing: it waits on r%d, which no older entry in the window writes", w.e.seq, w.slot, r)
+			return
+		}
+	}
+}
+
 // issueLoad tries to issue one load whose readyQ reference carries
 // retryVer; ok reports that it consumed a port, refusedAt is the memo
 // the reference carries from here on. Conservative LSQ disambiguation:
@@ -1254,7 +1226,7 @@ func (c *Core) auditStoreQueue() {
 func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) {
 	if !e.addrKnown {
 		c.acted.issue = true // the address resolves even if the load then stalls
-		e.effAddr = isa.EffAddr(e.ins, e.src[0])
+		e.effAddr = isa.EffAddr(*e.ins, e.src[0])
 		e.addrKnown = true
 	}
 	if !e.clear || c.audit != nil {
@@ -1327,8 +1299,9 @@ func (c *Core) dispatch() {
 		if len(c.fetchQ) == 0 || c.fetchQ[0].readyAt > c.now {
 			return
 		}
-		slot := c.fetchQ[0]
-		if slot.ins.IsMem() && c.lsqUsed >= c.cfg.LSQSize {
+		slot := &c.fetchQ[0]
+		ins := c.prog.At(int(slot.pc))
+		if ins.IsMem() && c.lsqUsed >= c.cfg.LSQSize {
 			c.cnt.lsqFull.Inc()
 			c.spin.lsqFull = 1
 			return
@@ -1345,50 +1318,50 @@ func (c *Core) dispatch() {
 				return
 			}
 		}
+		// Popped first: dispatchOne can squash (an unsafe isync entering
+		// an elision region), which empties fetchQ. Nothing writes the
+		// slot's storage before fetch runs.
 		c.fetchQ = c.fetchQ[1:]
-		c.dispatchOne(slot)
+		c.dispatchOne(slot, ins)
 	}
 }
 
-func (c *Core) dispatchOne(slot fetchSlot) {
+// renameSrc fills source slot i of the entry being dispatched from
+// architected register r: its committed value, the result of its
+// in-flight producer, or a place on that producer's wake-up chain.
+// Register 0 never has a producer and its committed value stays 0.
+func (c *Core) renameSrc(e *entry, i int8, r uint8) {
+	switch p := c.regProd[r]; {
+	case p == nil:
+		e.src[i], e.srcReady[i] = c.regs[r], true
+	case p.done:
+		e.src[i], e.srcReady[i] = p.result, true
+	default:
+		// e becomes the head of p's chain.
+		e.next[i], e.nextSlot[i] = p.wake, p.wakeSlot
+		p.wake, p.wakeSlot = e, i
+		e.pendingSrcs++
+	}
+}
+
+// dispatchOne renames ins, fetched as slot, into a window entry.
+func (c *Core) dispatchOne(slot *fetchSlot, ins *isa.Instr) {
 	c.acted.dispatch = true
 	c.nextSeq++
-	var e *entry
-	if n := len(c.entryPool); n > 0 {
-		e = c.entryPool[n-1]
-		c.entryPool[n-1] = nil
-		c.entryPool = c.entryPool[:n-1]
-		*e = entry{} // freeEntry already released the wakeup chunks
-	} else {
-		e = &entry{}
-	}
-	e.seq, e.pc, e.ins = c.nextSeq, slot.pc, slot.ins
-	e.predTaken, e.predNext = slot.predTaken, slot.predNext
-	e.isLoad = slot.ins.IsLoad()
-	e.isStore = slot.ins.IsStore()
-	e.isBranch = slot.ins.IsBranch()
+	n := len(c.entryPool) - 1
+	e := c.entryPool[n]
+	c.entryPool = c.entryPool[:n]
+	*e = entry{}
+	e.seq, e.ins, e.pc = c.nextSeq, ins, slot.pc
+	e.predTaken = slot.predTaken
+	e.isLoad, e.isStore, e.isBranch = ins.IsLoad(), ins.IsStore(), ins.IsBranch()
 	e.needsAddr = e.isStore
-	regs := operandRegs(slot.ins)
-	n := e.srcCount()
-	for i := 0; i < n; i++ {
-		r := regs[i]
-		if r == 0 {
-			e.srcReady[i] = true
-			continue
-		}
-		if p := c.regProd[r]; p != nil {
-			if p.done {
-				e.src[i] = p.result
-				e.srcReady[i] = true
-			} else {
-				e.srcProd[i] = p.seq
-				e.pendingSrcs++
-				c.addConsumer(p, e, int8(i))
-			}
-		} else {
-			e.src[i] = c.regs[r]
-			e.srcReady[i] = true
-		}
+	s0, s1, nsrc := ins.SrcRegs()
+	if nsrc > 0 {
+		c.renameSrc(e, 0, s0)
+	}
+	if nsrc > 1 {
+		c.renameSrc(e, 1, s1)
 	}
 	if e.isStore {
 		if len(c.stq) == cap(c.stq) {
@@ -1396,16 +1369,16 @@ func (c *Core) dispatchOne(slot fetchSlot) {
 		}
 		c.stq = append(c.stq, e)
 	}
-	if rd, ok := slot.ins.WritesReg(); ok {
-		c.regProd[rd] = e
+	if e.dst, _ = ins.WritesReg(); e.dst != 0 {
+		c.regProd[e.dst] = e
 	}
-	if slot.ins.IsMem() {
+	if e.isLoad || e.isStore {
 		c.lsqUsed++
 	}
-	if slot.ins.Op == isa.OpISync {
+	if ins.Op == isa.OpISync {
 		inSLE := c.sle != nil && c.sle.speculating()
 		if inSLE {
-			if slot.ins.Unsafe {
+			if ins.Unsafe {
 				c.sle.onUnsafeISync()
 			}
 			// Safe isync inside an elision region does not drain.
@@ -1416,8 +1389,9 @@ func (c *Core) dispatchOne(slot fetchSlot) {
 	if len(c.ruu) == cap(c.ruu) {
 		// The window slid forward off the front of ruuBuf as heads
 		// retired; slide it back to the start. fetch keeps
-		// len(fetchQ)+len(ruu) <= RUUSize and a dispatch has a fetched
-		// slot in hand, so room always reappears.
+		// len(fetchQ)+len(ruu) <= RUUSize, so the slots fetchQ holds
+		// (a pipeline's worth when dispatch flows) are dispatched before
+		// the next slide.
 		n := copy(c.ruuBuf, c.ruu)
 		c.ruu = c.ruuBuf[:n]
 	}
@@ -1436,16 +1410,12 @@ func (c *Core) fetch() {
 			return
 		}
 		ins := c.prog.At(c.fetchPC)
-		slot := fetchSlot{pc: c.fetchPC, ins: ins, readyAt: c.now + uint64(c.cfg.PipeDepth)}
+		slot := fetchSlot{pc: int32(c.fetchPC), readyAt: c.now + uint64(c.cfg.PipeDepth)}
 		next := c.fetchPC + 1
 		if ins.IsBranch() {
-			taken := c.bpred.predict(c.fetchPC, ins)
-			slot.predTaken = taken
-			if taken {
-				slot.predNext = int(ins.Target)
+			slot.predTaken = c.bpred.predict(c.fetchPC, ins.Op)
+			if slot.predTaken {
 				next = int(ins.Target)
-			} else {
-				slot.predNext = c.fetchPC + 1
 			}
 		}
 		if ins.Op == isa.OpHalt {
@@ -1544,7 +1514,7 @@ func (c *Core) ExternalSnoop(lineAddr uint64, isWrite bool) {
 		return
 	}
 	for _, e := range c.ruu {
-		if !e.ins.IsLoad() || !e.addrKnown || mem.LineAddr(e.effAddr) != lineAddr {
+		if !e.isLoad || !e.addrKnown || mem.LineAddr(e.effAddr) != lineAddr {
 			continue
 		}
 		if e.done || e.executing || e.memSent {
@@ -1591,7 +1561,7 @@ func (c *Core) DebugState() string {
 			break
 		}
 		out += fmt.Sprintf("  [%d] seq=%d pc=%d %s done=%v issued=%v memSent=%v scSent=%v spec=%v addr=%#x ready=%v,%v\n",
-			i, e.seq, e.pc, isa.Disassemble(e.pc, e.ins), e.done, e.issued, e.memSent, e.scSent,
+			i, e.seq, e.pc, isa.Disassemble(int(e.pc), *e.ins), e.done, e.issued, e.memSent, e.scSent,
 			e.specVal, e.effAddr, e.srcReady[0], e.srcReady[1])
 	}
 	return out

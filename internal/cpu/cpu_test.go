@@ -475,7 +475,7 @@ func TestISyncDrainsDispatch(t *testing.T) {
 
 func TestBpredLearns(t *testing.T) {
 	p := newBpred(64)
-	ins := isa.Instr{Op: isa.OpBne}
+	const ins = isa.OpBne
 	if p.predict(4, ins) {
 		t.Fatal("initial prediction should be not-taken")
 	}
@@ -484,7 +484,7 @@ func TestBpredLearns(t *testing.T) {
 	if !p.predict(4, ins) {
 		t.Fatal("two taken updates should flip the prediction")
 	}
-	if !p.predict(4, isa.Instr{Op: isa.OpJmp}) {
+	if !p.predict(4, isa.OpJmp) {
 		t.Fatal("jmp must always predict taken")
 	}
 }

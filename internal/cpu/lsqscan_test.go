@@ -63,7 +63,7 @@ func scanCore(t *testing.T) (*Core, *fakeMem) {
 // them, and returns its entry for the test to force into the state it
 // wants. Every operand is R0: nothing waits on a producer.
 func plant(c *Core, op isa.Op) *entry {
-	c.dispatchOne(fetchSlot{ins: isa.Instr{Op: op}})
+	c.dispatchOne(&fetchSlot{}, &isa.Instr{Op: op})
 	return c.ruu[len(c.ruu)-1]
 }
 

@@ -163,7 +163,7 @@ func (s *sleEngine) tryStart(e *entry) bool {
 			continue
 		}
 		line := mem.LineAddr(w.effAddr)
-		if w.ins.IsLoad() {
+		if w.isLoad {
 			s.readSet[line] = true
 		} else if w.ins.Op == isa.OpSt && w.effAddr != s.lockAddr {
 			s.writeSet[line] = true
@@ -377,7 +377,7 @@ func (s *sleEngine) tick() {
 func (s *sleEngine) abort(outcome predictor.ElisionOutcome) {
 	pc := uint64(s.scEntry.pc)
 	scSeq := s.scEntry.seq
-	scPC := s.scEntry.pc
+	scPC := int(s.scEntry.pc)
 	s.active = false
 	s.pred.Record(pc, outcome)
 	s.consecFails[pc]++

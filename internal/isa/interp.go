@@ -105,7 +105,7 @@ func (in *Interp) Step(cpu int) {
 	if c.halted {
 		return
 	}
-	ins := c.prog.At(c.pc)
+	ins := *c.prog.At(c.pc)
 	next := c.pc + 1
 	switch {
 	case ins.Op == OpHalt:

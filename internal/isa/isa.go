@@ -138,64 +138,83 @@ type Instr struct {
 	Unsafe bool
 }
 
-// IsMem reports whether the instruction accesses memory.
-func (i Instr) IsMem() bool {
-	return i.Op == OpLd || i.Op == OpSt || i.Op == OpLL || i.Op == OpSC
+// opProps is everything about an opcode that does not depend on the
+// instruction's fields: the single source of instruction class, which
+// Instr's classifiers and (through them) the core's rename, LSQ and
+// wake-up logic all read.
+type opProps struct {
+	load, store, branch bool
+	nsrc                uint8 // source slots used: slot 0 is Ra, slot 1 is Rb,
+	valRd               bool  // or Rd where that is the value a store writes
+	dstRd, dstRb        bool  // the field naming the destination register, if any
 }
+
+// The operand shapes the opcodes share.
+var (
+	alu1 = opProps{nsrc: 1, dstRd: true}             // Rd = f(Ra, Imm)
+	alu2 = opProps{nsrc: 2, dstRd: true}             // Rd = f(Ra, Rb)
+	load = opProps{load: true, nsrc: 1, dstRd: true} // Rd = MEM[Ra + Imm]
+	cond = opProps{branch: true, nsrc: 2}            // compare Ra, Rb
+)
+
+// opTable is indexed by any Op value (OpNop, OpISync, OpHalt and the
+// undefined opcodes are inert: the zero opProps), so a lookup needs no
+// bounds check.
+var opTable = [256]opProps{
+	OpAdd: alu2, OpSub: alu2, OpMul: alu2, OpAnd: alu2, OpOr: alu2, OpXor: alu2, OpSlt: alu2,
+	OpAddi: alu1, OpShli: alu1, OpShri: alu1, OpSlti: alu1, OpMix: alu1,
+	OpLd: load, OpLL: load,
+	OpSt:  {store: true, nsrc: 2, valRd: true},
+	OpSC:  {store: true, nsrc: 2, valRd: true, dstRb: true},
+	OpBeq: cond, OpBne: cond, OpBlt: cond, OpBge: cond,
+	OpJmp: {branch: true},
+}
+
+// Instr's methods take it by pointer: the core asks them of every
+// instruction it fetches and dispatches, in place in the program.
+
+// IsMem reports whether the instruction accesses memory.
+func (i *Instr) IsMem() bool { p := &opTable[i.Op]; return p.load || p.store }
 
 // IsLoad reports whether the instruction reads memory into a register.
-func (i Instr) IsLoad() bool { return i.Op == OpLd || i.Op == OpLL }
+func (i *Instr) IsLoad() bool { return opTable[i.Op].load }
 
 // IsStore reports whether the instruction may write memory.
-func (i Instr) IsStore() bool { return i.Op == OpSt || i.Op == OpSC }
+func (i *Instr) IsStore() bool { return opTable[i.Op].store }
 
 // IsBranch reports whether the instruction may redirect control flow.
-func (i Instr) IsBranch() bool {
-	switch i.Op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpJmp:
-		return true
-	}
-	return false
-}
+func (i *Instr) IsBranch() bool { return opTable[i.Op].branch }
 
 // WritesReg reports whether the instruction writes a destination
-// register, and which one. SC writes its success flag into Rb.
-func (i Instr) WritesReg() (uint8, bool) {
-	switch i.Op {
-	case OpAdd, OpAddi, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShli, OpShri,
-		OpSlt, OpSlti, OpMix, OpLd, OpLL:
-		return i.Rd, i.Rd != 0
-	case OpSC:
-		return i.Rb, i.Rb != 0
+// register, and which one. SC writes its success flag into Rb; a write
+// to register 0 is discarded.
+func (i *Instr) WritesReg() (uint8, bool) {
+	var r uint8
+	if p := &opTable[i.Op]; p.dstRd {
+		r = i.Rd
+	} else if p.dstRb {
+		r = i.Rb
 	}
-	return 0, false
+	return r, r != 0
 }
 
-// SrcRegs returns the architected source registers the instruction
-// reads. Memory ops read the base register; stores also read the value
-// register; branches read their comparands.
-func (i Instr) SrcRegs() []uint8 {
-	switch i.Op {
-	case OpNop, OpJmp, OpISync, OpHalt:
-		return nil
-	case OpAddi, OpShli, OpShri, OpSlti, OpMix:
-		return []uint8{i.Ra}
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpSlt:
-		return []uint8{i.Ra, i.Rb}
-	case OpLd, OpLL:
-		return []uint8{i.Ra}
-	case OpSt, OpSC:
-		return []uint8{i.Ra, i.Rd}
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return []uint8{i.Ra, i.Rb}
+// SrcRegs returns the architected registers feeding the instruction's
+// two source operand slots and how many of them it uses: slot 0 is Ra
+// (the base register for memory ops), slot 1 is Rb for ALU ops and
+// branches and Rd (the value stored) for St and SC.
+func (i *Instr) SrcRegs() (s0, s1 uint8, n int) {
+	p := &opTable[i.Op]
+	s1 = i.Rb
+	if p.valRd {
+		s1 = i.Rd
 	}
-	return nil
+	return i.Ra, s1, int(p.nsrc)
 }
 
 // BaseLatency returns the execute latency of the op in cycles,
 // before Instr.Lat is added. Memory op latency is determined by the
 // memory system, so their base here is the address-generation cycle.
-func (i Instr) BaseLatency() int {
+func (i *Instr) BaseLatency() int {
 	base := 1
 	if i.Op == OpMul {
 		base = 3
@@ -357,13 +376,16 @@ type Program struct {
 	Observed []ObsReg
 }
 
-// At returns the instruction at pc. Running past the end behaves like
-// OpHalt.
-func (p *Program) At(pc int) Instr {
-	if pc < 0 || pc >= len(p.Code) {
-		return Instr{Op: OpHalt}
+// offEnd is what every pc outside a program holds.
+var offEnd = Instr{Op: OpHalt}
+
+// At returns the instruction at pc, in place: callers must not write
+// through the pointer. Running past the end behaves like OpHalt.
+func (p *Program) At(pc int) *Instr {
+	if uint(pc) >= uint(len(p.Code)) {
+		return &offEnd
 	}
-	return p.Code[pc]
+	return &p.Code[pc]
 }
 
 // Len returns the number of instructions.

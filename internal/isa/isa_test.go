@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,12 +119,64 @@ func TestInstrClassifiers(t *testing.T) {
 
 func TestSrcRegs(t *testing.T) {
 	st := Instr{Op: OpSt, Rd: 3, Ra: 4}
-	srcs := st.SrcRegs()
-	if len(srcs) != 2 || srcs[0] != 4 || srcs[1] != 3 {
-		t.Fatalf("store srcs = %v, want [4 3]", srcs)
+	if s0, s1, n := st.SrcRegs(); n != 2 || s0 != 4 || s1 != 3 {
+		t.Fatalf("store srcs = r%d, r%d (%d used), want r4, r3", s0, s1, n)
 	}
-	if n := len((Instr{Op: OpHalt}).SrcRegs()); n != 0 {
+	halt := Instr{Op: OpHalt}
+	if _, _, n := halt.SrcRegs(); n != 0 {
 		t.Fatalf("halt has %d srcs", n)
+	}
+}
+
+// Every opcode's row of the property table, spelled out: what the
+// classifiers, WritesReg and SrcRegs answer for an instruction whose
+// three register fields are distinct and non-zero. An opcode added
+// without a row here, or a classifier that stops reading the table,
+// fails.
+func TestOpTableExhaustive(t *testing.T) {
+	const d, a, b = 1, 2, 3 // Rd, Ra, Rb
+	type row struct {
+		load, store, branch bool
+		srcs                []uint8
+		dst                 uint8 // 0: writes no register
+	}
+	alu1 := row{srcs: []uint8{a}, dst: d}
+	alu2 := row{srcs: []uint8{a, b}, dst: d}
+	cond := row{branch: true, srcs: []uint8{a, b}}
+	want := map[Op]row{
+		OpNop: {}, OpISync: {}, OpHalt: {},
+		OpAdd: alu2, OpSub: alu2, OpMul: alu2, OpAnd: alu2, OpOr: alu2, OpXor: alu2, OpSlt: alu2,
+		OpAddi: alu1, OpShli: alu1, OpShri: alu1, OpSlti: alu1, OpMix: alu1,
+		OpLd:  {load: true, srcs: []uint8{a}, dst: d},
+		OpLL:  {load: true, srcs: []uint8{a}, dst: d},
+		OpSt:  {store: true, srcs: []uint8{a, d}},
+		OpSC:  {store: true, srcs: []uint8{a, d}, dst: b},
+		OpBeq: cond, OpBne: cond, OpBlt: cond, OpBge: cond,
+		OpJmp: {branch: true},
+	}
+	for op := Op(0); op < opCount; op++ {
+		w, ok := want[op]
+		if !ok {
+			t.Fatalf("%s: no expectation; add its row here and to opTable", op)
+		}
+		ins := Instr{Op: op, Rd: d, Ra: a, Rb: b}
+		if ins.IsLoad() != w.load || ins.IsStore() != w.store || ins.IsBranch() != w.branch || ins.IsMem() != (w.load || w.store) {
+			t.Errorf("%s: load=%v store=%v branch=%v mem=%v, want %+v", op, ins.IsLoad(), ins.IsStore(), ins.IsBranch(), ins.IsMem(), w)
+		}
+		if r, ok := ins.WritesReg(); r != w.dst || ok != (w.dst != 0) {
+			t.Errorf("%s: WritesReg = r%d, %v, want r%d", op, r, ok, w.dst)
+		}
+		if s0, s1, n := ins.SrcRegs(); !slices.Equal([]uint8{s0, s1}[:n], w.srcs) {
+			t.Errorf("%s: SrcRegs = %v, want %v", op, []uint8{s0, s1}[:n], w.srcs)
+		}
+	}
+	if len(want) != int(opCount) {
+		t.Errorf("%d expectations for %d opcodes", len(want), opCount)
+	}
+	for op := int(opCount); op < len(opTable); op++ {
+		if opTable[op] != (opProps{}) {
+			t.Errorf("undefined opcode %d has properties %+v", op, opTable[op])
+		}
 	}
 }
 

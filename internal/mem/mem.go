@@ -102,9 +102,6 @@ func (m *Memory) WriteWord(addr uint64, v uint64) {
 	m.line(addr).SetWord(WordIndex(addr), v)
 }
 
-// TouchedLines returns the number of distinct lines ever accessed.
-func (m *Memory) TouchedLines() int { return len(m.lines) }
-
 // String describes the memory footprint.
 func (m *Memory) String() string {
 	return fmt.Sprintf("mem{%d lines, %d KiB}", len(m.lines), len(m.lines)*LineSize/1024)

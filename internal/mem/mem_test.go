@@ -92,8 +92,8 @@ func TestTouchedLines(t *testing.T) {
 	m.WriteWord(8, 2)    // same line
 	m.WriteWord(64, 3)   // second line
 	m.WriteWord(4096, 4) // third line
-	if got := m.TouchedLines(); got != 3 {
-		t.Fatalf("TouchedLines = %d, want 3", got)
+	if got := m.String(); got != "mem{3 lines, 0 KiB}" {
+		t.Fatalf("footprint = %s, want 3 lines", got)
 	}
 }
 

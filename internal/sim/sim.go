@@ -333,9 +333,6 @@ func New(cfg Config, w Workload) *System {
 	nodeCfg.MESTI = cfg.Tech.MESTI || cfg.Tech.EMESTI
 	nodeCfg.EMESTI = cfg.Tech.EMESTI
 	nodeCfg.LVP = cfg.Tech.LVP
-	// Update-silent squashing accompanies the silence-exploiting
-	// protocols, as in the paper's lineage ([21] precedes [22]).
-	nodeCfg.SquashUpdateSilent = nodeCfg.MESTI
 
 	coreCfg := cfg.Core
 	coreCfg.SLE.Enabled = cfg.Tech.SLE

@@ -129,24 +129,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Merge adds every observation of other into h.
-func (h *Hist) Merge(other *Hist) {
-	if other.n == 0 {
-		return
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-}
-
 // HistBucket is one non-empty bucket of a snapshot: Count observations
 // fell in [Lo, Hi].
 type HistBucket struct {

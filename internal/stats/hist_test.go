@@ -62,24 +62,6 @@ func TestHistMeanAndQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	for v := uint64(1); v <= 10; v++ {
-		a.Observe(v)
-		b.Observe(v * 100)
-	}
-	a.Merge(&b)
-	if a.N() != 20 {
-		t.Errorf("merged N = %d, want 20", a.N())
-	}
-	if a.Min() != 1 || a.Max() != 1000 {
-		t.Errorf("merged min/max = %d/%d, want 1/1000", a.Min(), a.Max())
-	}
-	if got, want := a.Sum(), uint64(55+5500); got != want {
-		t.Errorf("merged sum = %d, want %d", got, want)
-	}
-}
-
 func TestHistRegistry(t *testing.T) {
 	c := NewCounters()
 	h := c.Hist("lat/test")
