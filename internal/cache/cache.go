@@ -54,11 +54,16 @@ func (c Config) Validate() error {
 // Line is one cache entry. Allocated reports whether the tag is valid
 // (the frame holds *some* line); State is owned by the coherence
 // layer and may well be an "invalid" state while the tag and data are
-// retained. The two one-byte fields sit together so the struct packs
-// into 88 bytes: an L2 of them is most of what a machine allocates.
+// retained, and so are Flags and Stamp: per-line protocol facts that
+// live and die with the frame (Allocate and Drop zero them, so a frame
+// that changes tenant forgets by construction). The small fields sit
+// together in the eight bytes ahead of Addr so the struct packs into 88
+// bytes: an L2 of them is most of what a machine allocates.
 type Line struct {
 	Allocated bool
 	State     uint8  // opaque protocol state
+	Flags     uint8  // opaque protocol flag bits
+	Stamp     uint32 // opaque protocol time stamp
 	Addr      uint64 // line-aligned address
 	Data      mem.Line
 	lru       uint64 // recency stamp

@@ -124,8 +124,9 @@ func TestDrop(t *testing.T) {
 }
 
 // An L2 of Lines is most of what a machine allocates (the benchmark's
-// alloc_mb): the field order keeps the struct at 88 bytes — address,
-// 64 data bytes, recency stamp, two flag bytes and their padding.
+// alloc_mb): the field order keeps the struct at 88 bytes — eight bytes
+// of flags, protocol state and protocol stamp, then address, 64 data
+// bytes and the recency stamp.
 func TestLineSize(t *testing.T) {
 	if got := unsafe.Sizeof(Line{}); got != 88 {
 		t.Fatalf("unsafe.Sizeof(cache.Line{}) = %d, want 88", got)

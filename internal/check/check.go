@@ -12,9 +12,11 @@
 //	            every validate payload must match — the protocol may
 //	            never re-install anything but the last globally
 //	            visible value (§2.2–2.3).
-//	Structural  L1 presence implies readable L2 permission (inclusion),
-//	            wbBuf and wbPending agree, and no MSHR or buffered
-//	            store survives quiesce.
+//	Structural  L1 presence implies readable L2 permission (inclusion)
+//	            and a used line (never VS); a frame's silent flag only
+//	            on a dirty line and its revalidated-unused flag only on
+//	            a readable one; no MSHR, buffered store or writeback
+//	            survives quiesce.
 //
 // The checker is a pure observer: with it attached, cycle counts,
 // counters, and final memory are bit-identical to an unchecked run.
@@ -257,8 +259,8 @@ func (k *Checker) onSerialized(now uint64, t *bus.Txn) {
 
 // checkLine validates every invariant for one line across the whole
 // machine: SWMR, data agreement of readable copies with golden,
-// L1⊆L2 inclusion, wbBuf/wbPending consistency, and — when no cache
-// or in-flight transfer has custody — memory agreement with golden.
+// L1⊆L2 inclusion, and — when no cache or in-flight transfer has
+// custody — memory agreement with golden.
 func (k *Checker) checkLine(la uint64) {
 	var excl, owners, sharers, wbHolders int
 	g := k.goldenLine(la)
@@ -287,14 +289,12 @@ func (k *Checker) checkLine(la uint64) {
 					id, la, core.StateName(st), d, *g)
 			}
 		}
-		if n.L1Holds(la) && !core.Readable(st) {
-			k.failf("node%d L1 holds %#x without readable L2 permission (L2 state %s)", id, la, core.StateName(st))
+		if n.L1Holds(la) && (!core.Readable(st) || st == core.StateVS) {
+			// VS means "not used since its validate", and the L1 is only
+			// ever filled by a use.
+			k.failf("node%d L1 holds %#x without readable, used L2 permission (L2 state %s)", id, la, core.StateName(st))
 		}
-		buffered, pend := n.WBInfo(la)
-		if buffered != (pend > 0) {
-			k.failf("node%d wbBuf/wbPending inconsistent for %#x: buffered=%v pending=%d", id, la, buffered, pend)
-		}
-		if buffered {
+		if n.WBInfo(la) > 0 {
 			wbHolders++
 		}
 	}
@@ -324,23 +324,35 @@ func (k *Checker) checkLine(la uint64) {
 func (k *Checker) lineSummary(la uint64) string {
 	s := ""
 	for id, n := range k.nodes {
-		buffered, pend := n.WBInfo(la)
-		s += fmt.Sprintf("  node%d state=%s wb=%v/%d\n", id, core.StateName(n.LineState(la)), buffered, pend)
+		s += fmt.Sprintf("  node%d state=%s wb=%d\n", id, core.StateName(n.LineState(la)), n.WBInfo(la))
 	}
 	return s
 }
 
 // Sweep re-validates every line the checker knows about: the golden
-// set plus every allocated L2 frame. The per-grant check covers only
-// the granted line, so the sweep bounds how long a latent violation on
-// a quiet line can hide.
+// set plus every allocated L2 frame, whose flags it holds against the
+// frame's state on the way. The per-grant check covers only the granted
+// line, so the sweep bounds how long a latent violation on a quiet line
+// can hide.
 func (k *Checker) Sweep() {
 	seen := make(map[uint64]struct{}, len(k.golden)+64)
 	for la := range k.golden {
 		seen[la] = struct{}{}
 	}
-	for _, n := range k.nodes {
-		n.ForEachL2(func(l *cache.Line) { seen[l.Addr] = struct{}{} })
+	for id, n := range k.nodes {
+		n.ForEachL2(func(l *cache.Line) {
+			seen[l.Addr] = struct{}{}
+			if l.Flags&core.FlagSilent != 0 && !core.Dirty(l.State) {
+				k.failf("node%d frame %#x is flagged temporally silent in %s: only the dirty owner's line can have reverted",
+					id, l.Addr, core.StateName(l.State))
+			}
+			if l.Flags&core.FlagRevalidated != 0 && !core.Readable(l.State) {
+				// Set on S/VS; a fill or an upgrade granted before the
+				// first load carries it into E/M/O, never into I/T.
+				k.failf("node%d frame %#x is flagged revalidated-and-unused in %s: the flag dies with the permission",
+					id, l.Addr, core.StateName(l.State))
+			}
+		})
 		n.ForEachWB(func(la uint64) { seen[la] = struct{}{} })
 	}
 	for la := range seen {

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"strings"
 	"testing"
 
 	"tssim/internal/cache"
@@ -114,5 +115,68 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 	}
 	if s.Checker().Violations() == 0 {
 		t.Fatalf("violation count still zero after detected corruption")
+	}
+}
+
+// TestCheckerHoldsFrameFlagsToState plants, one per run, the three
+// states of a frame the protocol cannot reach — the silent flag on a
+// line that is not dirty, the revalidated-unused flag on a line with no
+// read permission, Validate_Shared under a line the L1 holds — and
+// requires the next sweep to name each.
+func TestCheckerHoldsFrameFlagsToState(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		plant func(n *core.Controller, l *cache.Line) bool
+		want  string
+	}{
+		{"silent and not dirty",
+			func(_ *core.Controller, l *cache.Line) bool {
+				if core.Dirty(l.State) {
+					return false
+				}
+				l.Flags |= core.FlagSilent
+				return true
+			}, "flagged temporally silent"},
+		{"revalidated-unused and unreadable",
+			func(_ *core.Controller, l *cache.Line) bool {
+				if core.Readable(l.State) {
+					return false
+				}
+				l.Flags |= core.FlagRevalidated
+				return true
+			}, "flagged revalidated-and-unused"},
+		{"VS and L1-resident",
+			func(n *core.Controller, l *cache.Line) bool {
+				if l.State != core.StateS || !n.L1Holds(l.Addr) {
+					return false
+				}
+				l.State = core.StateVS
+				return true
+			}, "without readable, used L2 permission (L2 state VS)"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w, _ := check.Litmus(check.LitmusParams{Seed: 0x5eed, CPUs: 4, Ops: 32})
+			s := sim.New(checkrun.MachineConfig(fullTech(), len(w.Programs), 1), w)
+			planted := false
+			for cycle := 0; cycle < 200_000 && !planted; cycle++ {
+				s.Step()
+				if cycle%512 != 0 {
+					continue
+				}
+				for _, n := range s.Nodes {
+					n.ForEachL2(func(l *cache.Line) { planted = planted || row.plant(n, l) })
+				}
+			}
+			if !planted {
+				t.Fatal("no frame the row could plant on appeared")
+			}
+			if err := s.Checker().Err(); err != nil {
+				t.Fatalf("the run was not clean before the sweep: %v", err)
+			}
+			s.Checker().Sweep()
+			if err := s.Checker().Err(); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("sweep reported %v, want a violation naming %q", err, row.want)
+			}
+		})
 	}
 }

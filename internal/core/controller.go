@@ -23,6 +23,12 @@ type storeEntry struct {
 	waiting bool // a bus transaction for permission is outstanding
 }
 
+// wbEntry is one evicted dirty line awaiting its writeback grant.
+type wbEntry struct {
+	data    mem.Line // what snoops are supplied
+	pending int      // writebacks in flight: a line can be evicted twice
+}
+
 // ctrlCounters holds the controller's pre-resolved counter handles,
 // interned once at construction so steady-state events are single
 // pointer bumps (see stats.Counter).
@@ -134,13 +140,6 @@ type Controller struct {
 	// Countdown to the next occupancy observation (occSampleEvery).
 	occCountdown uint64
 
-	// validatedAt records, per line, the cycle a snooped validate
-	// revalidated it (T -> S/VS); the first local use observes the
-	// validate-to-reuse distance and clears the entry. Invalidation
-	// or eviction before reuse drops it (the validate went unused
-	// here).
-	validatedAt map[uint64]uint64
-
 	l1    *cache.Cache // presence only; data lives in the L2
 	l2    *cache.Cache
 	mshrs *cache.MSHRFile
@@ -154,30 +153,11 @@ type Controller struct {
 	resAddr  uint64
 	resValid bool
 
-	// tsSilent marks lines currently reverted to their previous
-	// globally visible value (between TS detection and the next
-	// intermediate-value store).
-	tsSilent map[uint64]bool
+	// wb is the writeback buffer, which still supplies snoops: an entry
+	// exists exactly while writebacks of its line are in flight.
+	wb map[uint64]wbEntry
 
-	// Writeback buffer: evicted dirty lines awaiting their writeback
-	// grant still supply snoops from here. Value is refcounted via
-	// wbPending in case the same line is evicted twice in flight.
-	wbBuf     map[uint64]mem.Line
-	wbPending map[uint64]int
-
-	// stateVer counts the controller-state transitions that can change
-	// what Load, StoreCommit or SCExecute answer the attached core
-	// without a Client callback: store-buffer pops, and this node's own
-	// bus grants and completions (MSHR frees, fills, validate state
-	// moves). Remote transactions already reach the core via
-	// ExternalSnoop; the one that can turn a refused load into a hit —
-	// a snooped validate moving T back to S/VS — bumps the version as
-	// well, because the callback does not say which lines it touched.
-	// The core snapshots the version with its idle verdict and drops the
-	// verdict on mismatch, and keys each load's memoized MSHR-exhausted
-	// refusal on it (cpu.readyRef.retryVer): while the version stands, a
-	// counted LoadRetry stands.
-	stateVer uint64
+	stateVer uint64 // see setState
 
 	// idle is the idle verdict: the last Tick moved nothing (see
 	// tickStore) and nothing has called in since, so the next would
@@ -213,10 +193,7 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 		l1:           cache.New(cfg.L1),
 		l2:           cache.New(cfg.L2),
 		mshrs:        cache.NewMSHRFile(cfg.MSHRs),
-		tsSilent:     make(map[uint64]bool),
-		wbBuf:        make(map[uint64]mem.Line),
-		wbPending:    make(map[uint64]int),
-		validatedAt:  make(map[uint64]uint64),
+		wb:           make(map[uint64]wbEntry),
 		hOccMSHR:     counters.Hist("occ/mshr"),
 		hOccSB:       counters.Hist("occ/storebuf"),
 		hVreuse:      counters.Hist("lat/validate_reuse"),
@@ -258,29 +235,85 @@ func (c *Controller) SetCheckSink(s CheckSink) { c.sink = s }
 // machine-wide goes to *violation, the latch the oracle cores share.
 func (c *Controller) SetOracle(violation *error) { c.audit = violation }
 
-// traceState emits a protocol state-transition event.
-func (c *Controller) traceState(la uint64, from, to State) {
-	c.tr.Emit(trace.Event{Kind: trace.KState, Node: int32(c.id), Addr: la, A: from, B: to})
+// Config returns the controller configuration.
+func (c *Controller) Config() Config { return c.cfg }
+
+// ---------------------------------------------------------------------------
+// The seam: the four mutators that move stateVer
+// ---------------------------------------------------------------------------
+
+// setState is the only assignment to a line's State in this package: it
+// emits the KState trace event and moves stateVer, so no transition goes
+// untraced or unversioned.
+//
+// stateVer is the contract with the attached core (StateVersion), which
+// keys its idle verdict and each load's retry memo on it: while it
+// stands, every refusal stands — a LoadRetry, a full store buffer,
+// HoldsWritable false. Those read a line's state (written here; a frame
+// is gained and lost only in a fill, through installL2), the MSHR file
+// (allocMSHR, freeMSHR) and the store-buffer head (popStore). Snooped
+// transitions move it like local ones: ExternalSnoop says that a snoop
+// happened, not what it did.
+//
+// A StoreCommit or SCExecute push does not move it: it is the core's
+// own move, so no idle verdict stands across it, and it cannot put a
+// forwarding entry in front of a memoized load, whose clear verdict is
+// permanent — no store that can still retire ahead of it writes its
+// word. Nor do L1 presence (it prices a hit, and a hit is no refusal),
+// the reservation (written by the core's own Load or with a Client
+// callback) or line data (popStore, the core's own SLECommitStores, a
+// fill).
+func (c *Controller) setState(l *cache.Line, to State) {
+	c.tr.Emit(trace.Event{Kind: trace.KState, Node: int32(c.id), Addr: l.Addr, A: l.State, B: to})
+	l.State = to
+	c.stateVer++
+}
+
+func (c *Controller) allocMSHR(la uint64, write bool) *cache.MSHR {
+	m := c.mshrs.Alloc(la, write)
+	if m != nil {
+		c.stateVer++
+	}
+	return m
+}
+
+func (c *Controller) freeMSHR(m *cache.MSHR) {
+	c.mshrs.Free(m)
+	c.stateVer++
+}
+
+func (c *Controller) popStore() {
+	n := copy(c.storeBuf, c.storeBuf[1:])
+	c.storeBuf = c.storeBuf[:n]
+	c.stateVer++
+}
+
+// StateVersion implements cpu.MemSystem (see setState).
+func (c *Controller) StateVersion() uint64 { return c.stateVer }
+
+// useVS is the "local request" arc of §2.3: a Validate_Shared line moves
+// to Shared — it has now been *used* since its validate, so future
+// useful snoop responses assert — and reports whether it did.
+func (c *Controller) useVS(l *cache.Line) bool {
+	if l.State != StateVS {
+		return false
+	}
+	c.setState(l, StateS)
+	c.cnt.emestiVSUse.Inc()
+	return true
 }
 
 // noteReuse observes the validate-to-reuse distance on the first local
-// access to a line a snooped validate revalidated. The len guard keeps
-// the common case (no outstanding validated lines) to a single
-// comparison on the load hit path. It reports whether it observed one.
-func (c *Controller) noteReuse(la uint64) bool {
-	if len(c.validatedAt) == 0 {
+// access to a revalidated line and reports whether it observed one. The
+// modular distance is exact below 2^32 cycles.
+func (c *Controller) noteReuse(l *cache.Line) bool {
+	if l.Flags&FlagRevalidated == 0 {
 		return false
 	}
-	at, ok := c.validatedAt[la]
-	if ok {
-		c.hVreuse.Observe(c.now - at)
-		delete(c.validatedAt, la)
-	}
-	return ok
+	l.Flags &^= FlagRevalidated
+	c.hVreuse.Observe(uint64(uint32(c.now) - l.Stamp))
+	return true
 }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // request enqueues a dataless transaction for la, drawing from the
 // bus's transaction free list so the steady-state miss path does not
@@ -331,12 +364,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		c.idle = false
 		c.l1.Touch(l1line)
 		c.cnt.l1Hit.Inc()
-		c.noteReuse(la)
-		if l2line.State == StateVS {
-			// unreachable by the inclusion invariant (VS lines are
-			// never L1-resident) but kept as defense in depth
-			l2line.State = StateS
-		}
+		c.noteReuse(l2line)
 		if isLL {
 			c.setReservation(la)
 		}
@@ -347,16 +375,10 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 	// L2 hit with read permission.
 	if l2line != nil && Readable(l2line.State) {
 		c.idle = false
-		if l2line.State == StateVS {
-			// A local request transitions Validate_Shared to Shared
-			// (§2.3) — the line has now been *used* since its
-			// validate, so future useful snoop responses assert.
-			l2line.State = StateS
-			c.cnt.emestiVSUse.Inc()
-		}
+		c.useVS(l2line)
 		c.l2.Touch(l2line)
 		c.cnt.l2Hit.Inc()
-		c.noteReuse(la)
+		c.noteReuse(l2line)
 		c.fillL1(la)
 		if isLL {
 			c.setReservation(la)
@@ -375,7 +397,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 	// interconnect latencies.
 	m := c.mshrs.Lookup(la)
 	if m == nil {
-		m = c.mshrs.Alloc(la, isLL)
+		m = c.allocMSHR(la, isLL)
 		if m == nil {
 			c.cnt.l2MSHRFull.Inc()
 			return LoadResult{Status: LoadRetry, Counted: true}
@@ -409,14 +431,9 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 // StoreCommit accepts a retired store into the store buffer. A false
 // return means the buffer is full and the core must stall retirement.
 func (c *Controller) StoreCommit(seq, pc, addr, val uint64) bool {
-	if len(c.storeBuf) >= c.cfg.StoreBuf {
+	if !c.pushStore(storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val}) {
 		c.cnt.storeBufferFull.Inc()
 		return false
-	}
-	c.idle = false
-	c.storeBuf = append(c.storeBuf, storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val})
-	if c.sink != nil {
-		c.sink.StoreBuffered(c.id, mem.AlignWord(addr), val, false)
 	}
 	return true
 }
@@ -425,13 +442,20 @@ func (c *Controller) StoreCommit(seq, pc, addr, val uint64) bool {
 // Client.SCDone once the store reaches the coherence point; the core
 // keeps the SC at the head of its window until then.
 func (c *Controller) SCExecute(seq, pc, addr, val uint64) bool {
+	return c.pushStore(storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val, isSC: true})
+}
+
+// pushStore appends to the store buffer unless it is full: the one
+// write of what the core is answered from that is outside the seam (see
+// setState for why it can be).
+func (c *Controller) pushStore(e storeEntry) bool {
 	if len(c.storeBuf) >= c.cfg.StoreBuf {
 		return false
 	}
 	c.idle = false
-	c.storeBuf = append(c.storeBuf, storeEntry{seq: seq, pc: pc, addr: mem.AlignWord(addr), val: val, isSC: true})
+	c.storeBuf = append(c.storeBuf, e)
 	if c.sink != nil {
-		c.sink.StoreBuffered(c.id, mem.AlignWord(addr), val, true)
+		c.sink.StoreBuffered(c.id, e.addr, e.val, e.isSC)
 	}
 	return true
 }
@@ -496,7 +520,7 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 // histograms sample the (constant) occupancy at the same cycles the
 // naive loop would, and the clock lands on to-1 — the value Tick(to-1)
 // would have left, which bus-phase callbacks (SnoopTxn timestamping
-// validatedAt) read before the controller's next Tick.
+// a line's Stamp) read before the controller's next Tick.
 func (c *Controller) SkipCycles(from, to uint64) {
 	k := to - from
 	if c.occCountdown <= k {
@@ -529,28 +553,28 @@ func (c *Controller) tickStore() bool {
 	if e.waiting {
 		return false // permission transaction outstanding
 	}
-	moved := c.noteReuse(la) // a store is a use of a revalidated line too
 
 	// Invalid (I/T/absent) takes a ReadX; a node that holds current data
 	// takes a dataless Upgrade.
-	ty := bus.TxnReadX
-	if l2line := c.l2.Lookup(la); l2line != nil && (Upgradable(l2line.State) || l2line.State == StateVS) {
-		ty = bus.TxnUpgrade
-		if l2line.State == StateVS {
-			l2line.State = StateS // local request moves VS to S
-			c.cnt.emestiVSUse.Inc()
-			moved = true
+	ty, moved := bus.TxnReadX, false
+	l2line := c.l2.Lookup(la)
+	if l2line != nil {
+		moved = c.noteReuse(l2line) // a store is a use of a revalidated line too
+		moved = c.useVS(l2line) || moved
+		if Upgradable(l2line.State) {
+			ty = bus.TxnUpgrade
 		}
 	}
-	if c.mshrs.Lookup(la) != nil || c.mshrs.Alloc(la, true) == nil {
+	if c.mshrs.Lookup(la) != nil || c.allocMSHR(la, true) == nil {
 		// A miss to the line is in flight, or the file is exhausted: the
 		// head retries when a completion lands.
 		return moved
 	}
-	if ty == bus.TxnUpgrade && c.tsSilent[la] && c.vpred != nil {
-		// The intermediate-value store is being made visible;
-		// the predictor moves to its upgrade-request state and
-		// will consume the combined useful snoop response.
+	if c.vpred != nil && l2line != nil && l2line.Flags&FlagSilent != 0 {
+		// The intermediate-value store is being made visible (by an
+		// Upgrade: a silent line is dirty, and short of write permission
+		// that is O); the predictor moves to its upgrade-request state
+		// and will consume the combined useful snoop response.
 		c.vpred.OnIntermediateStoreVisible(la)
 	}
 	c.request(ty, la)
@@ -623,16 +647,6 @@ func (c *Controller) tryPerformHead() bool {
 	return false
 }
 
-func (c *Controller) popStore() {
-	c.stateVer++
-	n := copy(c.storeBuf, c.storeBuf[1:])
-	c.storeBuf = c.storeBuf[:n]
-}
-
-// StateVersion implements the cpu.MemSystem invalidation hook (see
-// stateVer).
-func (c *Controller) StateVersion() uint64 { return c.stateVer }
-
 // performStore writes one word into a line held in M or E and runs the
 // MESTI temporal-silence machinery.
 func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
@@ -644,9 +658,9 @@ func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
 		if c.detector != nil {
 			c.detector.SaveStale(la, l.Data)
 		}
-		l.State = StateM
+		c.setState(l, StateM)
 	}
-	prevSilent := c.tsSilent[la]
+	prevSilent := l.Flags&FlagSilent != 0
 	if l.Data.Word(slot) == e.val {
 		// Update-silent store that was not squashed (squashing off,
 		// or the line only became readable now): counted for the
@@ -674,7 +688,7 @@ func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
 	case nowSilent && !prevSilent:
 		// Temporal silence detected: the line has reverted to its
 		// previous globally visible value.
-		c.tsSilent[la] = true
+		l.Flags |= FlagSilent
 		c.cnt.mestiTSDetect.Inc()
 		c.tr.Emit(trace.Event{Kind: trace.KTSDetect, Node: int32(c.id), Addr: la})
 		send := true
@@ -695,7 +709,7 @@ func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
 		// The silent period ended with a store that needed no bus
 		// transaction (the validate had been suppressed, or was
 		// cancelled before grant). No useful snoop response exists.
-		delete(c.tsSilent, la)
+		l.Flags &^= FlagSilent
 		if c.vpred != nil {
 			c.vpred.OnIntermediateStoreSilentlyLocal(la)
 		}
@@ -716,19 +730,14 @@ func (c *Controller) PrefetchExclusive(addr uint64) {
 	if l != nil && Writable(l.State) {
 		return
 	}
-	if c.mshrs.Lookup(la) != nil {
-		return
-	}
-	m := c.mshrs.Alloc(la, true)
-	if m == nil {
+	if c.mshrs.Lookup(la) != nil || c.allocMSHR(la, true) == nil {
 		return
 	}
 	c.idle = false
-	if l != nil && (Upgradable(l.State) || l.State == StateVS) {
-		if l.State == StateVS {
-			l.State = StateS
-			c.cnt.emestiVSUse.Inc()
-		}
+	if l != nil {
+		c.useVS(l)
+	}
+	if l != nil && Upgradable(l.State) {
 		c.request(bus.TxnUpgrade, la)
 		c.cnt.slePrefetchUpgrade.Inc()
 	} else {
@@ -785,8 +794,8 @@ func (c *Controller) fillL1(la uint64) {
 }
 
 // installL2 places arrived data into the L2, reusing a tag-match frame
-// or allocating (with eviction handling), and returns the frame.
-func (c *Controller) installL2(la uint64, data mem.Line, state State) *cache.Line {
+// or allocating (with eviction handling).
+func (c *Controller) installL2(la uint64, data mem.Line, state State) {
 	l := c.l2.Lookup(la)
 	if l == nil {
 		var ev cache.Line
@@ -796,26 +805,20 @@ func (c *Controller) installL2(la uint64, data mem.Line, state State) *cache.Lin
 		}
 	}
 	l.Data = data
-	l.State = state
+	c.setState(l, state)
 	c.l2.Touch(l)
-	return l
 }
 
 func (c *Controller) evictL2(victim *cache.Line) {
 	la := victim.Addr
 	if Dirty(victim.State) {
-		c.wbBuf[la] = victim.Data
-		c.wbPending[la]++
+		c.wb[la] = wbEntry{data: victim.Data, pending: c.wb[la].pending + 1}
 		t := c.bus.NewTxn()
 		t.Type, t.Addr, t.Src, t.WData = bus.TxnWriteback, la, c.id, victim.Data
 		c.bus.Request(t)
 		c.cnt.l2EvictDirty.Inc()
 	} else {
 		c.cnt.l2EvictClean.Inc()
-	}
-	delete(c.tsSilent, la)
-	if len(c.validatedAt) > 0 {
-		delete(c.validatedAt, la)
 	}
 	if c.detector != nil {
 		c.detector.Drop(la)
@@ -871,18 +874,15 @@ func (c *Controller) L1Holds(addr uint64) bool {
 	return c.l1.Lookup(mem.LineAddr(addr)) != nil
 }
 
-// WBInfo reports whether the writeback buffer holds the line and how
-// many writeback transactions are pending for it (the two must agree:
-// buffered iff pending > 0).
-func (c *Controller) WBInfo(addr uint64) (buffered bool, pending int) {
-	la := mem.LineAddr(addr)
-	_, buffered = c.wbBuf[la]
-	return buffered, c.wbPending[la]
+// WBInfo reports how many writebacks of the line are in flight; the
+// writeback buffer holds the line exactly while that is above zero.
+func (c *Controller) WBInfo(addr uint64) (pending int) {
+	return c.wb[mem.LineAddr(addr)].pending
 }
 
 // ForEachWB visits every line held in the writeback buffer.
 func (c *Controller) ForEachWB(fn func(la uint64)) {
-	for la := range c.wbBuf {
+	for la := range c.wb {
 		fn(la)
 	}
 }

@@ -62,6 +62,20 @@ func StateName(s State) string {
 	return fmt.Sprintf("state(%d)", s)
 }
 
+// Per-line protocol facts kept in the L2 frame beside the state
+// (cache.Line.Flags), where the paper keeps them: in the L2 tags. A
+// reallocated frame starts with none; enterT clears them.
+const (
+	// FlagSilent: a dirty (M or O) line has reverted to its previous
+	// globally visible value and no intermediate-value store followed.
+	FlagSilent uint8 = 1 << iota
+	// FlagRevalidated: a snooped validate moved the line T -> S/VS at
+	// cycle Stamp (mod 2^32) and no local load or store-buffer request
+	// has used it since. A fill or a prefetched upgrade is not a use: the
+	// flag can ride into E, M or O, never into I or T.
+	FlagRevalidated
+)
+
 // Readable reports whether a local load may hit on the state.
 func Readable(s State) bool {
 	switch s {

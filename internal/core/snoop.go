@@ -19,31 +19,30 @@ import (
 // GrantTxn validates and applies the requester-side transition at the
 // serialization point.
 func (c *Controller) GrantTxn(t *bus.Txn) bool {
-	c.stateVer++
 	c.idle = false
 	la := t.Addr
 	switch t.Type {
 	case bus.TxnValidate:
 		// The validate is only meaningful if this node still owns
 		// the dirty line (M, or O after a remote read slipped in
-		// while the validate was queued) and it is still reverted; a
-		// snooped invalidation or an intervening store kills it.
+		// while the validate was queued) and it is still reverted: a
+		// snooped invalidation, an eviction or an intervening store
+		// clears the flag.
 		l := c.l2.Lookup(la)
-		if l == nil || !Dirty(l.State) || !c.tsSilent[la] {
+		if l == nil || l.Flags&FlagSilent == 0 {
 			c.cnt.mestiValCancelled.Inc()
 			c.tr.Emit(trace.Event{Kind: trace.KValCancel, Node: int32(c.id), Addr: la})
 			return false
 		}
 		if !l.Data.Equal(&t.WData) {
-			// tsSilent implies the data still matches the payload
+			// Silent implies the data still matches the payload
 			// captured at detection.
 			panic(fmt.Sprintf("core: validate payload diverged for %#x", la))
 		}
 		// The validating processor foregoes exclusive access: the
 		// reverted value becomes globally visible again and this
 		// node remains the (shared) owner of the dirty line.
-		c.traceState(la, l.State, StateO)
-		l.State = StateO
+		c.setState(l, StateO)
 		return true
 
 	case bus.TxnUpgrade:
@@ -69,8 +68,7 @@ func (c *Controller) GrantTxn(t *bus.Txn) bool {
 				c.detector.SaveStale(la, l.Data)
 			}
 		}
-		c.traceState(la, l.State, StateM)
-		l.State = StateM
+		c.setState(l, StateM)
 		// The write this upgrade was fetched for is ordered here, at
 		// the serialization point: perform it immediately so snoops a
 		// cycle later observe the new value (see tryPerformHead).
@@ -103,8 +101,8 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 
 	// An evicted dirty line awaiting its writeback grant still
 	// supplies data from the writeback buffer.
-	if data, ok := c.wbBuf[la]; ok && (t.Type == bus.TxnRead || t.Type == bus.TxnReadX) {
-		d := data
+	if e, ok := c.wb[la]; ok && (t.Type == bus.TxnRead || t.Type == bus.TxnReadX) {
+		d := e.data // escapes: copied here so a snoop that misses the buffer allocates nothing
 		reply.Data = &d
 		reply.Shared = true
 		c.cnt.cohWBBufferSupply.Inc()
@@ -122,15 +120,13 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 		case StateM:
 			reply.Shared = true
 			reply.Data = &l.Data
-			c.traceState(la, StateM, StateO)
-			l.State = StateO
+			c.setState(l, StateO)
 		case StateO:
 			reply.Shared = true
 			reply.Data = &l.Data
 		case StateE:
 			reply.Shared = true
-			c.traceState(la, StateE, StateS)
-			l.State = StateS
+			c.setState(l, StateS)
 		case StateS, StateVS:
 			// VS asserts shared on Reads: the requester must not
 			// install E while a valid copy exists. Only the
@@ -141,7 +137,7 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 			// A read does not change the globally visible value;
 			// the reversion candidate stays live.
 		}
-		c.trainExternalReq(la, l.State)
+		c.trainExternalReq(la)
 
 	case bus.TxnReadX, bus.TxnUpgrade:
 		switch l.State {
@@ -153,11 +149,11 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 				reply.Data = &l.Data
 			}
 			reply.Shared = true
-			c.trainExternalReq(la, l.State)
+			c.trainExternalReq(la)
 			c.enterT(l)
 		case StateE, StateS:
 			reply.Shared = true
-			c.trainExternalReq(la, l.State)
+			c.trainExternalReq(la)
 			c.enterT(l)
 		case StateVS:
 			// The E-MESTI distributed prediction signal: a
@@ -180,23 +176,20 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 	case bus.TxnValidate:
 		if l.State == StateT {
 			if l.Data.Equal(&t.WData) {
+				// The first local use measures its distance from here.
+				to := StateS
 				if c.cfg.EMESTI {
-					l.State = StateVS
-				} else {
-					l.State = StateS
+					to = StateVS
 				}
+				c.setState(l, to)
+				l.Flags |= FlagRevalidated
+				l.Stamp = uint32(c.now)
 				c.cnt.mestiRevalidate.Inc()
-				c.traceState(la, StateT, l.State)
-				c.validatedAt[la] = c.now
-				// The one snoop that restores read permission: a load
-				// this node refused for want of an MSHR now hits.
-				c.stateVer++
 			} else {
 				// The candidate belongs to an older visibility
 				// epoch (an intervening owner changed the line and
 				// wrote it back); it cannot be revalidated.
-				c.traceState(la, StateT, StateI)
-				l.State = StateI
+				c.setState(l, StateI)
 				c.cnt.mestiValMismatch.Inc()
 			}
 		}
@@ -211,7 +204,7 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 // trainExternalReq feeds the useful-validate predictor: an external
 // request arriving while the line is temporally silent is evidence the
 // silence was (or would have been) worth a validate.
-func (c *Controller) trainExternalReq(la uint64, _ State) {
+func (c *Controller) trainExternalReq(la uint64) {
 	if c.vpred != nil {
 		c.vpred.OnExternalReq(la)
 	}
@@ -223,42 +216,35 @@ func (c *Controller) trainExternalReq(la uint64, _ State) {
 // under the baseline the line goes to I (data retained for LVP's
 // tag-match-invalid predictions, permission gone either way).
 func (c *Controller) enterT(l *cache.Line) {
-	la := l.Addr
-	from := l.State
+	to := StateI
 	if c.cfg.MESTI {
-		l.State = StateT
+		to = StateT
 		c.cnt.mestiEnterT.Inc()
-	} else {
-		l.State = StateI
 	}
-	c.traceState(la, from, l.State)
-	// This node is no longer the writer: its silence bookkeeping and
-	// reversion candidate (if it was the owner) are dead, and the L1
-	// loses the line (inclusion of permission). A pending
-	// validate-to-reuse measurement dies with the permission.
-	delete(c.tsSilent, la)
-	if len(c.validatedAt) > 0 {
-		delete(c.validatedAt, la)
-	}
+	c.setState(l, to)
+	// This node is no longer the writer: its silence flag and reversion
+	// candidate (if it was the owner) are dead, and the L1 loses the
+	// line (inclusion of permission). A pending validate-to-reuse
+	// measurement dies with the permission.
+	l.Flags = 0
 	if c.detector != nil {
-		c.detector.Drop(la)
+		c.detector.Drop(l.Addr)
 	}
-	c.dropFromL1(la)
+	c.dropFromL1(l.Addr)
 }
 
 // CompleteTxn receives the requester-side completion: data arrival for
 // Read/ReadX, or the end of the address phase for dataless types.
 func (c *Controller) CompleteTxn(t *bus.Txn) {
-	c.stateVer++
 	c.idle = false
 	la := t.Addr
 	switch t.Type {
 	case bus.TxnWriteback:
-		if c.wbPending[la] <= 1 {
-			delete(c.wbPending, la)
-			delete(c.wbBuf, la)
+		if e := c.wb[la]; e.pending > 1 {
+			e.pending--
+			c.wb[la] = e
 		} else {
-			c.wbPending[la]--
+			delete(c.wb, la)
 		}
 
 	case bus.TxnRead:
@@ -266,14 +252,12 @@ func (c *Controller) CompleteTxn(t *bus.Txn) {
 		if t.Shared || t.Owned {
 			state = StateS
 		}
-		c.traceState(la, c.LineState(la), state)
 		c.installL2(la, t.Data, state)
 		c.fillL1(la)
 		c.classifyMiss(t)
 		c.serveMSHR(t)
 
 	case bus.TxnReadX:
-		c.traceState(la, c.LineState(la), StateM)
 		c.installL2(la, t.Data, StateM)
 		if c.detector != nil {
 			// The received contents are the globally visible value
@@ -301,7 +285,7 @@ func (c *Controller) CompleteTxn(t *bus.Txn) {
 		if m := c.mshrs.Lookup(la); m != nil {
 			switch {
 			case len(m.Waiters) == 0 && !m.SpecDelivered:
-				c.mshrs.Free(m)
+				c.freeMSHR(m)
 			default:
 				// The line was stolen by a snoop between the
 				// upgrade's grant and its completion, and loads
@@ -404,5 +388,5 @@ func (c *Controller) serveMSHR(t *bus.Txn) {
 	if len(verified) > 0 {
 		c.client.LoadsVerified(verified)
 	}
-	c.mshrs.Free(m)
+	c.freeMSHR(m)
 }

@@ -237,33 +237,64 @@ func TestUpgradeStolenServedFromLiveLine(t *testing.T) {
 
 // --- StateVersion: the key of the core's retry memo ---
 
-// A counted refusal (no MSHR left for a line the L2 cannot read) may
-// turn into anything else only under a new StateVersion: the core does
-// not ask again while the version stands. The one remote transaction
-// that restores permission is a matching validate; snoops that leave
-// the refusal standing need not move the version.
+// What the core was last answered — here a load with the MSHR file full,
+// and HoldsWritable — may change only under a new StateVersion: the core
+// does not ask again while the version stands, and ExternalSnoop tells
+// it that a snoop happened, not what it did. Snoops that leave both
+// answers standing need not move the version.
 func TestRefusalFlipsOnlyUnderNewStateVersion(t *testing.T) {
+	type answer struct {
+		load     LoadResult
+		writable bool
+	}
 	refused := LoadResult{Status: LoadRetry, Counted: true}
-	for _, emesti := range []bool{false, true} {
-		h, n, la := snoopHarness(t, emesti, StateT, lineOf(7))
-		h.fillMSHRs(0)
-		if r := n.Load(h.seq(), la, false); r != refused {
-			t.Fatalf("load with the MSHR file full: %+v, want %+v", r, refused)
-		}
-		ver := n.StateVersion()
-
-		n.SnoopTxn(&bus.Txn{Type: bus.TxnRead, Addr: la})
-		n.SnoopTxn(&bus.Txn{Type: bus.TxnReadX, Addr: la})
-		if r := n.Load(h.seq(), la, false); r != refused {
-			t.Fatalf("emesti=%v: remote read and write flipped the refusal to %+v", emesti, r)
-		}
-
-		n.SnoopTxn(&bus.Txn{Type: bus.TxnValidate, Addr: la, WData: lineOf(7)})
-		if r := n.Load(h.seq(), la, false); r.Status != LoadHit || r.Value != 7 {
-			t.Fatalf("emesti=%v: load after the revalidate: %+v, want a hit of 7", emesti, r)
-		}
-		if n.StateVersion() == ver {
-			t.Fatalf("emesti=%v: a snooped validate turned a refused load into a hit under StateVersion %d", emesti, ver)
-		}
+	hit := LoadResult{Status: LoadHit, Value: 7, Lat: 3}
+	rows := []struct {
+		name   string
+		emesti bool
+		from   State
+		snoop  bus.Txn
+		before answer
+		after  answer
+	}{
+		{name: "remote read of a T copy", from: StateT,
+			snoop: bus.Txn{Type: bus.TxnRead}, before: answer{load: refused}, after: answer{load: refused}},
+		{name: "remote write of a T copy", from: StateT,
+			snoop: bus.Txn{Type: bus.TxnReadX}, before: answer{load: refused}, after: answer{load: refused}},
+		{name: "validate restores S", from: StateT,
+			snoop: bus.Txn{Type: bus.TxnValidate, WData: lineOf(7)}, before: answer{load: refused}, after: answer{load: hit}},
+		{name: "validate restores VS", emesti: true, from: StateT,
+			snoop: bus.Txn{Type: bus.TxnValidate, WData: lineOf(7)}, before: answer{load: refused}, after: answer{load: hit}},
+		{name: "snooped invalidation of S", from: StateS,
+			snoop: bus.Txn{Type: bus.TxnUpgrade}, before: answer{load: hit}, after: answer{load: refused}},
+		{name: "snooped invalidation of M", from: StateM,
+			snoop: bus.Txn{Type: bus.TxnReadX}, before: answer{load: hit, writable: true}, after: answer{load: refused}},
+		{name: "snooped downgrade of M to O", from: StateM,
+			snoop: bus.Txn{Type: bus.TxnRead}, before: answer{load: hit, writable: true}, after: answer{load: hit}},
+		{name: "snooped downgrade of E to S", from: StateE,
+			snoop: bus.Txn{Type: bus.TxnRead}, before: answer{load: hit, writable: true}, after: answer{load: hit}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			h, n, la := snoopHarness(t, r.emesti, r.from, lineOf(7))
+			h.fillMSHRs(0)
+			ask := func() answer {
+				n.l1.Drop(la) // every hit at L2 latency
+				return answer{load: n.Load(h.seq(), la, false), writable: n.HoldsWritable(la)}
+			}
+			if got := ask(); got != r.before {
+				t.Fatalf("before the snoop: %+v, want %+v", got, r.before)
+			}
+			ver := n.StateVersion() // after asking: the first hit of a VS line is itself a transition
+			r.snoop.Addr, r.snoop.Src = la, 1
+			n.SnoopTxn(&r.snoop)
+			moved := n.StateVersion() != ver
+			if got := ask(); got != r.after {
+				t.Fatalf("after the snoop: %+v, want %+v", got, r.after)
+			}
+			if r.before != r.after && !moved {
+				t.Fatalf("the snoop turned %+v into %+v under StateVersion %d", r.before, r.after, ver)
+			}
+		})
 	}
 }

@@ -31,14 +31,13 @@ type MemSystem interface {
 	SLECommitStores(stores []core.SpecStore) bool
 	StoreBufEmpty() bool
 
-	// StateVersion changes whenever memory-system state that decides
-	// what Load, StoreCommit or SCExecute answer may have changed
-	// without a core.Client callback (store-buffer drains, this node's
-	// bus grants and completions), and whenever a Load answered
-	// LoadRetry{Counted} may be answered otherwise (those, plus a
-	// snooped validate restoring read permission). The core snapshots it
-	// with its idle verdict and revalidates before trusting the verdict,
-	// and keys each load's memoized counted refusal on it (readyRef).
+	// StateVersion changes whenever a refusal — a LoadRetry, a refused
+	// StoreCommit or SCExecute, HoldsWritable false — may be answered
+	// otherwise: a line's state, the MSHR file or the store-buffer head
+	// was written (core.Controller.setState has the contract). The core
+	// snapshots it with its idle verdict and revalidates before trusting
+	// the verdict, and keys each load's memoized counted refusal on it
+	// (readyRef).
 	StateVersion() uint64
 }
 
@@ -351,11 +350,8 @@ type Core struct {
 	// divergence (the PHARMsim-vs-SimOS validation idea).
 	checker bool
 
-	// OnCommit, when non-nil, observes every retired instruction in
-	// program order (tests and tracing).
-	OnCommit func(pc int, ins isa.Instr)
-
-	// OnCommitDebug additionally exposes captured operands and result.
+	// OnCommitDebug, when non-nil, observes every retired instruction in
+	// program order, with its captured operands and result.
 	OnCommitDebug func(seq uint64, pc int, ins isa.Instr, src0, src1, result uint64)
 
 	// What the tick in progress has done so far: the stages that moved
@@ -736,9 +732,6 @@ func (c *Core) retireHead() {
 	}
 	if e.executing {
 		c.numExecuting--
-	}
-	if c.OnCommit != nil {
-		c.OnCommit(int(e.pc), *e.ins)
 	}
 	if c.OnCommitDebug != nil {
 		c.OnCommitDebug(e.seq, int(e.pc), *e.ins, e.src[0], e.src[1], e.result)

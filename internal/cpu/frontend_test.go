@@ -230,7 +230,7 @@ func TestFetchOffTheEndRetiresHalt(t *testing.T) {
 	} {
 		c, _, _, violation := oracleCore(t, row.prog, false)
 		var got []commit
-		c.OnCommit = func(pc int, ins isa.Instr) { got = append(got, commit{pc, ins.Op}) }
+		c.OnCommitDebug = func(_ uint64, pc int, ins isa.Instr, _, _, _ uint64) { got = append(got, commit{pc, ins.Op}) }
 		run(t, c, 1000)
 		if *violation != nil {
 			t.Fatal(*violation)

@@ -57,13 +57,6 @@ func (in *Interp) PC(cpu int) int { return in.cpus[cpu].pc }
 // Reg returns CPU cpu's register r.
 func (in *Interp) Reg(cpu int, r int) uint64 { return in.cpus[cpu].regs[r] }
 
-// SetReg sets CPU cpu's register r (initial conditions for tests).
-func (in *Interp) SetReg(cpu int, r int, v uint64) {
-	if r != 0 {
-		in.cpus[cpu].regs[r] = v
-	}
-}
-
 // Halted reports whether the CPU has executed OpHalt.
 func (in *Interp) Halted(cpu int) bool { return in.cpus[cpu].halted }
 

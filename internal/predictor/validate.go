@@ -44,47 +44,43 @@ type vEntry struct {
 // silence is worth a validate broadcast. Storage is logically part of
 // the L2 tag array (2 bits of state + a 3-bit counter per line,
 // §2.4.2); here it is a map that the cache controller trims on L2
-// evictions so capacity tracks the L2 exactly.
+// evictions so capacity tracks the L2 exactly. A line is tracked from
+// its first detected silence: an untracked one is in Start at the cold
+// confidence, which is what every other event leaves alone.
 type ValidatePredictor struct {
 	params  ValidateParams
-	entries map[uint64]*vEntry
+	entries map[uint64]vEntry
 }
 
 // NewValidatePredictor builds a predictor with the given tuning.
 func NewValidatePredictor(p ValidateParams) *ValidatePredictor {
-	return &ValidatePredictor{params: p, entries: make(map[uint64]*vEntry)}
+	return &ValidatePredictor{params: p, entries: make(map[uint64]vEntry)}
 }
 
 // Params returns the tuning in use.
 func (v *ValidatePredictor) Params() ValidateParams { return v.params }
 
-func (v *ValidatePredictor) entry(addr uint64) *vEntry {
+// step moves a line waiting in from back to Start, its confidence
+// changed by delta and clamped to [0, SatMax], or on to next when that
+// is not Start.
+func (v *ValidatePredictor) step(addr uint64, from, next vState, delta int) {
 	la := mem.LineAddr(addr)
 	e, ok := v.entries[la]
-	if !ok {
-		e = &vEntry{state: vStart, conf: v.params.InitConf}
-		v.entries[la] = e
+	if !ok || e.state != from {
+		return
 	}
-	return e
-}
-
-func (v *ValidatePredictor) bump(e *vEntry, delta int) {
-	e.conf += delta
-	if e.conf < 0 {
-		e.conf = 0
-	}
-	if e.conf > v.params.SatMax {
-		e.conf = v.params.SatMax
-	}
+	e.state = next
+	e.conf = min(max(e.conf+delta, 0), v.params.SatMax)
+	v.entries[la] = e
 }
 
 // OnTSDetect is the (*) transition of Figure 4: temporal silence was
 // just detected for the line. The machine moves to TS-Detected and the
 // confidence is read to decide whether to broadcast a validate.
 func (v *ValidatePredictor) OnTSDetect(addr uint64) (sendValidate bool) {
-	e := v.entry(addr)
-	e.state = vTSDetected
-	return e.conf >= v.params.Threshold
+	conf := v.Confidence(addr)
+	v.entries[mem.LineAddr(addr)] = vEntry{state: vTSDetected, conf: conf}
+	return conf >= v.params.Threshold
 }
 
 // OnExternalReq observes a remote request (Read/ReadX) for the line.
@@ -94,11 +90,7 @@ func (v *ValidatePredictor) OnTSDetect(addr uint64) (sendValidate bool) {
 // prevented the miss the remote node just took. Confidence rises and
 // the machine returns to Start.
 func (v *ValidatePredictor) OnExternalReq(addr uint64) {
-	e := v.entry(addr)
-	if e.state == vTSDetected {
-		v.bump(e, v.params.Inc)
-		e.state = vStart
-	}
+	v.step(addr, vTSDetected, vStart, v.params.Inc)
 }
 
 // OnIntermediateStoreVisible fires when a non-update-silent store to a
@@ -107,10 +99,7 @@ func (v *ValidatePredictor) OnExternalReq(addr uint64) {
 // useful snoop response, which arrives after the coherence agent
 // collects all responses (§2.4.1).
 func (v *ValidatePredictor) OnIntermediateStoreVisible(addr uint64) {
-	e := v.entry(addr)
-	if e.state == vTSDetected {
-		e.state = vUpgradeReq
-	}
+	v.step(addr, vTSDetected, vUpgradeReq, 0)
 }
 
 // OnIntermediateStoreSilentlyLocal fires when a non-update-silent
@@ -121,10 +110,7 @@ func (v *ValidatePredictor) OnIntermediateStoreVisible(addr uint64) {
 // solely from OnExternalReq — i.e. from the misses that reappear,
 // exactly as §2.4.1 describes.
 func (v *ValidatePredictor) OnIntermediateStoreSilentlyLocal(addr uint64) {
-	e := v.entry(addr)
-	if e.state == vTSDetected {
-		e.state = vStart
-	}
+	v.step(addr, vTSDetected, vStart, 0)
 }
 
 // OnUsefulResponse delivers the combined useful snoop response for the
@@ -132,16 +118,11 @@ func (v *ValidatePredictor) OnIntermediateStoreSilentlyLocal(addr uint64) {
 // meaning a processor consumed the validate) trains up; useless (only
 // Validate_Shared or invalid remote copies) trains down.
 func (v *ValidatePredictor) OnUsefulResponse(addr uint64, useful bool) {
-	e := v.entry(addr)
-	if e.state != vUpgradeReq {
-		return
-	}
+	delta := -v.params.Dec
 	if useful {
-		v.bump(e, v.params.Inc)
-	} else {
-		v.bump(e, -v.params.Dec)
+		delta = v.params.Inc
 	}
-	e.state = vStart
+	v.step(addr, vUpgradeReq, vStart, delta)
 }
 
 // Evict discards predictor state for the line (L2 eviction); the next

@@ -551,7 +551,7 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 		res.Retired += c.Retired()
 	}
 	if runErr == nil && w.Validate != nil && res.Finished {
-		if err := w.Validate(s.Mem, s.readWord); err != nil {
+		if err := w.Validate(s.Mem, s.ReadWordCoherent); err != nil {
 			runErr = &RunError{
 				Workload: w.Name,
 				Tech:     s.cfg.Tech,
@@ -589,13 +589,6 @@ func (s *System) storeBuffersEmpty() bool {
 // dirty owner's copy if one exists, else memory. Used by workload
 // validators after a run and by examples to inspect results.
 func (s *System) ReadWordCoherent(addr uint64) uint64 {
-	return s.readWord(addr)
-}
-
-// readWord returns the current coherent value of a word: the dirty
-// owner's copy if one exists, else memory. Used by workload
-// validators after a run.
-func (s *System) readWord(addr uint64) uint64 {
 	for _, n := range s.Nodes {
 		st := n.LineState(addr)
 		if st == core.StateM || st == core.StateO {
