@@ -6,13 +6,11 @@ import (
 	"tssim/internal/mem"
 )
 
-// Waiter is one core operation blocked on an outstanding miss.
+// Waiter is one in-flight load blocked on an outstanding miss.
 type Waiter struct {
-	Seq     uint64 // program-order sequence number of the op
-	WordIdx int    // word within the line the op touches
-	IsLoad  bool
-	IsLL    bool // load-locked: sets the reservation when data binds
-	GotSpec bool // received a speculative (LVP) value at issue
+	Seq     uint64 // program-order sequence number of the load
+	WordIdx int    // word within the line the load reads
+	GotSpec bool   // received a speculative (LVP) value at issue
 }
 
 // MSHR is one miss status holding register. Besides the usual merge
@@ -26,13 +24,27 @@ type MSHR struct {
 	Addr  uint64 // line-aligned address of the miss
 	Write bool   // true when the line is wanted exclusively (ReadX)
 
+	// What merged into this miss, whether or not its loads are still in
+	// flight: Merge sets them, Alloc and Free clear them.
+	LoadMerged bool // a load merged
+	LLMerged   bool // a load-locked merged: the fill sets the reservation
+
 	// LVP speculative state.
 	SpecDelivered bool     // some value was speculatively delivered
 	SpecWords     uint8    // bitmask of word slots delivered
 	SpecData      mem.Line // predicted line contents at delivery time
 	OldestSeq     uint64   // oldest op with speculative data
 
+	// Waiters are the merged loads still in flight, in merge order: a
+	// squash drops the ones it killed (DropWaitersAfter).
 	Waiters []Waiter
+}
+
+// Merge attaches a load to the miss.
+func (m *MSHR) Merge(w Waiter, isLL bool) {
+	m.Waiters = append(m.Waiters, w)
+	m.LoadMerged = true
+	m.LLMerged = m.LLMerged || isLL
 }
 
 // RecordSpec notes that the word at slot was speculatively delivered
@@ -81,14 +93,14 @@ type MSHRFile struct {
 	used    int
 }
 
-// initWaiterCap pre-sizes each MSHR's waiter list. The list can reach
-// a few hundred entries in bursts (every load in a 128-entry LSQ can
-// wait on one line, and snoop-replayed loads re-append while the miss
-// is outstanding), so size for the observed high-water mark to keep
-// the steady-state cycle loop free of waiter-list growth; a burst past
-// the cap grows the list once and the capacity is retained by
-// Alloc/Free thereafter.
-const initWaiterCap = 512
+// initWaiterCap pre-sizes each MSHR's waiter list. A waiter is a load
+// still in flight (a squash drops the ones it kills), so a list is
+// bounded by the core's in-flight loads: 128 with the default LSQ. Most
+// misses serve one or two loads; a list reaches the bound only when a
+// whole window waits on one line, and then it grows at most three times
+// (16 → 32 → 64 → 128), after which Alloc/Free keep the capacity and the
+// steady-state cycle loop allocates nothing.
+const initWaiterCap = 16
 
 // NewMSHRFile builds a file with n entries.
 func NewMSHRFile(n int) *MSHRFile {
@@ -150,6 +162,22 @@ func (f *MSHRFile) Free(m *MSHR) {
 	}
 	w := m.Waiters[:0]
 	*m = MSHR{Waiters: w}
+}
+
+// DropWaitersAfter removes from every live MSHR the waiters younger than
+// seq — the loads a squash at seq killed — keeping the rest in order and
+// each list's capacity.
+func (f *MSHRFile) DropWaitersAfter(seq uint64) {
+	for i := range f.entries {
+		m := &f.entries[i]
+		keep := m.Waiters[:0]
+		for _, w := range m.Waiters {
+			if w.Seq <= seq {
+				keep = append(keep, w)
+			}
+		}
+		m.Waiters = keep
+	}
 }
 
 // InUse returns the number of live entries. O(1): the occupancy

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"tssim/internal/mem"
@@ -93,6 +94,47 @@ func TestMSHRFileForEach(t *testing.T) {
 	f.ForEach(func(m *MSHR) { seen++ })
 	if seen != 2 {
 		t.Fatalf("ForEach visited %d, want 2", seen)
+	}
+}
+
+// A squash at seq drops every waiter younger than seq from every live
+// MSHR, in place: the survivors keep their merge order (which is not seq
+// order: loads issue out of order), the list keeps its capacity, and what
+// merged is still known.
+func TestMSHRDropWaitersAfter(t *testing.T) {
+	f := NewMSHRFile(4)
+	a, b := f.Alloc(0x1000, false), f.Alloc(0x2000, true)
+	for _, s := range []uint64{12, 30, 7, 20, 31, 9} {
+		a.Merge(Waiter{Seq: s}, s == 30)
+	}
+	b.Merge(Waiter{Seq: 40, GotSpec: true}, false)
+	capA, backingA := cap(a.Waiters), &a.Waiters[0]
+	f.DropWaitersAfter(20)
+	var got []uint64
+	for _, w := range a.Waiters {
+		got = append(got, w.Seq)
+	}
+	if want := []uint64{12, 7, 20, 9}; !slices.Equal(got, want) {
+		t.Fatalf("waiters after a squash at 20: %v, want %v", got, want)
+	}
+	if cap(a.Waiters) != capA || &a.Waiters[0] != backingA {
+		t.Fatal("the prune moved the list off its backing array")
+	}
+	if len(b.Waiters) != 0 {
+		t.Fatalf("the other MSHR kept %d waiters younger than the cut", len(b.Waiters))
+	}
+	if !a.LoadMerged || !a.LLMerged || !b.LoadMerged || b.LLMerged {
+		t.Fatalf("merge facts after the prune: a load=%v ll=%v, b load=%v ll=%v; want true true true false",
+			a.LoadMerged, a.LLMerged, b.LoadMerged, b.LLMerged)
+	}
+	f.DropWaitersAfter(100) // a cut above every waiter drops nothing
+	if len(a.Waiters) != 4 {
+		t.Fatalf("a cut above every waiter left %d of 4", len(a.Waiters))
+	}
+	f.Free(a)
+	if a.LoadMerged || a.LLMerged || len(a.Waiters) != 0 || cap(a.Waiters) != capA {
+		t.Fatalf("Free left load=%v ll=%v, %d waiters, capacity %d (want %d)",
+			a.LoadMerged, a.LLMerged, len(a.Waiters), cap(a.Waiters), capA)
 	}
 }
 

@@ -18,3 +18,31 @@ func BenchmarkControllerLoadRefused(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoadReplayedOntoMiss is a snoop replay against an outstanding
+// miss: per op, the load waiting on the miss is squashed (Squashed) and
+// re-issued, missing onto the same MSHR. The waiter list holds one live
+// load throughout, so B/op is 0; a list that kept the squashed waiters
+// would grow with b.N.
+func BenchmarkLoadReplayedOntoMiss(b *testing.B) {
+	h := newHarness(b, 1, nil)
+	n := h.nodes[0]
+	const addr = 0x2000
+	seq := h.seq()
+	if r := n.Load(seq, addr, false); r.Status != LoadMiss {
+		b.Fatalf("first load: %+v, want a miss", r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Squashed(seq - 1)
+		seq = h.seq()
+		if r := n.Load(seq, addr, false); r.Status != LoadMiss {
+			b.Fatalf("re-issue: %+v, want a miss onto the outstanding MSHR", r)
+		}
+	}
+	b.StopTimer()
+	if w := len(n.mshrs.Lookup(addr).Waiters); w != 1 {
+		b.Fatalf("%d waiters after %d replays, want 1", w, b.N)
+	}
+}

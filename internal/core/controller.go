@@ -410,7 +410,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		c.request(ty, la)
 	}
 	c.idle = false
-	w := cache.Waiter{Seq: seq, WordIdx: slot, IsLoad: true, IsLL: isLL}
+	w := cache.Waiter{Seq: seq, WordIdx: slot}
 
 	// LVP: a tag-match invalid line (state I after an invalidation or
 	// eviction of permission, or T under MESTI) supplies a value
@@ -419,12 +419,12 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		v := l2line.Data.Word(slot)
 		m.RecordSpec(slot, seq, v)
 		w.GotSpec = true
-		m.Waiters = append(m.Waiters, w)
+		m.Merge(w, isLL)
 		c.cnt.lvpSpecDeliver.Inc()
 		c.tr.Emit(trace.Event{Kind: trace.KLVPPredict, Node: int32(c.id), Addr: addr, Arg: v})
 		return LoadResult{Status: LoadSpec, Value: v, Lat: c.cfg.L1Latency + c.cfg.L2Latency}
 	}
-	m.Waiters = append(m.Waiters, w)
+	m.Merge(w, isLL)
 	return LoadResult{Status: LoadMiss}
 }
 
@@ -462,6 +462,12 @@ func (c *Controller) pushStore(e storeEntry) bool {
 
 // StoreBufEmpty reports whether all retired stores have performed.
 func (c *Controller) StoreBufEmpty() bool { return len(c.storeBuf) == 0 }
+
+// Squashed implements cpu.MemSystem: a squash killed every op younger
+// than after, so no MSHR waits for their loads any longer. It moves
+// neither stateVer nor the idle verdict: no refusal and nothing tickStore
+// reads looks at a waiter list.
+func (c *Controller) Squashed(after uint64) { c.mshrs.DropWaitersAfter(after) }
 
 func (c *Controller) setReservation(lineAddr uint64) {
 	c.resAddr = lineAddr
@@ -891,12 +897,13 @@ func (c *Controller) ForEachWB(fn func(la uint64)) {
 // quiesce).
 func (c *Controller) MSHRsInUse() int { return c.mshrs.InUse() }
 
-// DebugMSHRs renders live MSHRs (diagnostics).
+// DebugMSHRs renders live MSHRs (diagnostics): a stuck miss shows its
+// live waiters, and whether a load or a load-locked ever merged into it.
 func (c *Controller) DebugMSHRs() string {
 	out := ""
 	c.mshrs.ForEach(func(m *cache.MSHR) {
-		out += fmt.Sprintf("  mshr addr=%#x write=%v spec=%v waiters=%d oldest=%d\n",
-			m.Addr, m.Write, m.SpecDelivered, len(m.Waiters), m.OldestSeq)
+		out += fmt.Sprintf("  mshr addr=%#x write=%v spec=%v live waiters=%d merged load=%v ll=%v oldest=%d\n",
+			m.Addr, m.Write, m.SpecDelivered, len(m.Waiters), m.LoadMerged, m.LLMerged, m.OldestSeq)
 	})
 	if len(c.storeBuf) > 0 {
 		out += fmt.Sprintf("  storeBuf=%d head={addr=%#x sc=%v waiting=%v}\n",

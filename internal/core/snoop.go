@@ -284,14 +284,16 @@ func (c *Controller) CompleteTxn(t *bus.Txn) {
 		}
 		if m := c.mshrs.Lookup(la); m != nil {
 			switch {
-			case len(m.Waiters) == 0 && !m.SpecDelivered:
+			case !m.LoadMerged:
 				c.freeMSHR(m)
 			default:
 				// The line was stolen by a snoop between the
 				// upgrade's grant and its completion, and loads
 				// missed onto this MSHR in that window. Serve them
 				// from the live line if it is somehow readable
-				// again, else refetch exclusively.
+				// again, else refetch exclusively — even when a
+				// squash has killed every one of them since (the
+				// modelled machine decides on what merged).
 				if l := c.l2.Lookup(la); l != nil && Readable(l.State) {
 					served := *t
 					served.Type = bus.TxnReadX
@@ -335,7 +337,11 @@ func (c *Controller) markStoresReady(la uint64) {
 }
 
 // serveMSHR completes the MSHR for an arrived line: verifies LVP
-// speculation, wakes waiting loads, and sets LL reservations.
+// speculation, wakes waiting loads, and sets the LL reservation if a
+// load-locked merged, live or not (a squashed LL's fill still sets it).
+// The waiters are live loads, so every seq named to the client is in its
+// window — until the value-misprediction squash, which drops the ones it
+// kills before the wake-up walk.
 func (c *Controller) serveMSHR(t *bus.Txn) {
 	m := c.mshrs.Lookup(t.Addr)
 	if m == nil {
@@ -367,14 +373,11 @@ func (c *Controller) serveMSHR(t *bus.Txn) {
 		c.cnt.lvpVerifyOK.Inc()
 		c.tr.Emit(trace.Event{Kind: trace.KLVPVerifyOK, Node: int32(c.id), Addr: t.Addr})
 	}
+	if m.LLMerged {
+		c.setReservation(t.Addr)
+	}
 	verified := c.scratchVerified[:0]
 	for _, w := range m.Waiters {
-		if !w.IsLoad {
-			continue
-		}
-		if w.IsLL {
-			c.setReservation(t.Addr)
-		}
 		if w.GotSpec {
 			if ok {
 				verified = append(verified, w.Seq)

@@ -145,50 +145,72 @@ func TestSnoopValidateMismatchInvalidates(t *testing.T) {
 // An upgrade whose line was stolen between grant and completion, with
 // loads attached to its MSHR in the window, must refetch exclusively:
 // the MSHR survives (exactly one), the stolen-refetch counter fires,
-// and the waiting load completes with the refetched data.
+// and the waiting load completes with the refetched data. The refetch
+// keys on a load having merged, not on one still waiting: when a squash
+// has killed the only one before the completion, the refetch happens all
+// the same and answers nobody.
 func TestUpgradeStolenRefetches(t *testing.T) {
-	h := newHarness(t, 2, nil)
-	n := h.nodes[0]
-	la := uint64(0x2000)
-	h.mem.WriteWord(la+8, 99)
+	for _, squashed := range []bool{false, true} {
+		name := "live waiter"
+		if squashed {
+			name = "the only merged load squashed"
+		}
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, 2, nil)
+			n := h.nodes[0]
+			la := uint64(0x2000)
+			h.mem.WriteWord(la+8, 99)
 
-	// Upgrade in flight: granted (line M, store performed), MSHR live.
-	n.installL2(la, lineOf(1, 2), StateM)
-	m := n.mshrs.Alloc(la, true)
-	// The steal: a remote ReadX snoop in the grant->completion window.
-	n.SnoopTxn(&bus.Txn{Type: bus.TxnReadX, Addr: la})
-	if st := n.LineState(la); Readable(st) {
-		t.Fatalf("line still readable (%s) after the steal", StateName(st))
-	}
-	// A load misses onto the stolen line inside the window.
-	seq := h.seq()
-	if r := n.Load(seq, la+8, false); r.Status == LoadHit {
-		t.Fatal("probe load hit a stolen line")
-	}
-	if len(m.Waiters) != 1 {
-		t.Fatalf("probe load attached %d waiters, want 1", len(m.Waiters))
-	}
+			// Upgrade in flight: granted (line M, store performed), MSHR live.
+			n.installL2(la, lineOf(1, 2), StateM)
+			m := n.mshrs.Alloc(la, true)
+			// The steal: a remote ReadX snoop in the grant->completion window.
+			n.SnoopTxn(&bus.Txn{Type: bus.TxnReadX, Addr: la})
+			if st := n.LineState(la); Readable(st) {
+				t.Fatalf("line still readable (%s) after the steal", StateName(st))
+			}
+			// A load misses onto the stolen line inside the window.
+			seq := h.seq()
+			if r := n.Load(seq, la+8, false); r.Status == LoadHit {
+				t.Fatal("probe load hit a stolen line")
+			}
+			if len(m.Waiters) != 1 {
+				t.Fatalf("probe load attached %d waiters, want 1", len(m.Waiters))
+			}
+			if squashed {
+				n.Squashed(seq - 1)
+				if len(m.Waiters) != 0 {
+					t.Fatalf("the squashed load still waits (%d waiters)", len(m.Waiters))
+				}
+			}
 
-	// The upgrade's completion arrives: unreadable line + waiters must
-	// trigger an exclusive refetch, not a silent free or double serve.
-	n.CompleteTxn(&bus.Txn{Type: bus.TxnUpgrade, Addr: la})
-	if got := h.counter("coherence/upgrade_stolen_refetch"); got != 1 {
-		t.Fatalf("stolen-refetch counter = %d, want 1", got)
-	}
-	if n.MSHRsInUse() != 1 {
-		t.Fatalf("MSHR count after refetch request = %d, want 1 (still live)", n.MSHRsInUse())
-	}
-	h.drain()
-	if v, ok := h.clients[0].loadsDone[seq]; !ok {
-		t.Fatal("waiting load never completed after the refetch")
-	} else if v != 99 {
-		t.Fatalf("refetched load value = %d, want 99", v)
-	}
-	if n.MSHRsInUse() != 0 {
-		t.Fatalf("MSHRs leak after refetch completion: %d in use", n.MSHRsInUse())
-	}
-	if st := n.LineState(la); st != StateM {
-		t.Fatalf("refetch installed %s, want M", StateName(st))
+			// The upgrade's completion arrives: unreadable line + a merged
+			// load must trigger an exclusive refetch, not a silent free or
+			// double serve.
+			n.CompleteTxn(&bus.Txn{Type: bus.TxnUpgrade, Addr: la})
+			if got := h.counter("coherence/upgrade_stolen_refetch"); got != 1 {
+				t.Fatalf("stolen-refetch counter = %d, want 1", got)
+			}
+			if n.MSHRsInUse() != 1 {
+				t.Fatalf("MSHR count after refetch request = %d, want 1 (still live)", n.MSHRsInUse())
+			}
+			h.drain()
+			v, ok := h.clients[0].loadsDone[seq]
+			switch {
+			case squashed && ok:
+				t.Fatalf("the refetch answered squashed seq %d", seq)
+			case !squashed && !ok:
+				t.Fatal("waiting load never completed after the refetch")
+			case !squashed && v != 99:
+				t.Fatalf("refetched load value = %d, want 99", v)
+			}
+			if n.MSHRsInUse() != 0 {
+				t.Fatalf("MSHRs leak after refetch completion: %d in use", n.MSHRsInUse())
+			}
+			if st := n.LineState(la); st != StateM {
+				t.Fatalf("refetch installed %s, want M", StateName(st))
+			}
+		})
 	}
 }
 
@@ -205,9 +227,8 @@ func TestUpgradeStolenServedFromLiveLine(t *testing.T) {
 	n.installL2(la, lineOf(10, 20, 30), StateS)
 	m := n.mshrs.Alloc(la, true)
 	plain, spec := h.seq(), h.seq()
-	m.Waiters = append(m.Waiters,
-		cache.Waiter{Seq: plain, WordIdx: 1, IsLoad: true},
-		cache.Waiter{Seq: spec, WordIdx: 2, IsLoad: true, GotSpec: true})
+	m.Merge(cache.Waiter{Seq: plain, WordIdx: 1}, false)
+	m.Merge(cache.Waiter{Seq: spec, WordIdx: 2, GotSpec: true}, false)
 	m.RecordSpec(2, spec, 30) // correct prediction
 
 	n.CompleteTxn(&bus.Txn{Type: bus.TxnUpgrade, Addr: la})

@@ -39,6 +39,12 @@ type MemSystem interface {
 	// the verdict, and keys each load's memoized counted refusal on it
 	// (readyRef).
 	StateVersion() uint64
+
+	// Squashed tells the memory system that a squash killed every op
+	// younger than after. From then on no callback names one of them:
+	// LoadDone, LoadsVerified and SquashSpec name only seqs in the window
+	// (an oracle core checks it, see SetOracle).
+	Squashed(after uint64)
 }
 
 // Config sizes the core. Zero values take the paper-flavored defaults
@@ -377,7 +383,16 @@ type Core struct {
 	audit    *error
 	replayed uint64 // ticks answered from the verdict
 	memoized uint64 // load retries answered from readyRef.retryVer
+
+	// graves, on an oracle, is a ring of the last loads squashes killed
+	// while the memory system held them, so that a callback naming one
+	// can say which line it waited on (see bury).
+	graves    []grave
+	nextGrave int
 }
+
+// grave is a killed load's seq and line.
+type grave struct{ seq, line uint64 }
 
 // New builds a core running prog against the given memory system. id
 // is used only for diagnostics.
@@ -444,10 +459,15 @@ func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
 // wake-up chains exactly the window's unready source slots, and
 // a clear load must still be clear; a reference carrying a memo must be
 // to a live unissued load that the memory system refuses, counted, and
-// no squash may run inside the issue walk. The first violation
-// machine-wide is stored in *violation for the run loop to fail on.
-// Must be called before the first Tick.
-func (c *Core) SetOracle(violation *error) { c.audit = violation }
+// no squash may run inside the issue walk. A controller callback must
+// name a seq in the window (MemSystem.Squashed), where the fast path
+// ignores one that is not. The first violation machine-wide is stored in
+// *violation for the run loop to fail on. Must be called before the
+// first Tick.
+func (c *Core) SetOracle(violation *error) {
+	c.audit = violation
+	c.graves = make([]grave, c.cfg.LSQSize) // one squash kills at most this many loads
+}
 
 // violated latches the oracle's finding unless an earlier one stands.
 func (c *Core) violated(format string, args ...any) {
@@ -901,6 +921,12 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 	// entries are exactly the tail past the survivors.
 	killed := c.ruu[len(keep):]
 	c.ruu = keep
+	if len(killed) > 0 {
+		c.memsys.Squashed(seq)
+		if c.audit != nil {
+			c.bury(killed)
+		}
+	}
 	// stq and readyQ are seq-sorted too: cut their killed tails.
 	for n := len(c.stq); n > 0 && c.stq[n-1].seq > seq; n-- {
 		c.stq = c.stq[:n-1]
@@ -922,6 +948,31 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 		c.freeEntry(e)
 	}
 	c.cnt.squash.Inc()
+}
+
+// bury records, on an oracle, the killed loads the memory system still
+// holds a waiter for: sent and not yet done, or delivered a speculative
+// value not yet verified.
+func (c *Core) bury(killed []*entry) {
+	for _, e := range killed {
+		if e.isLoad && (e.memSent || e.specVal) {
+			c.graves[c.nextGrave] = grave{e.seq, mem.LineAddr(e.effAddr)}
+			c.nextGrave = (c.nextGrave + 1) % len(c.graves)
+		}
+	}
+}
+
+// namedSquashed is the oracle's finding that a controller callback named
+// a seq that is not in the window: a waiter outlived the squash that
+// killed its load.
+func (c *Core) namedSquashed(seq uint64) {
+	for _, g := range c.graves {
+		if g.seq == seq && seq != 0 {
+			c.violated("controller named squashed seq %d (line %#x)", seq, g.line)
+			return
+		}
+	}
+	c.violated("controller named squashed seq %d (line unknown)", seq)
 }
 
 // SquashFromSeq kills the entry with the given seq and everything
@@ -1434,6 +1485,9 @@ func (c *Core) fetch() {
 func (c *Core) LoadDone(seq uint64, value uint64) {
 	c.idle = false
 	e := c.entryBySeq(seq)
+	if e == nil && c.audit != nil {
+		c.namedSquashed(seq)
+	}
 	if e == nil || !e.memSent || e.done {
 		return // squashed or stale
 	}
@@ -1450,6 +1504,8 @@ func (c *Core) LoadsVerified(seqs []uint64) {
 	for _, s := range seqs {
 		if e := c.entryBySeq(s); e != nil {
 			e.specVal = false
+		} else if c.audit != nil {
+			c.namedSquashed(s)
 		}
 	}
 }
@@ -1458,13 +1514,18 @@ func (c *Core) LoadsVerified(seqs []uint64) {
 // from the oldest of the named ops that is still in flight. Ops
 // already killed by earlier squashes were re-fetched clean and their
 // replacements carry no speculative value from the failed line, so a
-// fully dead list is a no-op.
+// fully dead list is a no-op (a controller that honours Squashed names
+// no dead op at all).
 func (c *Core) SquashSpec(seqs []uint64) {
 	c.idle = false
 	var oldest uint64
 	found := false
 	for _, s := range seqs {
-		if c.entryBySeq(s) != nil && (!found || s < oldest) {
+		live := c.entryBySeq(s) != nil
+		if !live && c.audit != nil {
+			c.namedSquashed(s)
+		}
+		if live && (!found || s < oldest) {
 			oldest = s
 			found = true
 		}

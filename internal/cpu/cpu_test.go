@@ -31,6 +31,7 @@ type fakeMem struct {
 	mshrFull  map[uint64]bool // word addrs whose loads get a counted retry
 	scBlocked map[uint64]bool // word addrs whose loads get a pure retry
 
+	squashes     []uint64 // the cut of every Squashed call
 	prefetches   []uint64
 	sleCommits   [][]core.SpecStore
 	sleWritable  bool
@@ -110,6 +111,14 @@ func (f *fakeMem) PrefetchExclusive(addr uint64)       { f.prefetches = append(f
 func (f *fakeMem) HoldsWritable(addr uint64) bool      { return f.sleWritable }
 func (f *fakeMem) StoreBufEmpty() bool                 { return true }
 func (f *fakeMem) StateVersion() uint64                { return f.ver }
+func (f *fakeMem) Squashed(after uint64) {
+	f.squashes = append(f.squashes, after)
+	for seq := range f.pendLoad {
+		if seq > after {
+			delete(f.pendLoad, seq)
+		}
+	}
+}
 func (f *fakeMem) SLECommitStores(st []core.SpecStore) bool {
 	if !f.sleWritable {
 		return false
