@@ -77,24 +77,20 @@ func litmusShapeMain(name string, enumerate bool, tech sim.Techniques, noFF bool
 	return 0
 }
 
-// newTracer opens path and builds a Tracer streaming to it in the
-// requested format.
+// newTracer checks the format, then creates path and builds a Tracer
+// streaming to it in that format. A bad format leaves path untouched.
 func newTracer(path, format string) (*trace.Tracer, error) {
+	if format != "jsonl" && format != "chrome" {
+		return nil, fmt.Errorf("unknown trace format %q (use jsonl|chrome)", format)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	var sink trace.Sink
-	switch format {
-	case "jsonl":
-		sink = trace.NewJSONLSink(f)
-	case "chrome":
-		sink = trace.NewChromeSink(f)
-	default:
-		f.Close()
-		return nil, fmt.Errorf("unknown trace format %q (use jsonl|chrome)", format)
+	if format == "chrome" {
+		return trace.New(0, trace.NewChromeSink(f)), nil
 	}
-	return trace.New(0, sink), nil
+	return trace.New(0, trace.NewJSONLSink(f)), nil
 }
 
 // fail reports a failed run on errw — the captured post-mortem, then one

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,6 +67,20 @@ func TestNonsenseSizesRejected(t *testing.T) {
 	usageError(t, "-trace and -report record a single run; use -seeds 1", "-seeds", "2", "-report", "r.json")
 	usageError(t, "-enumerate requires -litmus-shape", "-enumerate")
 	usageError(t, `unknown trace format "xml"`, "-trace", os.DevNull, "-trace-format", "xml")
+}
+
+// A bad -trace-format is refused before the trace file is created: an
+// existing file keeps its bytes.
+func TestBadTraceFormatKeepsTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	const before = "earlier trace\n"
+	if err := os.WriteFile(path, []byte(before), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	usageError(t, `unknown trace format "bogus"`, "-trace", path, "-trace-format", "bogus")
+	if got, err := os.ReadFile(path); err != nil || string(got) != before {
+		t.Fatalf("trace file after a refused format: %q, %v; want %q", got, err, before)
+	}
 }
 
 // Any flag added, dropped or reworded shows up as a diff against

@@ -118,17 +118,6 @@ type Config struct {
 	DataOccupancy int // data network occupancy per transfer
 	JitterMax     int // uniform [0,JitterMax) added to data latencies
 
-	// FillHold keeps a line's conflicting grants blocked for this
-	// many cycles after its data delivery: the receiving cache is
-	// writing the fill into its array and answering its core before
-	// it can service a snoop. Besides realism, this is what gives a
-	// store-conditional that just received its reservation line
-	// exclusively the handful of cycles it needs to perform — without
-	// it, queued rival requests are granted the cycle after delivery
-	// and contended LL/SC sequences never complete. 0 takes the
-	// default; use -1 to disable.
-	FillHold int
-
 	// ArbStart rotates the initial round-robin arbitration pointer:
 	// the first contended grant favors node ArbStart mod N instead of
 	// node 0. It is a deterministic schedule-perturbation knob — the
@@ -136,18 +125,6 @@ type Config struct {
 	// requests without touching any latency — and has no effect on an
 	// uncontended bus. Negative values are treated as 0.
 	ArbStart int
-
-	// MaxOutstanding bounds the in-flight transactions of the
-	// split-transaction bus (0 takes DefaultMaxOutstanding). The atomic
-	// bus and the directory ignore it.
-	MaxOutstanding int `json:",omitempty"`
-
-	// AckPerTarget is the directory backend's per-destination
-	// invalidation/validate acknowledgement latency: a multicast of n
-	// probes completes n*AckPerTarget cycles after its address phase
-	// (0 takes DefaultAckPerTarget). The snooping buses ignore it —
-	// their combined response is free at the grant instant.
-	AckPerTarget int `json:",omitempty"`
 }
 
 // DefaultConfig mirrors the paper's Table 1 interconnect: address
@@ -162,9 +139,18 @@ func DefaultConfig() Config {
 		C2CLatency:    400,
 		DataOccupancy: 50,
 		JitterMax:     0,
-		FillHold:      8,
 	}
 }
+
+// fillHold keeps a line's conflicting grants blocked for this many
+// cycles after its data delivery: the receiving cache is writing the
+// fill into its array and answering its core before it can service a
+// snoop. Besides realism, this is what gives a store-conditional that
+// just received its reservation line exclusively the handful of cycles
+// it needs to perform — without it, queued rival requests are granted
+// the cycle after delivery and contended LL/SC sequences never
+// complete.
+const fillHold = 8
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
@@ -182,11 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DataOccupancy <= 0 {
 		c.DataOccupancy = d.DataOccupancy
-	}
-	if c.FillHold == 0 {
-		c.FillHold = d.FillHold
-	} else if c.FillHold < 0 {
-		c.FillHold = 0
 	}
 	if c.ArbStart < 0 {
 		c.ArbStart = 0
@@ -250,7 +231,7 @@ type Bus struct {
 	// a 4-node machine, so a linear-scanned slice beats a map.
 	busy []busyLine
 
-	// holds are deferred busy-line releases (post-delivery FillHold).
+	// holds are deferred busy-line releases (post-delivery fillHold).
 	holds []lineHold
 
 	// The two things a backend varies, set by its constructor: the bound
@@ -316,9 +297,6 @@ func (b *Bus) NewTxn() *Txn {
 }
 
 func (b *Bus) recycle(t *Txn) { b.free = append(b.free, t) }
-
-// Config returns the effective timing configuration.
-func (b *Bus) Config() Config { return b.cfg }
 
 // SetTracer attaches the event tracer (nil disables tracing).
 func (b *Bus) SetTracer(tr *trace.Tracer) { b.tr = tr }
@@ -638,7 +616,7 @@ func (b *Bus) deliver(now uint64) {
 		if t.doneAt <= now {
 			if t.HasData {
 				// The busy mark persists through the fill hold.
-				b.holds = append(b.holds, lineHold{addr: t.Addr, at: now + uint64(b.cfg.FillHold)})
+				b.holds = append(b.holds, lineHold{addr: t.Addr, at: now + fillHold})
 				b.hMiss.Observe(now - t.reqAt)
 			}
 			b.tr.Emit(trace.Event{Kind: trace.KBusDeliver, Node: int32(t.Src), Addr: t.Addr, A: uint8(t.Type), Arg: now - t.reqAt})

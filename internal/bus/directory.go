@@ -9,9 +9,12 @@ import (
 	"tssim/internal/stats"
 )
 
-// DefaultAckPerTarget is the directory's per-destination
-// acknowledgement latency when Config.AckPerTarget is zero.
-const DefaultAckPerTarget = 4
+// ackPerTarget is the directory's per-destination invalidation/validate
+// acknowledgement latency: a multicast of n probes completes
+// n*ackPerTarget cycles after its address phase. The snooping buses
+// have no such term — their combined response is free at the grant
+// instant.
+const ackPerTarget = 4
 
 // dirMaxNodes bounds the directory's sharer vector (one uint64
 // bitmask per line).
@@ -50,7 +53,7 @@ type dirLine struct {
 // useful-snoop-response survive as directory messages:
 //
 //   - Validate becomes a multicast to the line's tset (the possible
-//     T-state holders), paying AckPerTarget per destination — the
+//     T-state holders), paying ackPerTarget per destination — the
 //     scaling cost the paper's free snooped validate hides.
 //   - The useful-response bit on ReadX/Upgrade is combined from the
 //     actual probe replies only (VS holders withhold it there), never
@@ -58,7 +61,6 @@ type dirLine struct {
 //     validate predictor's training signal is identical to snooping.
 type Directory struct {
 	*Bus
-	ack uint64
 	dir map[uint64]*dirLine
 
 	cntProbes stats.Counter // probes delivered (vs. broadcast's N-1 per grant)
@@ -70,13 +72,8 @@ func NewDirectory(cfg Config, memory *mem.Memory, counters *stats.Counters, rng 
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
-	ack := cfg.AckPerTarget
-	if ack <= 0 {
-		ack = DefaultAckPerTarget
-	}
 	d := &Directory{
 		Bus:       New(cfg, memory, counters, rng),
-		ack:       uint64(ack),
 		dir:       make(map[uint64]*dirLine),
 		cntProbes: counters.Counter("bus/dir/probes"),
 	}
@@ -200,7 +197,7 @@ func (d *Directory) grantDir(t *Txn, now uint64) {
 		panic(fmt.Sprintf("directory: unknown txn type %d", t.Type))
 	}
 
-	acks := d.ack * uint64(probed)
+	acks := ackPerTarget * uint64(probed)
 	if t.Type == TxnRead || t.Type == TxnReadX {
 		d.scheduleData(t, supplier, now)
 		if t.Type == TxnReadX && probed > 0 {

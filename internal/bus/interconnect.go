@@ -53,8 +53,6 @@ type Interconnect interface {
 	OnSerialized(fn func(now uint64, t *Txn))
 	// SetTracer attaches the event tracer (nil disables tracing).
 	SetTracer(tr *trace.Tracer)
-	// Config returns the effective timing configuration.
-	Config() Config
 	// Err returns the first latched fabric-level protocol violation.
 	Err() error
 	// DebugString renders queues and in-flight state (post-mortems).

@@ -91,13 +91,12 @@ func TestSplitBusDataPipelines(t *testing.T) {
 	}
 }
 
-// MaxOutstanding bounds in-flight transactions: address grants stall
+// maxOutstanding bounds in-flight transactions: address grants stall
 // at capacity and resume as deliveries free slots; nothing is lost.
 func TestSplitBusBoundedOutstanding(t *testing.T) {
-	cfg := fastCfg()
-	cfg.MaxOutstanding = 2
-	sb, ports, _ := testSplit(8, cfg)
-	for i := 0; i < 8; i++ {
+	const nodes = 2 * maxOutstanding
+	sb, ports, _ := testSplit(nodes, fastCfg())
+	for i := 0; i < nodes; i++ {
 		sb.Request(&Txn{Type: TxnRead, Addr: uint64(0x1000 * (i + 1)), Src: i})
 	}
 	maxInflight := 0
@@ -107,8 +106,8 @@ func TestSplitBusBoundedOutstanding(t *testing.T) {
 			maxInflight = n
 		}
 	}
-	if maxInflight != 2 {
-		t.Fatalf("max in-flight = %d, want exactly the bound 2", maxInflight)
+	if maxInflight != maxOutstanding {
+		t.Fatalf("max in-flight = %d, want exactly the bound %d", maxInflight, maxOutstanding)
 	}
 	for i, p := range ports {
 		if len(p.completed) != 1 {
@@ -124,28 +123,21 @@ func TestSplitBusBoundedOutstanding(t *testing.T) {
 // happen now: the next observable event is the oldest delivery.
 func TestSplitBusNextEventAtCapacity(t *testing.T) {
 	cfg := fastCfg()
-	cfg.MaxOutstanding = 1
-	sb, _, _ := testSplit(2, cfg)
-	sb.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
-	sb.Tick(0) // granted; done at 13
-	sb.Request(&Txn{Type: TxnRead, Addr: 0x2000, Src: 1})
-	if got := sb.NextEvent(1); got != 13 {
-		t.Fatalf("NextEvent at capacity = %d, want 13 (the delivery)", got)
+	cfg.MemLatency = 100 // nothing is delivered before the bound is reached
+	sb, _, _ := testSplit(maxOutstanding+1, cfg)
+	for i := 0; i < maxOutstanding; i++ {
+		sb.Request(&Txn{Type: TxnRead, Addr: uint64(0x1000 * (i + 1)), Src: i})
 	}
-}
-
-func TestSplitBusDefaultBound(t *testing.T) {
-	sb, _, _ := testSplit(2, fastCfg())
-	if sb.MaxOutstanding() != DefaultMaxOutstanding {
-		t.Fatalf("default bound = %d, want %d", sb.MaxOutstanding(), DefaultMaxOutstanding)
+	end := uint64(2 * maxOutstanding) // one grant per AddrOccupancy
+	runIC(sb, 0, end)
+	if n := len(sb.inflight); n != maxOutstanding {
+		t.Fatalf("in flight = %d, want the bound %d", n, maxOutstanding)
 	}
-}
-
-// dirCfg is fastCfg with a distinctive per-target ack latency.
-func dirCfg() Config {
-	cfg := fastCfg()
-	cfg.AckPerTarget = 5
-	return cfg
+	sb.Request(&Txn{Type: TxnRead, Addr: 0x1000 * (maxOutstanding + 1), Src: maxOutstanding})
+	want := uint64(cfg.MemLatency + cfg.DataOccupancy) // the first grant's delivery
+	if got := sb.NextEvent(end + 1); got != want {
+		t.Fatalf("NextEvent at capacity = %d, want %d (the delivery)", got, want)
+	}
 }
 
 // snoops returns each port's snoop count (probe-set assertions).
@@ -162,7 +154,7 @@ func snoops(ports []*fakePort) []int {
 // the silent E->M window that forces owner tracking on clean-exclusive
 // installs.
 func TestDirectoryReadProbesOnlyOwner(t *testing.T) {
-	d, ports, _ := testDir(8, dirCfg())
+	d, ports, _ := testDir(8, fastCfg())
 	d.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
 	runIC(d, 0, 30)
 	for i, n := range snoops(ports) {
@@ -204,10 +196,10 @@ func TestDirectoryReadProbesOnlyOwner(t *testing.T) {
 }
 
 // An invalidating request probes every sharer and T-set member, pays
-// AckPerTarget per probe, and moves the probed set to the T-set so
+// ackPerTarget per probe, and moves the probed set to the T-set so
 // later validates reach them.
 func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
-	d, ports, _ := testDir(8, dirCfg())
+	d, ports, _ := testDir(8, fastCfg())
 	now := uint64(0)
 	phase := func(tx *Txn) uint64 {
 		grant := now
@@ -234,9 +226,9 @@ func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
 		}
 	}
 	// Ack fan-in outlasts the memory transfer: doneAt = grant + addr
-	// latency + 3 targets * 5 ack > grant + 10 mem latency.
+	// latency + 3 targets * ackPerTarget > grant + 10 mem latency.
 	rx := ports[0].completed[len(ports[0].completed)-1]
-	if want := g + 4 + 15; rx.doneAt != want {
+	if want := g + 4 + 3*ackPerTarget; rx.doneAt != want {
 		t.Fatalf("readx doneAt = %d, want %d (ack floor)", rx.doneAt, want)
 	}
 	e := d.line(0x2000)
@@ -250,7 +242,7 @@ func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
 	if val.Type != TxnValidate {
 		t.Fatalf("last completion %s, want validate", val.Type)
 	}
-	if want := g + 4 + 15; val.doneAt != want {
+	if want := g + 4 + 3*ackPerTarget; val.doneAt != want {
 		t.Fatalf("validate doneAt = %d, want %d", val.doneAt, want)
 	}
 	if e.sharers != 0b1111 || e.tset != 0 {
@@ -269,7 +261,7 @@ func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
 // it may still hold an LL reservation, so a later invalidating request
 // must still probe (and kill) it.
 func TestDirectoryWritebackKeepsEvictorProbeable(t *testing.T) {
-	d, ports, m := testDir(8, dirCfg())
+	d, ports, m := testDir(8, fastCfg())
 	d.Request(&Txn{Type: TxnRead, Addr: 0x3000, Src: 0})
 	runIC(d, 0, 30)
 	wb := &Txn{Type: TxnWriteback, Addr: 0x3000, Src: 0}
@@ -295,7 +287,7 @@ func TestDirectoryWritebackKeepsEvictorProbeable(t *testing.T) {
 // synthesize it, or VS holders' withheld responses would be overridden
 // and the validate predictor would train on fiction.
 func TestDirectoryUsefulResponseFromRepliesOnly(t *testing.T) {
-	d, ports, _ := testDir(8, dirCfg())
+	d, ports, _ := testDir(8, fastCfg())
 	now := uint64(0)
 	phase := func(tx *Txn) {
 		d.Request(tx)
@@ -330,7 +322,7 @@ func TestDirectoryUsefulResponseFromRepliesOnly(t *testing.T) {
 // Two probe replies supplying data is the same protocol violation on
 // the directory as on the bus: latch, don't panic.
 func TestDirectoryTwoOwnersLatchesError(t *testing.T) {
-	d, ports, _ := testDir(4, dirCfg())
+	d, ports, _ := testDir(4, fastCfg())
 	now := uint64(0)
 	phase := func(tx *Txn) {
 		d.Request(tx)
@@ -349,7 +341,7 @@ func TestDirectoryTwoOwnersLatchesError(t *testing.T) {
 }
 
 func TestDirectoryAttachBounded(t *testing.T) {
-	d, _, _ := testDir(dirMaxNodes, dirCfg())
+	d, _, _ := testDir(dirMaxNodes, fastCfg())
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("node %d accepted beyond the sharer-vector width", dirMaxNodes)

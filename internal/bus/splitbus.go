@@ -7,9 +7,9 @@ import (
 	"tssim/internal/stats"
 )
 
-// DefaultMaxOutstanding is the split-transaction bus's in-flight
-// transaction bound when Config.MaxOutstanding is zero.
-const DefaultMaxOutstanding = 8
+// maxOutstanding is the split-transaction bus's in-flight transaction
+// bound.
+const maxOutstanding = 8
 
 // SplitBus is a split-transaction/pipelined variant of the snoop bus:
 // the address network still grants one transaction per AddrOccupancy
@@ -18,7 +18,7 @@ const DefaultMaxOutstanding = 8
 // network is arbitrated separately — a transfer claims the data bus
 // only once its payload is ready (grant + source latency), holding it
 // for DataOccupancy — and the number of outstanding transactions is
-// bounded by MaxOutstanding, stalling further address grants at
+// bounded by maxOutstanding, stalling further address grants at
 // capacity the way a real split bus runs out of transaction tags.
 //
 // Contrast with the atomic bus, which reserves its data-network slot
@@ -35,16 +35,10 @@ type SplitBus struct {
 // memory.
 func NewSplit(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Rand) *SplitBus {
 	sb := &SplitBus{New(cfg, memory, counters, rng)}
-	sb.maxInflight = cfg.MaxOutstanding
-	if sb.maxInflight <= 0 {
-		sb.maxInflight = DefaultMaxOutstanding
-	}
+	sb.maxInflight = maxOutstanding
 	sb.grantFn = sb.grantSplit
 	return sb
 }
-
-// MaxOutstanding returns the effective in-flight transaction bound.
-func (sb *SplitBus) MaxOutstanding() int { return sb.maxInflight }
 
 // grantSplit is Bus.grant with the split data-network schedule: the
 // payload becomes ready at grant + source latency (+ jitter), then

@@ -47,8 +47,9 @@ const DefaultSweepEvery = 512
 
 // Config tunes the checker.
 type Config struct {
-	MESTI  bool // T state legal
-	EMESTI bool // VS state legal
+	// Tech is the machine's technique combination: MESTI makes T legal,
+	// E-MESTI VS too.
+	Tech core.Techniques
 	// SweepEvery overrides the full-machine sweep stride in grants
 	// (0 = DefaultSweepEvery).
 	SweepEvery int
@@ -114,6 +115,7 @@ func Attach(cfg Config, b bus.Interconnect, memory *mem.Memory, nodes []*core.Co
 	if cfg.SweepEvery <= 0 {
 		cfg.SweepEvery = DefaultSweepEvery
 	}
+	cfg.Tech = cfg.Tech.Effective()
 	k := &Checker{
 		cfg:        cfg,
 		b:          b,
@@ -275,11 +277,11 @@ func (k *Checker) checkLine(la uint64) {
 			sharers++
 		case core.StateVS:
 			sharers++
-			if !k.cfg.EMESTI {
+			if !k.cfg.Tech.EMESTI {
 				k.failf("node%d holds %#x in VS without E-MESTI", id, la)
 			}
 		case core.StateT:
-			if !k.cfg.MESTI {
+			if !k.cfg.Tech.MESTI {
 				k.failf("node%d holds %#x in T without MESTI", id, la)
 			}
 		}

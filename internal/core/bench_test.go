@@ -7,7 +7,7 @@ import "testing"
 // lookup, Alloc on the full file — which is what the core's retry memo
 // (cpu.readyRef.retryVer) avoids paying per parked load per cycle.
 func BenchmarkControllerLoadRefused(b *testing.B) {
-	h := newHarness(b, 1, func(_ int, c *Config) { c.MSHRs = 8 })
+	h := newHarness(b, 1, func(_ int, c *nodeCfg) { c.MSHRs = 8 })
 	n := h.nodes[0]
 	h.fillMSHRs(0)
 	refused := LoadResult{Status: LoadRetry, Counted: true}

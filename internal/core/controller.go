@@ -119,6 +119,7 @@ func resolveCtrlCounters(cs *stats.Counters) ctrlCounters {
 // Controller is one node's cache and coherence controller.
 type Controller struct {
 	cfg    Config
+	tech   Techniques // as run (Effective)
 	id     int
 	bus    bus.Interconnect
 	client Client
@@ -170,12 +171,11 @@ type Controller struct {
 	audit *error
 }
 
-// NewController builds a controller, attaches it to the interconnect,
+// NewController builds a controller running tech's protocol
+// techniques (MESTI, E-MESTI, LVP), attaches it to the interconnect,
 // and returns it. All controllers in a system share counters.
-func NewController(cfg Config, b bus.Interconnect, client Client, counters *stats.Counters) *Controller {
-	if cfg.EMESTI && !cfg.MESTI {
-		panic("core: EMESTI requires MESTI")
-	}
+func NewController(cfg Config, tech Techniques, b bus.Interconnect, client Client, counters *stats.Counters) *Controller {
+	tech = tech.Effective()
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 8
 	}
@@ -187,6 +187,7 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 	}
 	c := &Controller{
 		cfg:          cfg,
+		tech:         tech,
 		bus:          b,
 		client:       client,
 		cnt:          resolveCtrlCounters(counters),
@@ -199,14 +200,15 @@ func NewController(cfg Config, b bus.Interconnect, client Client, counters *stat
 		hVreuse:      counters.Hist("lat/validate_reuse"),
 		occCountdown: 1, // sample cycle 0 so short runs still populate
 	}
-	if cfg.MESTI {
-		c.detector = cfg.Detector
-		if c.detector == nil {
+	if tech.MESTI {
+		if cfg.NewDetector != nil {
+			c.detector = cfg.NewDetector()
+		} else {
 			c.detector = stale.NewPerfect()
 		}
-		if cfg.EMESTI {
+		if tech.EMESTI {
 			p := cfg.ValidateParams
-			if p.SatMax == 0 {
+			if p == (predictor.ValidateParams{}) {
 				p = predictor.DefaultValidateParams()
 			}
 			c.vpred = predictor.NewValidatePredictor(p)
@@ -351,7 +353,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		if isLL {
 			c.setReservation(la)
 		}
-		return LoadResult{Status: LoadHit, Value: e.val, Lat: c.cfg.L1Latency}
+		return LoadResult{Status: LoadHit, Value: e.val, Lat: L1Latency}
 	}
 
 	l2line := c.l2.Lookup(la)
@@ -368,7 +370,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		if isLL {
 			c.setReservation(la)
 		}
-		return LoadResult{Status: LoadHit, Value: l2line.Data.Word(slot), Lat: c.cfg.L1Latency}
+		return LoadResult{Status: LoadHit, Value: l2line.Data.Word(slot), Lat: L1Latency}
 	}
 	c.cnt.l1Miss.Inc()
 
@@ -383,7 +385,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		if isLL {
 			c.setReservation(la)
 		}
-		return LoadResult{Status: LoadHit, Value: l2line.Data.Word(slot), Lat: c.cfg.L1Latency + c.cfg.L2Latency}
+		return LoadResult{Status: LoadHit, Value: l2line.Data.Word(slot), Lat: L1Latency + L2Latency}
 	}
 	c.cnt.l2Miss.Inc()
 
@@ -415,14 +417,14 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 	// LVP: a tag-match invalid line (state I after an invalidation or
 	// eviction of permission, or T under MESTI) supplies a value
 	// prediction (§3.1-3.2).
-	if c.cfg.LVP && l2line != nil {
+	if c.tech.LVP && l2line != nil {
 		v := l2line.Data.Word(slot)
 		m.RecordSpec(slot, seq, v)
 		w.GotSpec = true
 		m.Merge(w, isLL)
 		c.cnt.lvpSpecDeliver.Inc()
 		c.tr.Emit(trace.Event{Kind: trace.KLVPPredict, Node: int32(c.id), Addr: addr, Arg: v})
-		return LoadResult{Status: LoadSpec, Value: v, Lat: c.cfg.L1Latency + c.cfg.L2Latency}
+		return LoadResult{Status: LoadSpec, Value: v, Lat: L1Latency + L2Latency}
 	}
 	m.Merge(w, isLL)
 	return LoadResult{Status: LoadMiss}
@@ -625,7 +627,7 @@ func (c *Controller) tryPerformHead() bool {
 	// and is dropped without acquiring write permission (§1, [21]). It
 	// accompanies the silence-exploiting protocols, as in the paper's
 	// lineage ([21] precedes [22]).
-	if c.cfg.MESTI && l2line != nil && Readable(l2line.State) &&
+	if c.tech.MESTI && l2line != nil && Readable(l2line.State) &&
 		l2line.Data.Word(slot) == e.val {
 		c.cnt.storeUSDetected.Inc()
 		c.cnt.storeUSSquash.Inc()

@@ -66,21 +66,26 @@ func fastBusCfg() bus.Config {
 
 func smallNodeCfg() Config {
 	return Config{
-		L1:        cache.Config{SizeBytes: 512, Assoc: 2},  // 8 lines
-		L2:        cache.Config{SizeBytes: 4096, Assoc: 4}, // 64 lines
-		L1Latency: 1,
-		L2Latency: 2,
-		MSHRs:     4,
-		StoreBuf:  8,
+		L1:       cache.Config{SizeBytes: 512, Assoc: 2},  // 8 lines
+		L2:       cache.Config{SizeBytes: 4096, Assoc: 4}, // 64 lines
+		MSHRs:    4,
+		StoreBuf: 8,
 	}
 }
 
-func newHarness(t testing.TB, n int, mut func(i int, c *Config)) *harness {
+// nodeCfg is what a harness mutator may change: a node's configuration
+// and the techniques it runs.
+type nodeCfg struct {
+	Config
+	Techniques
+}
+
+func newHarness(t testing.TB, n int, mut func(i int, c *nodeCfg)) *harness {
 	return newHarnessIC(t, n, "", mut)
 }
 
 // newHarnessIC is newHarness on a chosen interconnect backend.
-func newHarnessIC(t testing.TB, n int, kind string, mut func(i int, c *Config)) *harness {
+func newHarnessIC(t testing.TB, n int, kind string, mut func(i int, c *nodeCfg)) *harness {
 	h := &harness{t: t, mem: mem.New(), ctrs: stats.NewCounters()}
 	ic, err := bus.NewInterconnect(kind, fastBusCfg(), h.mem, h.ctrs, nil)
 	if err != nil {
@@ -88,13 +93,13 @@ func newHarnessIC(t testing.TB, n int, kind string, mut func(i int, c *Config)) 
 	}
 	h.bus = ic
 	for i := 0; i < n; i++ {
-		cfg := smallNodeCfg()
+		cfg := nodeCfg{Config: smallNodeCfg()}
 		if mut != nil {
 			mut(i, &cfg)
 		}
 		cl := newTestClient()
 		h.clients = append(h.clients, cl)
-		h.nodes = append(h.nodes, NewController(cfg, h.bus, cl, h.ctrs))
+		h.nodes = append(h.nodes, NewController(cfg.Config, cfg.Techniques, h.bus, cl, h.ctrs))
 	}
 	return h
 }

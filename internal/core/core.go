@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"tssim/internal/cache"
 	"tssim/internal/predictor"
@@ -96,28 +97,69 @@ func Dirty(s State) bool { return s == StateM || s == StateO }
 // dataless Upgrade (the node holds current data).
 func Upgradable(s State) bool { return s == StateS || s == StateO }
 
+// Techniques selects which of the paper's mechanisms are active.
+// The zero value is the MOESI baseline.
+type Techniques struct {
+	MESTI  bool // T state + always-validate (the original MESTI); update-silent stores dropped
+	EMESTI bool // MESTI + useful-validate coherence prediction
+	LVP    bool // load value prediction from tag-match invalid lines
+	SLE    bool // speculative lock elision
+}
+
+// Effective returns the combination as the machine runs it: E-MESTI
+// is built on MESTI, so EMESTI turns MESTI on. This is the one place
+// the rule is written; the controller, the checker and the technique
+// parser apply it.
+func (t Techniques) Effective() Techniques {
+	t.MESTI = t.MESTI || t.EMESTI
+	return t
+}
+
+// String renders the combination the way the paper's figures label it:
+// the protocol (MESTI, or E-MESTI which includes it), then LVP, then
+// SLE, joined with "+"; "Baseline" when nothing is on.
+func (t Techniques) String() string {
+	var parts []string
+	switch {
+	case t.EMESTI:
+		parts = append(parts, "E-MESTI")
+	case t.MESTI:
+		parts = append(parts, "MESTI")
+	}
+	if t.LVP {
+		parts = append(parts, "LVP")
+	}
+	if t.SLE {
+		parts = append(parts, "SLE")
+	}
+	if len(parts) == 0 {
+		return "Baseline"
+	}
+	return strings.Join(parts, "+")
+}
+
 // Config configures one node's controller.
 type Config struct {
 	L1 cache.Config // L1-D presence array (latency filter)
 	L2 cache.Config // coherence point, holds state and data
 
-	L1Latency int // cycles for an L1 hit
-	L2Latency int // additional cycles for an L2 hit
-	MSHRs     int // outstanding-miss limit (bounds MLP)
-	StoreBuf  int // post-retirement store buffer capacity
-
-	// Technique selection.
-	MESTI  bool // T state + validate broadcast, and update-silent stores dropped
-	EMESTI bool // + Validate_Shared, useful response, predictor
-	LVP    bool // speculative load values from tag-match invalid lines
+	MSHRs    int // outstanding-miss limit (bounds MLP)
+	StoreBuf int // post-retirement store buffer capacity
 
 	ValidateParams predictor.ValidateParams // E-MESTI predictor tuning
 
-	// Detector supplies temporal-silence candidates; nil selects the
-	// perfect detector (the paper's assumption for performance
-	// studies). Only consulted when MESTI is enabled.
-	Detector stale.Detector
+	// NewDetector builds the node's temporal-silence detector; nil
+	// selects the perfect detector (the paper's assumption for
+	// performance studies). Only called when MESTI is on. The Figure 6
+	// experiment plugs in finite L1-Mirror/stale-storage mechanisms.
+	NewDetector func() stale.Detector
 }
+
+// The hit latencies, in cycles: Table 1's ratios, scaled.
+const (
+	L1Latency = 2 // an L1 hit
+	L2Latency = 4 // an L2 hit, on top of L1Latency
+)
 
 // occSampleEvery is the occupancy-histogram (occ/mshr, occ/storebuf)
 // sampling stride: one observation every 8th cycle per controller.
@@ -131,15 +173,13 @@ const occSampleEvery = 8
 // DefaultConfig returns a scaled-down version of the paper's Table 1
 // per-node hierarchy. The paper's 64KB L1-D / 512KB L1 / 16MB L2 per
 // node shrink to 16KB / 256KB while the workloads shrink accordingly;
-// all latency ratios are preserved (L1 hit 2, +L2 4).
+// all latency ratios are preserved (L1Latency, L2Latency).
 func DefaultConfig() Config {
 	return Config{
-		L1:        cache.Config{SizeBytes: 16 * 1024, Assoc: 4},
-		L2:        cache.Config{SizeBytes: 256 * 1024, Assoc: 8},
-		L1Latency: 2,
-		L2Latency: 4,
-		MSHRs:     8,
-		StoreBuf:  16,
+		L1:       cache.Config{SizeBytes: 16 * 1024, Assoc: 4},
+		L2:       cache.Config{SizeBytes: 256 * 1024, Assoc: 8},
+		MSHRs:    8,
+		StoreBuf: 16,
 	}
 }
 

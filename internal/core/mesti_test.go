@@ -7,14 +7,14 @@ import (
 	"tssim/internal/mem"
 )
 
-func mestiCfg(i int, c *Config) { c.MESTI = true }
+func mestiCfg(i int, c *nodeCfg) { c.MESTI = true }
 
-func emestiCfg(i int, c *Config) {
+func emestiCfg(i int, c *nodeCfg) {
 	c.MESTI = true
 	c.EMESTI = true
 }
 
-func lvpCfg(i int, c *Config) { c.LVP = true }
+func lvpCfg(i int, c *nodeCfg) { c.LVP = true }
 
 // setupLockSharing brings a line into the canonical lock-handoff
 // state: node 1 holds it shared, node 0 then acquires (upgrade,
@@ -398,7 +398,7 @@ func TestLVPNoSpecWithoutTagMatch(t *testing.T) {
 func TestLVPWithMESTITState(t *testing.T) {
 	// Under MESTI+LVP, a T line is a prediction source too, and for a
 	// genuinely reverting line the prediction verifies.
-	h := newHarness(t, 2, func(i int, c *Config) {
+	h := newHarness(t, 2, func(i int, c *nodeCfg) {
 		mestiCfg(i, c)
 		c.LVP = true
 	})
@@ -422,13 +422,13 @@ func TestLVPWithMESTITState(t *testing.T) {
 func TestRandomStressWithOracle(t *testing.T) {
 	for _, variant := range []struct {
 		name string
-		mut  func(i int, c *Config)
+		mut  func(i int, c *nodeCfg)
 	}{
 		{"baseline", nil},
 		{"mesti", mestiCfg},
 		{"emesti", emestiCfg},
 		{"lvp", lvpCfg},
-		{"emesti+lvp", func(i int, c *Config) { emestiCfg(i, c); c.LVP = true }},
+		{"emesti+lvp", func(i int, c *nodeCfg) { emestiCfg(i, c); c.LVP = true }},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
 			h := newHarness(t, 4, variant.mut)

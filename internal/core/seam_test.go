@@ -221,7 +221,7 @@ func TestFrameFlagsLifetime(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			h := newHarness(t, 2, func(_ int, c *Config) { c.MESTI, c.EMESTI = true, true })
+			h := newHarness(t, 2, func(_ int, c *nodeCfg) { c.MESTI, c.EMESTI = true, true })
 			l := r.run(h)
 			if l.Flags != r.flags {
 				t.Errorf("frame flags %#b, want %#b (state %s)", l.Flags, r.flags, StateName(l.State))

@@ -178,7 +178,7 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 			if l.Data.Equal(&t.WData) {
 				// The first local use measures its distance from here.
 				to := StateS
-				if c.cfg.EMESTI {
+				if c.tech.EMESTI {
 					to = StateVS
 				}
 				c.setState(l, to)
@@ -217,7 +217,7 @@ func (c *Controller) trainExternalReq(la uint64) {
 // tag-match-invalid predictions, permission gone either way).
 func (c *Controller) enterT(l *cache.Line) {
 	to := StateI
-	if c.cfg.MESTI {
+	if c.tech.MESTI {
 		to = StateT
 		c.cnt.mestiEnterT.Inc()
 	}

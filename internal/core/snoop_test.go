@@ -17,7 +17,7 @@ import (
 // snoopHarness builds one MESTI or E-MESTI node with a line planted in
 // the given state.
 func snoopHarness(t *testing.T, emesti bool, st State, data mem.Line) (*harness, *Controller, uint64) {
-	h := newHarness(t, 1, func(i int, c *Config) {
+	h := newHarness(t, 1, func(i int, c *nodeCfg) {
 		c.MESTI = true
 		c.EMESTI = emesti
 	})
@@ -269,7 +269,7 @@ func TestRefusalFlipsOnlyUnderNewStateVersion(t *testing.T) {
 		writable bool
 	}
 	refused := LoadResult{Status: LoadRetry, Counted: true}
-	hit := LoadResult{Status: LoadHit, Value: 7, Lat: 3}
+	hit := LoadResult{Status: LoadHit, Value: 7, Lat: L1Latency + L2Latency}
 	rows := []struct {
 		name   string
 		emesti bool

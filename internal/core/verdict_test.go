@@ -70,12 +70,12 @@ func TestIdleVerdictDroppedAtEveryWakeSite(t *testing.T) {
 		{name: "Load hits the L1", wakes: true,
 			setup: func(h *harness) { h.nodes[0].installL2(la, lineOf(3), StateS); h.nodes[0].fillL1(la) },
 			call: func(h *harness, n *Controller) bool {
-				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadHit, Value: 3, Lat: 1}
+				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadHit, Value: 3, Lat: L1Latency}
 			}},
 		{name: "Load hits the L2", wakes: true,
 			setup: func(h *harness) { h.nodes[0].installL2(la, lineOf(3), StateS) },
 			call: func(h *harness, n *Controller) bool {
-				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadHit, Value: 3, Lat: 3}
+				return n.Load(h.seq(), la, false) == LoadResult{Status: LoadHit, Value: 3, Lat: L1Latency + L2Latency}
 			}},
 		{name: "Load misses", wakes: true,
 			call: func(h *harness, n *Controller) bool { return n.Load(h.seq(), la, false).Status == LoadMiss }},

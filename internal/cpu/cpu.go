@@ -14,7 +14,6 @@ import (
 	"tssim/internal/core"
 	"tssim/internal/isa"
 	"tssim/internal/mem"
-	"tssim/internal/predictor"
 	"tssim/internal/stats"
 	"tssim/internal/trace"
 )
@@ -47,79 +46,27 @@ type MemSystem interface {
 	Squashed(after uint64)
 }
 
-// Config sizes the core. Zero values take the paper-flavored defaults
-// of DefaultConfig, scaled like the rest of the system.
+// The core's shape, fixed by the paper's Table 1: 8-wide, 6 stages,
+// with 4 memory ports.
+const (
+	FetchWidth  = 8 // instructions fetched/dispatched per cycle
+	IssueWidth  = 8 // instructions issued per cycle
+	CommitWidth = 8 // instructions retired per cycle
+	PipeDepth   = 6 // fetch-to-dispatch stages
+	MemPorts    = 4 // loads/stores issued to memory per cycle
+)
+
+// Config sizes the window and selects SLE.
 type Config struct {
-	FetchWidth  int // instructions fetched/dispatched per cycle
-	IssueWidth  int // instructions issued per cycle
-	CommitWidth int // instructions retired per cycle
-	PipeDepth   int // fetch-to-dispatch stages
-	RUUSize     int // unified window capacity
-	LSQSize     int // memory-op subwindow capacity
-	MemPorts    int // loads/stores issued to memory per cycle
-
-	SLE SLEConfig
+	RUUSize int  // unified window capacity
+	LSQSize int  // memory-op subwindow capacity
+	SLE     bool // speculative lock elision
 }
 
-// SLEConfig controls the speculative-lock-elision engine.
-type SLEConfig struct {
-	Enabled bool
-	// ROBFrac bounds the speculative critical section to this
-	// fraction of the RUU (the paper uses 0.5).
-	ROBFrac float64
-	// RestartLimit is the number of consecutive aborted attempts at
-	// one PC before one non-elided execution is forced.
-	RestartLimit int
-	// Params tunes the elision-confidence predictor; zero value takes
-	// predictor.DefaultElisionParams.
-	Params predictor.ElisionParams
-}
-
-// DefaultConfig returns a core matching the paper's Table 1 shape
-// (8-wide, 6-deep, 256/128 window) with 4 memory ports.
+// DefaultConfig returns the paper's Table 1 window: 256-entry RUU,
+// 128-entry LSQ.
 func DefaultConfig() Config {
-	return Config{
-		FetchWidth:  8,
-		IssueWidth:  8,
-		CommitWidth: 8,
-		PipeDepth:   6,
-		RUUSize:     256,
-		LSQSize:     128,
-		MemPorts:    4,
-		SLE:         SLEConfig{ROBFrac: 0.5, RestartLimit: 2},
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.FetchWidth <= 0 {
-		c.FetchWidth = d.FetchWidth
-	}
-	if c.IssueWidth <= 0 {
-		c.IssueWidth = d.IssueWidth
-	}
-	if c.CommitWidth <= 0 {
-		c.CommitWidth = d.CommitWidth
-	}
-	if c.PipeDepth <= 0 {
-		c.PipeDepth = d.PipeDepth
-	}
-	if c.RUUSize <= 0 {
-		c.RUUSize = d.RUUSize
-	}
-	if c.LSQSize <= 0 {
-		c.LSQSize = d.LSQSize
-	}
-	if c.MemPorts <= 0 {
-		c.MemPorts = d.MemPorts
-	}
-	if c.SLE.ROBFrac <= 0 {
-		c.SLE.ROBFrac = 0.5
-	}
-	if c.SLE.RestartLimit <= 0 {
-		c.SLE.RestartLimit = 2
-	}
-	return c
+	return Config{RUUSize: 256, LSQSize: 128}
 }
 
 // entry is one RUU slot. A core's RUUSize entries rotate through
@@ -397,7 +344,6 @@ type grave struct{ seq, line uint64 }
 // New builds a core running prog against the given memory system. id
 // is used only for diagnostics.
 func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Counters) *Core {
-	cfg = cfg.withDefaults()
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
@@ -426,8 +372,8 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 	for i := range c.entryPool {
 		c.entryPool[i] = &entry{}
 	}
-	if cfg.SLE.Enabled {
-		c.sle = newSLEEngine(c, cfg.SLE, counters)
+	if cfg.SLE {
+		c.sle = newSLEEngine(c, counters)
 	}
 	return c
 }
@@ -725,7 +671,7 @@ func (c *Core) commit() {
 		c.sle.tick()
 		return
 	}
-	for n := 0; n < c.cfg.CommitWidth && len(c.ruu) > 0; n++ {
+	for n := 0; n < CommitWidth && len(c.ruu) > 0; n++ {
 		e := c.ruu[0]
 		if !e.done || e.specVal {
 			return
@@ -1006,7 +952,7 @@ func (c *Core) issue() {
 	// than snapshotting it.
 	w := 0
 	for i := 0; i < len(c.readyQ); i++ {
-		if issued >= c.cfg.IssueWidth {
+		if issued >= IssueWidth {
 			// Width exhausted: like the old walk's early return, no
 			// further store address may resolve this cycle.
 			w += copy(c.readyQ[w:], c.readyQ[i:])
@@ -1020,7 +966,7 @@ func (c *Core) issue() {
 			if r.retryVer == ver {
 				// The refusal stands (see readyRef): the load takes its
 				// turn at the port limit and is refused again, unasked.
-				if memIssued < c.cfg.MemPorts {
+				if memIssued < MemPorts {
 					refused++
 				}
 				if w != i { // else it is where it stays
@@ -1059,7 +1005,7 @@ func (c *Core) issue() {
 		} else {
 			switch {
 			case e.isLoad:
-				if memIssued < c.cfg.MemPorts {
+				if memIssued < MemPorts {
 					var ok bool
 					ok, r.retryVer = c.issueLoad(e, r.retryVer)
 					ver = 0
@@ -1339,7 +1285,7 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 // ---------------------------------------------------------------------------
 
 func (c *Core) dispatch() {
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < FetchWidth; n++ {
 		if len(c.fetchQ) == 0 || c.fetchQ[0].readyAt > c.now {
 			return
 		}
@@ -1446,7 +1392,7 @@ func (c *Core) dispatchOne(slot *fetchSlot, ins *isa.Instr) {
 }
 
 func (c *Core) fetch() {
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < FetchWidth; n++ {
 		if c.fetchStop {
 			return
 		}
@@ -1454,7 +1400,7 @@ func (c *Core) fetch() {
 			return
 		}
 		ins := c.prog.At(c.fetchPC)
-		slot := fetchSlot{pc: int32(c.fetchPC), readyAt: c.now + uint64(c.cfg.PipeDepth)}
+		slot := fetchSlot{pc: int32(c.fetchPC), readyAt: c.now + PipeDepth}
 		next := c.fetchPC + 1
 		if ins.IsBranch() {
 			slot.predTaken = c.bpred.predict(c.fetchPC, ins.Op)

@@ -147,7 +147,7 @@ func newTestCore(t *testing.T, prog *isa.Program, sle bool) (*Core, *fakeMem, *s
 	f := newFakeMem()
 	ctrs := stats.NewCounters()
 	cfg := DefaultConfig()
-	cfg.SLE.Enabled = sle
+	cfg.SLE = sle
 	c := New(cfg, 0, prog, f, ctrs)
 	c.EnableChecker()
 	f.attach(c, ctrs)
@@ -385,7 +385,7 @@ func TestSLEReservationLostDeclines(t *testing.T) {
 	f := newFakeMem()
 	ctrs := stats.NewCounters()
 	cfg := DefaultConfig()
-	cfg.SLE.Enabled = true
+	cfg.SLE = true
 	c := New(cfg, 0, spinLockProgram(1, false), f, ctrs)
 	f.core = c
 	f.reservations = false // reservation always lost

@@ -11,6 +11,16 @@ import (
 	"tssim/internal/trace"
 )
 
+// SLE's in-core buffering bound and restart threshold.
+const (
+	// robFrac bounds the speculative critical section to this fraction of
+	// the RUU (§4.2.1).
+	robFrac = 0.5
+	// restartLimit is the number of consecutive aborted attempts at one PC
+	// before one non-elided execution is forced.
+	restartLimit = 2
+)
+
 // sleCounters holds the engine's pre-resolved counter handles,
 // including one abort counter per elision outcome (replacing the
 // "sle/abort_"+outcome.String() concatenation).
@@ -49,7 +59,6 @@ func resolveSLECounters(cs *stats.Counters) sleCounters {
 // write set is exclusively held.
 type sleEngine struct {
 	core *Core
-	cfg  SLEConfig
 	pred *predictor.ElisionPredictor
 	cnt  sleCounters
 
@@ -74,21 +83,16 @@ type sleEngine struct {
 	maxRegion int // RUU-entry bound for the region
 }
 
-func newSLEEngine(c *Core, cfg SLEConfig, counters *stats.Counters) *sleEngine {
-	p := cfg.Params
-	if p.SatMax == 0 {
-		p = predictor.DefaultElisionParams()
-	}
+func newSLEEngine(c *Core, counters *stats.Counters) *sleEngine {
 	return &sleEngine{
 		core:         c,
-		cfg:          cfg,
-		pred:         predictor.NewElisionPredictor(p),
+		pred:         predictor.NewElisionPredictor(),
 		cnt:          resolveSLECounters(counters),
 		readSet:      make(map[uint64]bool),
 		writeSet:     make(map[uint64]bool),
 		consecFails:  make(map[uint64]int),
 		suppressOnce: make(map[uint64]bool),
-		maxRegion:    int(cfg.ROBFrac * float64(c.cfg.RUUSize)),
+		maxRegion:    int(robFrac * float64(c.cfg.RUUSize)),
 	}
 }
 
@@ -381,7 +385,7 @@ func (s *sleEngine) abort(outcome predictor.ElisionOutcome) {
 	s.active = false
 	s.pred.Record(pc, outcome)
 	s.consecFails[pc]++
-	if s.consecFails[pc] >= s.cfg.RestartLimit {
+	if s.consecFails[pc] >= restartLimit {
 		s.suppressOnce[pc] = true
 		s.consecFails[pc] = 0
 	}

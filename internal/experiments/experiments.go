@@ -23,6 +23,8 @@ import (
 	"strings"
 
 	"tssim/internal/cache"
+	"tssim/internal/core"
+	"tssim/internal/cpu"
 	"tssim/internal/predictor"
 	"tssim/internal/sim"
 	"tssim/internal/stale"
@@ -99,11 +101,12 @@ func Table1() string {
 	cfg := sim.ExperimentConfig()
 	t := stats.NewTable("Attribute", "This reproduction", "Paper (Table 1)")
 	t.Row("CPUs", fmt.Sprint(cfg.CPUs), "4")
-	t.Row("Fetch/Issue/Commit", fmt.Sprintf("%d/%d/%d", cfg.Core.FetchWidth, cfg.Core.IssueWidth, cfg.Core.CommitWidth), "8/8/8")
-	t.Row("Pipeline depth", fmt.Sprint(cfg.Core.PipeDepth), "6 stages")
-	t.Row("RUU/LSQ", fmt.Sprintf("%d/%d", cfg.Core.RUUSize, cfg.Core.LSQSize), "256/128")
-	t.Row("L1-D", fmt.Sprintf("%dKB %d-way (lat %d)", cfg.Node.L1.SizeBytes/1024, cfg.Node.L1.Assoc, cfg.Node.L1Latency), "64KB 1-way (1+1) [scaled]")
-	t.Row("L2", fmt.Sprintf("%dKB %d-way (+lat %d)", cfg.Node.L2.SizeBytes/1024, cfg.Node.L2.Assoc, cfg.Node.L2Latency), "16MB 8-way (15) [scaled]")
+	window := cpu.DefaultConfig()
+	t.Row("Fetch/Issue/Commit", fmt.Sprintf("%d/%d/%d", cpu.FetchWidth, cpu.IssueWidth, cpu.CommitWidth), "8/8/8")
+	t.Row("Pipeline depth", fmt.Sprint(cpu.PipeDepth), "6 stages")
+	t.Row("RUU/LSQ", fmt.Sprintf("%d/%d", window.RUUSize, window.LSQSize), "256/128")
+	t.Row("L1-D", fmt.Sprintf("%dKB %d-way (lat %d)", cfg.Node.L1.SizeBytes/1024, cfg.Node.L1.Assoc, core.L1Latency), "64KB 1-way (1+1) [scaled]")
+	t.Row("L2", fmt.Sprintf("%dKB %d-way (+lat %d)", cfg.Node.L2.SizeBytes/1024, cfg.Node.L2.Assoc, core.L2Latency), "16MB 8-way (15) [scaled]")
 	t.Row("MSHRs / store buffer", fmt.Sprintf("%d / %d", cfg.Node.MSHRs, cfg.Node.StoreBuf), "(not stated)")
 	t.Row("Address network", fmt.Sprintf("lat %d, occ %d (bus)", cfg.Bus.AddrLatency, cfg.Bus.AddrOccupancy), "min 200, occ 20, bus")
 	t.Row("Memory/c2c", fmt.Sprintf("lat %d/%d, occ %d (xbar)", cfg.Bus.MemLatency, cfg.Bus.C2CLatency, cfg.Bus.DataOccupancy), "min 400, occ 50, crossbar")
@@ -155,13 +158,13 @@ func Fig6(p Params) string {
 		{"Baseline (no MESTI)", func(c *sim.Config) { c.Tech = sim.Techniques{} }},
 		{"MESTI 32KB stale", func(c *sim.Config) {
 			c.Tech = sim.Techniques{MESTI: true}
-			c.StaleDetector = func(int) stale.Detector {
+			c.Node.NewDetector = func() stale.Detector {
 				return stale.NewFinite(mirrorCfg, cache.Config{SizeBytes: 32 * 1024, Assoc: 8})
 			}
 		}},
 		{"MESTI 128KB stale", func(c *sim.Config) {
 			c.Tech = sim.Techniques{MESTI: true}
-			c.StaleDetector = func(int) stale.Detector {
+			c.Node.NewDetector = func() stale.Detector {
 				return stale.NewFinite(mirrorCfg, cache.Config{SizeBytes: 128 * 1024, Assoc: 8})
 			}
 		}},
@@ -416,13 +419,13 @@ func SLEStats(p Params) string {
 func PredictorAblation(p Params) string {
 	p = p.withDefaults()
 	tunings := []predictor.ValidateParams{
-		{InitConf: 3, Threshold: 4, Inc: 1, Dec: 1, SatMax: 7}, // published
-		{InitConf: 0, Threshold: 4, Inc: 1, Dec: 1, SatMax: 7}, // cold-hostile
-		{InitConf: 7, Threshold: 4, Inc: 1, Dec: 1, SatMax: 7}, // cold-eager
-		{InitConf: 3, Threshold: 1, Inc: 1, Dec: 1, SatMax: 7}, // validate-happy
-		{InitConf: 3, Threshold: 7, Inc: 1, Dec: 1, SatMax: 7}, // validate-shy
-		{InitConf: 3, Threshold: 4, Inc: 2, Dec: 1, SatMax: 7}, // optimistic
-		{InitConf: 3, Threshold: 4, Inc: 1, Dec: 2, SatMax: 7}, // pessimistic
+		{InitConf: 3, Threshold: 4, Inc: 1, Dec: 1}, // published
+		{InitConf: 0, Threshold: 4, Inc: 1, Dec: 1}, // cold-hostile
+		{InitConf: 7, Threshold: 4, Inc: 1, Dec: 1}, // cold-eager
+		{InitConf: 3, Threshold: 1, Inc: 1, Dec: 1}, // validate-happy
+		{InitConf: 3, Threshold: 7, Inc: 1, Dec: 1}, // validate-shy
+		{InitConf: 3, Threshold: 4, Inc: 2, Dec: 1}, // optimistic
+		{InitConf: 3, Threshold: 4, Inc: 1, Dec: 2}, // pessimistic
 	}
 	w, err := workload.ByName("tpc-b", p.workloadParams())
 	if err != nil {
@@ -440,7 +443,7 @@ func PredictorAblation(p Params) string {
 	t := stats.NewTable("Tuning", "Cycles", "Speedup", "Validates", "Revalidates", "Suppressed")
 	for i, tn := range tunings {
 		r := results[i+1]
-		label := fmt.Sprintf("%d-%d-%d-%d-%d", tn.InitConf, tn.Threshold, tn.Inc, tn.Dec, tn.SatMax)
+		label := fmt.Sprintf("%d-%d-%d-%d-%d", tn.InitConf, tn.Threshold, tn.Inc, tn.Dec, predictor.ValidateSatMax)
 		if r.Err != nil || base.Err != nil {
 			t.Row(label, errCell)
 			continue

@@ -38,39 +38,25 @@ func (o ElisionOutcome) String() string {
 	return "unknown"
 }
 
-// ElisionParams tunes the per-PC elision confidence predictor. All
-// update values were determined empirically in the paper; these
-// defaults encode the same intent: start willing, punish idiom
-// imprecision hard, forgive transient conflicts quickly.
-type ElisionParams struct {
-	InitConf  int // first-touch confidence
-	Threshold int // attempt elision when confidence >= Threshold
-	SatMax    int
+// The per-PC elision confidence tuning. The paper determined its
+// update values empirically; these encode the same intent: start
+// willing, punish idiom imprecision hard, forgive transient conflicts
+// quickly. The first-touch confidence sits one step above the
+// threshold, so an unseen ll/sc pair gets optimistic attempts and a
+// single transient conflict does not permanently disable it, while one
+// hard failure (idiom false positive, unsafe serialization) still does
+// — the asymmetry §4.2.3 argues for.
+const (
+	elisionInitConf  = 5 // first-touch confidence
+	elisionThreshold = 4 // attempt elision when confidence >= this
+	elisionSatMax    = 7
 
-	SuccessInc   int // reward for a successful elision
-	NoReleasePen int // penalty for idiom false positives
-	ConflictPen  int // penalty for atomicity conflicts
-	OverflowPen  int // penalty for ROB-threshold overflows
-	UnsafePen    int // penalty for unsafe context serialization
-}
-
-// DefaultElisionParams returns the default tuning. Init sits one step
-// above the threshold so an unseen ll/sc pair gets optimistic attempts
-// and a single transient conflict does not permanently disable it,
-// while one hard failure (idiom false positive, unsafe serialization)
-// still does — the asymmetry §4.2.3 argues for.
-func DefaultElisionParams() ElisionParams {
-	return ElisionParams{
-		InitConf:     5,
-		Threshold:    4,
-		SatMax:       7,
-		SuccessInc:   1,
-		NoReleasePen: 3,
-		ConflictPen:  1,
-		OverflowPen:  2,
-		UnsafePen:    3,
-	}
-}
+	elisionSuccessInc   = 1 // reward for a successful elision
+	elisionNoReleasePen = 3 // penalty for idiom false positives
+	elisionConflictPen  = 1 // penalty for atomicity conflicts
+	elisionOverflowPen  = 2 // penalty for ROB-threshold overflows
+	elisionUnsafePen    = 3 // penalty for unsafe context serialization
+)
 
 // ElisionPredictor keeps hysteresis per static instruction (the PC of
 // the store-conditional that would start elision). The paper notes the
@@ -79,29 +65,26 @@ func DefaultElisionParams() ElisionParams {
 // routines, so unrelated critical sections interfere. We reproduce
 // that faithfully by indexing on PC alone.
 type ElisionPredictor struct {
-	params  ElisionParams
 	entries map[uint64]int // pc -> confidence
 }
 
-// NewElisionPredictor builds a predictor with the given tuning.
-func NewElisionPredictor(p ElisionParams) *ElisionPredictor {
-	return &ElisionPredictor{params: p, entries: make(map[uint64]int)}
+// NewElisionPredictor builds a predictor with every PC at the
+// first-touch confidence.
+func NewElisionPredictor() *ElisionPredictor {
+	return &ElisionPredictor{entries: make(map[uint64]int)}
 }
-
-// Params returns the tuning in use.
-func (e *ElisionPredictor) Params() ElisionParams { return e.params }
 
 func (e *ElisionPredictor) conf(pc uint64) int {
 	if c, ok := e.entries[pc]; ok {
 		return c
 	}
-	return e.params.InitConf
+	return elisionInitConf
 }
 
 // ShouldAttempt reports whether SLE should try to elide the critical
 // section starting at the given SC's PC.
 func (e *ElisionPredictor) ShouldAttempt(pc uint64) bool {
-	return e.conf(pc) >= e.params.Threshold
+	return e.conf(pc) >= elisionThreshold
 }
 
 // Record updates confidence for the PC after an attempt's outcome.
@@ -109,23 +92,17 @@ func (e *ElisionPredictor) Record(pc uint64, o ElisionOutcome) {
 	c := e.conf(pc)
 	switch o {
 	case ElisionSuccess:
-		c += e.params.SuccessInc
+		c += elisionSuccessInc
 	case ElisionNoRelease:
-		c -= e.params.NoReleasePen
+		c -= elisionNoReleasePen
 	case ElisionConflict:
-		c -= e.params.ConflictPen
+		c -= elisionConflictPen
 	case ElisionOverflow:
-		c -= e.params.OverflowPen
+		c -= elisionOverflowPen
 	case ElisionUnsafe:
-		c -= e.params.UnsafePen
+		c -= elisionUnsafePen
 	}
-	if c < 0 {
-		c = 0
-	}
-	if c > e.params.SatMax {
-		c = e.params.SatMax
-	}
-	e.entries[pc] = c
+	e.entries[pc] = min(max(c, 0), elisionSatMax)
 }
 
 // Confidence exposes the per-PC confidence for tests.

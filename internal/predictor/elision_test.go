@@ -3,14 +3,14 @@ package predictor
 import "testing"
 
 func TestElisionFirstAttemptAllowed(t *testing.T) {
-	e := NewElisionPredictor(DefaultElisionParams())
+	e := NewElisionPredictor()
 	if !e.ShouldAttempt(0x100) {
 		t.Fatal("unseen PC must get one optimistic attempt")
 	}
 }
 
 func TestElisionNoReleaseKillsPCQuickly(t *testing.T) {
-	e := NewElisionPredictor(DefaultElisionParams())
+	e := NewElisionPredictor()
 	e.Record(0x100, ElisionNoRelease)
 	if e.ShouldAttempt(0x100) {
 		t.Fatal("idiom false positive must disable the PC after one hard failure")
@@ -18,7 +18,7 @@ func TestElisionNoReleaseKillsPCQuickly(t *testing.T) {
 }
 
 func TestElisionConflictIsForgivable(t *testing.T) {
-	e := NewElisionPredictor(DefaultElisionParams())
+	e := NewElisionPredictor()
 	e.Record(0x100, ElisionSuccess) // conf 5
 	e.Record(0x100, ElisionConflict)
 	if !e.ShouldAttempt(0x100) {
@@ -32,8 +32,7 @@ func TestElisionConflictIsForgivable(t *testing.T) {
 }
 
 func TestElisionSuccessRecovers(t *testing.T) {
-	p := DefaultElisionParams()
-	e := NewElisionPredictor(p)
+	e := NewElisionPredictor()
 	e.Record(0x100, ElisionOverflow) // conf 2, below threshold
 	if e.ShouldAttempt(0x100) {
 		t.Fatal("overflow should disable")
@@ -46,7 +45,7 @@ func TestElisionSuccessRecovers(t *testing.T) {
 }
 
 func TestElisionSaturationBounds(t *testing.T) {
-	e := NewElisionPredictor(DefaultElisionParams())
+	e := NewElisionPredictor()
 	for i := 0; i < 50; i++ {
 		e.Record(0x100, ElisionSuccess)
 	}
@@ -65,7 +64,7 @@ func TestElisionPCInterference(t *testing.T) {
 	// The documented weakness: two critical sections behind one
 	// static SC PC interfere. The test pins the behavior: failures
 	// from one caller poison the other.
-	e := NewElisionPredictor(DefaultElisionParams())
+	e := NewElisionPredictor()
 	e.Record(0x100, ElisionNoRelease) // "atomic list insert" use
 	if e.ShouldAttempt(0x100) {
 		t.Fatal("shared PC must be disabled for the lock use too")

@@ -7,22 +7,26 @@ package predictor
 
 import "tssim/internal/mem"
 
-// ValidateParams are the tuning constants of the useful-validate
+// ValidateSatMax is the useful-validate confidence ceiling: the
+// counter is 3 bits wide (§2.4.2), so it saturates at 7, the last
+// number of the paper's tuning.
+const ValidateSatMax = 7
+
+// ValidateParams are the tunable constants of the useful-validate
 // predictor, written <init>-<threshold>-<inc>-<dec>-<sat> in the
-// paper. The published tuning is 3-4-1-1-7.
+// paper, sat being ValidateSatMax. The published tuning is 3-4-1-1-7.
 type ValidateParams struct {
 	InitConf  int // confidence assigned on first (cold) touch
 	Threshold int // validate broadcast when confidence >= Threshold
 	Inc       int // confidence increment on useful evidence
 	Dec       int // confidence decrement on useless evidence
-	SatMax    int // saturation ceiling
 }
 
 // DefaultValidateParams returns the paper's published 3-4-1-1-7
 // tuning. Note init (3) sits just below threshold (4): a cold line
 // does not validate until one piece of useful evidence arrives.
 func DefaultValidateParams() ValidateParams {
-	return ValidateParams{InitConf: 3, Threshold: 4, Inc: 1, Dec: 1, SatMax: 7}
+	return ValidateParams{InitConf: 3, Threshold: 4, Inc: 1, Dec: 1}
 }
 
 // vState is the 2-bit Mealy machine state of Figure 4(B).
@@ -57,12 +61,9 @@ func NewValidatePredictor(p ValidateParams) *ValidatePredictor {
 	return &ValidatePredictor{params: p, entries: make(map[uint64]vEntry)}
 }
 
-// Params returns the tuning in use.
-func (v *ValidatePredictor) Params() ValidateParams { return v.params }
-
 // step moves a line waiting in from back to Start, its confidence
-// changed by delta and clamped to [0, SatMax], or on to next when that
-// is not Start.
+// changed by delta and clamped to [0, ValidateSatMax], or on to next
+// when that is not Start.
 func (v *ValidatePredictor) step(addr uint64, from, next vState, delta int) {
 	la := mem.LineAddr(addr)
 	e, ok := v.entries[la]
@@ -70,7 +71,7 @@ func (v *ValidatePredictor) step(addr uint64, from, next vState, delta int) {
 		return
 	}
 	e.state = next
-	e.conf = min(max(e.conf+delta, 0), v.params.SatMax)
+	e.conf = min(max(e.conf+delta, 0), ValidateSatMax)
 	v.entries[la] = e
 }
 

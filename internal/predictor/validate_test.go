@@ -4,7 +4,7 @@ import "testing"
 
 func TestDefaultValidateParamsArePaperTuning(t *testing.T) {
 	p := DefaultValidateParams()
-	if p.InitConf != 3 || p.Threshold != 4 || p.Inc != 1 || p.Dec != 1 || p.SatMax != 7 {
+	if p.InitConf != 3 || p.Threshold != 4 || p.Inc != 1 || p.Dec != 1 || ValidateSatMax != 7 {
 		t.Fatalf("default tuning %+v, want 3-4-1-1-7", p)
 	}
 }

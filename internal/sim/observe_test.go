@@ -122,6 +122,35 @@ func TestReportRoundTrip(t *testing.T) {
 	if back.IPC == 0 {
 		t.Error("IPC missing")
 	}
+
+	// v2 records the machine as run: cfg leaves both bounds zero, and the
+	// run was bounded by the defaults.
+	if cfg.MaxCycles != 0 || cfg.NoProgressCycles != 0 {
+		t.Fatalf("fastCfg sets bounds %d / %d, expected zero values", cfg.MaxCycles, cfg.NoProgressCycles)
+	}
+	if back.Config.MaxCycles != DefaultMaxCycles || back.Config.NoProgressCycles != DefaultNoProgressCycles {
+		t.Errorf("report bounds %d / %d, want the effective %d / %d", back.Config.MaxCycles,
+			back.Config.NoProgressCycles, uint64(DefaultMaxCycles), uint64(DefaultNoProgressCycles))
+	}
+	// Nor does it carry what v2 dropped.
+	var raw struct {
+		Config map[string]json.RawMessage `json:"config"`
+	}
+	var rawBus map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw.Config["bus"], &rawBus); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"core", "l1_latency", "l2_latency"} {
+		if _, ok := raw.Config[gone]; ok {
+			t.Errorf("v2 config still has %q", gone)
+		}
+	}
+	if _, ok := rawBus["FillHold"]; ok {
+		t.Error(`v2 config still has "bus.FillHold"`)
+	}
 }
 
 // TestWatchdogPostMortem tightens the no-progress threshold below one

@@ -8,17 +8,20 @@ import (
 
 	"tssim/internal/bus"
 	"tssim/internal/cache"
-	"tssim/internal/cpu"
 	"tssim/internal/stats"
 )
 
 // ReportSchema versions the machine-readable run report. Consumers
-// (benchmark trackers, CI diffing) should check it before parsing.
-const ReportSchema = "tssim-report/v1"
+// (benchmark trackers, CI diffing) should check it before parsing. v2
+// records the effective cycle bounds, not the zero values that select
+// them, and drops v1's core block, cache latencies and fill hold: those
+// are constants now, and the block's SLE switch only shadowed tech.
+const ReportSchema = "tssim-report/v2"
 
-// ReportConfig is the serializable subset of Config: everything that
-// determines a run except non-marshalable hooks (detector factories,
-// writers, tracers).
+// ReportConfig is the machine part of Config as the run used it. It
+// leaves out the techniques (the report's tech), the observers that
+// cannot change a result (checkers, tracer, kernel path), and the hooks
+// and knobs only tests and experiments set.
 type ReportConfig struct {
 	CPUs             int          `json:"cpus"`
 	Interconnect     string       `json:"interconnect,omitempty"` // "" = atomic snoop bus
@@ -27,12 +30,9 @@ type ReportConfig struct {
 	NoProgressCycles uint64       `json:"no_progress_cycles"`
 	L1               cache.Config `json:"l1"`
 	L2               cache.Config `json:"l2"`
-	L1Latency        int          `json:"l1_latency"`
-	L2Latency        int          `json:"l2_latency"`
 	MSHRs            int          `json:"mshrs"`
 	StoreBuf         int          `json:"store_buf"`
 	Bus              bus.Config   `json:"bus"`
-	Core             cpu.Config   `json:"core"`
 }
 
 // Report is one run's machine-readable record: configuration, headline
@@ -53,8 +53,9 @@ type Report struct {
 	Histograms map[string]stats.HistSnapshot `json:"histograms"`
 }
 
-// NewReport assembles the report for a completed run.
+// NewReport assembles the report for a completed run of cfg.
 func NewReport(cfg Config, r Result) Report {
+	cfg = cfg.withDefaults()
 	return Report{
 		Schema:   ReportSchema,
 		Workload: r.Workload,
@@ -67,12 +68,9 @@ func NewReport(cfg Config, r Result) Report {
 			NoProgressCycles: cfg.NoProgressCycles,
 			L1:               cfg.Node.L1,
 			L2:               cfg.Node.L2,
-			L1Latency:        cfg.Node.L1Latency,
-			L2Latency:        cfg.Node.L2Latency,
 			MSHRs:            cfg.Node.MSHRs,
 			StoreBuf:         cfg.Node.StoreBuf,
 			Bus:              cfg.Bus,
-			Core:             cfg.Core,
 		},
 		Cycles:     r.Cycles,
 		Retired:    r.Retired,

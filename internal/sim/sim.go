@@ -23,50 +23,21 @@ import (
 	"tssim/internal/core"
 	"tssim/internal/cpu"
 	"tssim/internal/mem"
-	"tssim/internal/stale"
 	"tssim/internal/stats"
 	"tssim/internal/telemetry"
 	"tssim/internal/trace"
 	"tssim/internal/workload"
 )
 
-// Techniques selects which of the paper's mechanisms are active.
-// The zero value is the MOESI baseline.
-type Techniques struct {
-	MESTI  bool // T state + always-validate (the original MESTI)
-	EMESTI bool // MESTI + useful-validate coherence prediction
-	LVP    bool // load value prediction from tag-match invalid lines
-	SLE    bool // speculative lock elision
-}
-
-// String renders the combination the way the paper's figures label it:
-// the protocol (MESTI, or E-MESTI which includes it), then LVP, then
-// SLE, joined with "+"; "Baseline" when nothing is on. ParseTechniques
-// reads every label back.
-func (t Techniques) String() string {
-	var parts []string
-	switch {
-	case t.EMESTI:
-		parts = append(parts, "E-MESTI")
-	case t.MESTI:
-		parts = append(parts, "MESTI")
-	}
-	if t.LVP {
-		parts = append(parts, "LVP")
-	}
-	if t.SLE {
-		parts = append(parts, "SLE")
-	}
-	if len(parts) == 0 {
-		return "Baseline"
-	}
-	return strings.Join(parts, "+")
-}
+// Techniques selects which of the paper's mechanisms are active (see
+// core.Techniques). The zero value is the MOESI baseline.
+type Techniques = core.Techniques
 
 // ParseTechniques reads a technique combination, case-insensitively:
 // "baseline" (or nothing), "all", or any of mesti, emesti (also spelled
-// e-mesti; it turns MESTI on too), lvp and sle joined with "+" — the
-// CLIs' -tech syntax, and every label String prints.
+// e-mesti; it turns MESTI on too, see Techniques.Effective), lvp and
+// sle joined with "+" — the CLIs' -tech syntax, and every label String
+// prints.
 func ParseTechniques(s string) (Techniques, error) {
 	var t Techniques
 	switch s = strings.ToLower(s); s {
@@ -80,7 +51,6 @@ func ParseTechniques(s string) (Techniques, error) {
 		case "mesti":
 			t.MESTI = true
 		case "emesti", "e-mesti":
-			t.MESTI = true
 			t.EMESTI = true
 		case "lvp":
 			t.LVP = true
@@ -90,7 +60,7 @@ func ParseTechniques(s string) (Techniques, error) {
 			return Techniques{}, fmt.Errorf("unknown technique %q (use baseline, or mesti|emesti|lvp|sle joined with +, or all)", part)
 		}
 	}
-	return t, nil
+	return t.Effective(), nil
 }
 
 // AllCombos returns the nine configurations of Figure 7/8: baseline,
@@ -110,10 +80,11 @@ func AllCombos() []Techniques {
 	}
 }
 
-// Config configures a whole system.
+// Config configures a whole system. Each core is cpu.DefaultConfig's,
+// running SLE when Tech says so; each node is Node, running Tech's
+// protocol techniques.
 type Config struct {
 	CPUs int
-	Core cpu.Config
 	Node core.Config
 	Bus  bus.Config
 	Tech Techniques
@@ -173,12 +144,6 @@ type Config struct {
 	// differential testing and as a diagnostic fallback.
 	NoFastForward bool
 
-	// StaleDetector overrides the temporal-silence detector factory
-	// (per node); nil selects the perfect detector. Used by the
-	// Figure 6 experiment to plug in finite L1-Mirror/stale-storage
-	// mechanisms.
-	StaleDetector func(node int) stale.Detector
-
 	// StartOffsets delays each core's first cycle of work: core i
 	// performs nothing before cycle StartOffsets[i] (missing or zero
 	// entries start at cycle 0, the historical behavior). Together
@@ -198,11 +163,26 @@ const DefaultMaxCycles = 50_000_000
 // with zero retirements machine-wide is unambiguous livelock.
 const DefaultNoProgressCycles = 2_000_000
 
+// withDefaults fills in the values c's zero fields select: the machine
+// a run of c actually uses. New builds from it and NewReport records
+// it.
+func (c Config) withDefaults() Config {
+	if c.CPUs <= 0 {
+		c.CPUs = 4
+	}
+	if c.MaxCycles == 0 {
+		c.MaxCycles = DefaultMaxCycles
+	}
+	if c.NoProgressCycles == 0 {
+		c.NoProgressCycles = DefaultNoProgressCycles
+	}
+	return c
+}
+
 // DefaultConfig returns the scaled 4-processor machine of Table 1.
 func DefaultConfig() Config {
 	return Config{
 		CPUs: 4,
-		Core: cpu.DefaultConfig(),
 		Node: core.DefaultConfig(),
 		Bus:  bus.DefaultConfig(),
 	}
@@ -299,15 +279,10 @@ type System struct {
 
 // New assembles a system for the workload.
 func New(cfg Config, w Workload) *System {
-	if cfg.CPUs <= 0 {
-		cfg.CPUs = 4
-	}
+	cfg = cfg.withDefaults()
 	if len(w.Programs) != cfg.CPUs {
 		panic(fmt.Sprintf("sim: workload %q has %d programs for %d CPUs",
 			w.Name, len(w.Programs), cfg.CPUs))
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = DefaultMaxCycles
 	}
 	if cfg.Check && cfg.Trace == nil {
 		// Ring-only tracer so a checker violation's post-mortem can
@@ -329,19 +304,9 @@ func New(cfg Config, w Workload) *System {
 	s.Bus = ic
 	s.Bus.SetTracer(cfg.Trace)
 
-	nodeCfg := cfg.Node
-	nodeCfg.MESTI = cfg.Tech.MESTI || cfg.Tech.EMESTI
-	nodeCfg.EMESTI = cfg.Tech.EMESTI
-	nodeCfg.LVP = cfg.Tech.LVP
-
-	coreCfg := cfg.Core
-	coreCfg.SLE.Enabled = cfg.Tech.SLE
-
+	coreCfg := cpu.DefaultConfig()
+	coreCfg.SLE = cfg.Tech.SLE
 	for i := 0; i < cfg.CPUs; i++ {
-		nc := nodeCfg
-		if cfg.StaleDetector != nil {
-			nc.Detector = cfg.StaleDetector(i)
-		}
 		c := cpu.New(coreCfg, i, w.Programs[i], nil, s.Counters)
 		if i < len(cfg.StartOffsets) {
 			c.SetStartCycle(cfg.StartOffsets[i])
@@ -351,7 +316,7 @@ func New(cfg Config, w Workload) *System {
 		}
 		c.SetTracer(cfg.Trace)
 		c.AttachMachine(&s.retired, &s.haltedCores)
-		ctrl := core.NewController(nc, s.Bus, c, s.Counters)
+		ctrl := core.NewController(cfg.Node, cfg.Tech, s.Bus, c, s.Counters)
 		if cfg.NoFastForward {
 			ctrl.SetOracle(&s.auditErr)
 		}
@@ -364,11 +329,8 @@ func New(cfg Config, w Workload) *System {
 		s.Nodes = append(s.Nodes, ctrl)
 	}
 	if cfg.Check {
-		s.check = check.Attach(check.Config{
-			MESTI:      nodeCfg.MESTI,
-			EMESTI:     nodeCfg.EMESTI,
-			SweepEvery: cfg.CheckSweepEvery,
-		}, s.Bus, s.Mem, s.Nodes, s.Cores)
+		s.check = check.Attach(check.Config{Tech: cfg.Tech, SweepEvery: cfg.CheckSweepEvery},
+			s.Bus, s.Mem, s.Nodes, s.Cores)
 	}
 	return s
 }
@@ -467,9 +429,6 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 	lastRetired := uint64(0)
 	lastProgress := uint64(0)
 	watchdog := s.cfg.NoProgressCycles
-	if watchdog == 0 {
-		watchdog = DefaultNoProgressCycles
-	}
 	nCores := len(s.Cores)
 	var runErr *RunError
 	for s.now < s.cfg.MaxCycles {
