@@ -24,6 +24,7 @@ package bus
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"tssim/internal/mem"
@@ -188,7 +189,73 @@ type busyLine struct {
 	n    int
 }
 
-// Bus is the interconnect instance.
+// Interconnect kinds as accepted by NewInterconnect and the CLIs'
+// -interconnect flag.
+const (
+	KindBus       = "bus"
+	KindSplitBus  = "splitbus"
+	KindDirectory = "directory"
+)
+
+// maxOutstanding is the split-transaction bus's in-flight transaction
+// bound.
+const maxOutstanding = 8
+
+// kinds is the one list of fabric kinds, in presentation order, with
+// the two things a kind varies (see Bus.maxInflight). The directory
+// also keeps per-line sharer state (Bus.dir).
+var kinds = []struct {
+	name        string
+	maxInflight int
+	grant       func(b *Bus, t *Txn, now uint64)
+}{
+	{KindBus, 0, (*Bus).grant},
+	{KindSplitBus, maxOutstanding, (*Bus).grantSplit},
+	{KindDirectory, 0, (*Bus).grantDir},
+}
+
+// Kinds lists the selectable fabric kinds in presentation order.
+func Kinds() []string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	return names
+}
+
+// kindIndex returns the named kind's row in kinds, -1 for an unknown
+// name. The empty name is the atomic snoop bus.
+func kindIndex(kind string) int {
+	for i, k := range kinds {
+		if k.name == kind || kind == "" && k.name == KindBus {
+			return i
+		}
+	}
+	return -1
+}
+
+// ValidKind reports whether kind names a selectable fabric ("" is the
+// atomic-bus default). CLIs use it to reject -interconnect typos before
+// constructing a machine.
+func ValidKind(kind string) bool { return kindIndex(kind) >= 0 }
+
+// Bus is the coherence fabric: the serialization point for coherence
+// transactions plus snoop/probe delivery and the combined response.
+// Every kind honors the contract the protocol layers and the checker
+// were written against:
+//
+//   - Grant order is the machine-wide serialization order. The
+//     requester's GrantTxn fires at the grant instant and may rewrite
+//     or cancel the transaction; remote state transitions happen
+//     during the same instant via SnoopTxn on the probed nodes.
+//   - The combined response (Shared/Owned/Data) is built from the
+//     replies of exactly the nodes the transaction was delivered to; a
+//     kind may skip only nodes that provably hold no protocol-relevant
+//     state for the line (the directory's structural-identity
+//     argument, DESIGN.md §16).
+//   - OnSerialized fires once per successful grant, after every state
+//     transition and memory side effect — where internal/check hangs.
+//   - NextEvent never overestimates; SetOracle audits it.
 type Bus struct {
 	cfg    Config
 	memory *mem.Memory
@@ -234,12 +301,17 @@ type Bus struct {
 	// holds are deferred busy-line releases (post-delivery fillHold).
 	holds []lineHold
 
-	// The two things a backend varies, set by its constructor: the bound
-	// on granted transactions awaiting completion, past which address
-	// grants stall (0 = none), and the grant function — who is probed,
-	// what the directory records, when the data phase ends.
+	// The two things a kind varies: the bound on granted transactions
+	// awaiting completion, past which address grants stall (0 = none),
+	// and the grant function — who is probed, what the directory
+	// records, when the data phase ends.
 	maxInflight int
-	grantFn     func(t *Txn, now uint64)
+	grantFn     func(b *Bus, t *Txn, now uint64)
+
+	// dir is the directory's per-line sharer state (nil on the snoop
+	// buses), cntProbes the probes it delivered.
+	dir       map[uint64]*dirLine
+	cntProbes stats.Counter
 
 	// onSerialized, when non-nil, observes every granted transaction
 	// *after* the snoop phase and memory side effects — i.e. at the
@@ -250,15 +322,26 @@ type Bus struct {
 	// err latches the first fabric-level protocol violation (e.g. two
 	// nodes supplying dirty data for one line). The run loop polls Err
 	// and fails the run with a post-mortem instead of the fabric
-	// panicking — a protocol bug in one backend must not kill a whole
-	// -j worker pool.
+	// panicking — a protocol bug in one cell must not kill a whole -j
+	// worker pool.
 	err error
+
+	// audit, when non-nil, checks the horizon NextEvent gives the fast
+	// path (see SetOracle); horizon is the standing one, 0 when none
+	// stands.
+	audit   *error
+	horizon uint64
 }
 
-// New builds a bus over the given backing memory. counters may be
+// NewInterconnect builds the named fabric kind over the given backing
+// memory; the empty name selects the atomic snoop bus. counters may be
 // shared with other components; rng drives latency jitter and may be
 // nil when JitterMax is zero.
-func New(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Rand) *Bus {
+func NewInterconnect(kind string, cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Rand) (*Bus, error) {
+	i := kindIndex(kind)
+	if i < 0 {
+		return nil, fmt.Errorf("bus: unknown interconnect %q (have %s)", kind, strings.Join(Kinds(), "|"))
+	}
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
@@ -267,6 +350,7 @@ func New(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Ran
 		panic("bus: jitter requested without rng")
 	}
 	b := &Bus{cfg: c, memory: memory, rng: rng, rr: c.ArbStart,
+		maxInflight: kinds[i].maxInflight, grantFn: kinds[i].grant,
 		cntC2C: counters.Counter("bus/data/c2c"),
 		cntMem: counters.Counter("bus/data/mem"),
 		hWait:  counters.Hist("lat/bus_wait"),
@@ -275,8 +359,11 @@ func New(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Ran
 		b.cntTxn[ty] = counters.Counter("bus/txn/" + ty.String())
 		b.cntAborted[ty] = counters.Counter("bus/aborted/" + ty.String())
 	}
-	b.grantFn = b.grant
-	return b
+	if kinds[i].name == KindDirectory {
+		b.dir = make(map[uint64]*dirLine)
+		b.cntProbes = counters.Counter("bus/dir/probes")
+	}
+	return b, nil
 }
 
 // NewTxn returns a zeroed transaction, reusing one recycled after a
@@ -313,15 +400,24 @@ func (b *Bus) OnSerialized(fn func(now uint64, t *Txn)) { b.onSerialized = fn }
 // transaction rather than any cache or memory.
 func (b *Bus) LineBusy(addr uint64) bool { return b.busyCount(mem.LineAddr(addr)) > 0 }
 
-// Attach registers a controller and returns its node id.
+// SetOracle makes the fabric audit its horizon on the every-cycle loop
+// (sim.Config.NoFastForward). A tick with no horizon standing, or with
+// it reached, asks NextEvent; a Request, or a tick that released a
+// hold, arbitrated or delivered, drops it. Such a tick before the
+// standing horizon is one the fast path would have skipped: the first
+// violation machine-wide goes to *violation, the oracles' shared latch.
+func (b *Bus) SetOracle(violation *error) { b.audit = violation }
+
+// Attach registers a controller and returns its node id. The
+// directory's sharer vector bounds its node count.
 func (b *Bus) Attach(p Port) int {
+	if b.dir != nil && len(b.ports) >= dirMaxNodes {
+		panic(fmt.Sprintf("directory: sharer vector supports at most %d nodes", dirMaxNodes))
+	}
 	b.ports = append(b.ports, p)
 	b.queues = append(b.queues, nil)
 	return len(b.ports) - 1
 }
-
-// Nodes returns the number of attached controllers.
-func (b *Bus) Nodes() int { return len(b.ports) }
 
 // Request enqueues a transaction from its source node.
 func (b *Bus) Request(t *Txn) {
@@ -331,6 +427,7 @@ func (b *Bus) Request(t *Txn) {
 	t.Addr = mem.LineAddr(t.Addr)
 	t.reqAt = b.now
 	b.queues[t.Src] = append(b.queues[t.Src], t)
+	b.horizon = 0
 }
 
 // Idle reports whether no transaction is queued or in flight.
@@ -350,21 +447,39 @@ func (b *Bus) jitter() uint64 {
 	return uint64(b.rng.Intn(b.cfg.JitterMax))
 }
 
-// Tick advances the interconnect one cycle: possibly grants one
-// transaction and delivers any completions due.
+// Tick advances the interconnect one cycle: releases the holds due,
+// possibly grants one transaction and delivers any completions due.
 func (b *Bus) Tick(now uint64) {
 	b.now = now
-	b.releaseHolds(now)
+	if b.audit != nil && b.horizon <= now {
+		b.horizon = b.NextEvent(now)
+	}
+	horizon := b.horizon // a callback's Request may drop it mid-tick
+	released := b.releaseHolds(now)
+	arb := -1 // the node whose queue head was arbitrated, if any
+	var arbType TxnType
+	var arbAddr uint64
 	if now >= b.addrFree && b.hasSlot() {
 		if t := b.nextRequest(); t != nil {
-			b.grantFn(t, now)
+			arb, arbType, arbAddr = t.Src, t.Type, t.Addr
+			b.grantFn(b, t, now)
 		}
 	}
-	b.deliver(now)
+	delivered := b.deliver(now)
+	if b.audit != nil && (released > 0 || arb >= 0 || delivered > 0) {
+		b.horizon = 0
+		if now < horizon && *b.audit == nil {
+			what := ""
+			if arb >= 0 {
+				what = fmt.Sprintf("; arbitrated node %d %s %#x", arb, arbType, arbAddr)
+			}
+			*b.audit = fmt.Errorf("fabric cycle %d: horizon %d violated: released %d holds, delivered %d%s", now, horizon, released, delivered, what)
+		}
+	}
 }
 
 // hasSlot reports whether another transaction may be granted under the
-// backend's in-flight bound.
+// kind's in-flight bound.
 func (b *Bus) hasSlot() bool {
 	return b.maxInflight == 0 || len(b.inflight) < b.maxInflight
 }
@@ -376,7 +491,7 @@ func (b *Bus) hasSlot() bool {
 // immediately, and ^uint64(0) when the bus is fully idle. Queues whose
 // head targets a busy line need no separate term, nor does any queue
 // while the in-flight bound is reached: they unblock only at a delivery
-// or hold release, both already in the horizon.
+// or hold release, both already in the horizon. SetOracle audits it.
 func (b *Bus) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
 	for _, t := range b.inflight {
@@ -439,7 +554,8 @@ func (b *Bus) busyDec(addr uint64) {
 	}
 }
 
-func (b *Bus) releaseHolds(now uint64) {
+// releaseHolds ends the fill holds due and returns how many it ended.
+func (b *Bus) releaseHolds(now uint64) int {
 	out := b.holds[:0]
 	for _, h := range b.holds {
 		if h.at <= now {
@@ -448,7 +564,9 @@ func (b *Bus) releaseHolds(now uint64) {
 			out = append(out, h)
 		}
 	}
+	released := len(b.holds) - len(out)
 	b.holds = out
+	return released
 }
 
 // nextRequest pops the next transaction under round-robin arbitration,
@@ -577,11 +695,11 @@ func (b *Bus) scheduleData(t *Txn, supplier *mem.Line, now uint64) {
 	t.doneAt = start + lat
 }
 
-// finishGrant commits a granted transaction. The backend has scheduled
-// a Read/ReadX's transfer; a dataless transaction completes when its
-// address phase does, plus whatever acknowledgement time the backend
-// collects (a writeback's payload reaches memory here). Then in-flight
-// tracking and the serialization observer.
+// finishGrant commits a granted transaction. The grant function has
+// scheduled a Read/ReadX's transfer; a dataless transaction completes
+// when its address phase does, plus whatever acknowledgement time the
+// directory collects (a writeback's payload reaches memory here). Then
+// in-flight tracking and the serialization observer.
 func (b *Bus) finishGrant(t *Txn, now, acks uint64) {
 	switch t.Type {
 	case TxnRead, TxnReadX:
@@ -610,7 +728,34 @@ func (b *Bus) grant(t *Txn, now uint64) {
 	b.finishGrant(t, now, 0)
 }
 
-func (b *Bus) deliver(now uint64) {
+// grantSplit is grant with the split-transaction bus's data schedule:
+// the payload claims the data bus only once it is ready (grant + source
+// latency + jitter), holds it for DataOccupancy and completes when the
+// transfer ends. Under load transfers serialize at data-ready time, not
+// at the grant instant, which widens the grant-to-completion window
+// the upgrade-steal path (internal/core snoop.go) must tolerate. With
+// the maxOutstanding bound (a real split bus running out of
+// transaction tags) this is all the split bus changes.
+func (b *Bus) grantSplit(t *Txn, now uint64) {
+	if !b.acceptGrant(t, now) {
+		return
+	}
+	supplier := b.snoopCombine(t)
+	if t.Type == TxnRead || t.Type == TxnReadX {
+		start := now + b.sourceData(t, supplier)
+		if b.dataFree > start {
+			start = b.dataFree
+		}
+		b.dataFree = start + uint64(b.cfg.DataOccupancy)
+		t.doneAt = b.dataFree
+	}
+	b.finishGrant(t, now, 0)
+}
+
+// deliver completes the in-flight transactions due and returns how
+// many it completed.
+func (b *Bus) deliver(now uint64) int {
+	n := len(b.inflight)
 	out := b.inflight[:0]
 	for _, t := range b.inflight {
 		if t.doneAt <= now {
@@ -627,10 +772,12 @@ func (b *Bus) deliver(now uint64) {
 		}
 	}
 	b.inflight = out
+	return n - len(out)
 }
 
-// DebugString renders queues, in-flight transactions, and busy lines
-// (diagnostics).
+// DebugString renders queues, in-flight transactions, busy lines and,
+// on the directory, the entries with live state in address order
+// (post-mortems).
 func (b *Bus) DebugString() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "bus addrFree=%d dataFree=%d inflight=%d\n", b.addrFree, b.dataFree, len(b.inflight))
@@ -644,6 +791,16 @@ func (b *Bus) DebugString() string {
 	}
 	for _, bl := range b.busy {
 		fmt.Fprintf(&sb, "  busy %#x count=%d\n", bl.addr, bl.n)
+	}
+	addrs := make([]uint64, 0, len(b.dir))
+	for addr := range b.dir {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	for _, addr := range addrs {
+		if e := b.dir[addr]; e.owner >= 0 || e.sharers != 0 || e.tset != 0 {
+			fmt.Fprintf(&sb, "  dir %#x owner=%d sharers=%#x tset=%#x\n", addr, e.owner, e.sharers, e.tset)
+		}
 	}
 	return sb.String()
 }

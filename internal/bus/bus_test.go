@@ -28,16 +28,24 @@ func (p *fakePort) SnoopTxn(t *Txn) SnoopReply {
 }
 func (p *fakePort) CompleteTxn(t *Txn) { p.completed = append(p.completed, t) }
 
-func testBus(nports int, cfg Config) (*Bus, []*fakePort, *mem.Memory, *stats.Counters) {
+// testFabric builds a fabric of the given kind with nports fakePorts.
+func testFabric(kind string, nports int, cfg Config) (*Bus, []*fakePort, *mem.Memory, *stats.Counters) {
 	m := mem.New()
 	c := stats.NewCounters()
-	b := New(cfg, m, c, nil)
+	b, err := NewInterconnect(kind, cfg, m, c, nil)
+	if err != nil {
+		panic(err)
+	}
 	ports := make([]*fakePort, nports)
 	for i := range ports {
 		ports[i] = &fakePort{grantOK: true}
 		ports[i].id = b.Attach(ports[i])
 	}
 	return b, ports, m, c
+}
+
+func testBus(nports int, cfg Config) (*Bus, []*fakePort, *mem.Memory, *stats.Counters) {
+	return testFabric(KindBus, nports, cfg)
 }
 
 func run(b *Bus, from, to uint64) {

@@ -1,13 +1,6 @@
 package bus
 
-import (
-	"fmt"
-	"math/rand"
-	"strings"
-
-	"tssim/internal/mem"
-	"tssim/internal/stats"
-)
+import "tssim/internal/mem"
 
 // ackPerTarget is the directory's per-destination invalidation/validate
 // acknowledgement latency: a multicast of n probes completes
@@ -45,11 +38,40 @@ type dirLine struct {
 	tset    uint64
 }
 
-// Directory is the directory-based coherence backend: the same
-// address-network arbitration and serialization order as the snoop
-// bus, but transactions are filtered through per-line sharer state
-// kept at the L3/memory side and delivered as targeted probes instead
-// of broadcast snoops. MESTI's T state and E-MESTI's VS state +
+// dirEntry returns the directory entry for a line address, lazily
+// initializing to "memory has custody, nobody caches it".
+func (b *Bus) dirEntry(addr uint64) *dirLine {
+	if e, ok := b.dir[addr]; ok {
+		return e
+	}
+	e := &dirLine{owner: -1}
+	b.dir[addr] = e
+	return e
+}
+
+// probeSet delivers the transaction to every node in the mask and
+// combines their replies, returning the supplier (if any) and the
+// probe count for ack-latency accounting.
+func (b *Bus) probeSet(mask uint64, t *Txn) (*mem.Line, int) {
+	var supplier *mem.Line
+	probed := 0
+	for id := 0; mask != 0 && id < len(b.ports); id++ {
+		if mask&(1<<uint(id)) == 0 {
+			continue
+		}
+		mask &^= 1 << uint(id)
+		supplier = b.probe(id, t, supplier)
+		probed++
+	}
+	b.cntProbes.Add(uint64(probed))
+	return supplier, probed
+}
+
+// grantDir is the directory kind's grant. It replaces broadcast
+// snooping with targeted probes: the same address-network arbitration
+// and serialization order as the snoop bus, but transactions are
+// filtered through per-line sharer state kept at the L3/memory side
+// (Bus.dir). MESTI's T state and E-MESTI's VS state +
 // useful-snoop-response survive as directory messages:
 //
 //   - Validate becomes a multicast to the line's tset (the possible
@@ -59,76 +81,17 @@ type dirLine struct {
 //     actual probe replies only (VS holders withhold it there), never
 //     synthesized from the — possibly stale — sharer mask, so the
 //     validate predictor's training signal is identical to snooping.
-type Directory struct {
-	*Bus
-	dir map[uint64]*dirLine
-
-	cntProbes stats.Counter // probes delivered (vs. broadcast's N-1 per grant)
-}
-
-// NewDirectory builds a directory backend over the given backing
-// memory.
-func NewDirectory(cfg Config, memory *mem.Memory, counters *stats.Counters, rng *rand.Rand) *Directory {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
-	d := &Directory{
-		Bus:       New(cfg, memory, counters, rng),
-		dir:       make(map[uint64]*dirLine),
-		cntProbes: counters.Counter("bus/dir/probes"),
-	}
-	d.grantFn = d.grantDir
-	return d
-}
-
-// Attach registers a controller, enforcing the sharer-vector width.
-func (d *Directory) Attach(p Port) int {
-	if len(d.ports) >= dirMaxNodes {
-		panic(fmt.Sprintf("directory: sharer vector supports at most %d nodes", dirMaxNodes))
-	}
-	return d.Bus.Attach(p)
-}
-
-// line returns the directory entry for a line address, lazily
-// initializing to "memory has custody, nobody caches it".
-func (d *Directory) line(addr uint64) *dirLine {
-	if e, ok := d.dir[addr]; ok {
-		return e
-	}
-	e := &dirLine{owner: -1}
-	d.dir[addr] = e
-	return e
-}
-
-// probeSet delivers the transaction to every node in the mask and
-// combines their replies, returning the supplier (if any) and the
-// probe count for ack-latency accounting.
-func (d *Directory) probeSet(mask uint64, t *Txn) (*mem.Line, int) {
-	var supplier *mem.Line
-	probed := 0
-	for id := 0; mask != 0 && id < len(d.ports); id++ {
-		if mask&(1<<uint(id)) == 0 {
-			continue
-		}
-		mask &^= 1 << uint(id)
-		supplier = d.probe(id, t, supplier)
-		probed++
-	}
-	d.cntProbes.Add(uint64(probed))
-	return supplier, probed
-}
-
-// grantDir is the directory's serialization point: the requester's
-// grant callback runs (and may rewrite Upgrade→ReadX or cancel, same
-// as on the bus), then the directory computes the probe set from the
-// line's sharer state, delivers the probes, and updates the entry —
-// all within the grant instant, so grant order remains the
+//
+// The requester's grant callback runs first (and may rewrite
+// Upgrade→ReadX or cancel, same as on the bus); then the probe set is
+// computed from the line's entry, the probes delivered and the entry
+// updated — all within the grant instant, so grant order remains the
 // machine-wide serialization order the checker assumes.
-func (d *Directory) grantDir(t *Txn, now uint64) {
-	if !d.acceptGrant(t, now) {
+func (b *Bus) grantDir(t *Txn, now uint64) {
+	if !b.acceptGrant(t, now) {
 		return
 	}
-	e := d.line(t.Addr)
+	e := b.dirEntry(t.Addr)
 	src := uint64(1) << uint(t.Src)
 	var supplier *mem.Line
 	probed := 0
@@ -140,7 +103,7 @@ func (d *Directory) grantDir(t *Txn, now uint64) {
 		// S where a silently-dropped copy would have allowed E is the
 		// one (legal) conservatism this costs.
 		if e.owner >= 0 && e.owner != t.Src {
-			supplier, probed = d.probeSet(uint64(1)<<uint(e.owner), t)
+			supplier, probed = b.probeSet(uint64(1)<<uint(e.owner), t)
 		}
 		if e.sharers&^src != 0 {
 			t.Shared = true
@@ -171,7 +134,7 @@ func (d *Directory) grantDir(t *Txn, now uint64) {
 			targets |= uint64(1) << uint(e.owner)
 			targets &^= src
 		}
-		supplier, probed = d.probeSet(targets, t)
+		supplier, probed = b.probeSet(targets, t)
 		e.owner = t.Src
 		e.sharers = src
 		e.tset = targets // every probed ex-holder is now T or I: keep probeable
@@ -181,7 +144,7 @@ func (d *Directory) grantDir(t *Txn, now uint64) {
 		// ones drop to I; both outcomes stay in the conservative
 		// sharer superset.
 		targets := e.tset &^ src
-		supplier, probed = d.probeSet(targets, t)
+		supplier, probed = b.probeSet(targets, t)
 		e.sharers |= targets
 		e.tset = 0
 	case TxnWriteback:
@@ -193,35 +156,18 @@ func (d *Directory) grantDir(t *Txn, now uint64) {
 		}
 		e.sharers &^= src
 		e.tset |= src
-	default:
-		panic(fmt.Sprintf("directory: unknown txn type %d", t.Type))
 	}
 
 	acks := ackPerTarget * uint64(probed)
 	if t.Type == TxnRead || t.Type == TxnReadX {
-		d.scheduleData(t, supplier, now)
+		b.scheduleData(t, supplier, now)
 		if t.Type == TxnReadX && probed > 0 {
 			// Invalidation acks can outlast the data transfer when the
 			// probe fan-out is wide.
-			if ackDone := now + uint64(d.cfg.AddrLatency) + acks; ackDone > t.doneAt {
+			if ackDone := now + uint64(b.cfg.AddrLatency) + acks; ackDone > t.doneAt {
 				t.doneAt = ackDone
 			}
 		}
 	}
-	d.finishGrant(t, now, acks)
-}
-
-// DebugString renders the inherited queue/in-flight state plus the
-// directory entries with live state.
-func (d *Directory) DebugString() string {
-	var sb strings.Builder
-	sb.WriteString("directory over ")
-	sb.WriteString(d.Bus.DebugString())
-	for addr, e := range d.dir {
-		if e.owner < 0 && e.sharers == 0 && e.tset == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "  dir %#x owner=%d sharers=%#x tset=%#x\n", addr, e.owner, e.sharers, e.tset)
-	}
-	return sb.String()
+	b.finishGrant(t, now, acks)
 }

@@ -1,39 +1,22 @@
 package bus
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"tssim/internal/mem"
-	"tssim/internal/stats"
 )
 
-// attachPorts registers n fakePorts on any backend.
-func attachPorts(ic Interconnect, n int) []*fakePort {
-	ports := make([]*fakePort, n)
-	for i := range ports {
-		ports[i] = &fakePort{grantOK: true}
-		ports[i].id = ic.Attach(ports[i])
-	}
-	return ports
+func testSplit(nports int, cfg Config) (*Bus, []*fakePort, *mem.Memory) {
+	b, ports, m, _ := testFabric(KindSplitBus, nports, cfg)
+	return b, ports, m
 }
 
-func testSplit(nports int, cfg Config) (*SplitBus, []*fakePort, *mem.Memory) {
-	m := mem.New()
-	sb := NewSplit(cfg, m, stats.NewCounters(), nil)
-	return sb, attachPorts(sb, nports), m
-}
-
-func testDir(nports int, cfg Config) (*Directory, []*fakePort, *mem.Memory) {
-	m := mem.New()
-	d := NewDirectory(cfg, m, stats.NewCounters(), nil)
-	return d, attachPorts(d, nports), m
-}
-
-func runIC(ic Interconnect, from, to uint64) {
-	for now := from; now <= to; now++ {
-		ic.Tick(now)
-	}
+func testDir(nports int, cfg Config) (*Bus, []*fakePort, *mem.Memory) {
+	b, ports, m, _ := testFabric(KindDirectory, nports, cfg)
+	return b, ports, m
 }
 
 func TestInterconnectFactory(t *testing.T) {
@@ -43,7 +26,7 @@ func TestInterconnectFactory(t *testing.T) {
 			t.Fatalf("kind %q: %v", kind, err)
 		}
 		if ic == nil {
-			t.Fatalf("kind %q: nil backend", kind)
+			t.Fatalf("kind %q: nil fabric", kind)
 		}
 		if !ValidKind(kind) {
 			t.Fatalf("ValidKind(%q) = false", kind)
@@ -62,7 +45,7 @@ func TestInterconnectFactory(t *testing.T) {
 func TestSplitBusSingleReadLatency(t *testing.T) {
 	sb, ports, _ := testSplit(2, fastCfg())
 	sb.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
-	runIC(sb, 0, 30)
+	run(sb, 0, 30)
 	if len(ports[0].completed) != 1 {
 		t.Fatalf("completions = %d", len(ports[0].completed))
 	}
@@ -79,7 +62,7 @@ func TestSplitBusDataPipelines(t *testing.T) {
 	sb, ports, _ := testSplit(2, fastCfg())
 	sb.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
 	sb.Request(&Txn{Type: TxnRead, Addr: 0x2000, Src: 0})
-	runIC(sb, 0, 40)
+	run(sb, 0, 40)
 	if len(ports[0].completed) != 2 {
 		t.Fatalf("completions = %d", len(ports[0].completed))
 	}
@@ -129,7 +112,7 @@ func TestSplitBusNextEventAtCapacity(t *testing.T) {
 		sb.Request(&Txn{Type: TxnRead, Addr: uint64(0x1000 * (i + 1)), Src: i})
 	}
 	end := uint64(2 * maxOutstanding) // one grant per AddrOccupancy
-	runIC(sb, 0, end)
+	run(sb, 0, end)
 	if n := len(sb.inflight); n != maxOutstanding {
 		t.Fatalf("in flight = %d, want the bound %d", n, maxOutstanding)
 	}
@@ -156,7 +139,7 @@ func snoops(ports []*fakePort) []int {
 func TestDirectoryReadProbesOnlyOwner(t *testing.T) {
 	d, ports, _ := testDir(8, fastCfg())
 	d.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
-	runIC(d, 0, 30)
+	run(d, 0, 30)
 	for i, n := range snoops(ports) {
 		if n != 0 {
 			t.Fatalf("uncached read probed node %d", i)
@@ -172,7 +155,7 @@ func TestDirectoryReadProbesOnlyOwner(t *testing.T) {
 	dirty.SetWord(0, 777)
 	ports[0].snoopResp = SnoopReply{Shared: true, Data: &dirty}
 	d.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 1})
-	runIC(d, 31, 60)
+	run(d, 31, 60)
 	got := snoops(ports)
 	if got[0] != 1 {
 		t.Fatalf("owner not probed: %v", got)
@@ -189,7 +172,7 @@ func TestDirectoryReadProbesOnlyOwner(t *testing.T) {
 	// Supplier stays owner of record (M->O): a third read probes it
 	// again.
 	d.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 2})
-	runIC(d, 61, 90)
+	run(d, 61, 90)
 	if n := len(ports[0].snooped); n != 2 {
 		t.Fatalf("owner probed %d times, want 2", n)
 	}
@@ -204,7 +187,7 @@ func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
 	phase := func(tx *Txn) uint64 {
 		grant := now
 		d.Request(tx)
-		runIC(d, now, now+60)
+		run(d, now, now+60)
 		now += 61
 		return grant
 	}
@@ -231,7 +214,7 @@ func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
 	if want := g + 4 + 3*ackPerTarget; rx.doneAt != want {
 		t.Fatalf("readx doneAt = %d, want %d (ack floor)", rx.doneAt, want)
 	}
-	e := d.line(0x2000)
+	e := d.dirEntry(0x2000)
 	if e.owner != 0 || e.sharers != 1 || e.tset != 0b1110 {
 		t.Fatalf("post-readx entry owner=%d sharers=%#x tset=%#x", e.owner, e.sharers, e.tset)
 	}
@@ -263,20 +246,20 @@ func TestDirectoryInvalidationProbeSetAndAckTiming(t *testing.T) {
 func TestDirectoryWritebackKeepsEvictorProbeable(t *testing.T) {
 	d, ports, m := testDir(8, fastCfg())
 	d.Request(&Txn{Type: TxnRead, Addr: 0x3000, Src: 0})
-	runIC(d, 0, 30)
+	run(d, 0, 30)
 	wb := &Txn{Type: TxnWriteback, Addr: 0x3000, Src: 0}
 	wb.WData.SetWord(1, 42)
 	d.Request(wb)
-	runIC(d, 31, 60)
+	run(d, 31, 60)
 	if m.ReadWord(0x3008) != 42 {
 		t.Fatal("writeback did not reach memory")
 	}
-	e := d.line(0x3000)
+	e := d.dirEntry(0x3000)
 	if e.owner != -1 || e.sharers != 0 || e.tset != 1 {
 		t.Fatalf("post-writeback entry owner=%d sharers=%#x tset=%#x", e.owner, e.sharers, e.tset)
 	}
 	d.Request(&Txn{Type: TxnReadX, Addr: 0x3000, Src: 1})
-	runIC(d, 61, 90)
+	run(d, 61, 90)
 	if n := len(ports[0].snooped); n != 1 {
 		t.Fatalf("evictor probed %d times, want 1 (reservation-kill window)", n)
 	}
@@ -291,7 +274,7 @@ func TestDirectoryUsefulResponseFromRepliesOnly(t *testing.T) {
 	now := uint64(0)
 	phase := func(tx *Txn) {
 		d.Request(tx)
-		runIC(d, now, now+60)
+		run(d, now, now+60)
 		now += 61
 	}
 	phase(&Txn{Type: TxnRead, Addr: 0x4000, Src: 0})
@@ -326,7 +309,7 @@ func TestDirectoryTwoOwnersLatchesError(t *testing.T) {
 	now := uint64(0)
 	phase := func(tx *Txn) {
 		d.Request(tx)
-		runIC(d, now, now+60)
+		run(d, now, now+60)
 		now += 61
 	}
 	phase(&Txn{Type: TxnRead, Addr: 0x6000, Src: 1})
@@ -408,5 +391,87 @@ func TestSnoopCombineFifteenSharers(t *testing.T) {
 		if len(ports2[i].snooped) != 1 {
 			t.Fatalf("port %d snooped %d times", i, len(ports2[i].snooped))
 		}
+	}
+}
+
+// The directory's post-mortem lists its live entries in address order,
+// so two renderings of one failing machine are the same text.
+func TestDirectoryDebugStringInAddressOrder(t *testing.T) {
+	d, _, _ := testDir(4, fastCfg())
+	const lines = 12
+	for i := 0; i < lines; i++ {
+		d.Request(&Txn{Type: TxnRead, Addr: uint64(0x1000 * (lines - i)), Src: i % 4})
+	}
+	run(d, 0, 200)
+	dirLines := func() []string {
+		var out []string
+		for _, l := range strings.Split(d.DebugString(), "\n") {
+			if strings.HasPrefix(l, "  dir ") {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	first, second := dirLines(), dirLines()
+	if len(first) != lines {
+		t.Fatalf("%d live entries rendered, want %d:\n%s", len(first), lines, d.DebugString())
+	}
+	if !slices.Equal(first, second) {
+		t.Fatalf("two renderings differ:\n%s\n--\n%s", strings.Join(first, "\n"), strings.Join(second, "\n"))
+	}
+	for i, l := range first {
+		want := fmt.Sprintf("  dir %#x ", 0x1000*(i+1))
+		if !strings.HasPrefix(l, want) {
+			t.Fatalf("entry %d is %q, want it to start %q (address order)", i, l, want)
+		}
+	}
+}
+
+// The fabric oracle keeps a standing horizon. A tick that releases a
+// hold, delivers or arbitrates before it latches an error naming the
+// cycle, the horizon and what moved; a Request drops the horizon, so
+// the grant it makes possible is no violation.
+func TestFabricAuditLocatesHorizonViolation(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(b *Bus) // requests, plants a horizon past the event, ticks through it
+		want string       // the latched error, "" for none
+	}{
+		{"due hold release", func(b *Bus) {
+			b.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
+			run(b, 0, 10) // grant at 0, delivery at 10, fill hold until 18
+			b.horizon = 30
+			run(b, 11, 20)
+		}, "fabric cycle 18: horizon 30 violated: released 1 holds, delivered 0"},
+		{"due delivery", func(b *Bus) {
+			b.Request(&Txn{Type: TxnRead, Addr: 0x1000, Src: 0})
+			run(b, 0, 0)
+			b.horizon = 20
+			run(b, 1, 12)
+		}, "fabric cycle 10: horizon 20 violated: released 0 holds, delivered 1"},
+		{"grantable queue head", func(b *Bus) {
+			b.Request(&Txn{Type: TxnUpgrade, Addr: 0x3000, Src: 1})
+			b.horizon = 5
+			run(b, 0, 2)
+		}, "fabric cycle 0: horizon 5 violated: released 0 holds, delivered 0; arbitrated node 1 upgrade 0x3000"},
+		{"a Request drops the standing horizon", func(b *Bus) {
+			b.horizon = 5
+			b.Request(&Txn{Type: TxnUpgrade, Addr: 0x3000, Src: 1})
+			run(b, 0, 30)
+		}, ""},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b, _, _, _ := testBus(2, fastCfg())
+			var violation error
+			b.SetOracle(&violation)
+			row.run(b)
+			got := ""
+			if violation != nil {
+				got = violation.Error()
+			}
+			if got != row.want {
+				t.Fatalf("latched %q, want %q", got, row.want)
+			}
+		})
 	}
 }

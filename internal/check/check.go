@@ -66,7 +66,7 @@ type pendingStore struct {
 // Checker holds the oracle state for one machine.
 type Checker struct {
 	cfg    Config
-	b      bus.Interconnect
+	b      *bus.Bus
 	memory *mem.Memory
 	nodes  []*core.Controller
 	cores  []*cpu.Core
@@ -109,9 +109,9 @@ type logEntry struct {
 // Attach builds a checker and hooks it into an assembled machine: the
 // interconnect's OnSerialized hook, every controller's CheckSink, and
 // every core's OnCommitDebug hook. Call before the first cycle. The
-// checker is backend-agnostic: it only needs the serialization stream
-// and line-custody queries, which every Interconnect provides.
-func Attach(cfg Config, b bus.Interconnect, memory *mem.Memory, nodes []*core.Controller, cores []*cpu.Core) *Checker {
+// checker is fabric-agnostic: it only needs the serialization stream
+// and line-custody queries, which every kind of bus.Bus provides.
+func Attach(cfg Config, b *bus.Bus, memory *mem.Memory, nodes []*core.Controller, cores []*cpu.Core) *Checker {
 	if cfg.SweepEvery <= 0 {
 		cfg.SweepEvery = DefaultSweepEvery
 	}

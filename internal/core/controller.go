@@ -121,7 +121,7 @@ type Controller struct {
 	cfg    Config
 	tech   Techniques // as run (Effective)
 	id     int
-	bus    bus.Interconnect
+	bus    *bus.Bus
 	client Client
 	cnt    ctrlCounters
 	tr     *trace.Tracer
@@ -174,7 +174,7 @@ type Controller struct {
 // NewController builds a controller running tech's protocol
 // techniques (MESTI, E-MESTI, LVP), attaches it to the interconnect,
 // and returns it. All controllers in a system share counters.
-func NewController(cfg Config, tech Techniques, b bus.Interconnect, client Client, counters *stats.Counters) *Controller {
+func NewController(cfg Config, tech Techniques, b *bus.Bus, client Client, counters *stats.Counters) *Controller {
 	tech = tech.Effective()
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 8
@@ -868,9 +868,6 @@ func (c *Controller) LineData(addr uint64) (mem.Line, bool) {
 
 // Predictor exposes the useful-validate predictor (nil unless EMESTI).
 func (c *Controller) Predictor() *predictor.ValidatePredictor { return c.vpred }
-
-// Detector exposes the temporal-silence detector (nil unless MESTI).
-func (c *Controller) Detector() stale.Detector { return c.detector }
 
 // ForEachL2 visits every allocated L2 frame (invariant checks).
 func (c *Controller) ForEachL2(fn func(l *cache.Line)) { c.l2.ForEach(fn) }

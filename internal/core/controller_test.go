@@ -41,7 +41,7 @@ func (c *testClient) ExternalSnoop(uint64, bool)      { c.snoops++ }
 type harness struct {
 	t       testing.TB
 	mem     *mem.Memory
-	bus     bus.Interconnect
+	bus     *bus.Bus
 	ctrs    *stats.Counters
 	nodes   []*Controller
 	clients []*testClient

@@ -138,7 +138,8 @@ type Config struct {
 	// cycle is ticked and every core runs its full pipeline on every
 	// tick (cpu.Core.SetOracle), auditing each idle verdict the fast
 	// path would have trusted, as every cache controller audits its own
-	// (core.Controller.SetOracle). The two paths are bit-identical in
+	// (core.Controller.SetOracle) and the fabric its horizon
+	// (bus.Bus.SetOracle). The two paths are bit-identical in
 	// every simulated observable (cycles, counters, histograms, trace
 	// timestamps, check verdicts); this escape hatch exists for
 	// differential testing and as a diagnostic fallback.
@@ -251,7 +252,7 @@ func (r Result) IPC() float64 {
 type System struct {
 	cfg      Config
 	Mem      *mem.Memory
-	Bus      bus.Interconnect
+	Bus      *bus.Bus
 	Counters *stats.Counters
 	Nodes    []*core.Controller
 	Cores    []*cpu.Core
@@ -272,8 +273,9 @@ type System struct {
 	// check is the attached coherence oracle (nil unless Config.Check).
 	check *check.Checker
 
-	// auditErr is where the oracle cores and controllers (SetOracle)
-	// report the first violation of a verdict the fast path trusts.
+	// auditErr is where the oracle cores, controllers and fabric
+	// (SetOracle) report the first violation of a verdict or horizon the
+	// fast path trusts.
 	auditErr error
 }
 
@@ -303,6 +305,9 @@ func New(cfg Config, w Workload) *System {
 	}
 	s.Bus = ic
 	s.Bus.SetTracer(cfg.Trace)
+	if cfg.NoFastForward {
+		s.Bus.SetOracle(&s.auditErr)
+	}
 
 	coreCfg := cpu.DefaultConfig()
 	coreCfg.SLE = cfg.Tech.SLE
