@@ -326,11 +326,12 @@ type Bus struct {
 	// worker pool.
 	err error
 
-	// audit, when non-nil, checks the horizon NextEvent gives the fast
-	// path (see SetOracle); horizon is the standing one, 0 when none
-	// stands.
-	audit   *error
+	// horizon is the standing one (see NextEvent), 0 when none stands;
+	// skipped counts the ticks the fast path answered from it. audit,
+	// when non-nil, runs those ticks and checks them (see SetOracle).
 	horizon uint64
+	skipped uint64
+	audit   *error
 }
 
 // NewInterconnect builds the named fabric kind over the given backing
@@ -401,12 +402,15 @@ func (b *Bus) OnSerialized(fn func(now uint64, t *Txn)) { b.onSerialized = fn }
 func (b *Bus) LineBusy(addr uint64) bool { return b.busyCount(mem.LineAddr(addr)) > 0 }
 
 // SetOracle makes the fabric audit its horizon on the every-cycle loop
-// (sim.Config.NoFastForward). A tick with no horizon standing, or with
-// it reached, asks NextEvent; a Request, or a tick that released a
-// hold, arbitrated or delivered, drops it. Such a tick before the
-// standing horizon is one the fast path would have skipped: the first
-// violation machine-wide goes to *violation, the oracles' shared latch.
+// (sim.Config.NoFastForward): it runs the ticks before the standing
+// horizon that the fast path skips, and one that releases a hold,
+// arbitrates or delivers is a violation. The first violation
+// machine-wide goes to *violation, the oracles' shared latch.
 func (b *Bus) SetOracle(violation *error) { b.audit = violation }
+
+// SkippedTicks counts the ticks the fabric answered from its standing
+// horizon instead of running (always 0 on an oracle).
+func (b *Bus) SkippedTicks() uint64 { return b.skipped }
 
 // Attach registers a controller and returns its node id. The
 // directory's sharer vector bounds its node count.
@@ -449,12 +453,15 @@ func (b *Bus) jitter() uint64 {
 
 // Tick advances the interconnect one cycle: releases the holds due,
 // possibly grants one transaction and delivers any completions due.
+// Before the standing horizon it can do none of these, so it returns at
+// once unless it is the oracle.
 func (b *Bus) Tick(now uint64) {
-	b.now = now
-	if b.audit != nil && b.horizon <= now {
-		b.horizon = b.NextEvent(now)
+	b.now = now // first: a Request this cycle is stamped with it
+	horizon := b.NextEvent(now)
+	if now < horizon && b.audit == nil {
+		b.skipped++
+		return
 	}
-	horizon := b.horizon // a callback's Request may drop it mid-tick
 	released := b.releaseHolds(now)
 	arb := -1 // the node whose queue head was arbitrated, if any
 	var arbType TxnType
@@ -466,15 +473,13 @@ func (b *Bus) Tick(now uint64) {
 		}
 	}
 	delivered := b.deliver(now)
-	if b.audit != nil && (released > 0 || arb >= 0 || delivered > 0) {
-		b.horizon = 0
-		if now < horizon && *b.audit == nil {
-			what := ""
-			if arb >= 0 {
-				what = fmt.Sprintf("; arbitrated node %d %s %#x", arb, arbType, arbAddr)
-			}
-			*b.audit = fmt.Errorf("fabric cycle %d: horizon %d violated: released %d holds, delivered %d%s", now, horizon, released, delivered, what)
+	// Only the oracle ticks before the horizon.
+	if now < horizon && (released > 0 || arb >= 0 || delivered > 0) && *b.audit == nil {
+		what := ""
+		if arb >= 0 {
+			what = fmt.Sprintf("; arbitrated node %d %s %#x", arb, arbType, arbAddr)
 		}
+		*b.audit = fmt.Errorf("fabric cycle %d: horizon %d violated: released %d holds, delivered %d%s", now, horizon, released, delivered, what)
 	}
 }
 
@@ -484,15 +489,26 @@ func (b *Bus) hasSlot() bool {
 	return b.maxInflight == 0 || len(b.inflight) < b.maxInflight
 }
 
-// NextEvent returns the earliest future cycle at which the bus can
-// change observable state: the next completion delivery, the next
-// busy-line hold release, or the next possible grant when a grantable
-// request is queued. It returns now when the next Tick would act
-// immediately, and ^uint64(0) when the bus is fully idle. Queues whose
-// head targets a busy line need no separate term, nor does any queue
-// while the in-flight bound is reached: they unblock only at a delivery
-// or hold release, both already in the horizon. SetOracle audits it.
+// NextEvent returns the standing horizon: the earliest cycle at which
+// the bus can change observable state. Only a Request or the bus's own
+// tick changes what derive reads, so a horizon stands until a Request
+// drops it or a tick reaches it; then the next call derives a new one.
+// SetOracle audits it.
 func (b *Bus) NextEvent(now uint64) uint64 {
+	if b.horizon <= now {
+		b.horizon = b.derive(now)
+	}
+	return b.horizon
+}
+
+// derive computes the horizon from scratch: the next completion
+// delivery, the next busy-line hold release, or the next possible grant
+// when a grantable request is queued. It returns now when the next Tick
+// would act immediately, and ^uint64(0) when the bus is fully idle.
+// Queues whose head targets a busy line need no separate term, nor does
+// any queue while the in-flight bound is reached: they unblock only at
+// a delivery or hold release, both already in the horizon.
+func (b *Bus) derive(now uint64) uint64 {
 	next := ^uint64(0)
 	for _, t := range b.inflight {
 		if t.doneAt < next {

@@ -2,11 +2,13 @@ package bus
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"tssim/internal/mem"
+	"tssim/internal/stats"
 )
 
 func testSplit(nports int, cfg Config) (*Bus, []*fakePort, *mem.Memory) {
@@ -473,5 +475,151 @@ func TestFabricAuditLocatesHorizonViolation(t *testing.T) {
 				t.Fatalf("latched %q, want %q", got, row.want)
 			}
 		})
+	}
+}
+
+// logPort logs every callback with the cycle it came at, and follows
+// each completed read with an upgrade of its line, as a store behind a
+// load miss would: a Request made inside the fabric's own tick.
+type logPort struct {
+	id  int
+	b   *Bus
+	now *uint64
+	log *[]string
+}
+
+func (p *logPort) GrantTxn(t *Txn) bool { p.note("grant", t); return true }
+func (p *logPort) SnoopTxn(t *Txn) SnoopReply {
+	p.note("snoop", t)
+	return SnoopReply{Shared: true}
+}
+func (p *logPort) CompleteTxn(t *Txn) {
+	p.note("complete", t)
+	if t.Type == TxnRead {
+		p.b.Request(&Txn{Type: TxnUpgrade, Addr: t.Addr, Src: p.id})
+	}
+}
+func (p *logPort) note(what string, t *Txn) {
+	*p.log = append(*p.log, fmt.Sprintf("cycle %d node %d %s %s %#x", *p.now, p.id, what, t.Type, t.Addr))
+}
+
+// scriptedReq is one request of fabricScript: made at cycle at, after
+// the fabric's tick, as a controller ticked after it would.
+type scriptedReq struct {
+	at   uint64
+	src  int
+	ty   TxnType
+	addr uint64
+}
+
+// fabricScript holds a line busy (a second read behind a first), a
+// writeback and a validate, and ends in a burst of twelve reads past
+// the split bus's in-flight bound. The read at cycle 4 comes while
+// the first two transfers are in flight and nothing is queued: a cycle
+// before the horizon.
+var fabricScript = []scriptedReq{
+	{0, 0, TxnRead, 0x1000}, {0, 1, TxnRead, 0x2000},
+	{4, 2, TxnRead, 0x1000},
+	{5, 3, TxnWriteback, 0x3000},
+	{25, 1, TxnValidate, 0x2000},
+	{40, 3, TxnReadX, 0x1000}, {41, 2, TxnRead, 0x4000}, {41, 0, TxnUpgrade, 0x5000},
+	{60, 0, TxnRead, 0x6000}, {60, 1, TxnRead, 0x7000}, {60, 2, TxnRead, 0x8000}, {60, 3, TxnRead, 0x9000},
+	{61, 0, TxnRead, 0xa000}, {61, 1, TxnRead, 0xb000}, {61, 2, TxnRead, 0xc000}, {61, 3, TxnRead, 0xd000},
+	{62, 0, TxnRead, 0xe000}, {62, 1, TxnRead, 0xf000}, {62, 2, TxnRead, 0x10000}, {62, 3, TxnRead, 0x11000},
+}
+
+// runScript drives a fabric of the kind with fabricScript from four
+// logPorts until it drains, as the oracle or on the fast path. It
+// returns the callback log, the two latency histograms, and the
+// scripted cycles whose tick the fabric skipped.
+func runScript(t *testing.T, kind string, oracle bool) (log []string, hists []stats.HistSnapshot, skippedAt []uint64, b *Bus) {
+	t.Helper()
+	b, _, _, ctrs := testFabric(kind, 0, fastCfg())
+	var violation error
+	if oracle {
+		b.SetOracle(&violation)
+	}
+	var now uint64
+	for i := 0; i < 4; i++ {
+		p := &logPort{b: b, now: &now, log: &log}
+		p.id = b.Attach(p)
+	}
+	next := 0
+	for now = 0; now < 1000; now++ {
+		before := b.SkippedTicks()
+		b.Tick(now)
+		for ; next < len(fabricScript) && fabricScript[next].at == now; next++ {
+			r := fabricScript[next]
+			if b.SkippedTicks() > before && !slices.Contains(skippedAt, now) {
+				skippedAt = append(skippedAt, now)
+			}
+			b.Request(&Txn{Type: r.ty, Addr: r.addr, Src: r.src})
+		}
+		if next == len(fabricScript) && b.Idle() && len(b.holds) == 0 {
+			break
+		}
+	}
+	if next < len(fabricScript) || !b.Idle() {
+		t.Fatalf("%s (oracle %v): script did not drain by cycle %d", kind, oracle, now)
+	}
+	if violation != nil {
+		t.Fatalf("%s: %v", kind, violation)
+	}
+	for _, name := range []string{"lat/bus_wait", "lat/miss_service"} {
+		hists = append(hists, ctrs.Hist(name).Snapshot())
+	}
+	return log, hists, skippedAt, b
+}
+
+// The fast path against its audited twin, one row per kind: the same
+// request script must produce the same grants, snoops and completions
+// at the same cycles and the same latency histograms, while the fast
+// fabric skips the ticks before its horizon and the oracle skips none.
+// A Request on a skipped cycle is stamped with that cycle: a Tick that
+// returned before setting its clock would move lat/bus_wait.
+func TestFastFabricMatchesOracle(t *testing.T) {
+	for _, kind := range Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			oLog, oHists, _, ob := runScript(t, kind, true)
+			fLog, fHists, skippedAt, fb := runScript(t, kind, false)
+			if !slices.Equal(oLog, fLog) {
+				t.Fatalf("callback logs differ\noracle:\n%s\nfast:\n%s", strings.Join(oLog, "\n"), strings.Join(fLog, "\n"))
+			}
+			if !reflect.DeepEqual(oHists, fHists) {
+				t.Fatalf("latency histograms differ\noracle: %+v\nfast:   %+v", oHists, fHists)
+			}
+			if ob.SkippedTicks() != 0 || fb.SkippedTicks() == 0 {
+				t.Fatalf("skipped ticks: oracle %d, fast %d; want 0 and some", ob.SkippedTicks(), fb.SkippedTicks())
+			}
+			if !slices.Contains(skippedAt, 4) {
+				t.Fatalf("the fast fabric ticked cycle 4 (skipped scripted cycles %v): the row does not test a Request on a skipped cycle", skippedAt)
+			}
+		})
+	}
+}
+
+// BenchmarkBusTickBeforeHorizon is one fabric tick with eight
+// transactions in flight, between their deliveries: what every node's
+// in-flight miss costs per cycle until it lands.
+func BenchmarkBusTickBeforeHorizon(b *testing.B) {
+	cfg := fastCfg()
+	cfg.MemLatency = 1 << 40 // nothing is delivered while the benchmark runs
+	bus, _, _, _ := testBus(8, cfg)
+	for i := 0; i < 8; i++ {
+		bus.Request(&Txn{Type: TxnRead, Addr: uint64(0x1000 * (i + 1)), Src: i})
+	}
+	now := uint64(0)
+	for ; len(bus.inflight) < 8; now++ {
+		bus.Tick(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bus.Tick(now)
+		now++
+	}
+	b.StopTimer()
+	if len(bus.inflight) != 8 {
+		b.Fatalf("%d in flight, want 8", len(bus.inflight))
 	}
 }

@@ -19,6 +19,34 @@ func BenchmarkControllerLoadRefused(b *testing.B) {
 	}
 }
 
+// BenchmarkControllerTickStalled is one tick of a controller whose
+// store-buffer head waits for permission behind a full MSHR file, with
+// its idle verdict standing: the tick samples occupancy and returns,
+// where the retry it answers (tryPerformHead's lookups, the MSHR lookup
+// and the failed Alloc) would repeat the tick that set the verdict.
+func BenchmarkControllerTickStalled(b *testing.B) {
+	h := newHarness(b, 1, nil)
+	n := h.nodes[0]
+	h.fillMSHRs(0)
+	if !n.StoreCommit(h.seq(), 0, 0x2000, 1) {
+		b.Fatal("StoreCommit refused")
+	}
+	n.Tick(h.now)
+	if n.NextEvent(h.now+1) != ^uint64(0) {
+		b.Fatal("the stalled head did not leave the idle verdict")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.now++
+		n.Tick(h.now)
+	}
+	b.StopTimer()
+	if n.StoreBufEmpty() || n.NextEvent(h.now) != ^uint64(0) {
+		b.Fatal("the head moved with nothing calling in")
+	}
+}
+
 // BenchmarkLoadReplayedOntoMiss is a snoop replay against an outstanding
 // miss: per op, the load waiting on the miss is squashed (Squashed) and
 // re-issued, missing onto the same MSHR. The waiter list holds one live

@@ -165,10 +165,12 @@ type Controller struct {
 	// repeat it. Whatever can change what tickStore reads drops the
 	// verdict where it writes: an accepted StoreCommit or SCExecute,
 	// every Load that is not refused, PrefetchExclusive, SLECommitStores
-	// and the three bus callbacks. audit, when non-nil, checks it (see
-	// SetOracle).
-	idle  bool
-	audit *error
+	// and the three bus callbacks. skipped counts the ticks answered
+	// from it; audit, when non-nil, runs those ticks and checks them
+	// (see SetOracle).
+	idle    bool
+	skipped uint64
+	audit   *error
 }
 
 // NewController builds a controller running tech's protocol
@@ -236,6 +238,11 @@ func (c *Controller) SetCheckSink(s CheckSink) { c.sink = s }
 // is one the fast path would have skipped. The first violation
 // machine-wide goes to *violation, the latch the oracle cores share.
 func (c *Controller) SetOracle(violation *error) { c.audit = violation }
+
+// SkippedTicks counts the ticks this controller answered from its idle
+// verdict instead of retrying the store-buffer head (always 0 on an
+// oracle).
+func (c *Controller) SkippedTicks() uint64 { return c.skipped }
 
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
@@ -488,7 +495,8 @@ func (c *Controller) HasReservation(lineAddr uint64) bool {
 
 // Tick advances the controller one cycle: it samples the occupancy
 // histograms and tries to perform the store at the head of the store
-// buffer. A tick that moved nothing becomes the idle verdict.
+// buffer. A tick that moved nothing becomes the idle verdict; while it
+// stands the retry would repeat that tick, so only the oracle runs it.
 func (c *Controller) Tick(now uint64) {
 	c.now = now
 	if c.occCountdown--; c.occCountdown == 0 {
@@ -496,10 +504,14 @@ func (c *Controller) Tick(now uint64) {
 		c.hOccMSHR.Observe(uint64(c.mshrs.InUse()))
 		c.hOccSB.Observe(uint64(len(c.storeBuf)))
 	}
+	if c.idle && c.audit == nil {
+		c.skipped++
+		return
+	}
 	// Only a buffered store can move, and a move may pop it: read the
 	// head the audit would name before the tick.
 	var head storeEntry
-	held := c.idle && c.audit != nil && len(c.storeBuf) > 0
+	held := c.idle && len(c.storeBuf) > 0
 	if held {
 		head = c.storeBuf[0]
 	}

@@ -28,12 +28,19 @@ func (c ffCell) name() string {
 	return n
 }
 
+// shortcuts counts what a run answered from its verdicts instead of
+// computing it: the cores' ticks and load retries (idle verdicts, retry
+// memos), the controllers' ticks (idle verdicts) and the fabric's ticks
+// (its standing horizon).
+type shortcuts struct {
+	replayed, memoized, ctrlSkipped, busSkipped uint64
+}
+
 // renderedReport runs one cell and returns the rendered report bytes
 // (every counter, histogram, cycle count and config field), the raw
-// result, and the ticks the cores answered from their idle verdicts and
-// the load retries they answered from their retry memos. Fast-forward
-// is controlled by noFF; everything else is identical.
-func renderedReport(t *testing.T, c ffCell, noFF bool) (report []byte, r Result, replayed, memoized uint64) {
+// result, and its shortcuts. Fast-forward is controlled by noFF;
+// everything else is identical.
+func renderedReport(t *testing.T, c ffCell, noFF bool) (report []byte, r Result, sc shortcuts) {
 	t.Helper()
 	cfg := ExperimentConfig()
 	cfg.CPUs = c.cpus
@@ -53,11 +60,13 @@ func renderedReport(t *testing.T, c ffCell, noFF bool) (report []byte, r Result,
 	if err := NewReport(cfg, r).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, core := range s.Cores {
-		replayed += core.ReplayedTicks()
-		memoized += core.MemoizedRetries()
+	for i, core := range s.Cores {
+		sc.replayed += core.ReplayedTicks()
+		sc.memoized += core.MemoizedRetries()
+		sc.ctrlSkipped += s.Nodes[i].SkippedTicks()
 	}
-	return buf.Bytes(), r, replayed, memoized
+	sc.busSkipped = s.Bus.SkippedTicks()
+	return buf.Bytes(), r, sc
 }
 
 // TestFastForwardBitIdentical is the tentpole differential: a
@@ -65,8 +74,9 @@ func renderedReport(t *testing.T, c ffCell, noFF bool) (report []byte, r Result,
 // every-cycle loop — same cycles, same counters (including the spin
 // counters replayed across idle ticks and skipped cycles), same
 // downsampled occupancy histograms — and the every-cycle loop must be
-// a real twin: its cores and controllers audit every idle verdict and
-// every memoized load refusal and take neither shortcut themselves.
+// a real twin: its cores and controllers audit every idle verdict, the
+// cores every memoized load refusal and the fabric its horizon, and
+// none of them takes the shortcut it audits.
 // Every Figure 7 combo runs on the default machine for tpc-b (the
 // compute-bound extreme: few skips, exercises the no-op boundary) and
 // specjbb (the idle-heavy extreme, ~70% of cycles skipped); three more
@@ -92,19 +102,18 @@ func TestFastForwardBitIdentical(t *testing.T) {
 	for _, c := range cells {
 		t.Run(c.name(), func(t *testing.T) {
 			t.Parallel()
-			naive, _, naiveReplayed, naiveMemoized := renderedReport(t, c, true)
-			ff, r, ffReplayed, ffMemoized := renderedReport(t, c, false)
+			naive, _, oracle := renderedReport(t, c, true)
+			ff, r, fast := renderedReport(t, c, false)
 			if !bytes.Equal(naive, ff) {
 				t.Fatalf("%s: fast-forward report diverges from naive loop\nnaive:\n%s\nfast-forward:\n%s",
 					c.name(), naive, ff)
 			}
-			if r.SkippedCycles == 0 || ffReplayed == 0 {
-				t.Errorf("%s: fast-forward skipped %d cycles and replayed %d ticks — the path under test never ran",
-					c.name(), r.SkippedCycles, ffReplayed)
+			if r.SkippedCycles == 0 || fast.replayed == 0 || fast.ctrlSkipped == 0 || fast.busSkipped == 0 {
+				t.Errorf("%s: fast-forward skipped %d cycles, replayed %d core ticks, skipped %d controller and %d fabric ticks — a path under test never ran",
+					c.name(), r.SkippedCycles, fast.replayed, fast.ctrlSkipped, fast.busSkipped)
 			}
-			if naiveReplayed != 0 || naiveMemoized != 0 {
-				t.Errorf("%s: the every-cycle loop replayed %d ticks and memoized %d load retries — the oracle took the shortcut it checks",
-					c.name(), naiveReplayed, naiveMemoized)
+			if oracle != (shortcuts{}) {
+				t.Errorf("%s: the every-cycle loop took the shortcuts it checks: %+v", c.name(), oracle)
 			}
 			// How much is skipped is exact for a fixed machine: specjbb
 			// under Baseline sits stalled for 0.6972 of its cycles (some
@@ -125,7 +134,7 @@ func TestFastForwardBitIdentical(t *testing.T) {
 			}
 			// specjbb is where loads pile up behind the exhausted MSHR
 			// file; tpc-b never fills it.
-			if c.workload == "specjbb" && ffMemoized == 0 {
+			if c.workload == "specjbb" && fast.memoized == 0 {
 				t.Errorf("%s: no load retry was answered from its memo — the path under test never ran", c.name())
 			}
 		})
