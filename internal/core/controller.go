@@ -203,8 +203,8 @@ func NewController(cfg Config, tech Techniques, b *bus.Bus, client Client, count
 		occCountdown: 1, // sample cycle 0 so short runs still populate
 	}
 	if tech.MESTI {
-		if cfg.NewDetector != nil {
-			c.detector = cfg.NewDetector()
+		if cfg.StaleBytes > 0 {
+			c.detector = stale.NewFinite(cfg.L1, cache.Config{SizeBytes: cfg.StaleBytes, Assoc: 8})
 		} else {
 			c.detector = stale.NewPerfect()
 		}

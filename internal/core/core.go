@@ -22,7 +22,6 @@ import (
 
 	"tssim/internal/cache"
 	"tssim/internal/predictor"
-	"tssim/internal/stale"
 )
 
 // State is the coherence state of an L2 line. The protocol is MOESTI:
@@ -148,11 +147,12 @@ type Config struct {
 
 	ValidateParams predictor.ValidateParams // E-MESTI predictor tuning
 
-	// NewDetector builds the node's temporal-silence detector; nil
-	// selects the perfect detector (the paper's assumption for
-	// performance studies). Only called when MESTI is on. The Figure 6
-	// experiment plugs in finite L1-Mirror/stale-storage mechanisms.
-	NewDetector func() stale.Detector
+	// StaleBytes sizes the stale storage (8-way) of the finite
+	// L1-Mirror/stale-storage detector, whose mirror has L1's
+	// organization; 0 selects the perfect detector (the paper's
+	// assumption for performance studies). Only read when MESTI is on;
+	// the Figure 6 experiment varies it.
+	StaleBytes int
 }
 
 // The hit latencies, in cycles: Table 1's ratios, scaled.
