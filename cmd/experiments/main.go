@@ -3,8 +3,10 @@
 // full evaluation (slow). The selected artifacts read one store of
 // seeded runs (internal/experiments), so a cell two of them share runs
 // once. See EXPERIMENTS.md for recorded outputs and
-// the comparison against the paper. One cell alone, with every counter,
-// is cmd/tssim's job: `tssim -workload W -tech T -scale 2 -verbose`.
+// the comparison against the paper. A sweep in which any cell failed
+// prints every table, its FAILED footers and then exits 1. One cell
+// alone, with every counter, is cmd/tssim's job: `tssim -workload W
+// -tech T -scale 2 -verbose`.
 package main
 
 import (
@@ -58,6 +60,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	fmt.Print(experiments.Run(p, plans...))
+	out, failed := run(p, plans...)
+	fmt.Print(out)
 	stop()
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "%d cells failed (FAILED above)\n", len(failed))
+		os.Exit(1)
+	}
 }
+
+// run is experiments.Run; a test swaps in a failing store without
+// simulating one.
+var run = experiments.Run

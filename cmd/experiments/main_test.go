@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"tssim/internal/experiments"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed
@@ -15,6 +17,11 @@ import (
 func TestMain(m *testing.M) {
 	if os.Getenv("TSSIM_TEST_MAIN") != "" {
 		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		if os.Getenv("TSSIM_TEST_FAILED_CELL") != "" {
+			run = func(experiments.Params, ...func(experiments.Params) experiments.Artifact) (string, []experiments.Key) {
+				return "== Table ==\nFAILED tpc-b under E-MESTI: deadlock\n\n", []experiments.Key{{Workload: "tpc-b"}}
+			}
+		}
 		main()
 		os.Exit(0)
 	}
@@ -25,8 +32,14 @@ func TestMain(m *testing.M) {
 // status.
 func runMain(t *testing.T, args ...string) (string, int) {
 	t.Helper()
+	return runMainEnv(t, nil, args...)
+}
+
+// runMainEnv is runMain with env added to the command's environment.
+func runMainEnv(t *testing.T, env []string, args ...string) (string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
+	cmd.Env = append(append(os.Environ(), "TSSIM_TEST_MAIN=1"), env...)
 	out, err := cmd.CombinedOutput()
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
@@ -69,6 +82,17 @@ func TestRetiredFlagsRejected(t *testing.T) {
 		if want := "flag provided but not defined: " + args[0] + "\n"; code != 2 || !strings.HasPrefix(out, want) {
 			t.Errorf("%v: want exit status 2 and %q, got status %d:\n%s", args, want, code, out)
 		}
+	}
+}
+
+// A sweep with a failed cell prints every table and its footer, then
+// exits 1: a checked sweep whose checker found a violation fails the
+// command, not just its ERR cell.
+func TestFailedCellExitsOne(t *testing.T) {
+	out, code := runMainEnv(t, []string{"TSSIM_TEST_FAILED_CELL=1"}, "-fig7")
+	want := "== Table ==\nFAILED tpc-b under E-MESTI: deadlock\n\n1 cells failed (FAILED above)\n"
+	if code != 1 || out != want {
+		t.Errorf("-fig7 with a failed cell: want exit status 1 and\n%s\ngot status %d:\n%s", want, code, out)
 	}
 }
 

@@ -252,7 +252,7 @@ func ValidKind(kind string) bool { return kindIndex(kind) >= 0 }
 //     replies of exactly the nodes the transaction was delivered to; a
 //     kind may skip only nodes that provably hold no protocol-relevant
 //     state for the line (the directory's structural-identity
-//     argument, DESIGN.md §16).
+//     argument, DESIGN.md §9, "The directory").
 //   - OnSerialized fires once per successful grant, after every state
 //     transition and memory side effect — where internal/check hangs.
 //   - NextEvent never overestimates; SetOracle audits it.

@@ -30,8 +30,9 @@ const dirMaxNodes = 64
 // clean line (or revert-fail out of T) without telling the directory,
 // so a listed node may in fact hold nothing. Probing such a node is
 // wasted work but never wrong; the structural-identity argument
-// (DESIGN.md §16) is that the *complement* is exact — an unlisted node
-// provably holds no protocol-relevant state for the line.
+// (DESIGN.md §9, "The directory") is that the *complement* is exact —
+// an unlisted node provably holds no protocol-relevant state for the
+// line.
 type dirLine struct {
 	owner   int
 	sharers uint64

@@ -298,10 +298,10 @@ type Core struct {
 	machRetired *uint64
 	machHalted  *int
 
-	// checker, when enabled, re-executes every committed instruction
-	// in order against the committed register file and panics on
-	// divergence (the PHARMsim-vs-SimOS validation idea).
-	checker bool
+	// checker, when non-nil, re-executes every committed instruction
+	// in order against the committed register file and latches the
+	// first divergence there (the PHARMsim-vs-SimOS validation idea).
+	checker *error
 
 	// OnCommitDebug, when non-nil, observes every retired instruction in
 	// program order, with its captured operands and result.
@@ -384,8 +384,11 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 // this purpose. It must be called before the first Tick.
 func (c *Core) SetMemSystem(m MemSystem) { c.memsys = m }
 
-// EnableChecker turns on in-order commit checking (tests).
-func (c *Core) EnableChecker() { c.checker = true }
+// EnableChecker turns on in-order commit checking: the first retired
+// instruction whose result an in-order evaluation disagrees with is
+// stored in *violation, unless an earlier finding stands, for the run
+// loop to fail on (the same sink SetOracle takes).
+func (c *Core) EnableChecker(violation *error) { c.checker = violation }
 
 // SetStartCycle delays the core's first cycle of work: no fetch,
 // dispatch, or execution happens before cycle at. Must be called
@@ -734,7 +737,7 @@ func (c *Core) retireHead() {
 	if c.machRetired != nil {
 		*c.machRetired++
 	}
-	if c.checker {
+	if c.checker != nil {
 		c.checkCommit(e)
 	}
 	c.freeEntry(e)
@@ -750,9 +753,9 @@ func (c *Core) checkCommit(e *entry) {
 		return
 	}
 	want := isa.EvalALU(ins, e.src[0], e.src[1])
-	if want != e.result {
-		panic(fmt.Sprintf("cpu%d: checker divergence at pc %d (%s): got %d want %d",
-			c.id, e.pc, isa.Disassemble(int(e.pc), ins), e.result, want))
+	if want != e.result && *c.checker == nil {
+		*c.checker = fmt.Errorf("cpu%d cycle %d: in-order commit checker: pc %d (%s) retired %d, in order %d",
+			c.id, c.now, e.pc, isa.Disassemble(int(e.pc), ins), e.result, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"tssim/internal/core"
@@ -149,7 +150,13 @@ func newTestCore(t *testing.T, prog *isa.Program, sle bool) (*Core, *fakeMem, *s
 	cfg := DefaultConfig()
 	cfg.SLE = sle
 	c := New(cfg, 0, prog, f, ctrs)
-	c.EnableChecker()
+	var diverged error
+	c.EnableChecker(&diverged)
+	t.Cleanup(func() {
+		if diverged != nil {
+			t.Error(diverged)
+		}
+	})
 	f.attach(c, ctrs)
 	return c, f, ctrs
 }
@@ -163,6 +170,41 @@ func run(t *testing.T, c *Core, maxCycles int) {
 		c.Tick(uint64(i))
 	}
 	t.Fatalf("core did not halt within %d cycles", maxCycles)
+}
+
+// The in-order commit checker ends the run with a located error, not a
+// panic: a planted wrong ALU result is named with the cpu, the cycle,
+// the pc and both values, and the core runs on to its halt.
+func TestCommitCheckerLocatesDivergence(t *testing.T) {
+	b := isa.NewBuilder("planted")
+	b.Li(isa.R1, 6).Li(isa.R2, 7).Mul(isa.R3, isa.R1, isa.R2).Halt()
+	f, ctrs := newFakeMem(), stats.NewCounters()
+	c := New(DefaultConfig(), 0, b.Build(), f, ctrs)
+	f.attach(c, ctrs)
+	var diverged error
+	c.EnableChecker(&diverged)
+	planted := false
+	for cyc := uint64(0); cyc < 1000 && !c.Halted(); cyc++ {
+		c.Tick(cyc)
+		for _, e := range c.ruu {
+			if !planted && e.done && e.ins.Op == isa.OpMul {
+				e.result++ // 43: the broadcast already carried 42
+				planted = true
+			}
+		}
+	}
+	if !planted || !c.Halted() {
+		t.Fatalf("planted %v, halted %v", planted, c.Halted())
+	}
+	if diverged == nil {
+		t.Fatal("a wrong ALU result retired unnoticed")
+	}
+	msg := diverged.Error()
+	for _, want := range []string{"cpu0 cycle ", "pc 2 ", "retired 43", "in order 42"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("divergence %q does not name %q", msg, want)
+		}
+	}
 }
 
 func TestPipelineArithmetic(t *testing.T) {

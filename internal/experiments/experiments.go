@@ -21,7 +21,8 @@
 // back in job order, so the output is byte-identical at any
 // parallelism. A run that deadlocks or fails validation renders ERR in
 // every cell that reads it and is named in the FAILED footer of every
-// artifact that reads it; the rest of the sweep completes.
+// artifact that reads it; the rest of the sweep completes, and Run
+// reports the failed keys beside the output.
 //
 // The cmd/experiments binary is a thin wrapper over this package;
 // EXPERIMENTS.md records the outputs against the paper's numbers.
@@ -132,27 +133,48 @@ type Artifact struct {
 
 // Run plans every artifact for p, runs the union of their keys in
 // first-seen order in one runner pass, and returns the artifacts as
-// cmd/experiments prints them, each under its "== Title ==" heading.
-func Run(p Params, plans ...func(Params) Artifact) string {
+// cmd/experiments prints them, each under its "== Title ==" heading,
+// and the keys of the cells that failed.
+func Run(p Params, plans ...func(Params) Artifact) (string, []Key) {
 	p = p.withDefaults()
 	arts := make([]Artifact, len(plans))
-	var keys []Key
-	seen := map[Key]bool{}
 	for i, plan := range plans {
 		arts[i] = plan(p)
-		for _, k := range arts[i].Keys {
+	}
+	return render(arts, p.fill(union(arts)))
+}
+
+// union lists the keys the artifacts read, each once, in first-seen
+// order.
+func union(arts []Artifact) []Key {
+	var keys []Key
+	seen := map[Key]bool{}
+	for _, a := range arts {
+		for _, k := range a.Keys {
 			if !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
 			}
 		}
 	}
-	s := p.fill(keys)
+	return keys
+}
+
+// render prints every artifact from s under its heading and lists the
+// failed cells among the keys they read, each once, in first-seen
+// order.
+func render(arts []Artifact, s Store) (string, []Key) {
 	var b strings.Builder
 	for _, a := range arts {
 		fmt.Fprintf(&b, "== %s ==\n%s\n", a.Title, a.Render(s))
 	}
-	return b.String()
+	var failed []Key
+	for _, k := range union(arts) {
+		if s[k].Err != nil {
+			failed = append(failed, k)
+		}
+	}
+	return b.String(), failed
 }
 
 // errCell is the table cell rendered for a failed run; the FAILED

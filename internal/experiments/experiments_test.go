@@ -14,8 +14,8 @@ import (
 // every is each artifact cmd/experiments prints, in its order.
 var every = []func(Params) Artifact{Table1, Table2, Fig6, Fig7, Fig8, SLEStats, PredictorAblation, MissBreakdown, Scaling}
 
-// union is the set of keys the artifacts read.
-func union(arts ...Artifact) map[Key]bool {
+// keySet is the set of keys the artifacts read.
+func keySet(arts ...Artifact) map[Key]bool {
 	keys := map[Key]bool{}
 	for _, a := range arts {
 		for _, k := range a.Keys {
@@ -37,13 +37,13 @@ func TestPlanSharesCells(t *testing.T) {
 		for _, plan := range every {
 			arts = append(arts, plan(p))
 		}
-		if got := len(union(arts...)); got != c.want {
+		if got := len(keySet(arts...)); got != c.want {
 			t.Errorf("-seeds %d: the artifacts read %d distinct cells, want %d", c.seeds, got, c.want)
 		}
 	}
 
 	p := small()
-	fig7 := union(Fig7(p))
+	fig7 := keySet(Fig7(p))
 	// Everything that reads the published 4-CPU machine with the
 	// perfect detector reads Figure 7's cells.
 	for _, a := range []Artifact{Table2(p), SLEStats(p), MissBreakdown(p), Fig8(p)} {
@@ -115,6 +115,31 @@ func TestSharedFailedCellRendersInEveryReader(t *testing.T) {
 	}
 }
 
+// TestRunReportsFailedCells: what Run prints is every table with its
+// footer, and what it reports is each failed cell once, however many
+// tables read it, so cmd/experiments can exit 1 after printing.
+func TestRunReportsFailedCells(t *testing.T) {
+	p := small()
+	arts := []Artifact{Table2(p), Fig7(p)}
+	s := Store{}
+	for _, k := range arts[1].Keys {
+		s[k] = sim.Result{Workload: k.Workload, Tech: k.Tech, Cycles: 1000, Retired: 100}
+	}
+	if _, failed := render(arts, s); len(failed) != 0 {
+		t.Errorf("a store with no failed cell reports %+v", failed)
+	}
+	bad := p.at("tpc-b", emesti)
+	s[bad] = sim.Result{Workload: "tpc-b", Tech: emesti,
+		Err: &sim.RunError{Workload: "tpc-b", Tech: emesti, Reason: "deadlock"}}
+	out, failed := render(arts, s)
+	if len(failed) != 1 || failed[0] != bad {
+		t.Errorf("render reports failed cells %+v, want only %+v", failed, bad)
+	}
+	if n := strings.Count(out, "FAILED tpc-b under E-MESTI"); n != 2 {
+		t.Errorf("want the cell named in both footers, got %d:\n%s", n, out)
+	}
+}
+
 func small() Params { return Params{Scale: 1, Seeds: 1}.withDefaults() }
 
 // Table 1 prints the machine's constants and default configuration;
@@ -133,7 +158,7 @@ func TestTable2AllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	out := Run(small(), Table2)
+	out, _ := Run(small(), Table2)
 	for _, name := range workload.Names() {
 		if !strings.Contains(out, name) {
 			t.Errorf("Table2 missing %q", name)
@@ -149,7 +174,7 @@ func TestFig6Ordering(t *testing.T) {
 	// quantitative ordering (finite detectors between baseline and
 	// perfect) is asserted per-workload in the sim tests and recorded
 	// in EXPERIMENTS.md.
-	out := Run(small(), Fig6)
+	out, _ := Run(small(), Fig6)
 	for _, want := range []string{"MESTI 32KB stale", "MESTI 128KB stale", "MESTI full stale"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig6 missing %q", want)
@@ -202,7 +227,7 @@ func TestSLEStatsRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	out := Run(small(), SLEStats)
+	out, _ := Run(small(), SLEStats)
 	if !strings.Contains(out, "NoRelease") || !strings.Contains(out, "tpc-b") {
 		t.Errorf("SLEStats output malformed:\n%s", out)
 	}
@@ -219,7 +244,8 @@ func TestParallelExperimentsIdentical(t *testing.T) {
 	serial.Jobs = 1
 	par := small()
 	par.Jobs = 8
-	if got, want := Run(par, Table2, SLEStats), Run(serial, Table2, SLEStats); got != want {
+	want, _ := Run(serial, Table2, SLEStats)
+	if got, _ := Run(par, Table2, SLEStats); got != want {
 		t.Errorf("Table2 and SLEStats differ under -j 8:\n-j1:\n%s\n-j8:\n%s", want, got)
 	}
 }
@@ -255,8 +281,8 @@ func TestTelemetryOutputByteIdentical(t *testing.T) {
 	instrumented := small()
 	instrumented.Telemetry = telemetry.New()
 
-	want := Run(plain, Table2, MissBreakdown)
-	if got := Run(instrumented, Table2, MissBreakdown); got != want {
+	want, _ := Run(plain, Table2, MissBreakdown)
+	if got, _ := Run(instrumented, Table2, MissBreakdown); got != want {
 		t.Errorf("Table2 and MissBreakdown differ with a collector attached:\nplain:\n%s\ninstrumented:\n%s", want, got)
 	}
 

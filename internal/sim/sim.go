@@ -275,7 +275,8 @@ type System struct {
 
 	// auditErr is where the oracle cores, controllers and fabric
 	// (SetOracle) report the first violation of a verdict or horizon the
-	// fast path trusts.
+	// fast path trusts, and the in-order commit checker
+	// (Core.EnableChecker) its first divergence.
 	auditErr error
 }
 
@@ -328,7 +329,7 @@ func New(cfg Config, w Workload) *System {
 		ctrl.SetTracer(cfg.Trace)
 		c.SetMemSystem(ctrl)
 		if cfg.CheckCommits {
-			c.EnableChecker()
+			c.EnableChecker(&s.auditErr)
 		}
 		s.Cores = append(s.Cores, c)
 		s.Nodes = append(s.Nodes, ctrl)
