@@ -437,6 +437,16 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 	return LoadResult{Status: LoadMiss}
 }
 
+// ReplayL1Hits is Load's side of L1 hits (not load-locked) on lines hit
+// before under this StateVersion, unanswered: the core's steady verdict.
+func (c *Controller) ReplayL1Hits(addrs []uint64) {
+	for _, a := range addrs {
+		c.l1.Touch(c.l1.Lookup(a))
+	}
+	c.cnt.l1Hit.Add(uint64(len(addrs)))
+	c.idle = false
+}
+
 // StoreCommit accepts a retired store into the store buffer. A false
 // return means the buffer is full and the core must stall retirement.
 func (c *Controller) StoreCommit(seq, pc, addr, val uint64) bool {

@@ -186,3 +186,35 @@ func TestOracleAuditLocatesControllerVerdictViolation(t *testing.T) {
 		t.Error("the audited tick must still perform the store and drop the verdict")
 	}
 }
+
+// ReplayL1Hits is a hit's controller side: n hits of a line replayed
+// leave the node as n loads that hit it do — the l1/hit count, the
+// idle verdict dropped, and the line most recently used, so a fill into
+// its set evicts the other way.
+func TestReplayL1HitsIsTheHitPath(t *testing.T) {
+	const a, b, c = uint64(0x1000), uint64(0x1100), uint64(0x1200) // one 2-way L1 set
+	var hs [2]*harness
+	for i := range hs {
+		h := newHarness(t, 1, nil)
+		h.loadValue(0, a)
+		h.loadValue(0, b) // a is now the set's least recently used
+		h.settle()
+		hs[i] = h
+	}
+	for i := 0; i < 3; i++ {
+		if r := hs[0].nodes[0].Load(hs[0].seq(), a, false); r.Status != LoadHit {
+			t.Fatalf("load of %#x: %+v, want a hit", a, r)
+		}
+	}
+	hs[1].nodes[0].ReplayL1Hits([]uint64{a, a, a})
+	for i, h := range hs {
+		n := h.nodes[0]
+		if n.idle || h.ctrs.Get("l1/hit") != 3 {
+			t.Fatalf("side %d: idle %v, l1/hit %d after three hits", i, n.idle, h.ctrs.Get("l1/hit"))
+		}
+		h.loadValue(0, c)
+		if !n.L1Holds(a) || n.L1Holds(b) {
+			t.Fatalf("side %d: the fill of %#x evicted %#x, the line just hit (holds a=%v b=%v)", i, c, a, n.L1Holds(a), n.L1Holds(b))
+		}
+	}
+}

@@ -39,6 +39,8 @@ type MemSystem interface {
 	// (readyRef).
 	StateVersion() uint64
 
+	// ReplayL1Hits applies L1-hit loads of addrs unanswered (steady.go).
+	ReplayL1Hits(addrs []uint64)
 	// Squashed tells the memory system that a squash killed every op
 	// younger than after. From then on no callback names one of them:
 	// LoadDone, LoadsVerified and SquashSpec name only seqs in the window
@@ -189,7 +191,9 @@ type cpuCounters struct {
 	// makes the bumps of a refusal the controller is not asked for:
 	// replaySpin those of a refused StoreCommit and of counted load
 	// retries on a tick that is not run, issue those of the counted load
-	// retries it answers from readyQ's memos on a tick that is.
+	// retries it answers from readyQ's memos on a tick that is; l1Hit
+	// tells the steady verdict an L1 hit.
+	l1Hit        stats.Counter
 	storeBufFull stats.Counter
 	l1Miss       stats.Counter
 	l2Miss       stats.Counter
@@ -208,6 +212,7 @@ func resolveCPUCounters(cs *stats.Counters) cpuCounters {
 		lsqFull:       cs.Counter("cpu/lsq_full"),
 		lvpSquash:     cs.Counter("cpu/lvp_squash"),
 		loadReplay:    cs.Counter("cpu/load_replay"),
+		l1Hit:         cs.Counter("l1/hit"),
 		storeBufFull:  cs.Counter("store/buffer_full"),
 		l1Miss:        cs.Counter("l1/miss"),
 		l2Miss:        cs.Counter("l2/miss"),
@@ -221,6 +226,7 @@ type Core struct {
 	id     int
 	prog   *isa.Program
 	memsys MemSystem
+	ctrs   *stats.Counters
 	cnt    cpuCounters
 	tr     *trace.Tracer
 
@@ -326,6 +332,8 @@ type Core struct {
 	idleSpin   coreSpin
 	idleMemVer uint64
 
+	st steady // the steady verdict (steady.go)
+
 	// audit, when non-nil, makes this core the oracle (see SetOracle).
 	audit    *error
 	replayed uint64 // ticks answered from the verdict
@@ -352,6 +360,7 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 		id:       id,
 		prog:     prog,
 		memsys:   m,
+		ctrs:     counters,
 		cnt:      resolveCPUCounters(counters),
 		ruuBuf:   make([]*entry, cfg.RUUSize),
 		stqBuf:   make([]*entry, cfg.LSQSize),
@@ -546,12 +555,13 @@ func (c *Core) enqueueReady(e *entry) {
 	c.readyQ = q
 }
 
-// Tick advances the core one cycle. While the idle verdict holds the
-// pipeline is not run: the tick is known to repeat the one that
-// established the verdict, so its counter bumps are replayed in O(1).
-// Otherwise the pipeline runs, and if no stage moved anything that
-// tick becomes the verdict. An oracle core (SetOracle) always runs the
-// pipeline and checks it against a verdict that holds.
+// Tick advances the core one cycle. While the idle or the steady
+// verdict holds the pipeline is not run: the tick is known to repeat
+// the one that established the verdict, so its effects are replayed in
+// O(1). Otherwise the pipeline runs, and if no stage moved anything
+// that tick becomes the idle verdict (the steady one: observeSteady).
+// An oracle core (SetOracle) always runs the pipeline and checks it
+// against a verdict that holds.
 func (c *Core) Tick(now uint64) {
 	held := c.idle && c.idleUntil > now && c.memsys.StateVersion() == c.idleMemVer
 	c.now = now
@@ -560,6 +570,17 @@ func (c *Core) Tick(now uint64) {
 		c.replayed++
 		return
 	}
+	if c.st.on && c.memsys.StateVersion() != c.st.memVer {
+		c.hear()
+	} else if c.st.on && c.audit == nil {
+		c.replaySteady()
+		return
+	}
+	retired, seq, armed := c.retired, c.nextSeq, c.st.armed
+	if armed {
+		c.ctrs.Delta(nil)
+	}
+	c.st.armed, c.st.calls, c.st.cur.nhit, c.st.cur.hits = false, 0, 0, [MemPorts]uint64{}
 	c.acted, c.spin = stages{}, coreSpin{}
 	if !c.halted && now >= c.startAt {
 		c.commit()
@@ -583,6 +604,7 @@ func (c *Core) Tick(now uint64) {
 		c.idleSpin = c.spin
 		c.idleMemVer = c.memsys.StateVersion()
 	}
+	c.observeSteady(retired, seq, armed)
 }
 
 // stages names the pipeline stages that moved something in one tick.
@@ -682,6 +704,7 @@ func (c *Core) commit() {
 		if e.ins.Op == isa.OpSt {
 			// The store performs at retirement; a full store buffer
 			// stalls commit.
+			c.st.calls++
 			if !c.memsys.StoreCommit(e.seq, uint64(e.pc), e.effAddr, e.src[1]) {
 				c.spin.storeBufFull = 1 // the refusal counted itself
 				return
@@ -871,6 +894,7 @@ func (c *Core) squashAfter(seq uint64, newPC int) {
 	killed := c.ruu[len(keep):]
 	c.ruu = keep
 	if len(killed) > 0 {
+		c.st.calls++
 		c.memsys.Squashed(seq)
 		if c.audit != nil {
 			c.bury(killed)
@@ -1084,6 +1108,7 @@ func (c *Core) issueSC(e *entry) {
 	// Mark before the call: a memory system is allowed to answer
 	// SCDone synchronously.
 	e.scSent = true
+	c.st.calls++
 	if c.memsys.SCExecute(e.seq, uint64(e.pc), e.effAddr, e.src[1]) {
 		c.cnt.scIssued.Inc()
 	} else {
@@ -1250,6 +1275,7 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 	// still retire ahead of a clear load writes its word.
 	ver := c.memsys.StateVersion() + 1 // never 0, a reference without a memo
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
+	c.st.calls++
 	if c.audit != nil && retryVer == ver && r != (core.LoadResult{Status: core.LoadRetry, Counted: true}) {
 		c.violated("retry memo (version %d) violated: seq %d addr %#x answered %+v", ver-1, e.seq, e.effAddr, r)
 	}
@@ -1265,6 +1291,10 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 		e.doneAt = c.now + uint64(r.Lat)
 		e.result = r.Value
 		c.markExecuting(e)
+		if e.ins.Op != isa.OpLL { // a port each: at most MemPorts a tick
+			c.st.cur.hits[c.st.cur.nhit] = e.effAddr
+			c.st.cur.nhit++
+		}
 	case core.LoadSpec:
 		e.issued = true
 		e.doneAt = c.now + uint64(r.Lat)
@@ -1432,7 +1462,7 @@ func (c *Core) fetch() {
 
 // LoadDone implements core.Client.
 func (c *Core) LoadDone(seq uint64, value uint64) {
-	c.idle = false
+	c.hear()
 	e := c.entryBySeq(seq)
 	if e == nil && c.audit != nil {
 		c.namedSquashed(seq)
@@ -1449,7 +1479,7 @@ func (c *Core) LoadDone(seq uint64, value uint64) {
 // LoadsVerified implements core.Client: LVP predictions confirmed;
 // the loads may now retire.
 func (c *Core) LoadsVerified(seqs []uint64) {
-	c.idle = false
+	c.hear()
 	for _, s := range seqs {
 		if e := c.entryBySeq(s); e != nil {
 			e.specVal = false
@@ -1466,7 +1496,7 @@ func (c *Core) LoadsVerified(seqs []uint64) {
 // fully dead list is a no-op (a controller that honours Squashed names
 // no dead op at all).
 func (c *Core) SquashSpec(seqs []uint64) {
-	c.idle = false
+	c.hear()
 	var oldest uint64
 	found := false
 	for _, s := range seqs {
@@ -1488,7 +1518,7 @@ func (c *Core) SquashSpec(seqs []uint64) {
 
 // SCDone implements core.Client.
 func (c *Core) SCDone(seq uint64, success bool) {
-	c.idle = false
+	c.hear()
 	e := c.entryBySeq(seq)
 	if e == nil || !e.scSent {
 		return
@@ -1509,7 +1539,7 @@ func (c *Core) SCDone(seq uint64, success bool) {
 // a line read by a not-yet-retired load squashes that load and
 // everything younger, forcing it to re-execute and observe the write.
 func (c *Core) ExternalSnoop(lineAddr uint64, isWrite bool) {
-	c.idle = false
+	c.hear()
 	if c.sle != nil {
 		c.sle.onSnoop(lineAddr, isWrite)
 	}
@@ -1543,14 +1573,16 @@ var _ core.Client = (*Core)(nil)
 
 // DebugState renders the core's window for deadlock diagnostics.
 func (c *Core) DebugState() string {
+	c.catchUp()
 	memos := 0
 	for _, r := range c.readyQ {
 		if r.retryVer != 0 {
 			memos++
 		}
 	}
-	out := fmt.Sprintf("cpu%d halted=%v retired=%d fetchPC=%d fetchQ=%d drain=%v ruu=%d lsq=%d stq=%d readyQ=%d (%d with a retry memo)\n",
-		c.id, c.halted, c.retired, c.fetchPC, len(c.fetchQ), c.drainISync != nil, len(c.ruu), c.lsqUsed, len(c.stq), len(c.readyQ), memos)
+	out := fmt.Sprintf("cpu%d halted=%v retired=%d fetchPC=%d fetchQ=%d drain=%v ruu=%d lsq=%d stq=%d readyQ=%d (%d with a retry memo) steady=%v (last formed at cycle %d, Δseq %d, %d cycles ago)\n",
+		c.id, c.halted, c.retired, c.fetchPC, len(c.fetchQ), c.drainISync != nil, len(c.ruu), c.lsqUsed, len(c.stq), len(c.readyQ), memos,
+		c.st.on, c.st.since, c.st.dseq, c.now-c.st.since)
 	if c.sle != nil {
 		out += fmt.Sprintf("  sle active=%v", c.sle.active)
 		if c.sle.active {

@@ -15,7 +15,9 @@ import (
 // scripted otherwise. Optional hooks let tests inject misses,
 // speculative (LVP) deliveries, delayed SC results, and the
 // controller's refusals (which count themselves through handles
-// resolved on the shared counter set, as the real controller's do).
+// resolved on the shared counter set, as the real controller's do). A
+// load that hits counts l1/hit and takes the next recency stamp of its
+// line, as an L1 hit on the real controller does.
 type fakeMem struct {
 	mem      *mem.Memory
 	loadLat  int
@@ -24,7 +26,9 @@ type fakeMem struct {
 	delayed  map[uint64]bool   // word addrs whose loads go async
 	spec     map[uint64]uint64 // word addr -> speculative value to deliver
 	core     *Core
-	cnt      struct{ l1Miss, l2Miss, l2MSHRFull, storeBufFull stats.Counter }
+	cnt      struct{ l1Hit, l1Miss, l2Miss, l2MSHRFull, storeBufFull stats.Counter }
+	clock    uint64      // recency: the last stamp handed out
+	lru      []lineStamp // each line hit, in the order first hit
 
 	ver       uint64          // StateVersion; tests bump it when they change an answer
 	bumps     map[uint64]bool // word addrs whose loads move ver themselves when they hit
@@ -38,6 +42,9 @@ type fakeMem struct {
 	sleWritable  bool
 	reservations bool
 }
+
+// lineStamp is a line's recency stamp in fakeMem.
+type lineStamp struct{ line, stamp uint64 }
 
 func newFakeMem() *fakeMem {
 	return &fakeMem{
@@ -58,6 +65,7 @@ func newFakeMem() *fakeMem {
 // attach points the fake at its core and the shared counter set.
 func (f *fakeMem) attach(c *Core, ctrs *stats.Counters) {
 	f.core = c
+	f.cnt.l1Hit = ctrs.Counter("l1/hit")
 	f.cnt.l1Miss = ctrs.Counter("l1/miss")
 	f.cnt.l2Miss = ctrs.Counter("l2/miss")
 	f.cnt.l2MSHRFull = ctrs.Counter("l2/mshr_full")
@@ -84,7 +92,25 @@ func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 	if f.bumps[addr] {
 		f.ver++
 	}
+	f.ReplayL1Hits([]uint64{addr})
 	return core.LoadResult{Status: core.LoadHit, Value: f.mem.ReadWord(addr), Lat: f.loadLat}
+}
+
+func (f *fakeMem) ReplayL1Hits(addrs []uint64) {
+	for _, a := range addrs {
+		f.clock++
+		i := 0
+		for i < len(f.lru) && f.lru[i].line != mem.LineAddr(a) {
+			i++
+		}
+		if i == len(f.lru) {
+			f.lru = append(f.lru, lineStamp{line: mem.LineAddr(a)})
+		}
+		f.lru[i].stamp = f.clock
+		if f.cnt.l1Hit != (stats.Counter{}) { // attached
+			f.cnt.l1Hit.Inc()
+		}
+	}
 }
 
 func (f *fakeMem) StoreCommit(seq, pc, addr, val uint64) bool {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tssim/internal/isa"
 	"tssim/internal/trace"
+	"tssim/internal/workload"
 )
 
 // TestTracerThreading runs a real contended workload with a tracer
@@ -196,5 +198,43 @@ func TestWatchdogDefault(t *testing.T) {
 	r := RunOne(cfg, w)
 	if !r.Finished {
 		t.Error("run did not finish under the default watchdog")
+	}
+}
+
+// A dump taken while a core spins under its steady verdict catches the
+// core up and says so, and changes nothing the run goes on to compute.
+// (The watchdog itself never fires on a spinning core: it retires.)
+func TestPostMortemNamesSteadyVerdict(t *testing.T) {
+	cfg := ExperimentConfig()
+	w, err := workload.ByName("tpc-h", workload.Params{CPUs: cfg.CPUs, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(cfg, w).RunErr(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(cfg, w)
+	var steady uint64
+	for held := false; !held; {
+		if s.now > want.Cycles {
+			t.Fatal("no core ever replayed a steady verdict")
+		}
+		s.Step()
+		n := uint64(0)
+		for _, c := range s.Cores {
+			n += c.SteadyTicks()
+		}
+		held, steady = n > steady, n
+	}
+	if pm := s.postMortem("probe"); !strings.Contains(pm, "steady=true (last formed at cycle") {
+		t.Fatalf("dump taken under a steady verdict does not name it:\n%s", pm)
+	}
+	got, err := s.RunErr(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Cycles || got.Retired != want.Retired || !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Fatalf("the dump moved the run: %d cycles, %d retired; undisturbed %d, %d", got.Cycles, got.Retired, want.Cycles, want.Retired)
 	}
 }

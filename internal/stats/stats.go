@@ -36,6 +36,7 @@ const counterBlock = 64
 type Counters struct {
 	cells  map[string]*uint64
 	blocks [][]uint64 // dense backing storage; blocks are never reallocated
+	read   []uint64   // the cells as the last Delta read them, in interning order
 	hists  map[string]*Hist
 }
 
@@ -59,6 +60,32 @@ func (c *Counters) cell(name string) *uint64 {
 	p := &blk[len(blk)-1]
 	c.cells[name] = p
 	return p
+}
+
+// Moved is one counter's change between two readings (see Delta).
+type Moved struct {
+	Counter Counter
+	N       uint64
+}
+
+// Delta appends to moved each counter that moved since the last call
+// (with moved nil it only reads), and how much: called around a stretch
+// of code, it lists what that code counted, with no list of bump sites.
+func (c *Counters) Delta(moved []Moved) []Moved {
+	if n := len(c.cells); len(c.read) < n {
+		c.read = append(c.read, make([]uint64, n-len(c.read))...)
+	}
+	i := 0
+	for _, blk := range c.blocks {
+		for j, v := range blk {
+			if v != c.read[i] && moved != nil {
+				moved = append(moved, Moved{Counter{&blk[j]}, v - c.read[i]})
+			}
+			c.read[i] = v
+			i++
+		}
+	}
+	return moved
 }
 
 // Counter is a pre-resolved handle to one named counter: Inc and Add

@@ -205,3 +205,30 @@ func TestSampleMeanPropertyBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Delta called around a stretch of code lists what it counted, in
+// interning order, with the amounts; a nil list only reads, and a cell
+// interned since the last reading counts from zero.
+func TestDeltaListsWhatMoved(t *testing.T) {
+	cs := NewCounters()
+	a, b := cs.Counter("a"), cs.Counter("b")
+	a.Add(5)
+	cs.Delta(nil)
+	b.Add(2)
+	c := cs.Counter("c")
+	c.Inc()
+	a.Inc()
+	got := cs.Delta([]Moved{})
+	want := []Moved{{a, 1}, {b, 2}, {c, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("Delta = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Delta = %v, want %v", got, want)
+		}
+	}
+	if got := cs.Delta([]Moved{}); len(got) != 0 {
+		t.Fatalf("nothing moved, Delta = %v", got)
+	}
+}
