@@ -266,12 +266,12 @@ func (c *Controller) Config() Config { return c.cfg }
 //
 // A StoreCommit or SCExecute push does not move it: it is the core's
 // own move, so no idle verdict stands across it, and it cannot put a
-// forwarding entry in front of a memoized load, whose clear verdict is
-// permanent — no store that can still retire ahead of it writes its
-// word. Nor do L1 presence (it prices a hit, and a hit is no refusal),
-// the reservation (written by the core's own Load or with a Client
-// callback) or line data (popStore, the core's own SLECommitStores, a
-// fill).
+// forwarding entry in front of a memoized load, whose store-queue scan
+// came back clear for good — no store that can still retire ahead of
+// it writes its word. Nor do L1 presence (it prices a hit, and a hit is
+// no refusal), the reservation (written by the core's own Load or with
+// a Client callback) or line data (popStore, the core's own
+// SLECommitStores, a fill).
 func (c *Controller) setState(l *cache.Line, to State) {
 	c.tr.Emit(trace.Event{Kind: trace.KState, Node: int32(c.id), Addr: l.Addr, A: l.State, B: to})
 	l.State = to
@@ -445,6 +445,16 @@ func (c *Controller) ReplayL1Hits(addrs []uint64) {
 	}
 	c.cnt.l1Hit.Add(uint64(len(addrs)))
 	c.idle = false
+}
+
+// ReplayRefusals bumps what loads counted Load refusals (MSHR file full)
+// and stores refused StoreCommits bump, unasked (the core's idle verdict
+// and retry memo); like them it leaves the idle verdict standing.
+func (c *Controller) ReplayRefusals(loads, stores uint64) {
+	c.cnt.l1Miss.Add(loads)
+	c.cnt.l2Miss.Add(loads)
+	c.cnt.l2MSHRFull.Add(loads)
+	c.cnt.storeBufferFull.Add(stores)
 }
 
 // StoreCommit accepts a retired store into the store buffer. A false

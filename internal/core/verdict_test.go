@@ -1,10 +1,12 @@
 package core
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
 	"tssim/internal/bus"
+	"tssim/internal/mem"
 )
 
 // settle ticks node 0 alone — the bus stands still, so a requested
@@ -215,6 +217,48 @@ func TestReplayL1HitsIsTheHitPath(t *testing.T) {
 		h.loadValue(0, c)
 		if !n.L1Holds(a) || n.L1Holds(b) {
 			t.Fatalf("side %d: the fill of %#x evicted %#x, the line just hit (holds a=%v b=%v)", i, c, a, n.L1Holds(a), n.L1Holds(b))
+		}
+	}
+}
+
+// ReplayRefusals is the refusals' controller side: three counted load
+// refusals and two refused stores replayed leave the node as the same
+// refusals asked for do — the same counters, and the idle verdict
+// standing.
+func TestReplayRefusalsIsTheRefusalPath(t *testing.T) {
+	const la, refused = uint64(0x2000), uint64(0x9000)
+	const loads, stores = 3, 2
+	var hs [2]*harness
+	for i := range hs {
+		h := newHarness(t, 1, nil)
+		n := h.nodes[0]
+		for j := 0; j < n.Config().StoreBuf; j++ {
+			n.StoreCommit(h.seq(), 0, la, uint64(j))
+		}
+		h.settle() // the head has requested its line
+		for j := uint64(0); n.Load(h.seq(), 0x8000+j*mem.LineSize, false).Status == LoadMiss; j++ {
+		}
+		h.settle()
+		hs[i] = h
+	}
+	asked, replayed := hs[0].nodes[0], hs[1].nodes[0]
+	for i := 0; i < loads; i++ {
+		if r := asked.Load(hs[0].seq(), refused, false); r != (LoadResult{Status: LoadRetry, Counted: true}) {
+			t.Fatalf("load of %#x: %+v, want a counted refusal", refused, r)
+		}
+	}
+	for i := 0; i < stores; i++ {
+		if asked.StoreCommit(hs[0].seq(), 0, la, 9) {
+			t.Fatal("StoreCommit accepted into a full buffer")
+		}
+	}
+	replayed.ReplayRefusals(loads, stores)
+	if a, b := hs[0].ctrs.Snapshot(), hs[1].ctrs.Snapshot(); !maps.Equal(a, b) {
+		t.Errorf("counters after %d load and %d store refusals:\n asked    %v\n replayed %v", loads, stores, a, b)
+	}
+	for i, h := range hs {
+		if n := h.nodes[0]; !n.idle || n.NextEvent(h.now) != ^uint64(0) {
+			t.Errorf("side %d: idle %v, NextEvent %d: a refusal must leave the verdict standing", i, n.idle, n.NextEvent(h.now))
 		}
 	}
 }

@@ -41,6 +41,9 @@ type MemSystem interface {
 
 	// ReplayL1Hits applies L1-hit loads of addrs unanswered (steady.go).
 	ReplayL1Hits(addrs []uint64)
+	// ReplayRefusals applies loads counted load refusals and stores
+	// refused StoreCommits unasked (the idle verdict, the retry memo).
+	ReplayRefusals(loads, stores uint64)
 	// Squashed tells the memory system that a squash killed every op
 	// younger than after. From then on no callback names one of them:
 	// LoadDone, LoadsVerified and SquashSpec name only seqs in the window
@@ -120,7 +123,6 @@ type entry struct {
 	// Memory state.
 	addrKnown bool
 	memSent   bool // request handed to the memory system
-	clear     bool // load: no older store stalls or forwards to it, for good
 	specVal   bool // LVP: value is speculative, retire blocked
 
 	predTaken bool // branch: the direction fetch predicted
@@ -154,7 +156,7 @@ type entryRef struct {
 // refusal stands, and issue makes its counter bumps without asking
 // again or touching the entry: squashAfter cuts readyQ's tail and only
 // a squash kills an unissued load, so a reference that carries a memo
-// is a live, unissued load with a clear verdict by construction. A
+// is a live, unissued load that scanned clear, by construction. A
 // reference without one is checked like an entryRef (an SC stays queued
 // until done, and may have retired since).
 type readyRef struct {
@@ -186,18 +188,9 @@ type cpuCounters struct {
 	lvpSquash     stats.Counter
 	loadReplay    stats.Counter
 
-	// storeBufFull, l1Miss, l2Miss and mshrFull are the controller's
-	// handles (the counters object is shared machine-wide). The core
-	// makes the bumps of a refusal the controller is not asked for:
-	// replaySpin those of a refused StoreCommit and of counted load
-	// retries on a tick that is not run, issue those of the counted load
-	// retries it answers from readyQ's memos on a tick that is; l1Hit
-	// tells the steady verdict an L1 hit.
-	l1Hit        stats.Counter
-	storeBufFull stats.Counter
-	l1Miss       stats.Counter
-	l2Miss       stats.Counter
-	mshrFull     stats.Counter
+	// l1Hit is the controller's handle (the counters object is shared
+	// machine-wide): it tells the steady verdict an L1 hit.
+	l1Hit stats.Counter
 }
 
 func resolveCPUCounters(cs *stats.Counters) cpuCounters {
@@ -213,10 +206,6 @@ func resolveCPUCounters(cs *stats.Counters) cpuCounters {
 		lvpSquash:     cs.Counter("cpu/lvp_squash"),
 		loadReplay:    cs.Counter("cpu/load_replay"),
 		l1Hit:         cs.Counter("l1/hit"),
-		storeBufFull:  cs.Counter("store/buffer_full"),
-		l1Miss:        cs.Counter("l1/miss"),
-		l2Miss:        cs.Counter("l2/miss"),
-		mshrFull:      cs.Counter("l2/mshr_full"),
 	}
 }
 
@@ -411,17 +400,16 @@ func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
 // against (sim.Config.NoFastForward): every Tick runs the full
 // pipeline, never the verdict's replay, and every ready load is
 // disambiguated and put to the memory system, never answered from its
-// clear verdict or its retry memo. Each shortcut is audited: a tick the
-// verdict called idle must move nothing and bump exactly the cached
-// spin set; the store queue must hold exactly the window's stores, the
-// wake-up chains exactly the window's unready source slots, and
-// a clear load must still be clear; a reference carrying a memo must be
-// to a live unissued load that the memory system refuses, counted, and
-// no squash may run inside the issue walk. A controller callback must
-// name a seq in the window (MemSystem.Squashed), where the fast path
-// ignores one that is not. The first violation machine-wide is stored in
-// *violation for the run loop to fail on. Must be called before the
-// first Tick.
+// retry memo. Each shortcut is audited: a tick the verdict called idle
+// must move nothing and bump exactly the cached spin set; the store
+// queue must hold exactly the window's stores and the wake-up chains
+// exactly the window's unready source slots; a reference carrying a
+// memo must be to a live unissued load that still scans clear and that
+// the memory system refuses, counted, and no squash may run inside the
+// issue walk. A controller callback must name a seq in the window
+// (MemSystem.Squashed), where the fast path ignores one that is not.
+// The first violation machine-wide is stored in *violation for the run
+// loop to fail on. Must be called before the first Tick.
 func (c *Core) SetOracle(violation *error) {
 	c.audit = violation
 	c.graves = make([]grave, c.cfg.LSQSize) // one squash kills at most this many loads
@@ -674,11 +662,8 @@ func (c *Core) SkipCycles(from, to uint64) {
 
 // replaySpin applies k ticks' worth of the counter bumps in spin.
 func (c *Core) replaySpin(spin coreSpin, k uint64) {
-	c.cnt.storeBufFull.Add(k * spin.storeBufFull)
 	c.cnt.lsqFull.Add(k * spin.lsqFull)
-	c.cnt.l1Miss.Add(k * spin.loadRetries)
-	c.cnt.l2Miss.Add(k * spin.loadRetries)
-	c.cnt.mshrFull.Add(k * spin.loadRetries)
+	c.memsys.ReplayRefusals(k*spin.loadRetries, k*spin.storeBufFull)
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,7 +1070,7 @@ func (c *Core) issue() {
 	}
 	c.readyQ = c.readyQ[:w]
 	if refused > 0 {
-		c.replaySpin(coreSpin{loadRetries: refused}, 1)
+		c.memsys.ReplayRefusals(refused, 0)
 		c.spin.loadRetries += refused
 		c.memoized += refused
 	}
@@ -1247,10 +1232,12 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 		e.effAddr = isa.EffAddr(*e.ins, e.src[0])
 		e.addrKnown = true
 	}
-	if !e.clear || c.audit != nil {
+	// A memo'd load scanned clear to get its refusal, and a clear scan is
+	// permanent (DESIGN.md §7): only an oracle scans it again.
+	if retryVer == 0 || c.audit != nil {
 		stall, fwd := c.olderStoreScan(e)
-		if e.clear && (stall || fwd != nil) {
-			c.violated("clear verdict violated: seq %d addr %#x now answers stall=%v forward=%v", e.seq, e.effAddr, stall, fwd != nil)
+		if retryVer != 0 && (stall || fwd != nil) {
+			c.violated("retry memo (version %d) violated: seq %d addr %#x now answers stall=%v forward=%v", retryVer-1, e.seq, e.effAddr, stall, fwd != nil)
 		}
 		if stall {
 			return false, 0
@@ -1266,13 +1253,12 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 			}
 			return true, 0
 		}
-		e.clear = true
 	}
 	// A counted refusal (L1 miss, L2 miss, MSHR file full) stands until
 	// the memory system's version moves: only this node's own grants
 	// and completions free an MSHR or fill a line, a snooped validate
 	// restoring permission bumps the version too, and no store that can
-	// still retire ahead of a clear load writes its word.
+	// still retire ahead of a load that scanned clear writes its word.
 	ver := c.memsys.StateVersion() + 1 // never 0, a reference without a memo
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
 	c.st.calls++

@@ -77,9 +77,7 @@ func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 		return core.LoadResult{Status: core.LoadRetry}
 	}
 	if f.mshrFull[addr] {
-		f.cnt.l1Miss.Inc()
-		f.cnt.l2Miss.Inc()
-		f.cnt.l2MSHRFull.Inc()
+		f.ReplayRefusals(1, 0)
 		return core.LoadResult{Status: core.LoadRetry, Counted: true}
 	}
 	if v, ok := f.spec[addr]; ok {
@@ -113,9 +111,18 @@ func (f *fakeMem) ReplayL1Hits(addrs []uint64) {
 	}
 }
 
+func (f *fakeMem) ReplayRefusals(loads, stores uint64) {
+	if f.cnt.l1Miss != (stats.Counter{}) { // attached
+		f.cnt.l1Miss.Add(loads)
+		f.cnt.l2Miss.Add(loads)
+		f.cnt.l2MSHRFull.Add(loads)
+		f.cnt.storeBufFull.Add(stores)
+	}
+}
+
 func (f *fakeMem) StoreCommit(seq, pc, addr, val uint64) bool {
 	if f.sbFull {
-		f.cnt.storeBufFull.Inc()
+		f.ReplayRefusals(0, 1)
 		return false
 	}
 	f.mem.WriteWord(addr, val)

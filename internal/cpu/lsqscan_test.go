@@ -322,8 +322,10 @@ func TestStoreQueueMatchesWindowWalk(t *testing.T) {
 	}
 }
 
-// A clear verdict is permanent: once the window answers a load (false,
+// A clear scan is permanent: once the window answers a load (false,
 // nil), no event that leaves the load in the window changes the answer.
+// The retry memo depends on it: a memo'd load answered unasked is never
+// scanned again.
 func TestClearVerdictIsPermanent(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		clear, cleared := map[uint64]bool{}, 0

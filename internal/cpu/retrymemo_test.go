@@ -327,9 +327,10 @@ func TestOracleAuditLocatesRetryMemoViolation(t *testing.T) {
 	}
 }
 
-// The oracle's audit of the LSQ's other two shortcuts and of the queue
-// the memo rides in: each row breaks one by hand on a core whose parked
-// loads are all clear and memo'd, and the oracle must name the entry.
+// The oracle's audit of the store queue, of the memo's precondition
+// that its load scans clear, and of the queue the memo rides in: each
+// row breaks one by hand on a core whose parked loads are all clear and
+// memo'd, and the oracle must name the entry.
 func TestOracleAuditLocatesLSQViolation(t *testing.T) {
 	// olderStore turns the window's done `li r2` — older than every
 	// parked load — into a store to ld's word that nothing queued.
@@ -340,23 +341,25 @@ func TestOracleAuditLocatesLSQViolation(t *testing.T) {
 		return st
 	}
 	cases := []struct {
-		want string
+		name, want string
 		// plant breaks the core under ld and returns the entry the
 		// message must name.
 		plant func(c *Core, ld *entry) *entry
 	}{
-		{"store queue", olderStore},
-		{"clear verdict", func(c *Core, ld *entry) *entry {
+		{"store queue", "store queue violated: ", olderStore},
+		// A memo'd load whose older store now matches: the fast path
+		// would answer it from its memo without scanning.
+		{"retry memo", "retry memo (version 0) violated: ", func(c *Core, ld *entry) *entry {
 			c.stq = append(c.stq, olderStore(c, ld))
 			return ld
 		}},
-		{"ready reference", func(c *Core, ld *entry) *entry {
+		{"ready reference", "ready reference violated: ", func(c *Core, ld *entry) *entry {
 			ld.issued = true
 			return ld
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.want, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			var violation error
 			c, _, _ := parkedCore(8, refuseCounted, &violation)
 			now := uint64(0)
@@ -372,7 +375,7 @@ func TestOracleAuditLocatesLSQViolation(t *testing.T) {
 				t.Fatal("oracle ticked through it without reporting")
 			}
 			for _, w := range []string{
-				fmt.Sprintf("cpu0 cycle %d: %s violated: ", now, tc.want),
+				fmt.Sprintf("cpu0 cycle %d: %s", now, tc.want),
 				fmt.Sprintf("seq %d addr %#x ", named.seq, named.effAddr),
 			} {
 				if !strings.Contains(violation.Error(), w) {

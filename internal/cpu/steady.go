@@ -218,8 +218,8 @@ func (e *entry) flags() uint64 {
 	return uint64(uint8(e.wakeSlot)) | uint64(uint8(e.nextSlot[0]))<<8 | uint64(uint8(e.nextSlot[1]))<<16 |
 		uint64(uint8(e.pendingSrcs))<<24 | uint64(e.dst)<<32 |
 		b2u(e.srcReady[0])<<40 | b2u(e.srcReady[1])<<41 | b2u(e.issued)<<42 | b2u(e.done)<<43 |
-		b2u(e.executing)<<44 | b2u(e.needsAddr)<<45 | b2u(e.addrKnown)<<46 | b2u(e.clear)<<47 |
-		b2u(e.predTaken)<<48 | b2u(e.queued)<<49 | b2u(e.dead)<<50
+		b2u(e.executing)<<44 | b2u(e.needsAddr)<<45 | b2u(e.addrKnown)<<46 |
+		b2u(e.predTaken)<<47 | b2u(e.queued)<<48 | b2u(e.dead)<<49
 }
 
 func b2u(b bool) uint64 {
