@@ -14,9 +14,8 @@ import (
 	"os"
 	"strings"
 
-	"tssim/internal/check"
-	"tssim/internal/checkrun"
 	"tssim/internal/cli"
+	"tssim/internal/litmus"
 	"tssim/internal/sim"
 	"tssim/internal/trace"
 	"tssim/internal/workload"
@@ -33,21 +32,13 @@ import (
 // is a coherence bug (exit 1), an allowed-but-unreached outcome is
 // reported as a coverage gap.
 func litmusShapeMain(name string, enumerate bool, tech sim.Techniques, noFF bool, interconnect string) int {
-	s := check.ShapeByName(name)
+	s := litmus.ShapeByName(name)
 	if s == nil {
-		fmt.Fprintf(os.Stderr, "unknown shape %q; have: %s\n", name, strings.Join(check.ShapeNames(), " "))
+		fmt.Fprintf(os.Stderr, "unknown shape %q; have: %s\n", name, strings.Join(litmus.ShapeNames(), " "))
 		return 2
 	}
 	if !enumerate {
-		v := check.Variant{
-			Offsets:      make([]uint64, s.CPUs()),
-			Delays:       make([]int, s.CPUs()),
-			Combo:        tech.String(),
-			NoFF:         noFF,
-			Seed:         1,
-			Interconnect: interconnect,
-		}
-		oc, err := checkrun.RunShapeVariant(s, v)
+		oc, err := litmus.RunShape(s, litmus.Variant{Tech: tech, NoFF: noFF, Seed: 1, Interconnect: interconnect})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -59,17 +50,15 @@ func litmusShapeMain(name string, enumerate bool, tech sim.Techniques, noFF bool
 		}
 		return 0
 	}
-	knobs := check.DefaultKnobs(checkrun.ComboLabels())
-	if interconnect != "" {
-		knobs.Interconnects = []string{interconnect}
-	}
+	knobs := litmus.DefaultKnobs(sim.AllCombos())
+	knobs.Interconnects = []string{interconnect}
 	if s.CPUs() > 2 {
 		// The per-CPU axes are exponential in CPU count; trim them so
 		// the 4-core IRIW shapes stay tractable.
 		knobs.Offsets = []uint64{0, 320}
 		knobs.ArbStarts = []int{0}
 	}
-	rep := check.Enumerate(s, knobs, checkrun.RunShapeVariant)
+	rep := litmus.Enumerate(s, knobs)
 	fmt.Print(rep)
 	if !rep.OK() {
 		return 1
@@ -148,12 +137,16 @@ func main() {
 	flag.StringVar(&o.workload, "workload", "tpc-b", "workload: "+strings.Join(workload.Names(), "|"))
 	flag.StringVar(&o.tech, "tech", "baseline", "technique combo: baseline, all, or mesti|emesti|lvp|sle joined with +, e.g. emesti+lvp")
 	flag.BoolVar(&o.verbose, "verbose", false, "dump all event counters and histograms")
-	flag.StringVar(&o.litmusShape, "litmus-shape", "", "run one memory-model litmus shape instead of a workload: "+strings.Join(check.ShapeNames(), "|"))
+	flag.StringVar(&o.litmusShape, "litmus-shape", "", "run one memory-model litmus shape instead of a workload: "+strings.Join(litmus.ShapeNames(), "|"))
 	flag.BoolVar(&o.enumerate, "enumerate", false, "with -litmus-shape: exhaustively sweep the schedule-perturbation grid (all combos, both kernel paths) and compare reachable vs TSO-allowed outcomes")
 	flag.StringVar(&o.trace, "trace", "", "write a coherence event trace to this file")
 	flag.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace format: jsonl|chrome (chrome loads in Perfetto)")
 	flag.StringVar(&o.report, "report", "", "write a machine-readable JSON run report to this file")
 	flag.Parse()
+	if err := o.validate(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	stop, err := shared.Start(os.Stderr)
 	if err != nil {
@@ -163,6 +156,35 @@ func main() {
 	code := run(shared, o)
 	stop()
 	os.Exit(code)
+}
+
+// validate refuses, before any file is created or port bound, the
+// flags the chosen mode would not read: -enumerate without a shape, and
+// beside -litmus-shape all but the litmus flags and the profilers.
+func (o options) validate(fs *flag.FlagSet) error {
+	if o.litmusShape == "" {
+		if o.enumerate {
+			return errors.New("-enumerate requires -litmus-shape")
+		}
+		return nil
+	}
+	reads := map[string]bool{"litmus-shape": true, "enumerate": true, "interconnect": true,
+		"cpuprofile": true, "memprofile": true, "mutexprofile": true, "blockprofile": true,
+		"tech": !o.enumerate, "no-fastforward": !o.enumerate}
+	mode := "-litmus-shape"
+	if o.enumerate {
+		mode += " -enumerate (it sweeps every combo on both kernel paths)"
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("%s: not read with %s", strings.Join(unread, " "), mode)
+	}
+	return nil
 }
 
 // run is main after the shared flags are validated and their profilers
@@ -180,9 +202,6 @@ func run(shared *cli.Flags, o options) int {
 	}
 	if o.litmusShape != "" {
 		return litmusShapeMain(o.litmusShape, o.enumerate, cfg.Tech, cfg.NoFastForward, cfg.Interconnect)
-	}
-	if o.enumerate {
-		return usage(errors.New("-enumerate requires -litmus-shape"))
 	}
 	w, err := workload.ByName(o.workload, workload.Params{CPUs: cfg.CPUs, Scale: shared.Scale, UnsafeISyncEvery: 3})
 	if err != nil {

@@ -69,6 +69,32 @@ func TestNonsenseSizesRejected(t *testing.T) {
 	usageError(t, `unknown trace format "xml"`, "-trace", os.DevNull, "-trace-format", "xml")
 }
 
+// The litmus mode refuses every flag it would not read, naming all of
+// them, before a file is created: the shape fixes the machine, and
+// -enumerate sweeps every combo on both kernel paths itself.
+func TestLitmusRejectsFlagsItDoesNotRead(t *testing.T) {
+	dir := t.TempDir()
+	files := []string{filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.json"), filepath.Join(dir, "rs.json")}
+	usageError(t, "-cpus -report -seeds -trace: not read with -litmus-shape",
+		"-litmus-shape", "SB", "-cpus", "8", "-seeds", "3", "-trace", files[0], "-report", files[1])
+	usageError(t, "-runnerstats: not read with -litmus-shape", "-litmus-shape", "SB", "-runnerstats", files[2])
+	usageError(t, "-check -verbose -workload: not read with -litmus-shape",
+		"-litmus-shape", "MP", "-workload", "tpc-b", "-check", "-verbose")
+	usageError(t, "-tech: not read with -litmus-shape -enumerate", "-litmus-shape", "SB", "-enumerate", "-tech", "mesti")
+	usageError(t, "-no-fastforward: not read with -litmus-shape -enumerate",
+		"-litmus-shape", "SB", "-enumerate", "-no-fastforward", "-interconnect", "directory")
+	for _, f := range files {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a refused litmus run", f)
+		}
+	}
+	// What a single litmus run does read.
+	out, code := runMain(t, "-litmus-shape", "SB", "-tech", "emesti", "-interconnect", "splitbus", "-no-fastforward")
+	if code != 0 || !strings.Contains(out, "under E-MESTI: observed (0,0)") {
+		t.Errorf("single litmus run: exit status %d:\n%s", code, out)
+	}
+}
+
 // A bad -trace-format is refused before the trace file is created: an
 // existing file keeps its bytes.
 func TestBadTraceFormatKeepsTraceFile(t *testing.T) {

@@ -4,10 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"tssim/internal/bus"
 	"tssim/internal/cache"
 	"tssim/internal/check"
-	"tssim/internal/checkrun"
 	"tssim/internal/core"
+	"tssim/internal/isa"
+	"tssim/internal/litmus"
+	"tssim/internal/mem"
 	"tssim/internal/sim"
 	"tssim/internal/workload"
 )
@@ -80,10 +83,8 @@ func TestCheckerPureObserver(t *testing.T) {
 // node's L2 copy of a line mid-run and verifies a full-machine sweep
 // catches it — the data-value invariant is live, not decorative.
 func TestCheckerDetectsCorruption(t *testing.T) {
-	p := check.LitmusParams{Seed: 0x5eed, CPUs: 4, Ops: 32}
-	w, _ := check.Litmus(p)
-	cfg := checkrun.MachineConfig(fullTech(), len(w.Programs), 1)
-	s := sim.New(cfg, w)
+	w, _ := litmus.Program(litmus.Params{Seed: 0x5eed, CPUs: 4, Ops: 32})
+	s := sim.New(litmus.MachineConfig(litmus.Variant{Tech: fullTech(), Seed: 1}, len(w.Programs)), w)
 
 	// Run until some node holds a readable line with data, then flip
 	// one word behind the protocol's back.
@@ -155,8 +156,8 @@ func TestCheckerHoldsFrameFlagsToState(t *testing.T) {
 			}, "without readable, used L2 permission (L2 state VS)"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			w, _ := check.Litmus(check.LitmusParams{Seed: 0x5eed, CPUs: 4, Ops: 32})
-			s := sim.New(checkrun.MachineConfig(fullTech(), len(w.Programs), 1), w)
+			w, _ := litmus.Program(litmus.Params{Seed: 0x5eed, CPUs: 4, Ops: 32})
+			s := sim.New(litmus.MachineConfig(litmus.Variant{Tech: fullTech(), Seed: 1}, len(w.Programs)), w)
 			planted := false
 			for cycle := 0; cycle < 200_000 && !planted; cycle++ {
 				s.Step()
@@ -176,6 +177,198 @@ func TestCheckerHoldsFrameFlagsToState(t *testing.T) {
 			s.Checker().Sweep()
 			if err := s.Checker().Err(); err == nil || !strings.Contains(err.Error(), row.want) {
 				t.Fatalf("sweep reported %v, want a violation naming %q", err, row.want)
+			}
+		})
+	}
+}
+
+// Lines of the detection machine: x is read by both nodes, y stored by
+// node 0, and z0..z4 — five lines of one four-way L2 set — stored by
+// node 0 after them, so the fifth fill evicts a dirty line.
+const (
+	lineX  = 0x8000
+	lineY  = 0x8040
+	lineZ  = 0x10080
+	initX  = 0x11
+	storeY = 7
+)
+
+// detectionWorkload leaves x shared by both nodes, y modified in node 0
+// and one writeback on its way from node 0 shortly before the end.
+func detectionWorkload() sim.Workload {
+	b0 := isa.NewBuilder("detect-cpu0")
+	b0.Li(isa.R8, lineX)
+	b0.Ld(isa.R1, isa.R8, 0)
+	b0.Li(isa.R9, lineY)
+	b0.Li(isa.R10, storeY)
+	b0.St(isa.R10, isa.R9, 0)
+	for z := 0; z < 5; z++ {
+		b0.Li(isa.R9, int64(lineZ+z*0x200))
+		b0.Li(isa.R10, int64(z+1))
+		b0.St(isa.R10, isa.R9, 0)
+	}
+	b0.Halt()
+	b1 := isa.NewBuilder("detect-cpu1")
+	b1.Li(isa.R8, lineX)
+	b1.Ld(isa.R1, isa.R8, 0)
+	b1.Halt()
+	return sim.Workload{
+		Name:     "detect",
+		Programs: []*isa.Program{b0.Build(), b1.Build()},
+		Init:     func(m *mem.Memory) { m.WriteWord(lineX, initX) },
+	}
+}
+
+// TestCheckerNamesEveryViolation plants, one per row, the fault each of
+// the checker's reports names and requires that report. A row runs the
+// detection machine (Baseline, so T and VS are illegal) to the end, or
+// steps it until its until holds, then plants through the surface the
+// machine feeds the checker — a frame, memory, the CheckSink, a core's
+// OnCommitDebug, the grant hook — and runs the check that must fire.
+func TestCheckerNamesEveryViolation(t *testing.T) {
+	frame := func(s *sim.System, node int, la uint64) *cache.Line {
+		var f *cache.Line
+		s.Nodes[node].ForEachL2(func(l *cache.Line) {
+			if l.Addr == la {
+				f = l
+			}
+		})
+		if f == nil {
+			t.Fatalf("node%d holds no frame for %#x", node, la)
+		}
+		return f
+	}
+	retire := func(s *sim.System, node int, addr, value uint64) {
+		s.Cores[node].OnCommitDebug(0, 0, isa.Instr{Op: isa.OpLd, Imm: int64(addr)}, 0, 0, value)
+	}
+	for _, row := range []struct {
+		name  string
+		until func(s *sim.System) bool // nil: run to the end
+		plant func(s *sim.System, k *check.Checker)
+		want  string
+	}{
+		{name: "two M/E holders", want: "SWMR violated: 2 nodes hold 0x8000 in M/E",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 0, lineX).State, frame(s, 1, lineX).State = core.StateE, core.StateE
+				k.Sweep()
+			}},
+		{name: "M/E beside a sharer", want: "an M/E holder of 0x8000 coexists with 0 O and 1 S/VS copies",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 0, lineX).State = core.StateM
+				k.Sweep()
+			}},
+		{name: "two owners", want: "SWMR violated: 2 owners (O) of 0x8000",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 0, lineX).State, frame(s, 1, lineX).State = core.StateO, core.StateO
+				k.Sweep()
+			}},
+		{name: "VS without E-MESTI", want: "node1 holds 0x8000 in VS without E-MESTI",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 1, lineX).State = core.StateVS
+				k.Sweep()
+			}},
+		{name: "T without MESTI", want: "node1 holds 0x8000 in T without MESTI",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 1, lineX).State = core.StateT
+				k.Sweep()
+			}},
+		{name: "readable copy off golden", want: "node1 holds 0x8000 in S with data diverging",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 1, lineX).Data.SetWord(0, initX+1)
+				k.Sweep()
+			}},
+		{name: "L1 without permission", want: "node1 L1 holds 0x8000 without readable, used L2 permission (L2 state I)",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 1, lineX).State = core.StateI
+				k.Sweep()
+			}},
+		{name: "stale memory", want: "memory holds a stale copy of 0x8000 with no dirty owner",
+			plant: func(s *sim.System, k *check.Checker) {
+				s.Mem.WriteWord(lineX, initX+1)
+				k.Sweep()
+			}},
+		{name: "silent flag on a clean line", want: "node1 frame 0x8000 is flagged temporally silent in S",
+			plant: func(s *sim.System, k *check.Checker) {
+				frame(s, 1, lineX).Flags |= core.FlagSilent
+				k.Sweep()
+			}},
+		{name: "revalidated flag without permission", want: "node1 frame 0x8000 is flagged revalidated-and-unused in I",
+			plant: func(s *sim.System, k *check.Checker) {
+				f := frame(s, 1, lineX)
+				f.State, f.Flags = core.StateI, f.Flags|core.FlagRevalidated
+				k.Sweep()
+			}},
+		{name: "Read payload off golden", want: "read of 0x8000 granted with a payload that is not the last globally visible value",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.Serialized(0, &bus.Txn{Type: bus.TxnRead, Addr: lineX})
+			}},
+		{name: "validate payload off golden", want: "validate of 0x8000 announces",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.Serialized(0, &bus.Txn{Type: bus.TxnValidate, Addr: lineX})
+			}},
+		{name: "drain of an empty buffer", want: "node0 drained store 0x8000 but the checker's buffer mirror is empty",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.StoreDrained(0, lineX, true)
+			}},
+		{name: "drain out of order", want: "node0 drained store 0x8040 but the mirror head is 0x8000",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.StoreBuffered(0, lineX, 1, false)
+				k.StoreDrained(0, lineY, true)
+			}},
+		{name: "performed store off its line", want: "node0 performed store 0x8040=8 but its line diverges",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.StorePerformed(0, lineY, storeY+1)
+			}},
+		{name: "MSHR leaked", want: "node0 leaks 1 MSHRs at quiesce",
+			until: func(s *sim.System) bool { return s.Nodes[0].MSHRsInUse() == 1 },
+			plant: func(s *sim.System, k *check.Checker) { k.Quiesce() }},
+		{name: "writeback stranded", want: "node0 strands 0x10080 in its writeback buffer at quiesce",
+			until: func(s *sim.System) bool {
+				return s.Nodes[0].MSHRsInUse() == 0 && s.Nodes[0].WBInfo(lineZ) > 0
+			},
+			plant: func(s *sim.System, k *check.Checker) { k.Quiesce() }},
+		{name: "store left in the mirror", want: "node1 has 1 stores in the checker's buffer mirror at quiesce (head 0x8000)",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.StoreBuffered(1, lineX, 1, false)
+				k.Quiesce()
+			}},
+		{name: "load past a pending SC", want: "node0 retired a load of 0x8000 past an unresolved store-conditional",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.StoreBuffered(0, lineX, 1, true)
+				retire(s, 0, lineX, 1)
+			}},
+		{name: "load off its own pending store", want: "node0 retired load pc=0 of 0x8000 with value 6, but its own pending store wrote 5",
+			plant: func(s *sim.System, k *check.Checker) {
+				k.StoreBuffered(0, lineX, 5, false)
+				retire(s, 0, lineX, 6)
+			}},
+		{name: "load off golden", want: "node1 retired load pc=0 of 0x8000 with value 18, but the globally visible value is 17",
+			plant: func(s *sim.System, k *check.Checker) {
+				retire(s, 1, lineX, initX+1)
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := detectionWorkload()
+			s := sim.New(litmus.MachineConfig(litmus.Variant{}, len(w.Programs)), w)
+			if row.until == nil {
+				if _, err := s.RunErr(w); err != nil {
+					t.Fatalf("the detection run is not clean: %v", err)
+				}
+			} else {
+				for cycle := 0; !row.until(s); cycle++ {
+					if cycle == 100_000 {
+						t.Fatal("the machine never reached the row's state")
+					}
+					s.Step()
+				}
+			}
+			k := s.Checker()
+			if err := k.Err(); err != nil {
+				t.Fatalf("the run was not clean before the plant: %v", err)
+			}
+			row.plant(s, k)
+			if err := k.Err(); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("checker reported %v, want a violation naming %q", err, row.want)
 			}
 		})
 	}

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"tssim/internal/check"
-	"tssim/internal/checkrun"
+	"tssim/internal/litmus"
 	"tssim/internal/sim"
 )
 
@@ -16,42 +15,25 @@ import (
 // count, every counter, and the final memory values. The checkers see
 // every store-visibility event either way, so a fast-forward bug that
 // perturbed coherence would surface as a verdict divergence here.
-func litmusBothPaths(p check.LitmusParams, tech sim.Techniques) error {
-	type outcome struct {
-		err     error
-		cycles  uint64
-		finals  map[uint64]uint64
-		counter map[string]uint64
-	}
-	run := func(noFF bool) outcome {
-		w, expected := check.Litmus(p)
-		cfg := checkrun.MachineConfig(tech, len(w.Programs), int64(p.Seed))
-		cfg.NoFastForward = noFF
-		s := sim.New(cfg, w)
-		r, err := s.RunErr(w)
-		finals := make(map[uint64]uint64, len(expected))
-		for a := range expected {
-			finals[a] = s.ReadWordCoherent(a)
-		}
-		return outcome{err: err, cycles: r.Cycles, finals: finals, counter: r.Counters}
-	}
-	naive, ff := run(true), run(false)
-	if (naive.err == nil) != (ff.err == nil) {
+func litmusBothPaths(p litmus.Params, tech sim.Techniques) error {
+	naiveFinals, naive, naiveErr := runProgram(p, litmus.Variant{Tech: tech, NoFF: true})
+	ffFinals, ff, ffErr := runProgram(p, litmus.Variant{Tech: tech})
+	if (naiveErr == nil) != (ffErr == nil) {
 		return fmt.Errorf("%s under %s: error outcome diverges: naive %v, ff %v",
-			p, tech, naive.err, ff.err)
+			p, tech, naiveErr, ffErr)
 	}
-	if naive.cycles != ff.cycles {
+	if naive.Cycles != ff.Cycles {
 		return fmt.Errorf("%s under %s: cycles diverge: naive %d, ff %d",
-			p, tech, naive.cycles, ff.cycles)
+			p, tech, naive.Cycles, ff.Cycles)
 	}
-	for a, v := range naive.finals {
-		if fv := ff.finals[a]; fv != v {
+	for a, v := range naiveFinals {
+		if fv := ffFinals[a]; fv != v {
 			return fmt.Errorf("%s under %s: final @%#x diverges: naive %#x, ff %#x",
 				p, tech, a, v, fv)
 		}
 	}
-	for k, v := range naive.counter {
-		if fv := ff.counter[k]; fv != v {
+	for k, v := range naive.Counters {
+		if fv := ff.Counters[k]; fv != v {
 			return fmt.Errorf("%s under %s: counter %s diverges: naive %d, ff %d",
 				p, tech, k, v, fv)
 		}
@@ -65,7 +47,7 @@ func litmusBothPaths(p check.LitmusParams, tech sim.Techniques) error {
 // exhaustion and store-buffer pressure — exactly the states whose spin
 // counters the fast-forward path replays in batch.
 func TestLitmusFastForwardDifferential(t *testing.T) {
-	corpus := []check.LitmusParams{
+	corpus := []litmus.Params{
 		{Seed: 0x0000000000000001, CPUs: 2, Ops: 8},
 		{Seed: 0xdeadbeefcafef00d, CPUs: 2, Ops: 48},
 		{Seed: 0x0123456789abcdef, CPUs: 3, Ops: 12},

@@ -8,104 +8,150 @@ import (
 	"strings"
 	"testing"
 
-	"tssim/internal/check"
-	"tssim/internal/checkrun"
+	"tssim/internal/litmus"
 	"tssim/internal/sim"
 )
 
-// litmusReplay re-runs one failing program printed by the fuzz
-// shrinker: go test ./internal/check -run TestLitmusReplay
-// -litmus.replay "seed=0x1234 cpus=2 ops=7 tech=E-MESTI path=noff"
-// (the tech/path fields are optional; without them every combo runs).
-var litmusReplay = flag.String("litmus.replay", "", "replay one litmus program (format: seed=0x… cpus=N ops=M [tech=COMBO path=ff|noff])")
+// litmusReplay re-runs one failing run printed by the fuzz shrinker or
+// an enumeration report: go test ./internal/check -run TestLitmusReplay
+// -litmus.replay "seed=0x1234 cpus=2 ops=7 tech=E-MESTI path=noff", or
+// "shape=SB" and the point after "first at". A generated program
+// without tech= runs under every combo.
+var litmusReplay = flag.String("litmus.replay", "", "replay one litmus run (format: shape=NAME off=[…] dly=[…] arb=N tech=COMBO path=ff|noff seed=N [ic=KIND], or seed=0x… cpus=N ops=M [tech=COMBO path=ff|noff] [ic=KIND])")
 
-// runLitmusOne runs one litmus program under one technique combo and
-// kernel path on the litmus machine (checkrun.MachineConfig: tiny
-// caches, both checkers on) and returns the observed finals.
-func runLitmusOne(p check.LitmusParams, tech sim.Techniques, noFF bool) (map[uint64]uint64, error) {
-	w, expected := check.Litmus(p)
-	cfg := checkrun.MachineConfig(tech, len(w.Programs), int64(p.Seed))
-	cfg.NoFastForward = noFF
-	s := sim.New(cfg, w)
-	if _, err := s.RunErr(w); err != nil {
-		return nil, err
+// all is the full technique stack, the last of the bookend combos.
+var all = sim.Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}
+
+// runs lists the runs r names: its own when pinned, else its point
+// under every technique combo of Figure 7 — on both kernel paths for
+// the bookend combos (baseline and the full stack), so each fuzz
+// iteration also differentially covers the kernel without doubling the
+// whole sweep.
+func runs(r litmus.Repro) []litmus.Repro {
+	if r.Pinned {
+		return []litmus.Repro{r}
 	}
+	var out []litmus.Repro
+	for _, tech := range sim.AllCombos() {
+		r.Pinned, r.Variant.Tech, r.Variant.NoFF = true, tech, false
+		out = append(out, r)
+		if tech == (sim.Techniques{}) || tech == all {
+			r.Variant.NoFF = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// runProgram runs one generated program at v, with the program's seed
+// as the machine's, and returns the run's error (a checker violation,
+// or finals off the closed-form expectation) and the finals it read.
+func runProgram(p litmus.Params, v litmus.Variant) (map[uint64]uint64, sim.Result, error) {
+	w, expected := litmus.Program(p)
+	v.Seed = p.Seed
+	sys, r, err := litmus.Run(w, v)
 	finals := make(map[uint64]uint64, len(expected))
 	for a := range expected {
-		finals[a] = s.ReadWordCoherent(a)
+		finals[a] = sys.ReadWordCoherent(a)
 	}
-	return finals, nil
+	return finals, r, err
 }
 
-// litmusPaths returns the kernel paths to sweep for a combo: the
-// fast-forward path always, plus the naive every-cycle path for the
-// bookend combos (baseline and the full stack), so each fuzz
-// iteration also differentially covers the kernel without doubling
-// the whole sweep.
-func litmusPaths(tech sim.Techniques) []bool {
-	if s := tech.String(); s == "Baseline" || s == "E-MESTI+LVP+SLE" {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
-// runLitmusAll runs one litmus program under every technique combo of
-// Figure 7 (and both kernel paths for the bookend combos) with the
-// coherence checker attached, validates each run's finals against the
-// closed-form expectation, and differentially compares every run's
-// finals against the first run's. On failure the returned Repro pins
-// the exact combo and path that diverged.
-func runLitmusAll(p check.LitmusParams) (check.Repro, error) {
-	var baseline map[uint64]uint64
-	for _, tech := range sim.AllCombos() {
-		for _, noFF := range litmusPaths(tech) {
-			repro := check.Repro{Params: p, Tech: tech.String(), NoFastForward: noFF}
-			finals, err := runLitmusOne(p, tech, noFF)
+// replay runs every run r names and returns the first that fails,
+// pinned: for a shape, an outcome outside the allowed set; for a
+// generated program, finals off the closed form or off the first run's.
+func replay(r litmus.Repro) (litmus.Repro, error) {
+	var first map[uint64]uint64
+	for _, one := range runs(r) {
+		fail := func(format string, args ...any) (litmus.Repro, error) {
+			return one, fmt.Errorf("%s: %s", one, fmt.Sprintf(format, args...))
+		}
+		if one.Shape != "" {
+			s := litmus.ShapeByName(one.Shape)
+			oc, err := litmus.RunShape(s, one.Variant)
 			if err != nil {
-				return repro, fmt.Errorf("%s: %w", repro, err)
+				return fail("%v", err)
 			}
-			if baseline == nil {
-				baseline = finals
-				continue
+			if !s.Allowed()[oc] {
+				return fail("outcome %s outside allowed set %v", oc, s.AllowedList())
 			}
-			for a, v := range finals {
-				if bv := baseline[a]; v != bv {
-					return repro, fmt.Errorf("%s: final @%#x = %#x diverges from baseline %#x",
-						repro, a, v, bv)
-				}
+			continue
+		}
+		finals, _, err := runProgram(one.Params, one.Variant)
+		if err != nil {
+			return fail("%v", err)
+		}
+		if first == nil {
+			first = finals
+			continue
+		}
+		for a, v := range finals {
+			if fv := first[a]; v != fv {
+				return fail("final @%#x = %#x diverges from baseline %#x", a, v, fv)
 			}
 		}
 	}
-	return check.Repro{Params: p}, nil
-}
-
-// runLitmusRepro replays one Repro: the pinned combo/path when the
-// repro names one, the full sweep otherwise.
-func runLitmusRepro(r check.Repro) error {
-	if r.Tech == "" {
-		_, err := runLitmusAll(r.Params)
-		return err
-	}
-	tech, err := sim.ParseTechniques(r.Tech)
-	if err != nil {
-		return err
-	}
-	_, err = runLitmusOne(r.Params, tech, r.NoFastForward)
-	return err
+	return r, nil
 }
 
 // reportLitmusFailure shrinks a failing program to its minimal
 // reproducer and fails the test with a replayable command line that
 // names the failing combo and kernel path.
-func reportLitmusFailure(t *testing.T, p check.LitmusParams, err error) {
+func reportLitmusFailure(t *testing.T, r litmus.Repro, err error) {
 	t.Helper()
-	min := check.ShrinkLitmus(p, func(cand check.LitmusParams) bool {
-		_, err := runLitmusAll(cand)
+	min := shrink(r.Params, func(cand litmus.Params) bool {
+		r.Params = cand
+		_, err := replay(r)
 		return err != nil
 	})
-	minRepro, minErr := runLitmusAll(min)
+	r.Params = min
+	minRepro, minErr := replay(r)
 	t.Fatalf("litmus failure: %v\nminimal reproducer: %v (%s)\nreplay with: go test ./internal/check -run TestLitmusReplay -litmus.replay %q",
 		err, minErr, minRepro, minRepro.String())
+}
+
+// normalized is p as litmus.Program runs it: Params.String prints the
+// clamped fields and ParseRepro reads them back.
+func normalized(p litmus.Params) litmus.Params {
+	r, err := litmus.ParseRepro(p.String())
+	if err != nil {
+		panic(err)
+	}
+	return r.Params
+}
+
+// shrink greedily minimizes a failing params tuple: it walks Ops
+// down (halving, then decrementing) and then CPUs down, keeping every
+// step for which fails still reports true. The result is the smallest
+// program the caller's predicate still rejects — what the fuzz harness
+// prints as the replayable reproducer.
+func shrink(p litmus.Params, fails func(litmus.Params) bool) litmus.Params {
+	p = normalized(p)
+	for p.Ops > 1 {
+		cand := p
+		cand.Ops = p.Ops / 2
+		if !fails(normalized(cand)) {
+			break
+		}
+		p = normalized(cand)
+	}
+	for p.Ops > 1 {
+		cand := p
+		cand.Ops--
+		if !fails(normalized(cand)) {
+			break
+		}
+		p = normalized(cand)
+	}
+	for p.CPUs > 2 {
+		cand := p
+		cand.CPUs--
+		if !fails(normalized(cand)) {
+			break
+		}
+		p = normalized(cand)
+	}
+	return p
 }
 
 // TestLitmusCorpus runs a fixed corpus of litmus programs — a breadth
@@ -113,7 +159,7 @@ func reportLitmusFailure(t *testing.T, p check.LitmusParams, err error) {
 // combos with the checker on. This is the deterministic regression
 // net; FuzzLitmus explores beyond it.
 func TestLitmusCorpus(t *testing.T) {
-	corpus := []check.LitmusParams{
+	corpus := []litmus.Params{
 		{Seed: 0x0000000000000001, CPUs: 2, Ops: 8},
 		{Seed: 0x0000000000000002, CPUs: 2, Ops: 24},
 		{Seed: 0xdeadbeefcafef00d, CPUs: 2, Ops: 48},
@@ -131,11 +177,11 @@ func TestLitmusCorpus(t *testing.T) {
 		corpus = corpus[:4]
 	}
 	for _, p := range corpus {
-		p := p
+		r := litmus.Repro{Params: p}
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
-			if _, err := runLitmusAll(p); err != nil {
-				reportLitmusFailure(t, p, err)
+			if _, err := replay(r); err != nil {
+				reportLitmusFailure(t, r, err)
 			}
 		})
 	}
@@ -157,17 +203,17 @@ func TestLitmusCorpusFile(t *testing.T) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		r, err := check.ParseRepro(line)
+		r, err := litmus.ParseRepro(line)
 		if err != nil {
 			t.Fatalf("corpus line %q: %v", line, err)
 		}
 		n++
-		if testing.Short() && r.Tech == "" && r.Params.Ops > 8 {
+		if testing.Short() && !r.Pinned && r.Params.Ops > 8 {
 			continue // full-sweep lines dominate the cost; keep -short fast
 		}
 		t.Run(r.String(), func(t *testing.T) {
 			t.Parallel()
-			if err := runLitmusRepro(r); err != nil {
+			if _, err := replay(r); err != nil {
 				t.Fatalf("corpus regression %s: %v", r, err)
 			}
 		})
@@ -178,35 +224,34 @@ func TestLitmusCorpusFile(t *testing.T) {
 }
 
 // FuzzLitmus is the randomized protocol fuzzer: any three fuzz inputs
-// name a valid program (Litmus normalizes them), which runs under all
-// nine combos with the coherence checker attached. A failure is
-// shrunk to a minimal reproducer and printed in replayable form.
+// name a valid program (litmus.Program normalizes them), which runs
+// under all nine combos with the coherence checker attached. A failure
+// is shrunk to a minimal reproducer and printed in replayable form.
 func FuzzLitmus(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(8))
 	f.Add(uint64(0xdeadbeefcafef00d), uint8(4), uint8(48))
 	f.Add(uint64(0x9e3779b97f4a7c15), uint8(3), uint8(24))
 	f.Add(uint64(0x4242424242424242), uint8(4), uint8(16))
 	f.Fuzz(func(t *testing.T, seed uint64, cpus, ops uint8) {
-		p := check.LitmusParams{Seed: seed, CPUs: int(cpus), Ops: int(ops)}
-		if _, err := runLitmusAll(p); err != nil {
-			reportLitmusFailure(t, p, err)
+		r := litmus.Repro{Params: litmus.Params{Seed: seed, CPUs: int(cpus), Ops: int(ops)}}
+		if _, err := replay(r); err != nil {
+			reportLitmusFailure(t, r, err)
 		}
 	})
 }
 
-// TestLitmusReplay re-runs one program from the -litmus.replay flag;
-// it is the second half of the shrinker's reproducer recipe. A repro
-// with tech=/path= fields replays exactly the pinned run; the bare
-// form sweeps every combo.
+// TestLitmusReplay re-runs one repro from the -litmus.replay flag; it
+// is the second half of the shrinker's reproducer recipe. A repro with
+// tech= replays exactly the pinned run; without it, every combo runs.
 func TestLitmusReplay(t *testing.T) {
 	if *litmusReplay == "" {
 		t.Skip("no -litmus.replay given")
 	}
-	r, err := check.ParseRepro(*litmusReplay)
+	r, err := litmus.ParseRepro(*litmusReplay)
 	if err != nil {
 		t.Fatalf("cannot parse -litmus.replay: %v", err)
 	}
-	if err := runLitmusRepro(r); err != nil {
+	if _, err := replay(r); err != nil {
 		t.Fatalf("replay %s: %v", r, err)
 	}
 }

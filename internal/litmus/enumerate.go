@@ -1,10 +1,11 @@
-package check
+package litmus
 
 import (
 	"fmt"
 	"strings"
 
 	"tssim/internal/isa"
+	"tssim/internal/sim"
 )
 
 // Exhaustive small-state model checking: run a litmus shape under
@@ -22,29 +23,31 @@ import (
 // memory op (Shape.Programs), the initial bus arbitration pointer
 // (bus.Config.ArbStart), the technique combo, the kernel path
 // (fast-forward vs naive), the machine jitter seed, and the coherence
-// backend (atomic bus, split-transaction bus, directory). This package
-// cannot import sim (sim imports check for the coherence checker), so
-// the actual machine run is a callback; internal/checkrun provides
-// the standard adapter.
+// backend (atomic bus, split-transaction bus, directory).
 
 // Variant is one point of the perturbation grid.
 type Variant struct {
-	Offsets      []uint64 // per-CPU start-cycle offsets
-	Delays       []int    // per-CPU delay before the CPU's last memory op
-	ArbStart     int      // initial bus round-robin pointer
-	Combo        string   // technique combo label (sim.Techniques.String())
-	NoFF         bool     // true: naive every-cycle kernel; false: fast-forward
-	Seed         uint64   // machine jitter seed
-	Interconnect string   // coherence fabric (bus.Kinds); "" = atomic snoop bus
+	Offsets      []uint64       // per-CPU start-cycle offsets
+	Delays       []int          // per-CPU delay before the CPU's last memory op
+	ArbStart     int            // initial bus round-robin pointer
+	Tech         sim.Techniques // technique combo
+	NoFF         bool           // true: naive every-cycle kernel; false: fast-forward
+	Seed         uint64         // machine jitter seed
+	Interconnect string         // coherence fabric (bus.Kinds); "" = atomic snoop bus
 }
 
-func (v Variant) String() string {
-	path := "ff"
+func (v Variant) path() string {
 	if v.NoFF {
-		path = "noff"
+		return "noff"
 	}
+	return "ff"
+}
+
+// String prints every knob of v, as an enumeration report's "first at"
+// point and in the syntax ParseRepro reads after a shape's name.
+func (v Variant) String() string {
 	s := fmt.Sprintf("off=%v dly=%v arb=%d tech=%s path=%s seed=%d",
-		v.Offsets, v.Delays, v.ArbStart, v.Combo, path, v.Seed)
+		v.Offsets, v.Delays, v.ArbStart, v.Tech, v.path(), v.Seed)
 	if v.Interconnect != "" {
 		s += " ic=" + v.Interconnect
 	}
@@ -53,18 +56,15 @@ func (v Variant) String() string {
 
 // Knobs spans the grid: per-CPU axes (Offsets, Delays) take every
 // n-tuple over their value lists, the rest combine as a plain cross
-// product.
+// product. An empty axis takes its default: 0, Baseline, ff, seed 1, bus.
 type Knobs struct {
-	Offsets   []uint64
-	Delays    []int
-	ArbStarts []int
-	Combos    []string
-	BothPaths bool // run every point on both kernel paths
-	Seeds     []uint64
-	// Interconnects lists the coherence backends to sweep (bus.Kinds
-	// values). Empty means just the atomic snoop bus — the historical
-	// grid, so existing callers and corpus replays are unchanged.
-	Interconnects []string
+	Offsets       []uint64
+	Delays        []int
+	ArbStarts     []int
+	Combos        []sim.Techniques
+	Paths         []bool // NoFF values: false the fast-forward kernel, true the naive one
+	Seeds         []uint64
+	Interconnects []string // bus.Kinds values; "" is the atomic snoop bus
 }
 
 // DefaultKnobs is the grid the acceptance tests and the CI
@@ -73,23 +73,43 @@ type Knobs struct {
 // combo/path/seed. Offsets 0/320/760 and delay 500 are chosen against
 // the litmus machine's latencies (address 20, memory 60, c2c 40) to
 // land before, inside, and after a remote CPU's first miss service.
-func DefaultKnobs(combos []string) Knobs {
+func DefaultKnobs(combos []sim.Techniques) Knobs {
 	return Knobs{
 		Offsets:   []uint64{0, 320, 760},
 		Delays:    []int{0, 500},
 		ArbStarts: []int{0, 1},
 		Combos:    combos,
-		BothPaths: true,
+		Paths:     []bool{false, true},
 		Seeds:     []uint64{1},
 	}
 }
 
-// RunFunc executes a shape's rendered programs under one variant on
-// the real machine and returns the observed outcome tuple. It should
-// return an error for any run-level failure (coherence checker fired,
-// watchdog tripped, final memory mismatch); such failures are
-// reported as violations pinned to the variant.
-type RunFunc func(s *Shape, v Variant) (isa.Outcome, error)
+// variants lists the grid's points for a cpus-core shape in sweep
+// order (offsets, delays, arb, combo, path, seed, fabric — outermost
+// first), so FirstSeen variants are stable run to run.
+func (k Knobs) variants(cpus int) []Variant {
+	var out []Variant
+	for _, offs := range tuples(k.Offsets, cpus, []uint64{0}) {
+		for _, dls := range tuples(k.Delays, cpus, []int{0}) {
+			for _, arb := range or(k.ArbStarts, []int{0}) {
+				for _, tech := range or(k.Combos, []sim.Techniques{{}}) {
+					for _, noFF := range or(k.Paths, []bool{false}) {
+						for _, seed := range or(k.Seeds, []uint64{1}) {
+							for _, ic := range or(k.Interconnects, []string{""}) {
+								out = append(out, Variant{
+									Offsets: offs, Delays: dls, ArbStart: arb,
+									Tech: tech, NoFF: noFF, Seed: seed,
+									Interconnect: ic,
+								})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
 
 // Violation is a run whose result the oracle rejects: either the
 // outcome is outside the allowed set, or the run itself failed.
@@ -114,8 +134,32 @@ type EnumReport struct {
 	Allowed    []isa.Outcome           // model-allowed, deterministic order
 	Reached    map[isa.Outcome]int     // allowed outcome -> times observed
 	FirstSeen  map[isa.Outcome]Variant // first grid point that produced it
-	Gaps       []isa.Outcome           // allowed but never observed
 	Violations []Violation             // observed but not allowed, or failed runs
+
+	allowed map[isa.Outcome]bool
+}
+
+func newEnumReport(s *Shape) *EnumReport {
+	return &EnumReport{
+		Shape:     s.Name,
+		Allowed:   s.AllowedList(),
+		Reached:   map[isa.Outcome]int{},
+		FirstSeen: map[isa.Outcome]Variant{},
+		allowed:   s.Allowed(),
+	}
+}
+
+// record classifies one run's observation.
+func (r *EnumReport) record(v Variant, oc isa.Outcome, err error) {
+	r.Runs++
+	if err != nil || !r.allowed[oc] {
+		r.Violations = append(r.Violations, Violation{Variant: v, Outcome: oc, Err: err})
+		return
+	}
+	if r.Reached[oc] == 0 {
+		r.FirstSeen[oc] = v
+	}
+	r.Reached[oc]++
 }
 
 // OK reports whether no run produced a forbidden outcome or failed.
@@ -150,71 +194,13 @@ func (r *EnumReport) String() string {
 	return b.String()
 }
 
-// Enumerate sweeps the full grid for one shape, calling run at every
-// point, and classifies every observation. Iteration order is
-// deterministic (offsets, delays, arb, combo, path, seed — outermost
-// first), so FirstSeen variants are stable run to run.
-func Enumerate(s *Shape, k Knobs, run RunFunc) *EnumReport {
-	rep := &EnumReport{
-		Shape:     s.Name,
-		Allowed:   s.AllowedList(),
-		Reached:   map[isa.Outcome]int{},
-		FirstSeen: map[isa.Outcome]Variant{},
-	}
-	allowed := s.Allowed()
-	paths := []bool{false}
-	if k.BothPaths {
-		paths = []bool{false, true}
-	}
-	arbs := k.ArbStarts
-	if len(arbs) == 0 {
-		arbs = []int{0}
-	}
-	seeds := k.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
-	}
-	ics := k.Interconnects
-	if len(ics) == 0 {
-		ics = []string{""}
-	}
-	for _, offs := range tuples(k.Offsets, s.CPUs(), []uint64{0}) {
-		for _, dls := range tuples(k.Delays, s.CPUs(), []int{0}) {
-			for _, arb := range arbs {
-				for _, combo := range k.Combos {
-					for _, noFF := range paths {
-						for _, seed := range seeds {
-							for _, ic := range ics {
-								v := Variant{
-									Offsets: offs, Delays: dls, ArbStart: arb,
-									Combo: combo, NoFF: noFF, Seed: seed,
-									Interconnect: ic,
-								}
-								rep.Runs++
-								oc, err := run(s, v)
-								if err != nil {
-									rep.Violations = append(rep.Violations, Violation{Variant: v, Err: err})
-									continue
-								}
-								if !allowed[oc] {
-									rep.Violations = append(rep.Violations, Violation{Variant: v, Outcome: oc})
-									continue
-								}
-								if rep.Reached[oc] == 0 {
-									rep.FirstSeen[oc] = v
-								}
-								rep.Reached[oc]++
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	for _, oc := range rep.Allowed {
-		if rep.Reached[oc] == 0 {
-			rep.Gaps = append(rep.Gaps, oc)
-		}
+// Enumerate runs s at every point of the grid (RunShape) and
+// classifies every observation.
+func Enumerate(s *Shape, k Knobs) *EnumReport {
+	rep := newEnumReport(s)
+	for _, v := range k.variants(s.CPUs()) {
+		oc, err := RunShape(s, v)
+		rep.record(v, oc, err)
 	}
 	return rep
 }
@@ -223,31 +209,23 @@ func Enumerate(s *Shape, k Knobs, run RunFunc) *EnumReport {
 // (first position outermost). An empty axis collapses to the single
 // all-default tuple.
 func tuples[T any](vals []T, n int, def []T) [][]T {
-	if len(vals) == 0 {
-		vals = def
-	}
-	total := 1
+	out := [][]T{nil}
 	for i := 0; i < n; i++ {
-		total *= len(vals)
-	}
-	out := make([][]T, 0, total)
-	idx := make([]int, n)
-	for {
-		t := make([]T, n)
-		for i, j := range idx {
-			t[i] = vals[j]
-		}
-		out = append(out, t)
-		p := n - 1
-		for ; p >= 0; p-- {
-			idx[p]++
-			if idx[p] < len(vals) {
-				break
+		var longer [][]T
+		for _, t := range out {
+			for _, v := range or(vals, def) {
+				longer = append(longer, append(t[:len(t):len(t)], v))
 			}
-			idx[p] = 0
 		}
-		if p < 0 {
-			return out
-		}
+		out = longer
 	}
+	return out
+}
+
+// or returns vals, or def when vals is empty.
+func or[T any](vals, def []T) []T {
+	if len(vals) == 0 {
+		return def
+	}
+	return vals
 }

@@ -1,3 +1,8 @@
+// Package litmus checks the machine against TSO on the simulator's
+// litmus machine (MachineConfig), both checkers attached: generated
+// programs against closed-form finals, and litmus shapes (shapes.go)
+// against an exhaustive TSO model (tsomodel.go, enumerate.go).
+//
 // Randomized litmus programs: small N-core workloads, generated from a
 // 64-bit seed, whose final memory image is computable in closed form.
 // Each program mixes exactly the idioms the paper's techniques key on —
@@ -6,16 +11,20 @@
 // fetch-and-adds, and plain shared loads — so running one program under
 // every technique combo and checking the same expected finals is a
 // differential oracle over the whole protocol space. The fuzz harness
-// in litmus_test.go drives these across sim.AllCombos with the
-// coherence checker attached.
-package check
+// in internal/check's litmus_test.go drives these across sim.AllCombos
+// with the coherence checker attached.
+package litmus
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 
+	"tssim/internal/bus"
 	"tssim/internal/isa"
 	"tssim/internal/mem"
+	"tssim/internal/sim"
 	"tssim/internal/workload"
 )
 
@@ -35,13 +44,13 @@ const (
 	litmusCells = 4
 )
 
-// LitmusParams identifies one litmus program. The zero value is not
-// useful; Litmus normalizes out-of-range fields, so any byte soup from
+// Params identifies one litmus program. The zero value is not
+// useful; Program normalizes out-of-range fields, so any byte soup from
 // the fuzzer names a valid program.
-type LitmusParams struct {
-	Seed uint64
-	CPUs int // clamped to [2, 16]
-	Ops  int // operations per CPU, clamped to [1, 48]
+type Params struct {
+	Seed uint64 // also the machine's jitter seed
+	CPUs int    // clamped to [2, 16]
+	Ops  int    // operations per CPU, clamped to [1, 48]
 }
 
 // litmusMaxCPUs bounds generated programs. 16 keeps the slot line
@@ -50,7 +59,7 @@ type LitmusParams struct {
 // directory's 64-node ceiling.
 const litmusMaxCPUs = 16
 
-func (p LitmusParams) normalized() LitmusParams {
+func (p Params) normalized() Params {
 	if p.CPUs < 2 {
 		p.CPUs = 2
 	}
@@ -68,61 +77,112 @@ func (p LitmusParams) normalized() LitmusParams {
 
 // String renders the params in the replayable form the fuzz failure
 // report prints: pass it back through -litmus.replay.
-func (p LitmusParams) String() string {
+func (p Params) String() string {
 	p = p.normalized()
 	return fmt.Sprintf("seed=%#x cpus=%d ops=%d", p.Seed, p.CPUs, p.Ops)
 }
 
-// Repro pins a litmus failure to the exact run that produced it: the
-// program params plus, when known, the technique combo and kernel
-// path that failed. The zero Tech means "sweep everything" — the form
-// the corpus uses for programs that regressed broadly. String and
-// ParseRepro round-trip, and ParseRepro still accepts the historical
-// bare "seed=… cpus=… ops=…" form.
+// Repro names a litmus run: a library shape at one Variant, or a
+// generated program (Params, whose seed also seeds the machine) on the
+// default schedule, pinned to Variant's combo, kernel path and fabric
+// or, with Pinned false, at every combo. String and ParseRepro share
+// one syntax, "shape=NAME" then the knobs Variant prints — so an
+// enumeration report's "first at" point replays after its shape's
+// name — or "seed=0x… cpus=N ops=M [tech=COMBO path=ff|noff] [ic=KIND]".
 type Repro struct {
-	Params        LitmusParams
-	Tech          string // technique combo label (sim.Techniques.String()); "" = all combos
-	NoFastForward bool   // true: failure was on the naive kernel path
+	Shape   string // library shape name; "" = the generated program Params
+	Params  Params
+	Variant Variant
+	Pinned  bool // the run is Variant's; false sweeps every combo
 }
 
 func (r Repro) String() string {
+	if r.Shape != "" {
+		return "shape=" + r.Shape + " " + r.Variant.String()
+	}
 	s := r.Params.String()
-	if r.Tech != "" {
-		s += " tech=" + r.Tech
-		if r.NoFastForward {
-			s += " path=noff"
-		} else {
-			s += " path=ff"
-		}
+	if r.Pinned {
+		s += fmt.Sprintf(" tech=%s path=%s", r.Variant.Tech, r.Variant.path())
+	}
+	if r.Variant.Interconnect != "" {
+		s += " ic=" + r.Variant.Interconnect
 	}
 	return s
 }
 
+// reproToken is one key=value of a replay line; a list, off=[0 320],
+// spans spaces.
+var reproToken = regexp.MustCompile(`\S+=\[[^\]]*\]|\S+`)
+
 // ParseRepro parses a replay line as printed by Repro.String (or the
-// bare LitmusParams.String form).
+// bare Params.String form, or a shape and a "first at" point).
 func ParseRepro(s string) (Repro, error) {
 	var r Repro
-	f := strings.Fields(strings.TrimSpace(s))
-	if len(f) < 3 {
-		return r, fmt.Errorf("repro %q: want at least seed=… cpus=… ops=…", s)
-	}
-	if _, err := fmt.Sscanf(strings.Join(f[:3], " "), "seed=0x%x cpus=%d ops=%d",
-		&r.Params.Seed, &r.Params.CPUs, &r.Params.Ops); err != nil {
-		return r, fmt.Errorf("repro %q: %v", s, err)
-	}
-	for _, tok := range f[3:] {
-		switch {
-		case strings.HasPrefix(tok, "tech="):
-			r.Tech = strings.TrimPrefix(tok, "tech=")
-		case tok == "path=ff":
-			r.NoFastForward = false
-		case tok == "path=noff":
-			r.NoFastForward = true
+	have := map[string]bool{}
+	for _, tok := range reproToken.FindAllString(s, -1) {
+		key, val, _ := strings.Cut(tok, "=")
+		have[key] = true
+		var err error
+		switch v := &r.Variant; key {
+		case "shape":
+			if r.Shape = val; ShapeByName(val) == nil {
+				err = fmt.Errorf("have %v", ShapeNames())
+			}
+		case "seed":
+			v.Seed, err = strconv.ParseUint(val, 0, 64)
+		case "cpus":
+			r.Params.CPUs, err = strconv.Atoi(val)
+		case "ops":
+			r.Params.Ops, err = strconv.Atoi(val)
+		case "off":
+			v.Offsets, err = parseList(val, func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) })
+		case "dly":
+			v.Delays, err = parseList(val, strconv.Atoi)
+		case "arb":
+			v.ArbStart, err = strconv.Atoi(val)
+		case "tech":
+			v.Tech, err = sim.ParseTechniques(val)
+		case "path":
+			if v.NoFF = val == "noff"; val != "ff" && !v.NoFF {
+				err = fmt.Errorf("want ff or noff")
+			}
+		case "ic":
+			if v.Interconnect = val; !bus.ValidKind(val) {
+				err = fmt.Errorf("want %s", strings.Join(bus.Kinds(), "|"))
+			}
 		default:
-			return r, fmt.Errorf("repro %q: unrecognized token %q", s, tok)
+			err = fmt.Errorf("unrecognized")
+		}
+		if err != nil {
+			return Repro{}, fmt.Errorf("repro %q: %s: %v", s, tok, err)
 		}
 	}
+	r.Pinned = have["tech"] || have["path"] || r.Shape != ""
+	switch {
+	case r.Shape != "":
+	case !have["seed"] || !have["cpus"] || !have["ops"]:
+		return Repro{}, fmt.Errorf("repro %q: want shape=NAME, or seed=0x… cpus=N ops=M", s)
+	case have["off"] || have["dly"] || have["arb"]:
+		return Repro{}, fmt.Errorf("repro %q: a generated program runs on the default schedule", s)
+	default:
+		r.Params.Seed, r.Variant.Seed = r.Variant.Seed, 0
+	}
 	return r, nil
+}
+
+// parseList reads a list as fmt prints it, "[0 320]".
+func parseList[T any](s string, parse func(string) (T, error)) (out []T, err error) {
+	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+		return nil, fmt.Errorf("want a bracketed list")
+	}
+	for _, f := range strings.Fields(s[1 : len(s)-1]) {
+		v, err := parse(f)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // litmusRNG is a splitmix64 stream; the generator draws every choice
@@ -150,13 +210,13 @@ const (
 	litRDel = isa.R12 // delay chain register
 )
 
-// Litmus generates the program set and the closed-form expected finals
+// Program generates the program set and the closed-form expected finals
 // for every tracked word (locks free, counters and cells at their
 // summed totals, slots at the last value each CPU wrote). The returned
 // workload's Validate checks exactly that map, so a litmus run fails
 // functionally the moment any combo loses a store, resurrects a stale
 // value, or leaks a lock.
-func Litmus(p LitmusParams) (workload.Workload, map[uint64]uint64) {
+func Program(p Params) (workload.Workload, map[uint64]uint64) {
 	p = p.normalized()
 	rng := &litmusRNG{x: p.Seed}
 
@@ -257,38 +317,4 @@ func Litmus(p LitmusParams) (workload.Workload, map[uint64]uint64) {
 		},
 	}
 	return w, expected
-}
-
-// ShrinkLitmus greedily minimizes a failing params tuple: it walks Ops
-// down (halving, then decrementing) and then CPUs down, keeping every
-// step for which fails still reports true. The result is the smallest
-// program the caller's predicate still rejects — what the fuzz harness
-// prints as the replayable reproducer.
-func ShrinkLitmus(p LitmusParams, fails func(LitmusParams) bool) LitmusParams {
-	p = p.normalized()
-	for p.Ops > 1 {
-		cand := p
-		cand.Ops = p.Ops / 2
-		if !fails(cand.normalized()) {
-			break
-		}
-		p = cand.normalized()
-	}
-	for p.Ops > 1 {
-		cand := p
-		cand.Ops--
-		if !fails(cand.normalized()) {
-			break
-		}
-		p = cand.normalized()
-	}
-	for p.CPUs > 2 {
-		cand := p
-		cand.CPUs--
-		if !fails(cand.normalized()) {
-			break
-		}
-		p = cand.normalized()
-	}
-	return p
 }

@@ -1,13 +1,17 @@
-package checkrun
+package litmus
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"tssim/internal/bus"
-	"tssim/internal/check"
+	"tssim/internal/sim"
 )
+
+// all is the full technique stack, the last of the bookend combos.
+var all = sim.Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}
 
 // TestShapesAllCombosBothPaths is the suite-level acceptance
 // criterion: every shape in the library (six families plus silent
@@ -22,7 +26,7 @@ func TestShapesAllCombosBothPaths(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, s := range check.Shapes() {
+	for _, s := range Shapes() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
@@ -33,17 +37,17 @@ func TestShapesAllCombosBothPaths(t *testing.T) {
 				perturbedOff[i] = uint64(320 * i % 760)
 			}
 			perturbedDly[0] = 500
-			for _, combo := range ComboLabels() {
+			for _, tech := range sim.AllCombos() {
 				for _, noFF := range []bool{false, true} {
 					for _, seed := range seeds {
-						variants := []check.Variant{
+						variants := []Variant{
 							{Offsets: make([]uint64, s.CPUs()), Delays: make([]int, s.CPUs()),
-								Combo: combo, NoFF: noFF, Seed: seed},
+								Tech: tech, NoFF: noFF, Seed: seed},
 							{Offsets: perturbedOff, Delays: perturbedDly, ArbStart: 1,
-								Combo: combo, NoFF: noFF, Seed: seed},
+								Tech: tech, NoFF: noFF, Seed: seed},
 						}
 						for _, v := range variants {
-							oc, err := RunShapeVariant(s, v)
+							oc, err := RunShape(s, v)
 							if err != nil {
 								t.Fatalf("%s: %v", v, err)
 							}
@@ -67,22 +71,19 @@ func TestShapesAllCombosBothPaths(t *testing.T) {
 // exhibit a legal reordering, which is a regression in test strength
 // even though the simulator itself may be fine.
 func TestEnumerateReachesAllAllowed(t *testing.T) {
-	combos := ComboLabels()
+	combos := sim.AllCombos()
 	if testing.Short() {
-		combos = []string{"Baseline", "E-MESTI+LVP+SLE"}
+		combos = []sim.Techniques{{}, all}
 	}
 	for _, name := range []string{"SB", "MP"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := EnumerateShape(name, check.DefaultKnobs(combos))
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := Enumerate(ShapeByName(name), DefaultKnobs(combos))
 			if !rep.OK() {
 				t.Fatalf("violations:\n%s", rep)
 			}
-			if len(rep.Gaps) != 0 {
+			if reached, allowed := rep.Coverage(); reached != allowed {
 				t.Errorf("coverage gaps:\n%s", rep)
 			}
 			reached, allowed := rep.Coverage()
@@ -99,11 +100,11 @@ func TestEnumerateReachesAllAllowed(t *testing.T) {
 // perturbed variant rotates arbitration and staggers starts so the
 // backends' different grant/ack timing actually reorders things.
 func TestShapesAllBackendsAllCombos(t *testing.T) {
-	combos := ComboLabels()
+	combos := sim.AllCombos()
 	if testing.Short() {
-		combos = []string{"Baseline", "MESTI", "E-MESTI+LVP+SLE"}
+		combos = []sim.Techniques{{}, {MESTI: true}, all}
 	}
-	for _, s := range check.Shapes() {
+	for _, s := range Shapes() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
@@ -115,16 +116,16 @@ func TestShapesAllBackendsAllCombos(t *testing.T) {
 			}
 			perturbedDly[0] = 500
 			for _, ic := range bus.Kinds() {
-				for _, combo := range combos {
+				for _, tech := range combos {
 					for _, noFF := range []bool{false, true} {
-						variants := []check.Variant{
+						variants := []Variant{
 							{Offsets: make([]uint64, s.CPUs()), Delays: make([]int, s.CPUs()),
-								Combo: combo, NoFF: noFF, Seed: 1, Interconnect: ic},
+								Tech: tech, NoFF: noFF, Seed: 1, Interconnect: ic},
 							{Offsets: perturbedOff, Delays: perturbedDly, ArbStart: 1,
-								Combo: combo, NoFF: noFF, Seed: 1, Interconnect: ic},
+								Tech: tech, NoFF: noFF, Seed: 1, Interconnect: ic},
 						}
 						for _, v := range variants {
-							oc, err := RunShapeVariant(s, v)
+							oc, err := RunShape(s, v)
 							if err != nil {
 								t.Fatalf("%s: %v", v, err)
 							}
@@ -148,9 +149,9 @@ func TestShapesAllBackendsAllCombos(t *testing.T) {
 // exhibit a legal reordering; a backend-specific extra outcome is a
 // coherence bug in that fabric.
 func TestEnumerateBackendsDifferential(t *testing.T) {
-	combos := ComboLabels()
+	combos := sim.AllCombos()
 	if testing.Short() {
-		combos = []string{"Baseline", "E-MESTI+LVP+SLE"}
+		combos = []sim.Techniques{{}, all}
 	}
 	for _, name := range []string{"SB", "MP"} {
 		name := name
@@ -158,16 +159,13 @@ func TestEnumerateBackendsDifferential(t *testing.T) {
 			t.Parallel()
 			reachedBy := map[string]string{}
 			for _, ic := range bus.Kinds() {
-				knobs := check.DefaultKnobs(combos)
+				knobs := DefaultKnobs(combos)
 				knobs.Interconnects = []string{ic}
-				rep, err := EnumerateShape(name, knobs)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rep := Enumerate(ShapeByName(name), knobs)
 				if !rep.OK() {
 					t.Fatalf("%s violations:\n%s", ic, rep)
 				}
-				if len(rep.Gaps) != 0 {
+				if reached, allowed := rep.Coverage(); reached != allowed {
 					t.Errorf("%s coverage gaps:\n%s", ic, rep)
 				}
 				var ocs []string
@@ -189,13 +187,34 @@ func TestEnumerateBackendsDifferential(t *testing.T) {
 	}
 }
 
-// TestEnumerateUnknownShape covers the name-resolution error path the
-// CLI relies on.
-func TestEnumerateUnknownShape(t *testing.T) {
-	if _, err := EnumerateShape("nope", check.Knobs{}); err == nil {
-		t.Fatal("unknown shape should error")
+// TestFirstAtReplaysItsOutcome reads every "first at" point an
+// enumeration report prints back as a replay line, after the shape's
+// name, and requires the replay to observe that line's outcome: the
+// report's text is the replay syntax, the fabric included.
+func TestFirstAtReplaysItsOutcome(t *testing.T) {
+	knobs := DefaultKnobs([]sim.Techniques{{}, all})
+	knobs.Interconnects = []string{"directory"}
+	rep := Enumerate(ShapeByName("SB"), knobs)
+	n := 0
+	for _, line := range strings.Split(rep.String(), "\n") {
+		before, point, ok := strings.Cut(line, ", first at ")
+		if !ok {
+			continue
+		}
+		n++
+		r, err := ParseRepro("shape=SB " + point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc, err := RunShape(ShapeByName(r.Shape), r.Variant)
+		if err != nil {
+			t.Fatalf("replay %s: %v", r, err)
+		}
+		if want := strings.Fields(before)[1]; oc.String() != want {
+			t.Errorf("replay %s observed %s; the report says %s", r, oc, want)
+		}
 	}
-	if _, err := RunShapeVariant(check.ShapeByName("SB"), check.Variant{Combo: "nope"}); err == nil {
-		t.Fatal("unknown combo should error")
+	if n != 4 {
+		t.Fatalf("report names %d first-at points, want SB's 4:\n%s", n, rep)
 	}
 }
