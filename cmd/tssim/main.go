@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"tssim/internal/cli"
 	"tssim/internal/litmus"
 	"tssim/internal/sim"
+	"tssim/internal/telemetry"
 	"tssim/internal/trace"
 	"tssim/internal/workload"
 )
@@ -111,13 +113,25 @@ func render(out, errw io.Writer, r sim.Result, verbose bool) int {
 		r.Counters["bus/txn/read"], r.Counters["bus/txn/readx"],
 		r.Counters["bus/txn/upgrade"], r.Counters["bus/txn/validate"],
 		r.Counters["bus/txn/writeback"])
-	if verbose && r.Stats != nil {
-		for _, k := range r.Stats.Names() {
+	if verbose {
+		for _, k := range sortedKeys(r.Counters) {
 			fmt.Fprintf(out, "  %-36s %d\n", k, r.Counters[k])
 		}
-		io.WriteString(out, r.Stats.HistString())
+		for _, k := range sortedKeys(r.Hists) {
+			fmt.Fprintf(out, "  %-24s %s\n", k, r.Hists[k])
+		}
 	}
 	return code
+}
+
+// sortedKeys returns m's keys in order: -verbose prints maps by name.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // options are tssim's own flags; the ones it shares with cmd/experiments
@@ -239,7 +253,7 @@ func run(shared *cli.Flags, o options) int {
 		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (%s)\n", cfg.Trace.Total(), o.trace, o.traceFormat)
 	}
 	if o.report != "" && r.Err == nil {
-		if err := sim.NewReport(cfg, r).WriteFile(o.report); err != nil {
+		if err := telemetry.WriteJSONFile(o.report, sim.NewReport(cfg, r)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

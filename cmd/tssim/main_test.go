@@ -126,15 +126,14 @@ func TestUsageGolden(t *testing.T) {
 }
 
 // A failed run prints its post-mortem and one error line on stderr,
-// still prints what it reached — under -verbose the counters it
-// accumulated — and exits 1.
+// still prints what it reached — under -verbose the counters and
+// histograms it accumulated, by name — and exits 1.
 func TestRenderFailedRun(t *testing.T) {
-	ctrs := stats.NewCounters()
-	ctrs.Counter("miss/comm").Add(7)
 	tech := sim.Techniques{MESTI: true}
 	r := sim.Result{
 		Workload: "stall", Tech: tech, Cycles: 1234, Retired: 5,
-		Counters: ctrs.Snapshot(), Stats: ctrs,
+		Counters: map[string]uint64{"miss/comm": 7, "bus/txn/read": 3},
+		Hists:    map[string]stats.HistSnapshot{"occ/mshr": {}},
 		Err: &sim.RunError{Workload: "stall", Tech: tech, Reason: "no instruction retired — deadlock",
 			PostMortem: "=== tssim post-mortem ===\ncpu0 ...\n=== end post-mortem ===\n"},
 	}
@@ -151,7 +150,8 @@ func TestRenderFailedRun(t *testing.T) {
 		if s := out.String(); !strings.Contains(s, "cycles    1234") || !strings.Contains(s, "finished  false") {
 			t.Errorf("verbose=%v: summary missing what the run reached:\n%s", verbose, s)
 		}
-		if got := strings.Contains(out.String(), "  miss/comm                            7\n"); got != verbose {
+		dump := "  bus/txn/read                         3\n  miss/comm                            7\n  occ/mshr                 n=0\n"
+		if got := strings.HasSuffix(out.String(), dump); got != verbose {
 			t.Errorf("verbose=%v: counter dump present = %v:\n%s", verbose, got, out.String())
 		}
 	}

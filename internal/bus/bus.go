@@ -47,18 +47,9 @@ const (
 	txnTypeCount
 )
 
-var txnNames = [...]string{
-	TxnRead: "read", TxnReadX: "readx", TxnUpgrade: "upgrade",
-	TxnWriteback: "writeback", TxnValidate: "validate",
-}
-
-// String returns the lower-case transaction name used in counter keys.
-func (t TxnType) String() string {
-	if int(t) < len(txnNames) {
-		return txnNames[t]
-	}
-	return fmt.Sprintf("txn(%d)", uint8(t))
-}
+// String returns the lower-case transaction name used in counter keys:
+// trace's, which labels the transaction types its bus events carry.
+func (t TxnType) String() string { return trace.TxnName(uint8(t)) }
 
 // Txn is one address-bus transaction. The requester fills the request
 // fields; the bus fills the response fields at grant time and delivers

@@ -26,8 +26,8 @@ type MSHR struct {
 
 	// What merged into this miss, whether or not its loads are still in
 	// flight: Merge sets them, Alloc and Free clear them.
-	LoadMerged bool // a load merged
-	LLMerged   bool // a load-locked merged: the fill sets the reservation
+	LoadMerged bool   // a load merged
+	LLSeq      uint64 // the oldest load-locked that merged (0 = none): the fill arms the reservation with it
 
 	// LVP speculative state.
 	SpecDelivered bool     // some value was speculatively delivered
@@ -44,7 +44,9 @@ type MSHR struct {
 func (m *MSHR) Merge(w Waiter, isLL bool) {
 	m.Waiters = append(m.Waiters, w)
 	m.LoadMerged = true
-	m.LLMerged = m.LLMerged || isLL
+	if isLL && (m.LLSeq == 0 || w.Seq < m.LLSeq) {
+		m.LLSeq = w.Seq
+	}
 }
 
 // RecordSpec notes that the word at slot was speculatively delivered

@@ -123,18 +123,18 @@ func TestMSHRDropWaitersAfter(t *testing.T) {
 	if len(b.Waiters) != 0 {
 		t.Fatalf("the other MSHR kept %d waiters younger than the cut", len(b.Waiters))
 	}
-	if !a.LoadMerged || !a.LLMerged || !b.LoadMerged || b.LLMerged {
-		t.Fatalf("merge facts after the prune: a load=%v ll=%v, b load=%v ll=%v; want true true true false",
-			a.LoadMerged, a.LLMerged, b.LoadMerged, b.LLMerged)
+	if !a.LoadMerged || a.LLSeq != 30 || !b.LoadMerged || b.LLSeq != 0 {
+		t.Fatalf("merge facts after the prune: a load=%v ll=%d, b load=%v ll=%d; want true 30 true 0",
+			a.LoadMerged, a.LLSeq, b.LoadMerged, b.LLSeq)
 	}
 	f.DropWaitersAfter(100) // a cut above every waiter drops nothing
 	if len(a.Waiters) != 4 {
 		t.Fatalf("a cut above every waiter left %d of 4", len(a.Waiters))
 	}
 	f.Free(a)
-	if a.LoadMerged || a.LLMerged || len(a.Waiters) != 0 || cap(a.Waiters) != capA {
-		t.Fatalf("Free left load=%v ll=%v, %d waiters, capacity %d (want %d)",
-			a.LoadMerged, a.LLMerged, len(a.Waiters), cap(a.Waiters), capA)
+	if a.LoadMerged || a.LLSeq != 0 || len(a.Waiters) != 0 || cap(a.Waiters) != capA {
+		t.Fatalf("Free left load=%v ll=%d, %d waiters, capacity %d (want %d)",
+			a.LoadMerged, a.LLSeq, len(a.Waiters), cap(a.Waiters), capA)
 	}
 }
 

@@ -94,9 +94,10 @@ func replay(r litmus.Repro) (litmus.Repro, error) {
 	return r, nil
 }
 
-// reportLitmusFailure shrinks a failing program to its minimal
-// reproducer and fails the test with a replayable command line that
-// names the failing combo and kernel path.
+// reportLitmusFailure shrinks the failing run replay returned — pinned
+// to its combo and kernel path, so each shrink step is one run, not the
+// whole sweep — to its minimal reproducer and fails the test with a
+// replayable command line.
 func reportLitmusFailure(t *testing.T, r litmus.Repro, err error) {
 	t.Helper()
 	min := shrink(r.Params, func(cand litmus.Params) bool {
@@ -180,8 +181,8 @@ func TestLitmusCorpus(t *testing.T) {
 		r := litmus.Repro{Params: p}
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
-			if _, err := replay(r); err != nil {
-				reportLitmusFailure(t, r, err)
+			if one, err := replay(r); err != nil {
+				reportLitmusFailure(t, one, err)
 			}
 		})
 	}
@@ -223,19 +224,30 @@ func TestLitmusCorpusFile(t *testing.T) {
 	}
 }
 
+// fuzzWork bounds one fuzz input's program at CPUs² × Ops. The fuzz
+// engine kills a worker whose input runs 10 s, and under its coverage
+// instrumentation the eleven runs of a 16-CPU, 48-op program take about
+// that long; at the bound (16 CPUs, 16 ops) they take about 3.5 s. A
+// wider input keeps its CPUs and loses ops. Replays and both corpora run
+// any size.
+const fuzzWork = 16 * 16 * 16
+
 // FuzzLitmus is the randomized protocol fuzzer: any three fuzz inputs
-// name a valid program (litmus.Program normalizes them), which runs
-// under all nine combos with the coherence checker attached. A failure
-// is shrunk to a minimal reproducer and printed in replayable form.
+// name a valid program (litmus.Program normalizes them, fuzzWork bounds
+// them), which runs under all nine combos with the coherence checker
+// attached. A failure is shrunk to a minimal reproducer and printed in
+// replayable form.
 func FuzzLitmus(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(8))
 	f.Add(uint64(0xdeadbeefcafef00d), uint8(4), uint8(48))
 	f.Add(uint64(0x9e3779b97f4a7c15), uint8(3), uint8(24))
 	f.Add(uint64(0x4242424242424242), uint8(4), uint8(16))
 	f.Fuzz(func(t *testing.T, seed uint64, cpus, ops uint8) {
-		r := litmus.Repro{Params: litmus.Params{Seed: seed, CPUs: int(cpus), Ops: int(ops)}}
-		if _, err := replay(r); err != nil {
-			reportLitmusFailure(t, r, err)
+		p := normalized(litmus.Params{Seed: seed, CPUs: int(cpus), Ops: int(ops)})
+		p.Ops = min(p.Ops, fuzzWork/(p.CPUs*p.CPUs))
+		r := litmus.Repro{Params: p}
+		if one, err := replay(r); err != nil {
+			reportLitmusFailure(t, one, err)
 		}
 	})
 }

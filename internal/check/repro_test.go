@@ -42,7 +42,8 @@ func TestReproRoundTrip(t *testing.T) {
 }
 
 // Every corpus line reads as the run the historical syntax named: the
-// same program, combo and kernel path, on the atomic bus.
+// same program, combo and kernel path, on the atomic bus unless ic=
+// names another fabric.
 func TestReproReadsCorpus(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "litmus_corpus.txt"))
 	if err != nil {
@@ -52,18 +53,25 @@ func TestReproReadsCorpus(t *testing.T) {
 		p    litmus.Params
 		tech string // "" = every combo
 		noFF bool
+		ic   string
 	}
 	want := []run{
-		{litmus.Params{Seed: 0x1, CPUs: 2, Ops: 1}, "", false},
-		{litmus.Params{Seed: 0x3, CPUs: 2, Ops: 3}, "", false},
-		{litmus.Params{Seed: 0x7f, CPUs: 2, Ops: 6}, "", false},
-		{litmus.Params{Seed: 0xbad5eed5, CPUs: 2, Ops: 12}, "MESTI", false},
-		{litmus.Params{Seed: 0xbad5eed5, CPUs: 2, Ops: 12}, "MESTI", true},
-		{litmus.Params{Seed: 0x9e3779b97f4a7c15, CPUs: 2, Ops: 10}, "E-MESTI", false},
-		{litmus.Params{Seed: 0x94d049bb133111eb, CPUs: 3, Ops: 14}, "E-MESTI+LVP", false},
-		{litmus.Params{Seed: 0xcafef00dd15ea5e5, CPUs: 3, Ops: 16}, "SLE", true},
-		{litmus.Params{Seed: 0x2545f4914f6cdd1d, CPUs: 4, Ops: 20}, "E-MESTI+LVP+SLE", false},
-		{litmus.Params{Seed: 0xfedcba9876543210, CPUs: 4, Ops: 24}, "", false},
+		{litmus.Params{Seed: 0x1, CPUs: 2, Ops: 1}, "", false, ""},
+		{litmus.Params{Seed: 0x3, CPUs: 2, Ops: 3}, "", false, ""},
+		{litmus.Params{Seed: 0x7f, CPUs: 2, Ops: 6}, "", false, ""},
+		{litmus.Params{Seed: 0xbad5eed5, CPUs: 2, Ops: 12}, "MESTI", false, ""},
+		{litmus.Params{Seed: 0xbad5eed5, CPUs: 2, Ops: 12}, "MESTI", true, ""},
+		{litmus.Params{Seed: 0x9e3779b97f4a7c15, CPUs: 2, Ops: 10}, "E-MESTI", false, ""},
+		{litmus.Params{Seed: 0x94d049bb133111eb, CPUs: 3, Ops: 14}, "E-MESTI+LVP", false, ""},
+		{litmus.Params{Seed: 0xcafef00dd15ea5e5, CPUs: 3, Ops: 16}, "SLE", true, ""},
+		{litmus.Params{Seed: 0x2545f4914f6cdd1d, CPUs: 4, Ops: 20}, "E-MESTI+LVP+SLE", false, ""},
+		{litmus.Params{Seed: 0xfedcba9876543210, CPUs: 4, Ops: 24}, "", false, ""},
+		{litmus.Params{Seed: 0x47, CPUs: 16, Ops: 8}, "SLE", false, ""},
+		{litmus.Params{Seed: 0x47, CPUs: 16, Ops: 8}, "SLE", false, "directory"},
+		{litmus.Params{Seed: 0x47, CPUs: 16, Ops: 8}, "SLE", false, "splitbus"},
+		{litmus.Params{Seed: 0x4242424242424242, CPUs: 16, Ops: 16}, "", false, ""},
+		{litmus.Params{Seed: 0x4242424242424242, CPUs: 16, Ops: 16}, "", false, "directory"},
+		{litmus.Params{Seed: 0x4242424242424242, CPUs: 16, Ops: 16}, "", false, "splitbus"},
 	}
 	var got []run
 	for _, line := range strings.Split(string(data), "\n") {
@@ -74,10 +82,10 @@ func TestReproReadsCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus line %q: %v", line, err)
 		}
-		if r.Shape != "" || r.Variant.Interconnect != "" || r.Variant.Offsets != nil || r.Variant.ArbStart != 0 {
-			t.Errorf("corpus line %q: read as %+v, not a generated program on the default machine", line, r)
+		if r.Shape != "" || r.Variant.Offsets != nil || r.Variant.ArbStart != 0 {
+			t.Errorf("corpus line %q: read as %+v, not a generated program on the default schedule", line, r)
 		}
-		one := run{p: r.Params, noFF: r.Variant.NoFF}
+		one := run{p: r.Params, noFF: r.Variant.NoFF, ic: r.Variant.Interconnect}
 		if r.Pinned {
 			one.tech = r.Variant.Tech.String()
 		}

@@ -1,6 +1,6 @@
 // Package cli is the front door cmd/tssim and cmd/experiments share.
 //
-// What: the fifteen flags both commands take, declared once (Register);
+// What: the fourteen flags both commands take, declared once (Register);
 // their validation, the profilers and the telemetry observers they
 // switch on (Start); and the machine they describe (Config).
 //
@@ -47,18 +47,17 @@ type Flags struct {
 	// flag was given (a Runner then reads no clock per job).
 	Telemetry *telemetry.Collector
 
-	fs             *flag.FlagSet // where Register declared the flags
-	cpus           int
-	check, noFF    bool
-	interconnect   string
-	cpuProfile     string
-	memProfile     string
-	mutexProfile   string
-	blockProfile   string
-	progress       time.Duration
-	progressFormat string
-	statusAddr     string
-	runnerStats    string
+	fs           *flag.FlagSet // where Register declared the flags
+	cpus         int
+	check, noFF  bool
+	interconnect string
+	cpuProfile   string
+	memProfile   string
+	mutexProfile string
+	blockProfile string
+	progress     time.Duration
+	statusAddr   string
+	runnerStats  string
 }
 
 // Register declares the shared flags on fs, -scale and -seeds with the
@@ -77,7 +76,6 @@ func Register(fs *flag.FlagSet, scale, seeds int) *Flags {
 	fs.StringVar(&f.mutexProfile, "mutexprofile", "", "write a mutex-contention profile to this file at exit")
 	fs.StringVar(&f.blockProfile, "blockprofile", "", "write a goroutine-blocking profile to this file at exit")
 	fs.DurationVar(&f.progress, "progress", 0, "emit periodic progress heartbeats to stderr at this interval (e.g. 1s; 0 = off)")
-	fs.StringVar(&f.progressFormat, "progress-format", "text", "heartbeat format: text|jsonl")
 	fs.StringVar(&f.statusAddr, "status-addr", "", "serve GET /status, expvar and pprof on this address while running (e.g. :8080 or 127.0.0.1:0)")
 	fs.StringVar(&f.runnerStats, "runnerstats", "", "write a tssim-runnerstats/v1 JSON harness report to this file at exit")
 	return f
@@ -102,8 +100,6 @@ func (f *Flags) validate(args []string) error {
 		return fmt.Errorf("-seeds %d: must be at least 1", f.Seeds)
 	case f.Jobs < 0:
 		return fmt.Errorf("-j %d: must be 0 (GOMAXPROCS) or more", f.Jobs)
-	case f.progressFormat != "text" && f.progressFormat != "jsonl":
-		return fmt.Errorf("unknown -progress-format %q (use text|jsonl)", f.progressFormat)
 	}
 	return nil
 }
@@ -218,7 +214,7 @@ func (f *Flags) startTelemetry(logw io.Writer) (stop func(), err error) {
 	}
 	stopProgress := func() {}
 	if f.progress > 0 {
-		stopProgress = telemetry.StartProgress(logw, c, f.progress, f.progressFormat)
+		stopProgress = telemetry.StartProgress(logw, c, f.progress)
 	}
 	f.Telemetry = c
 	return func() {
@@ -229,7 +225,7 @@ func (f *Flags) startTelemetry(logw io.Writer) (stop func(), err error) {
 		if f.runnerStats == "" {
 			return
 		}
-		if err := c.Report().WriteFile(f.runnerStats); err != nil {
+		if err := telemetry.WriteJSONFile(f.runnerStats, c.Report()); err != nil {
 			fmt.Fprintf(logw, "-runnerstats: %v\n", err)
 			return
 		}

@@ -55,8 +55,6 @@ func TestRejected(t *testing.T) {
 		{[]string{"-j", "-1"}, "-j -1: must be 0 (GOMAXPROCS) or more"},
 		{[]string{"-seeds", "2", "-j", "-1"}, "-j -1: must be 0 (GOMAXPROCS) or more"},
 		{[]string{"-interconnect", "mesh"}, `unknown -interconnect "mesh" (use bus|splitbus|directory)`},
-		{[]string{"-progress-format", "xml"}, `unknown -progress-format "xml" (use text|jsonl)`},
-		{[]string{"-progress", "1s", "-progress-format", "xml"}, `unknown -progress-format "xml" (use text|jsonl)`},
 		{[]string{"mesti", "-cpus", "16", "-interconnect", "directory"}, `unexpected argument "mesti" (flags after it were not read)`},
 		{[]string{"-check", "16", "-scale", "0"}, `unexpected argument "16" (flags after it were not read)`},
 	} {

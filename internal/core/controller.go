@@ -150,9 +150,10 @@ type Controller struct {
 
 	storeBuf []storeEntry
 
-	// LL/SC reservation.
-	resAddr  uint64
-	resValid bool
+	// LL/SC reservation: the line, and the seq of the load-locked that
+	// armed it (0 = none).
+	resAddr uint64
+	resSeq  uint64
 
 	// wb is the writeback buffer, which still supplies snoops: an entry
 	// exists exactly while writebacks of its line are in flight.
@@ -358,7 +359,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		c.idle = false
 		c.cnt.l1StoreForward.Inc()
 		if isLL {
-			c.setReservation(la)
+			c.setReservation(la, seq)
 		}
 		return LoadResult{Status: LoadHit, Value: e.val, Lat: L1Latency}
 	}
@@ -375,7 +376,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		c.cnt.l1Hit.Inc()
 		c.noteReuse(l2line)
 		if isLL {
-			c.setReservation(la)
+			c.setReservation(la, seq)
 		}
 		return LoadResult{Status: LoadHit, Value: l2line.Data.Word(slot), Lat: L1Latency}
 	}
@@ -390,7 +391,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 		c.noteReuse(l2line)
 		c.fillL1(la)
 		if isLL {
-			c.setReservation(la)
+			c.setReservation(la, seq)
 		}
 		return LoadResult{Status: LoadHit, Value: l2line.Data.Word(slot), Lat: L1Latency + L2Latency}
 	}
@@ -498,15 +499,23 @@ func (c *Controller) StoreBufEmpty() bool { return len(c.storeBuf) == 0 }
 // reads looks at a waiter list.
 func (c *Controller) Squashed(after uint64) { c.mshrs.DropWaitersAfter(after) }
 
-func (c *Controller) setReservation(lineAddr uint64) {
-	c.resAddr = lineAddr
-	c.resValid = true
+// setReservation arms the reservation on lineAddr for the load-locked
+// seq. A live reservation on the same line keeps the older seq: the line
+// has stayed reserved since that load-locked.
+func (c *Controller) setReservation(lineAddr, seq uint64) {
+	if c.resSeq != 0 && c.resAddr == lineAddr && c.resSeq < seq {
+		return
+	}
+	c.resAddr, c.resSeq = lineAddr, seq
 }
 
-// HasReservation reports whether the LL/SC reservation is live for the
-// line (test hook).
-func (c *Controller) HasReservation(lineAddr uint64) bool {
-	return c.resValid && c.resAddr == mem.LineAddr(lineAddr)
+// HasReservation reports whether the line's reservation is live and was
+// armed by a load-locked older than seq: the question a store-conditional
+// at seq asks when it performs, and SLE's when it would elide one. A
+// younger load-locked that re-armed the line after a remote write killed
+// the reservation does not answer for an older SC.
+func (c *Controller) HasReservation(lineAddr, seq uint64) bool {
+	return c.resSeq != 0 && c.resSeq < seq && c.resAddr == mem.LineAddr(lineAddr)
 }
 
 // ---------------------------------------------------------------------------
@@ -640,9 +649,9 @@ func (c *Controller) tryPerformHead() bool {
 	slot := mem.WordIndex(e.addr)
 
 	// SC: the reservation must still be live when the store reaches
-	// the coherence point.
-	if e.isSC && !c.HasReservation(la) {
-		c.resValid = false
+	// the coherence point, and armed by an LL older than the SC.
+	if e.isSC && !c.HasReservation(la, e.seq) {
+		c.resSeq = 0
 		c.cnt.storeSCFail.Inc()
 		c.client.SCDone(e.seq, false)
 		if c.sink != nil {
@@ -664,7 +673,7 @@ func (c *Controller) tryPerformHead() bool {
 		c.cnt.storeUSDetected.Inc()
 		c.cnt.storeUSSquash.Inc()
 		if e.isSC {
-			c.resValid = false
+			c.resSeq = 0
 			c.cnt.storeSCSuccess.Inc()
 			c.client.SCDone(e.seq, true)
 		}
@@ -714,7 +723,7 @@ func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
 		c.sink.StorePerformed(c.id, e.addr, e.val)
 	}
 	if e.isSC {
-		c.resValid = false
+		c.resSeq = 0
 		c.cnt.storeSCSuccess.Inc()
 		c.client.SCDone(e.seq, true)
 	}
@@ -929,12 +938,13 @@ func (c *Controller) ForEachWB(fn func(la uint64)) {
 func (c *Controller) MSHRsInUse() int { return c.mshrs.InUse() }
 
 // DebugMSHRs renders live MSHRs (diagnostics): a stuck miss shows its
-// live waiters, and whether a load or a load-locked ever merged into it.
+// live waiters, whether a load merged into it and the oldest load-locked
+// that did (ll=0: none).
 func (c *Controller) DebugMSHRs() string {
 	out := ""
 	c.mshrs.ForEach(func(m *cache.MSHR) {
-		out += fmt.Sprintf("  mshr addr=%#x write=%v spec=%v live waiters=%d merged load=%v ll=%v oldest=%d\n",
-			m.Addr, m.Write, m.SpecDelivered, len(m.Waiters), m.LoadMerged, m.LLMerged, m.OldestSeq)
+		out += fmt.Sprintf("  mshr addr=%#x write=%v spec=%v live waiters=%d merged load=%v ll=%d oldest=%d\n",
+			m.Addr, m.Write, m.SpecDelivered, len(m.Waiters), m.LoadMerged, m.LLSeq, m.OldestSeq)
 	})
 	if len(c.storeBuf) > 0 {
 		out += fmt.Sprintf("  storeBuf=%d head={addr=%#x sc=%v waiting=%v}\n",

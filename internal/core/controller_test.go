@@ -409,6 +409,10 @@ func TestStoreBufferForwarding(t *testing.T) {
 
 // --- LL/SC ---
 
+// anySC is a store-conditional seq younger than every load-locked: with
+// it HasReservation asks only whether the line is reserved.
+const anySC = ^uint64(0)
+
 func TestLLSCSuccess(t *testing.T) {
 	h := newHarness(t, 2, nil)
 	s := h.seq()
@@ -418,7 +422,7 @@ func TestLLSCSuccess(t *testing.T) {
 			h.tick(1)
 		}
 	}
-	if !h.nodes[0].HasReservation(0x1000) {
+	if !h.nodes[0].HasReservation(0x1000, anySC) {
 		t.Fatal("LL did not set reservation")
 	}
 	scSeq := h.seq()
@@ -439,7 +443,7 @@ func TestSCFailsAfterRemoteWrite(t *testing.T) {
 	h.nodes[0].Load(h.seq(), 0x1000, true)
 	// Remote store invalidates the reservation.
 	h.store(1, 0x1000, 9)
-	if h.nodes[0].HasReservation(0x1000) {
+	if h.nodes[0].HasReservation(0x1000, anySC) {
 		t.Fatal("reservation survived remote write")
 	}
 	scSeq := h.seq()
@@ -450,6 +454,62 @@ func TestSCFailsAfterRemoteWrite(t *testing.T) {
 	}
 	if got := h.loadValue(0, 0x1000); got != 9 {
 		t.Fatalf("failed SC wrote memory: %d", got)
+	}
+}
+
+// A reservation answers only for SCs younger than the load-locked that
+// armed it. A remote ReadX kills the reservation of LL1; LL2, younger than
+// the SC (a speculative load-locked of the next iteration, to another word
+// of the line), misses and its fill re-arms the line; the older SC must
+// still fail, or it would write a sum computed from LL1's stale value.
+func TestYoungerLLRearmsNoOlderSC(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	n := h.nodes[0]
+	h.loadValue(0, 0x1000)
+	ll1 := h.seq()
+	if r := n.Load(ll1, 0x1000, true); r.Status != LoadHit {
+		t.Fatalf("LL1: %+v, want a hit", r)
+	}
+	sc := h.seq()
+	h.store(1, 0x1000, 9) // the remote ReadX
+	if n.HasReservation(0x1000, anySC) {
+		t.Fatal("reservation survived the remote ReadX")
+	}
+	ll2 := h.seq()
+	if r := n.Load(ll2, 0x1008, true); r.Status != LoadMiss {
+		t.Fatalf("LL2: %+v, want a miss", r)
+	}
+	h.drain()
+	if !n.HasReservation(0x1000, anySC) || n.HasReservation(0x1000, sc) {
+		t.Fatalf("after LL2's fill: reserved %v, for the SC %v; want true, false",
+			n.HasReservation(0x1000, anySC), n.HasReservation(0x1000, sc))
+	}
+	n.SCExecute(sc, 0, 0x1000, 1)
+	h.drain()
+	if ok, done := h.clients[0].scResults[sc]; !done || ok {
+		t.Fatalf("SC older than the re-arming LL: done %v, succeeded %v; want a failure", done, ok)
+	}
+	if got := h.loadValue(0, 0x1000); got != 9 {
+		t.Fatalf("the failed SC wrote memory: %d, want 9", got)
+	}
+}
+
+// While the reservation stands, a younger LL to the line keeps the older
+// arming: the line has stayed reserved since LL1, so the SC between them
+// performs (re-arming at LL2 would fail it on every retry).
+func TestLiveReservationKeepsOlderLL(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	n := h.nodes[0]
+	h.loadValue(0, 0x1000)
+	n.Load(h.seq(), 0x1000, true)
+	sc := h.seq()
+	if r := n.Load(h.seq(), 0x1008, true); r.Status != LoadHit {
+		t.Fatalf("LL2: %+v, want a hit", r)
+	}
+	n.SCExecute(sc, 0, 0x1000, 1)
+	h.drain()
+	if ok, done := h.clients[0].scResults[sc]; !done || !ok {
+		t.Fatalf("SC between two LLs of a standing reservation: done %v, succeeded %v; want success", done, ok)
 	}
 }
 

@@ -17,11 +17,11 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"tssim/internal/cache"
 	"tssim/internal/predictor"
+	"tssim/internal/trace"
 )
 
 // State is the coherence state of an L2 line. The protocol is MOESTI:
@@ -41,26 +41,9 @@ const (
 	StateVS // Validate_Shared: revalidated but untouched since (E-MESTI)
 )
 
-// StateName renders a protocol state for diagnostics.
-func StateName(s State) string {
-	switch s {
-	case StateI:
-		return "I"
-	case StateS:
-		return "S"
-	case StateE:
-		return "E"
-	case StateO:
-		return "O"
-	case StateM:
-		return "M"
-	case StateT:
-		return "T"
-	case StateVS:
-		return "VS"
-	}
-	return fmt.Sprintf("state(%d)", s)
-}
+// StateName renders a protocol state for diagnostics; the names are
+// trace's, which labels the states its KState events carry.
+func StateName(s State) string { return trace.StateName(s) }
 
 // Per-line protocol facts kept in the L2 frame beside the state
 // (cache.Line.Flags), where the paper keeps them: in the L2 tags. A

@@ -93,8 +93,8 @@ func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
 	c.client.ExternalSnoop(la, isWrite)
 
 	// Invalidating transactions kill the LL/SC reservation.
-	if isWrite && c.HasReservation(la) {
-		c.resValid = false
+	if isWrite && c.resAddr == la {
+		c.resSeq = 0
 	}
 
 	var reply bus.SnoopReply
@@ -337,8 +337,9 @@ func (c *Controller) markStoresReady(la uint64) {
 }
 
 // serveMSHR completes the MSHR for an arrived line: verifies LVP
-// speculation, wakes waiting loads, and sets the LL reservation if a
-// load-locked merged, live or not (a squashed LL's fill still sets it).
+// speculation, wakes waiting loads, and arms the LL reservation for the
+// oldest load-locked that merged, live or not (a squashed LL's fill still
+// arms it).
 // The waiters are live loads, so every seq named to the client is in its
 // window — until the value-misprediction squash, which drops the ones it
 // kills before the wake-up walk.
@@ -373,8 +374,8 @@ func (c *Controller) serveMSHR(t *bus.Txn) {
 		c.cnt.lvpVerifyOK.Inc()
 		c.tr.Emit(trace.Event{Kind: trace.KLVPVerifyOK, Node: int32(c.id), Addr: t.Addr})
 	}
-	if m.LLMerged {
-		c.setReservation(t.Addr)
+	if m.LLSeq != 0 {
+		c.setReservation(t.Addr, m.LLSeq)
 	}
 	verified := c.scratchVerified[:0]
 	for _, w := range m.Waiters {

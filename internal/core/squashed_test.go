@@ -48,17 +48,17 @@ func TestSquashedLoadsLeaveTheMSHR(t *testing.T) {
 			if r.reissue {
 				live = 1
 			}
-			if len(m.Waiters) != live || !m.LoadMerged || m.LLMerged != r.isLL {
-				t.Fatalf("before the fill: %d waiters, merged load=%v ll=%v; want %d, true, %v",
-					len(m.Waiters), m.LoadMerged, m.LLMerged, live, r.isLL)
+			if len(m.Waiters) != live || !m.LoadMerged || (m.LLSeq != 0) != r.isLL {
+				t.Fatalf("before the fill: %d waiters, merged load=%v ll=%d; want %d, true, %v",
+					len(m.Waiters), m.LoadMerged, m.LLSeq, live, r.isLL)
 			}
 			h.drain()
 			done := h.clients[0].loadsDone
 			if len(done) != live || (r.reissue && done[seq] != 42) {
 				t.Fatalf("the fill answered %v, want only the last seq %d with 42 (%d of them)", done, seq, live)
 			}
-			if n.HasReservation(addr) != r.isLL {
-				t.Fatalf("reservation after the fill = %v, want %v", n.HasReservation(addr), r.isLL)
+			if n.HasReservation(addr, anySC) != r.isLL {
+				t.Fatalf("reservation after the fill = %v, want %v", n.HasReservation(addr, anySC), r.isLL)
 			}
 			if n.MSHRsInUse() != 0 {
 				t.Fatalf("%d MSHRs still in use after the fill", n.MSHRsInUse())

@@ -36,8 +36,8 @@ func TestIdleVerdictDroppedAtEveryWakeSite(t *testing.T) {
 		n := h.nodes[0]
 		n.installL2(la, lineOf(0), StateS)
 		n.installL2(other, lineOf(0), StateS)
-		if r := n.Load(h.seq(), la, true); r.Status != LoadHit || !n.HasReservation(la) {
-			h.t.Fatalf("load-locked: %+v, reservation %v", r, n.HasReservation(la))
+		if r := n.Load(h.seq(), la, true); r.Status != LoadHit || !n.HasReservation(la, anySC) {
+			h.t.Fatalf("load-locked: %+v, reservation %v", r, n.HasReservation(la, anySC))
 		}
 		sc = h.seq()
 		if !n.SCExecute(sc, 0, la, 1) {
@@ -97,7 +97,7 @@ func TestIdleVerdictDroppedAtEveryWakeSite(t *testing.T) {
 			name: "LL hit moves the reservation off a waiting SC head", wakes: true,
 			setup: scWaiting,
 			call: func(h *harness, n *Controller) bool {
-				return n.Load(h.seq(), other, true).Status == LoadHit && !n.HasReservation(la)
+				return n.Load(h.seq(), other, true).Status == LoadHit && !n.HasReservation(la, anySC)
 			},
 			after: func(h *harness) string {
 				if ok, done := h.clients[0].scResults[sc]; !done || ok {

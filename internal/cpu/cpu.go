@@ -24,7 +24,7 @@ type MemSystem interface {
 	Load(seq uint64, addr uint64, isLL bool) core.LoadResult
 	StoreCommit(seq, pc, addr, val uint64) bool
 	SCExecute(seq, pc, addr, val uint64) bool
-	HasReservation(lineAddr uint64) bool
+	HasReservation(lineAddr, seq uint64) bool
 	PrefetchExclusive(addr uint64)
 	HoldsWritable(addr uint64) bool
 	SLECommitStores(stores []core.SpecStore) bool

@@ -140,11 +140,11 @@ func (f *fakeMem) SCExecute(seq, pc, addr, val uint64) bool {
 	return true
 }
 
-func (f *fakeMem) HasReservation(lineAddr uint64) bool { return f.reservations }
-func (f *fakeMem) PrefetchExclusive(addr uint64)       { f.prefetches = append(f.prefetches, addr) }
-func (f *fakeMem) HoldsWritable(addr uint64) bool      { return f.sleWritable }
-func (f *fakeMem) StoreBufEmpty() bool                 { return true }
-func (f *fakeMem) StateVersion() uint64                { return f.ver }
+func (f *fakeMem) HasReservation(lineAddr, seq uint64) bool { return f.reservations }
+func (f *fakeMem) PrefetchExclusive(addr uint64)            { f.prefetches = append(f.prefetches, addr) }
+func (f *fakeMem) HoldsWritable(addr uint64) bool           { return f.sleWritable }
+func (f *fakeMem) StoreBufEmpty() bool                      { return true }
+func (f *fakeMem) StateVersion() uint64                     { return f.ver }
 func (f *fakeMem) Squashed(after uint64) {
 	f.squashes = append(f.squashes, after)
 	for seq := range f.pendLoad {

@@ -120,8 +120,11 @@ func (s *sleEngine) tryStart(e *entry) bool {
 	// is stale — most often because another processor just took the
 	// lock for real. Eliding anyway would run this critical section
 	// concurrently with a held lock. (A real SC would simply fail
-	// here; declining sends it down exactly that path.)
-	if !s.core.memsys.HasReservation(e.effAddr) {
+	// here; declining sends it down exactly that path.) It must also
+	// have been armed by a load-locked older than this SC: a younger,
+	// speculative one that re-armed the line after the remote write
+	// read the new value, not the one this SC's LL observed.
+	if !s.core.memsys.HasReservation(e.effAddr, e.seq) {
 		s.cnt.reservationLost.Inc()
 		return false
 	}

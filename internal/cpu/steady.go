@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"tssim/internal/stats"
 )
@@ -145,13 +146,14 @@ func (c *Core) auditSteady(retired, dispatched uint64) {
 	}
 }
 
-// named renders moved, non-zero counters, by name.
+// named renders moved, non-zero counters, by name, sorted.
 func (c *Core) named(moved []stats.Moved) (out []string) {
-	for _, name := range c.ctrs.Names() {
+	for name := range c.ctrs.Snapshot() {
 		if i := slices.IndexFunc(moved, func(m stats.Moved) bool { return m.Counter == c.ctrs.Counter(name) }); i >= 0 {
 			out = append(out, fmt.Sprintf("%s+%d", name, moved[i].N))
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tssim/internal/telemetry"
 	"tssim/internal/workload"
 )
 
@@ -57,7 +58,7 @@ func renderedReport(t *testing.T, c ffCell, noFF bool) (report []byte, r Result,
 		t.Fatalf("%s (noFF=%v): %v", c.name(), noFF, rerr)
 	}
 	var buf bytes.Buffer
-	if err := NewReport(cfg, r).Write(&buf); err != nil {
+	if err := telemetry.WriteJSON(&buf, NewReport(cfg, r)); err != nil {
 		t.Fatal(err)
 	}
 	for i, core := range s.Cores {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tssim/internal/isa"
+	"tssim/internal/telemetry"
 	"tssim/internal/trace"
 	"tssim/internal/workload"
 )
@@ -99,7 +100,7 @@ func TestReportRoundTrip(t *testing.T) {
 	rep := NewReport(cfg, r)
 
 	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
+	if err := telemetry.WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var back Report

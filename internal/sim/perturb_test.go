@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"testing"
+
+	"tssim/internal/telemetry"
 )
 
 // The schedule-perturbation knobs (Config.StartOffsets and
@@ -27,7 +29,7 @@ func perturbedRun(t *testing.T, offsets []uint64, arb int, noFF bool) ([]byte, R
 		t.Fatalf("offsets=%v arb=%d noFF=%v: %v", offsets, arb, noFF, err)
 	}
 	var buf bytes.Buffer
-	if err := NewReport(cfg, r).Write(&buf); err != nil {
+	if err := telemetry.WriteJSON(&buf, NewReport(cfg, r)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), r

@@ -1,11 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-
 	"tssim/internal/bus"
 	"tssim/internal/cache"
 	"tssim/internal/stats"
@@ -36,9 +31,9 @@ type ReportConfig struct {
 }
 
 // Report is one run's machine-readable record: configuration, headline
-// outcome, the full counter namespace, and every histogram. The files
-// can be diffed across commits, and EXPERIMENTS.md tables regenerated
-// from them.
+// outcome, the full counter namespace, and every histogram; tssim
+// -report writes it with telemetry.WriteJSONFile. The files can be
+// diffed across commits, and EXPERIMENTS.md tables regenerated from them.
 type Report struct {
 	Schema     string                        `json:"schema"`
 	Workload   string                        `json:"workload"`
@@ -80,28 +75,4 @@ func NewReport(cfg Config, r Result) Report {
 		Counters:   r.Counters,
 		Histograms: r.Hists,
 	}
-}
-
-// Write renders the report as indented JSON to w.
-func (r Report) Write(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// WriteFile writes the report to path.
-func (r Report) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.Write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("sim: writing report %s: %w", path, err)
-	}
-	return f.Close()
 }

@@ -221,10 +221,6 @@ type Result struct {
 	// (miss-service latency, bus wait, occupancies, validate reuse).
 	Hists map[string]stats.HistSnapshot
 
-	// Stats is the live counter/histogram set the run collected on;
-	// reports and verbose CLI output read it directly.
-	Stats *stats.Counters
-
 	// Err records why the run failed (deadlock watchdog, checker or
 	// audit violation, workload validation, recovered panic). A failed
 	// run still carries whatever cycles/counters it accumulated, so a
@@ -504,7 +500,6 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 		Cycles:        s.now,
 		Counters:      s.Counters.Snapshot(),
 		Hists:         s.Counters.HistSnapshots(),
-		Stats:         s.Counters,
 		SkippedCycles: s.skipped,
 	}
 	res.Finished = runErr == nil

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 )
 
 // histBuckets is the fixed bucket count of a log2 histogram: bucket 0
@@ -172,12 +170,12 @@ func (h *Hist) Snapshot() HistSnapshot {
 }
 
 // String renders a one-line summary.
-func (h *Hist) String() string {
-	if h.n == 0 {
+func (s HistSnapshot) String() string {
+	if s.N == 0 {
 		return "n=0"
 	}
 	return fmt.Sprintf("n=%d mean=%.1f min=%d p50≤%d p90≤%d p99≤%d max=%d",
-		h.n, h.Mean(), h.Min(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99), h.max)
+		s.N, s.Mean, s.Min, s.P50, s.P90, s.P99, s.Max)
 }
 
 // ---------------------------------------------------------------------------
@@ -198,16 +196,6 @@ func (c *Counters) Hist(name string) *Hist {
 	return h
 }
 
-// HistNames returns all histogram names in sorted order.
-func (c *Counters) HistNames() []string {
-	names := make([]string, 0, len(c.hists))
-	for k := range c.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // HistSnapshots summarizes every registered histogram (including
 // empty ones, so reports always carry the full metric schema).
 func (c *Counters) HistSnapshots() map[string]HistSnapshot {
@@ -216,14 +204,4 @@ func (c *Counters) HistSnapshots() map[string]HistSnapshot {
 		out[k] = h.Snapshot()
 	}
 	return out
-}
-
-// HistString renders every registered histogram, one per line
-// (verbose CLI output).
-func (c *Counters) HistString() string {
-	var b strings.Builder
-	for _, name := range c.HistNames() {
-		fmt.Fprintf(&b, "  %-24s %s\n", name, c.hists[name].String())
-	}
-	return b.String()
 }

@@ -74,11 +74,6 @@ func TestHistRegistry(t *testing.T) {
 	h.Observe(7)
 	c.Hist("occ/other")
 
-	names := c.HistNames()
-	if len(names) != 2 || names[0] != "lat/test" || names[1] != "occ/other" {
-		t.Errorf("HistNames = %v, want sorted [lat/test occ/other]", names)
-	}
-
 	snaps := c.HistSnapshots()
 	if len(snaps) != 2 {
 		t.Fatalf("HistSnapshots has %d entries, want 2 (empty hists included)", len(snaps))
@@ -103,5 +98,12 @@ func TestHistSnapshotJSON(t *testing.T) {
 	}
 	if back.N != 3 || back.Min != 3 || back.Max != 900 || len(back.Buckets) == 0 {
 		t.Errorf("snapshot did not round-trip: %+v", back)
+	}
+	// The verbose line reads the snapshot, so a report's copy prints it too.
+	if got, want := back.String(), "n=3 mean=302.7 min=3 p50≤7 p90≤900 p99≤900 max=900"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if got := (HistSnapshot{}).String(); got != "n=0" {
+		t.Errorf("empty String() = %q, want n=0", got)
 	}
 }

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -25,12 +24,12 @@ const counterBlock = 64
 // experiments can read one flat namespace.
 //
 // Writing goes through a Counter handle, resolved once at construction
-// (see Counter); reading goes by name (Get, Names, Snapshot). Both views
+// (see Counter); reading goes by name (Get, Snapshot). Both views
 // alias the same cell: a counter reached through its handle and through
 // its name is one value.
 //
 // A name interned by Counter but never incremented is indistinguishable
-// from a counter that was never touched: Names and Snapshot skip
+// from a counter that was never touched: Snapshot skips
 // zero-valued cells, so resolving handles eagerly at construction does
 // not change any report or experiment output.
 type Counters struct {
@@ -118,18 +117,6 @@ func (c *Counters) Get(name string) uint64 {
 		return *p
 	}
 	return 0
-}
-
-// Names returns the names of all non-zero counters in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.cells))
-	for k, p := range c.cells {
-		if *p != 0 {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot returns a copy of the non-zero counters as a map.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -94,30 +93,17 @@ func (s Snapshot) String() string {
 	return line
 }
 
-// StartProgress emits periodic heartbeat snapshots of c to w — one
-// human-readable line per tick with format "text", or one JSON object
-// per line with format "jsonl" — until the returned stop function is
-// called. Stop emits a final snapshot so short sweeps always produce
-// at least one heartbeat, and each tick also refreshes the collector's
-// runtime-metrics sample. The emitter never blocks workers: it reads
-// only the atomics-based Snapshot path.
-func StartProgress(w io.Writer, c *Collector, every time.Duration, format string) (stop func()) {
+// StartProgress emits a heartbeat line (Snapshot.String) of c to w
+// every tick until the returned stop function is called; GET /status
+// serves the same snapshot as JSON. Stop emits a final heartbeat so
+// short sweeps always produce at least one, and each tick also
+// refreshes the collector's runtime-metrics sample. The emitter never
+// blocks workers: it reads only the atomics-based Snapshot path.
+func StartProgress(w io.Writer, c *Collector, every time.Duration) (stop func()) {
 	if every <= 0 {
 		every = time.Second
 	}
-	emit := func() {
-		s := c.Snapshot()
-		if format == "jsonl" {
-			b, err := json.Marshal(s)
-			if err != nil {
-				return
-			}
-			b = append(b, '\n')
-			w.Write(b)
-		} else {
-			fmt.Fprintln(w, s.String())
-		}
-	}
+	emit := func() { fmt.Fprintln(w, c.Snapshot()) }
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

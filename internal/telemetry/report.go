@@ -158,26 +158,27 @@ func (c *Collector) Report() Report {
 	return r
 }
 
-// Write renders the report as indented JSON.
-func (r Report) Write(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
+// WriteJSON writes v as two-space indented JSON and a newline: the one
+// encoding of every JSON view of a run — the -report and -runnerstats
+// files, GET /status and GET /runnerstats.
+func WriteJSON(w io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 
-// WriteFile writes the report to path.
-func (r Report) WriteFile(path string) error {
+// WriteJSONFile writes v to a new file at path with WriteJSON.
+func WriteJSONFile(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.Write(f); err != nil {
+	if err := WriteJSON(f, v); err != nil {
 		f.Close()
-		return fmt.Errorf("telemetry: writing runner stats %s: %w", path, err)
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return f.Close()
 }

@@ -1,34 +1,11 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
-
-// current is the collector the process-wide expvar hook reads; the
-// last StatusServer started owns it. expvar registration is global and
-// panics on re-publish, so it happens exactly once per process.
-var (
-	current    atomic.Pointer[Collector]
-	expvarOnce sync.Once
-)
-
-func publishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("tssim_runner", expvar.Func(func() any {
-			c := current.Load()
-			if c == nil {
-				return nil
-			}
-			return c.Snapshot()
-		}))
-	})
-}
 
 // StatusServer is the embryo of the ROADMAP's sweep service: an HTTP
 // server exposing the live sweep snapshot, the full runner-stats
@@ -36,7 +13,7 @@ func publishExpvar() {
 //
 //	GET /status        atomics-based Snapshot (never blocks workers)
 //	GET /runnerstats   full tssim-runnerstats/v1 Report so far
-//	GET /debug/vars    expvar (includes tssim_runner + memstats)
+//	GET /debug/vars    expvar: the Go runtime's own variables (memstats, cmdline)
 //	GET /debug/pprof/  net/http/pprof index (CPU, heap, mutex, block…)
 type StatusServer struct {
 	ln  net.Listener
@@ -47,17 +24,17 @@ type StatusServer struct {
 // for c in a background goroutine. Close the returned server when the
 // sweep ends.
 func ServeStatus(addr string, c *Collector) (*StatusServer, error) {
-	publishExpvar()
-	current.Store(c)
-
+	serveJSON := func(view func() any) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if err := WriteJSON(w, view()); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		}
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		c.Sample()
-		writeJSON(w, c.Snapshot())
-	})
-	mux.HandleFunc("/runnerstats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Report())
-	})
+	mux.Handle("/status", serveJSON(func() any { c.Sample(); return c.Snapshot() }))
+	mux.Handle("/runnerstats", serveJSON(func() any { return c.Report() }))
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -81,14 +58,3 @@ func (s *StatusServer) Addr() string { return s.ln.Addr().String() }
 // Close stops the server immediately (in-flight handlers are not
 // drained; the process is exiting anyway).
 func (s *StatusServer) Close() error { return s.srv.Close() }
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	b = append(b, '\n')
-	w.Write(b)
-}

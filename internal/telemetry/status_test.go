@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -83,8 +82,8 @@ func TestRunnerstatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugEndpoints: pprof and expvar ride on the same mux, and the
-// expvar payload carries the tssim_runner snapshot hook.
+// TestDebugEndpoints: pprof and expvar ride on the same mux, and expvar
+// serves the Go runtime's own variables.
 func TestDebugEndpoints(t *testing.T) {
 	s, _ := startTestServer(t)
 
@@ -95,18 +94,11 @@ func TestDebugEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/vars = HTTP %d", code)
 	}
-	if !strings.Contains(string(body), "tssim_runner") {
-		t.Errorf("/debug/vars does not publish tssim_runner")
-	}
 	var vars map[string]json.RawMessage
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(vars["tssim_runner"], &snap); err != nil {
-		t.Fatalf("tssim_runner expvar is not a Snapshot: %v", err)
-	}
-	if snap.JobsDone != 1 {
-		t.Errorf("expvar snapshot jobs_done = %d, want 1", snap.JobsDone)
+	if _, ok := vars["memstats"]; !ok {
+		t.Errorf("/debug/vars lacks the runtime's memstats: %s", body)
 	}
 }

@@ -265,7 +265,7 @@ func TestSnapshotUnderConcurrency(t *testing.T) {
 }
 
 // TestProgressEmitter: heartbeats appear at the requested cadence and
-// stop() flushes one final snapshot; jsonl mode emits valid JSON.
+// stop() flushes one final snapshot, each a Snapshot.String line.
 func TestProgressEmitter(t *testing.T) {
 	c := New()
 	c.SweepStart(1, 2)
@@ -273,7 +273,7 @@ func TestProgressEmitter(t *testing.T) {
 	c.JobEnd(tok, 42, false, JobPhases{})
 
 	var buf syncBuffer
-	stop := StartProgress(&buf, c, 5*time.Millisecond, "jsonl")
+	stop := StartProgress(&buf, c, 5*time.Millisecond)
 	time.Sleep(30 * time.Millisecond)
 	stop()
 	stop() // idempotent
@@ -283,12 +283,8 @@ func TestProgressEmitter(t *testing.T) {
 		t.Fatalf("expected several heartbeats, got %d: %q", len(lines), buf.String())
 	}
 	for _, line := range lines {
-		var s Snapshot
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			t.Fatalf("jsonl heartbeat is not JSON: %q: %v", line, err)
-		}
-		if s.JobsTotal != 2 {
-			t.Errorf("heartbeat jobs_total = %d, want 2", s.JobsTotal)
+		if !strings.HasPrefix(line, "progress: 1/2 cells (50.0%), ") {
+			t.Errorf("heartbeat %q: want a progress line for 1 of 2 cells", line)
 		}
 	}
 }
@@ -326,7 +322,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	c.SweepEnd()
 
 	var buf bytes.Buffer
-	if err := c.Report().Write(&buf); err != nil {
+	if err := WriteJSON(&buf, c.Report()); err != nil {
 		t.Fatal(err)
 	}
 	var parsed map[string]any

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Sink receives every emitted event, in order. Implementations own
@@ -121,11 +122,22 @@ func (s *ChromeSink) Write(e Event) error {
 	return s.err
 }
 
-// Close writes naming metadata and the document close, then flushes
-// and closes the underlying writer.
+// Close writes naming metadata, by node and then by lane so the bytes
+// are the same every run, and the document close, then flushes and
+// closes the underlying writer.
 func (s *ChromeSink) Close() error {
+	nodes := make([]int32, 0, len(s.nodes))
+	for node := range s.nodes {
+		nodes = append(nodes, node)
+	}
+	slices.Sort(nodes)
+	cats := make([]string, 0, len(s.cats))
+	for cat := range s.cats {
+		cats = append(cats, cat)
+	}
+	slices.SortFunc(cats, func(a, b string) int { return categoryTID(a) - categoryTID(b) })
 	if s.err == nil {
-		for node := range s.nodes {
+		for _, node := range nodes {
 			sep := ","
 			if s.n == 0 {
 				sep = ""
@@ -136,7 +148,7 @@ func (s *ChromeSink) Close() error {
 				sep, node, node); s.err != nil {
 				break
 			}
-			for cat := range s.cats {
+			for _, cat := range cats {
 				s.n++
 				if _, s.err = fmt.Fprintf(s.bw,
 					",\n"+`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%q}}`,

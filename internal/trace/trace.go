@@ -116,10 +116,9 @@ func categoryTID(cat string) int {
 	return 5
 }
 
-// StateNames labels the protocol-state bytes carried in KState events.
-// The order mirrors core's State constants (I, S, E, O, M, T, VS);
-// trace cannot import core (core imports trace), so the table is
-// duplicated here and pinned by a cross-package test.
+// StateNames labels the protocol-state bytes carried in KState events,
+// in the order of core's State constants (I, S, E, O, M, T, VS). It is
+// the one table of them: core.StateName reads it.
 var StateNames = [...]string{"I", "S", "E", "O", "M", "T", "VS"}
 
 // StateName renders one protocol-state byte.
@@ -130,8 +129,9 @@ func StateName(s uint8) string {
 	return fmt.Sprintf("state(%d)", s)
 }
 
-// TxnNames labels the transaction-type bytes carried in bus events,
-// mirroring bus.TxnType order (pinned by a cross-package test).
+// TxnNames labels the transaction-type bytes carried in bus events, in
+// bus.TxnType order. It is the one table of them: bus.TxnType.String
+// reads it.
 var TxnNames = [...]string{"read", "readx", "upgrade", "writeback", "validate"}
 
 // TxnName renders one transaction-type byte.
