@@ -83,7 +83,7 @@ func TestCheckerPureObserver(t *testing.T) {
 // node's L2 copy of a line mid-run and verifies a full-machine sweep
 // catches it — the data-value invariant is live, not decorative.
 func TestCheckerDetectsCorruption(t *testing.T) {
-	w, _ := litmus.Program(litmus.Params{Seed: 0x5eed, CPUs: 4, Ops: 32})
+	w := litmus.Program(litmus.Params{Seed: 0x5eed, CPUs: 4, Ops: 32})
 	s := sim.New(litmus.MachineConfig(litmus.Variant{Tech: fullTech(), Seed: 1}, len(w.Programs)), w)
 
 	// Run until some node holds a readable line with data, then flip
@@ -156,7 +156,7 @@ func TestCheckerHoldsFrameFlagsToState(t *testing.T) {
 			}, "without readable, used L2 permission (L2 state VS)"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			w, _ := litmus.Program(litmus.Params{Seed: 0x5eed, CPUs: 4, Ops: 32})
+			w := litmus.Program(litmus.Params{Seed: 0x5eed, CPUs: 4, Ops: 32})
 			s := sim.New(litmus.MachineConfig(litmus.Variant{Tech: fullTech(), Seed: 1}, len(w.Programs)), w)
 			planted := false
 			for cycle := 0; cycle < 200_000 && !planted; cycle++ {

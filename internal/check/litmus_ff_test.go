@@ -11,26 +11,20 @@ import (
 // litmusBothPaths runs one litmus program under one technique with the
 // coherence and commit checkers attached, once with next-event
 // fast-forward (the default) and once with the naive every-cycle loop,
-// and requires the two runs to agree on the error outcome, the cycle
-// count, every counter, and the final memory values. The checkers see
-// every store-visibility event either way, so a fast-forward bug that
-// perturbed coherence would surface as a verdict divergence here.
+// and requires both runs to succeed — each has then passed its checkers
+// and its closed-form finals — and to agree on the cycle count and
+// every counter. The checkers see every store-visibility event either
+// way, so a fast-forward bug that perturbed coherence would surface as
+// a failed run here.
 func litmusBothPaths(p litmus.Params, tech sim.Techniques) error {
-	naiveFinals, naive, naiveErr := runProgram(p, litmus.Variant{Tech: tech, NoFF: true})
-	ffFinals, ff, ffErr := runProgram(p, litmus.Variant{Tech: tech})
-	if (naiveErr == nil) != (ffErr == nil) {
-		return fmt.Errorf("%s under %s: error outcome diverges: naive %v, ff %v",
-			p, tech, naiveErr, ffErr)
+	naive := runProgram(p, litmus.Variant{Tech: tech, NoFF: true})
+	ff := runProgram(p, litmus.Variant{Tech: tech})
+	if naive.Err != nil || ff.Err != nil {
+		return fmt.Errorf("%s under %s: run failed: naive %v; ff %v", p, tech, naive.Err, ff.Err)
 	}
 	if naive.Cycles != ff.Cycles {
 		return fmt.Errorf("%s under %s: cycles diverge: naive %d, ff %d",
 			p, tech, naive.Cycles, ff.Cycles)
-	}
-	for a, v := range naiveFinals {
-		if fv := ffFinals[a]; fv != v {
-			return fmt.Errorf("%s under %s: final @%#x diverges: naive %#x, ff %#x",
-				p, tech, a, v, fv)
-		}
 	}
 	for k, v := range naive.Counters {
 		if fv := ff.Counters[k]; fv != v {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"tssim/internal/bus"
+	"tssim/internal/isa"
 	"tssim/internal/litmus"
 	"tssim/internal/sim"
 )
@@ -24,9 +26,9 @@ var all = sim.Techniques{MESTI: true, EMESTI: true, LVP: true, SLE: true}
 
 // runs lists the runs r names: its own when pinned, else its point
 // under every technique combo of Figure 7 — on both kernel paths for
-// the bookend combos (baseline and the full stack), so each fuzz
-// iteration also differentially covers the kernel without doubling the
-// whole sweep.
+// the bookend combos (baseline and the full stack), so an unpinned
+// corpus or replay line also covers the kernel differentially without
+// doubling the whole sweep.
 func runs(r litmus.Repro) []litmus.Repro {
 	if r.Pinned {
 		return []litmus.Repro{r}
@@ -44,60 +46,41 @@ func runs(r litmus.Repro) []litmus.Repro {
 }
 
 // runProgram runs one generated program at v, with the program's seed
-// as the machine's, and returns the run's error (a checker violation,
-// or finals off the closed-form expectation) and the finals it read.
-func runProgram(p litmus.Params, v litmus.Variant) (map[uint64]uint64, sim.Result, error) {
-	w, expected := litmus.Program(p)
+// as the machine's. The result's Err is the run's verdict: a checker
+// violation, a tripped watchdog, MaxCycles reached, or finals off the
+// closed form (the program's Validate).
+func runProgram(p litmus.Params, v litmus.Variant) sim.Result {
 	v.Seed = p.Seed
-	sys, r, err := litmus.Run(w, v)
-	finals := make(map[uint64]uint64, len(expected))
-	for a := range expected {
-		finals[a] = sys.ReadWordCoherent(a)
-	}
-	return finals, r, err
+	_, r := litmus.Run(litmus.Program(p), v)
+	return r
 }
 
 // replay runs every run r names and returns the first that fails,
-// pinned: for a shape, an outcome outside the allowed set; for a
-// generated program, finals off the closed form or off the first run's.
+// pinned: for a shape, a failed run or an outcome outside the allowed
+// set; for a generated program, a failed run.
 func replay(r litmus.Repro) (litmus.Repro, error) {
-	var first map[uint64]uint64
 	for _, one := range runs(r) {
-		fail := func(format string, args ...any) (litmus.Repro, error) {
-			return one, fmt.Errorf("%s: %s", one, fmt.Sprintf(format, args...))
-		}
+		var err error
 		if one.Shape != "" {
 			s := litmus.ShapeByName(one.Shape)
-			oc, err := litmus.RunShape(s, one.Variant)
-			if err != nil {
-				return fail("%v", err)
+			var oc isa.Outcome
+			if oc, err = litmus.RunShape(s, one.Variant); err == nil && !s.Allowed()[oc] {
+				err = fmt.Errorf("outcome %s outside allowed set %v", oc, s.AllowedList())
 			}
-			if !s.Allowed()[oc] {
-				return fail("outcome %s outside allowed set %v", oc, s.AllowedList())
-			}
-			continue
+		} else {
+			err = runProgram(one.Params, one.Variant).Err
 		}
-		finals, _, err := runProgram(one.Params, one.Variant)
 		if err != nil {
-			return fail("%v", err)
-		}
-		if first == nil {
-			first = finals
-			continue
-		}
-		for a, v := range finals {
-			if fv := first[a]; v != fv {
-				return fail("final @%#x = %#x diverges from baseline %#x", a, v, fv)
-			}
+			return one, fmt.Errorf("%s: %v", one, err)
 		}
 	}
 	return r, nil
 }
 
 // reportLitmusFailure shrinks the failing run replay returned — pinned
-// to its combo and kernel path, so each shrink step is one run, not the
-// whole sweep — to its minimal reproducer and fails the test with a
-// replayable command line.
+// to its combo, kernel path and fabric, so each shrink step is one run,
+// not the whole sweep — to its minimal reproducer and fails the test
+// with a replayable command line.
 func reportLitmusFailure(t *testing.T, r litmus.Repro, err error) {
 	t.Helper()
 	min := shrink(r.Params, func(cand litmus.Params) bool {
@@ -226,26 +209,37 @@ func TestLitmusCorpusFile(t *testing.T) {
 
 // fuzzWork bounds one fuzz input's program at CPUs² × Ops. The fuzz
 // engine kills a worker whose input runs 10 s, and under its coverage
-// instrumentation the eleven runs of a 16-CPU, 48-op program take about
-// that long; at the bound (16 CPUs, 16 ops) they take about 3.5 s. A
-// wider input keeps its CPUs and loses ops. Replays and both corpora run
-// any size.
-const fuzzWork = 16 * 16 * 16
+// instrumentation the slowest single run of a 16-CPU, 48-op program
+// (the full stack on the naive kernel over the directory) takes about
+// 8 s; at the bound (16 CPUs, 24 ops) it takes about 3.5 s. A wider
+// input keeps its CPUs and loses ops. Replays and both corpora run any
+// size.
+const fuzzWork = 16 * 16 * 24
 
-// FuzzLitmus is the randomized protocol fuzzer: any three fuzz inputs
-// name a valid program (litmus.Program normalizes them, fuzzWork bounds
-// them), which runs under all nine combos with the coherence checker
-// attached. A failure is shrunk to a minimal reproducer and printed in
-// replayable form.
+// FuzzLitmus is the randomized protocol fuzzer. An input is one run:
+// the program (seed, CPUs and ops; litmus.Program normalizes any
+// values, fuzzWork bounds them) and the three bytes that pin its
+// technique combo (sim.AllCombos), kernel path and fabric (bus.Kinds),
+// with both checkers attached. A failure is shrunk at that pin to a
+// minimal reproducer and printed in replayable form.
 func FuzzLitmus(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint8(8))
-	f.Add(uint64(0xdeadbeefcafef00d), uint8(4), uint8(48))
-	f.Add(uint64(0x9e3779b97f4a7c15), uint8(3), uint8(24))
-	f.Add(uint64(0x4242424242424242), uint8(4), uint8(16))
-	f.Fuzz(func(t *testing.T, seed uint64, cpus, ops uint8) {
+	f.Add(uint64(1), uint8(2), uint8(8), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(0xdeadbeefcafef00d), uint8(4), uint8(48), uint8(8), uint8(1), uint8(0))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint8(3), uint8(24), uint8(2), uint8(0), uint8(1))
+	f.Add(uint64(0x4242424242424242), uint8(4), uint8(16), uint8(6), uint8(1), uint8(2))
+	combos, kinds := sim.AllCombos(), bus.Kinds()
+	f.Fuzz(func(t *testing.T, seed uint64, cpus, ops, combo, path, fabric uint8) {
 		p := normalized(litmus.Params{Seed: seed, CPUs: int(cpus), Ops: int(ops)})
 		p.Ops = min(p.Ops, fuzzWork/(p.CPUs*p.CPUs))
-		r := litmus.Repro{Params: p}
+		r := litmus.Repro{
+			Params: p,
+			Variant: litmus.Variant{
+				Tech:         combos[int(combo)%len(combos)],
+				NoFF:         path%2 == 1,
+				Interconnect: kinds[int(fabric)%len(kinds)],
+			},
+			Pinned: true,
+		}
 		if one, err := replay(r); err != nil {
 			reportLitmusFailure(t, one, err)
 		}

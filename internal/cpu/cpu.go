@@ -716,6 +716,9 @@ func (c *Core) retireHead() {
 	if e.isLoad || e.isStore {
 		c.lsqUsed--
 	}
+	if c.checker != nil {
+		c.checkCommit(e)
+	}
 	if rd := e.dst; rd != 0 {
 		c.regs[rd] = e.result
 		if c.regProd[rd] == e {
@@ -745,22 +748,19 @@ func (c *Core) retireHead() {
 	if c.machRetired != nil {
 		*c.machRetired++
 	}
-	if c.checker != nil {
-		c.checkCommit(e)
-	}
 	c.freeEntry(e)
 }
 
-// checkCommit re-executes the instruction in order and compares. Loads
-// and SCs use the out-of-order value (memory order is the bus's to
-// define); everything else must match a pure in-order evaluation.
+// checkCommit re-evaluates the instruction in order on the committed
+// registers, before it writes its own, and compares. Loads and SCs keep
+// the out-of-order value (memory order is the bus's to define).
 func (c *Core) checkCommit(e *entry) {
 	ins := *e.ins
 	if ins.IsMem() || ins.IsBranch() || ins.Op == isa.OpNop ||
 		ins.Op == isa.OpISync || ins.Op == isa.OpHalt {
 		return
 	}
-	want := isa.EvalALU(ins, e.src[0], e.src[1])
+	want := isa.EvalALU(ins, c.regs[ins.Ra], c.regs[ins.Rb])
 	if want != e.result && *c.checker == nil {
 		*c.checker = fmt.Errorf("cpu%d cycle %d: in-order commit checker: pc %d (%s) retired %d, in order %d",
 			c.id, c.now, e.pc, isa.Disassemble(int(e.pc), ins), e.result, want)

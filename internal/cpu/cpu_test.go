@@ -240,6 +240,46 @@ func TestCommitCheckerLocatesDivergence(t *testing.T) {
 	}
 }
 
+// TestCommitCheckerReadsCommittedOperands plants a wrong operand after
+// rename: execute computes a consistent result from it, so only an
+// in-order evaluation on the committed registers can tell that the
+// retiring mul read something no older instruction wrote.
+func TestCommitCheckerReadsCommittedOperands(t *testing.T) {
+	b := isa.NewBuilder("planted-operand")
+	b.Li(isa.R1, 6).Li(isa.R2, 7)
+	for i := 0; i < 16; i++ {
+		b.Nop() // the mul dispatches after both producers are done
+	}
+	b.Mul(isa.R3, isa.R1, isa.R2).Halt()
+	f, ctrs := newFakeMem(), stats.NewCounters()
+	c := New(DefaultConfig(), 0, b.Build(), f, ctrs)
+	f.attach(c, ctrs)
+	var diverged error
+	c.EnableChecker(&diverged)
+	planted := false
+	for cyc := uint64(0); cyc < 1000 && !c.Halted(); cyc++ {
+		c.Tick(cyc)
+		for _, e := range c.ruu {
+			if !planted && e.ins.Op == isa.OpMul && !e.issued && e.srcReady[0] && e.srcReady[1] {
+				e.src[0]++ // 7: execute will compute and broadcast 49
+				planted = true
+			}
+		}
+	}
+	if !planted || !c.Halted() {
+		t.Fatalf("planted %v, halted %v", planted, c.Halted())
+	}
+	if diverged == nil {
+		t.Fatal("a mul that read a wrong operand retired unnoticed")
+	}
+	msg := diverged.Error()
+	for _, want := range []string{"cpu0 cycle ", "pc 18 ", "retired 49", "in order 42"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("divergence %q does not name %q", msg, want)
+		}
+	}
+}
+
 func TestPipelineArithmetic(t *testing.T) {
 	b := isa.NewBuilder("arith")
 	b.Li(isa.R1, 6).Li(isa.R2, 7).Mul(isa.R3, isa.R1, isa.R2)

@@ -11,12 +11,13 @@
 // fetch-and-adds, and plain shared loads — so running one program under
 // every technique combo and checking the same expected finals is a
 // differential oracle over the whole protocol space. The fuzz harness
-// in internal/check's litmus_test.go drives these across sim.AllCombos
-// with the coherence checker attached.
+// in internal/check's litmus_test.go runs each one pinned to a combo,
+// kernel path and fabric, with the coherence checker attached.
 package litmus
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
 	"strconv"
 	"strings"
@@ -210,13 +211,12 @@ const (
 	litRDel = isa.R12 // delay chain register
 )
 
-// Program generates the program set and the closed-form expected finals
-// for every tracked word (locks free, counters and cells at their
-// summed totals, slots at the last value each CPU wrote). The returned
-// workload's Validate checks exactly that map, so a litmus run fails
-// functionally the moment any combo loses a store, resurrects a stale
-// value, or leaks a lock.
-func Program(p Params) (workload.Workload, map[uint64]uint64) {
+// Program generates the program set as a workload whose Validate
+// checks the closed-form expected final of every tracked word (locks
+// free, counters and cells at their summed totals, slots at the last
+// value each CPU wrote), so a litmus run fails functionally the moment
+// any combo loses a store, resurrects a stale value, or leaks a lock.
+func Program(p Params) workload.Workload {
 	p = p.normalized()
 	rng := &litmusRNG{x: p.Seed}
 
@@ -233,10 +233,7 @@ func Program(p Params) (workload.Workload, map[uint64]uint64) {
 	for i := 0; i < p.CPUs; i++ {
 		expected[litmusSlotBase+uint64(i)*8] = 0x300 + uint64(i)
 	}
-	init := make(map[uint64]uint64, len(expected))
-	for a, v := range expected {
-		init[a] = v
-	}
+	init := maps.Clone(expected)
 
 	progs := make([]*isa.Program, p.CPUs)
 	for cpu := 0; cpu < p.CPUs; cpu++ {
@@ -299,7 +296,7 @@ func Program(p Params) (workload.Workload, map[uint64]uint64) {
 		progs[cpu] = b.Build()
 	}
 
-	w := workload.Workload{
+	return workload.Workload{
 		Name:     fmt.Sprintf("litmus-%016x-c%d-o%d", p.Seed, p.CPUs, p.Ops),
 		Programs: progs,
 		Init: func(m *mem.Memory) {
@@ -307,14 +304,6 @@ func Program(p Params) (workload.Workload, map[uint64]uint64) {
 				m.WriteWord(a, v)
 			}
 		},
-		Validate: func(_ *mem.Memory, read func(uint64) uint64) error {
-			for a, want := range expected {
-				if got := read(a); got != want {
-					return fmt.Errorf("litmus final @%#x: got %#x, want %#x", a, got, want)
-				}
-			}
-			return nil
-		},
+		Validate: finals(expected),
 	}
-	return w, expected
 }

@@ -6,6 +6,7 @@ import (
 	"tssim/internal/bus"
 	"tssim/internal/cache"
 	"tssim/internal/isa"
+	"tssim/internal/mem"
 	"tssim/internal/sim"
 )
 
@@ -44,32 +45,38 @@ func MachineConfig(v Variant, cpus int) sim.Config {
 	return cfg
 }
 
-// Run runs w's programs on the litmus machine at v until they halt and
-// returns the halted machine, for the caller to read its finals, with
-// the run's result and error: a checker violation, a tripped watchdog
-// or a failed w.Validate.
-func Run(w sim.Workload, v Variant) (*sim.System, sim.Result, error) {
+// Run runs w on the litmus machine at v and returns the machine, for the
+// caller to read its registers, and the result, whose Err is the verdict:
+// a checker violation, the watchdog, MaxCycles or a failed w.Validate.
+func Run(w sim.Workload, v Variant) (*sim.System, sim.Result) {
 	sys := sim.New(MachineConfig(v, len(w.Programs)), w)
-	r, err := sys.RunErr(w)
-	return sys, r, err
+	r, _ := sys.RunErr(w)
+	return sys, r
+}
+
+// finals is a workload Validate that requires every word of want.
+func finals(want map[uint64]uint64) func(*mem.Memory, func(uint64) uint64) error {
+	return func(_ *mem.Memory, read func(uint64) uint64) error {
+		for a, v := range want {
+			if got := read(a); got != v {
+				return fmt.Errorf("final @%#x = %#x, want %#x", a, got, v)
+			}
+		}
+		return nil
+	}
 }
 
 // RunShape executes one litmus shape at one grid point and returns the
 // observed outcome tuple, read from committed architectural registers.
 // The full oracle surface applies to every run: the SWMR/data-value
 // coherence checker and the in-order commit checker abort the run on
-// violation, and the deterministic final-memory image is compared
-// after halt; either is returned as an error.
+// violation, and the workload's Validate compares the deterministic
+// final-memory image after halt; either is returned as an error.
 func RunShape(s *Shape, v Variant) (isa.Outcome, error) {
 	progs := s.Programs(v.Delays)
-	sys, _, err := Run(sim.Workload{Name: s.Name, Programs: progs}, v)
-	if err != nil {
-		return isa.Outcome{}, fmt.Errorf("run: %w", err)
-	}
-	for addr, want := range s.FinalMem() {
-		if got := sys.ReadWordCoherent(addr); got != want {
-			return isa.Outcome{}, fmt.Errorf("final mem[%#x] = %d, want %d", addr, got, want)
-		}
+	sys, r := Run(sim.Workload{Name: s.Name, Programs: progs, Validate: finals(s.FinalMem())}, v)
+	if r.Err != nil {
+		return isa.Outcome{}, fmt.Errorf("run: %w", r.Err)
 	}
 	return isa.OutcomeOf(progs, func(cpu, r int) uint64 {
 		return sys.Cores[cpu].Reg(r)

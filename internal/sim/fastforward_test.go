@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"tssim/internal/telemetry"
@@ -172,25 +173,34 @@ func TestAuditViolationFailsRun(t *testing.T) {
 }
 
 // TestFastForwardMaxCyclesIdentical truncates both runs at the same
-// MaxCycles (forcing a skip to land exactly on the bound) and
-// requires identical partial results.
+// MaxCycles (forcing a skip to land exactly on the bound) and requires
+// both to fail with the same reason at the bound, with identical
+// partial results.
 func TestFastForwardMaxCyclesIdentical(t *testing.T) {
 	w, err := workload.ByName("specjbb", workload.Params{CPUs: 4, Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(noFF bool) Result {
+	const bound = 30_000
+	run := func(noFF bool) (Result, string) {
 		cfg := ExperimentConfig()
-		cfg.MaxCycles = 30_000
+		cfg.MaxCycles = bound
 		cfg.NoFastForward = noFF
 		s := New(cfg, w)
-		r, _ := s.RunErr(w) // truncation is not an error; compare partials
-		return r
+		r, err := s.RunErr(w)
+		var re *RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("noFF=%v: truncated run returned %v, want a RunError", noFF, err)
+		}
+		return r, re.Reason
 	}
-	naive, ff := run(true), run(false)
-	if naive.Cycles != ff.Cycles || naive.Retired != ff.Retired {
-		t.Fatalf("truncated runs diverge: naive cycles=%d retired=%d, ff cycles=%d retired=%d",
-			naive.Cycles, naive.Retired, ff.Cycles, ff.Retired)
+	naive, nReason := run(true)
+	ff, fReason := run(false)
+	if naive.Cycles != bound || ff.Cycles != bound || nReason != fReason || !strings.Contains(nReason, "MaxCycles 30000") {
+		t.Fatalf("truncation diverges:\nnaive: cycle %d, %q\nff:    cycle %d, %q", naive.Cycles, nReason, ff.Cycles, fReason)
+	}
+	if naive.Retired != ff.Retired {
+		t.Fatalf("truncated runs diverge: naive retired=%d, ff retired=%d", naive.Retired, ff.Retired)
 	}
 	for k, v := range naive.Counters {
 		if ff.Counters[k] != v {

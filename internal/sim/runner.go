@@ -25,16 +25,16 @@ import (
 	"tssim/internal/telemetry"
 )
 
-// RunError describes one failed simulation run: the deadlock watchdog
-// fired, the workload's functional validation failed, or the simulator
-// panicked. It travels in Result.Err so a sweep can report which cell
-// failed and continue.
+// RunError describes one failed simulation run: MaxCycles, the deadlock
+// watchdog, a checker or audit violation, a failed functional
+// validation, or a recovered panic. It travels in Result.Err so a sweep
+// can report which cell failed and continue.
 type RunError struct {
 	Workload string
 	Tech     Techniques
 	Reason   string
 
-	// PostMortem holds the captured machine dump (watchdog trip,
+	// PostMortem holds the captured machine dump (MaxCycles, watchdog,
 	// checker or audit violation) or the stack trace of a recovered
 	// panic; empty for a workload-validation failure.
 	PostMortem string

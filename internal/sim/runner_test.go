@@ -168,8 +168,33 @@ func TestRunOneErrValidationFailure(t *testing.T) {
 	if !strings.Contains(r.Err.Error(), "validation failed") {
 		t.Errorf("error %q does not mention validation", r.Err)
 	}
-	if !r.Finished {
-		t.Error("run halted cleanly; Finished should be true even though validation failed")
+	if r.Finished {
+		t.Error("a run that failed validation reported Finished")
+	}
+}
+
+// TestRunOneErrTruncationCaptured: a run that reaches MaxCycles before
+// the machine drains is a failure like a watchdog trip — a RunError
+// naming the bound, with the post-mortem captured and the partial
+// result kept — never a result that merely reads unfinished.
+func TestRunOneErrTruncationCaptured(t *testing.T) {
+	w := lockCounterWorkload(2, 5, 10, false)
+	cfg := fastCfg(Techniques{})
+	cfg.CPUs = 2
+	cfg.MaxCycles = 500
+	r := RunOneErr(cfg, w)
+	var re *RunError
+	if !errors.As(r.Err, &re) {
+		t.Fatalf("truncated run returned %v, want a *RunError", r.Err)
+	}
+	if !strings.Contains(re.Reason, "MaxCycles 500") || !strings.Contains(re.Reason, "did not finish") {
+		t.Errorf("reason %q does not name the bound", re.Reason)
+	}
+	if !strings.Contains(re.PostMortem, "post-mortem") {
+		t.Errorf("post-mortem not captured into the error:\n%s", re.PostMortem)
+	}
+	if r.Finished || r.Cycles != 500 || r.Retired == 0 {
+		t.Errorf("partial result: finished %v, cycles %d, retired %d", r.Finished, r.Cycles, r.Retired)
 	}
 }
 

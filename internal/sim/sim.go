@@ -101,7 +101,7 @@ type Config struct {
 	// for runs to differ.
 	Seed int64
 
-	// MaxCycles bounds a run (0 = DefaultMaxCycles).
+	// MaxCycles bounds a run; reaching it is a failure (0 = DefaultMaxCycles).
 	MaxCycles uint64
 
 	// NoProgressCycles is the deadlock watchdog threshold: if no
@@ -214,7 +214,7 @@ type Result struct {
 	Cycles   uint64
 	Retired  uint64 // total committed instructions across CPUs
 	PerCPU   []uint64
-	Finished bool // all CPUs halted before MaxCycles
+	Finished bool // Err == nil: the machine drained and passed every check
 	Counters map[string]uint64
 
 	// Hists summarizes every histogram collected during the run
@@ -407,11 +407,11 @@ func (s *System) skipTo(target uint64) {
 	s.now = target
 }
 
-// RunErr executes until every CPU halts (and the interconnect drains)
-// or MaxCycles elapse, then returns the result. A deadlock-watchdog
-// trip, a checker or audit violation, or a workload-validation failure
-// returns a *RunError (also stored in Result.Err) alongside whatever
-// partial result the run accumulated; the machine dump is captured into
+// RunErr executes until the machine drains or MaxCycles elapse, then
+// returns the result. Reaching MaxCycles, a deadlock-watchdog trip, a
+// checker or audit violation, or a workload-validation failure returns
+// a *RunError (also stored in Result.Err) alongside whatever partial
+// result the run accumulated; the machine dump is captured into
 // RunError.PostMortem, never interleaved on stderr — essential when
 // many runs execute concurrently under a Runner.
 func (s *System) RunErr(w Workload) (Result, error) {
@@ -431,7 +431,6 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 	lastRetired := uint64(0)
 	lastProgress := uint64(0)
 	watchdog := s.cfg.NoProgressCycles
-	nCores := len(s.Cores)
 	var runErr *RunError
 	for s.now < s.cfg.MaxCycles {
 		if s.retired != lastRetired {
@@ -460,7 +459,7 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 			runErr = s.failWithPostMortem(w, err.Error())
 			break
 		}
-		if s.haltedCores == nCores && s.Bus.Idle() && s.storeBuffersEmpty() {
+		if s.drained() {
 			break
 		}
 		if !s.cfg.NoFastForward {
@@ -484,7 +483,10 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 		}
 		s.Step()
 	}
-	if runErr == nil && s.check != nil {
+	if runErr == nil && !s.drained() {
+		runErr = s.failWithPostMortem(w, fmt.Sprintf("MaxCycles %d reached with %d of %d CPUs halted — did not finish",
+			s.cfg.MaxCycles, s.haltedCores, len(s.Cores)))
+	} else if runErr == nil && s.check != nil {
 		if err := s.check.Quiesce(); err != nil {
 			runErr = s.failWithPostMortem(w, err.Error())
 		}
@@ -502,15 +504,11 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 		Hists:         s.Counters.HistSnapshots(),
 		SkippedCycles: s.skipped,
 	}
-	res.Finished = runErr == nil
 	for _, c := range s.Cores {
-		if !c.Halted() {
-			res.Finished = false
-		}
 		res.PerCPU = append(res.PerCPU, c.Retired())
 		res.Retired += c.Retired()
 	}
-	if runErr == nil && w.Validate != nil && res.Finished {
+	if runErr == nil && w.Validate != nil {
 		if err := w.Validate(s.Mem, s.ReadWordCoherent); err != nil {
 			runErr = &RunError{
 				Workload: w.Name,
@@ -527,6 +525,7 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 		res.Err = runErr
 		return res, runErr
 	}
+	res.Finished = true
 	return res, nil
 }
 
@@ -536,7 +535,11 @@ func (s *System) failWithPostMortem(w Workload, reason string) *RunError {
 	return &RunError{Workload: w.Name, Tech: s.cfg.Tech, Reason: reason, PostMortem: s.postMortem(reason)}
 }
 
-func (s *System) storeBuffersEmpty() bool {
+// drained is a run's one success state: all CPUs halted, fabric and store buffers empty.
+func (s *System) drained() bool {
+	if s.haltedCores != len(s.Cores) || !s.Bus.Idle() {
+		return false
+	}
 	for _, n := range s.Nodes {
 		if !n.StoreBufEmpty() {
 			return false
