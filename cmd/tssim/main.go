@@ -183,7 +183,7 @@ func (o options) validate(fs *flag.FlagSet) error {
 		return nil
 	}
 	reads := map[string]bool{"litmus-shape": true, "enumerate": true, "interconnect": true,
-		"cpuprofile": true, "memprofile": true, "mutexprofile": true, "blockprofile": true,
+		"cpuprofile": true, "memprofile": true,
 		"tech": !o.enumerate, "no-fastforward": !o.enumerate}
 	mode := "-litmus-shape"
 	if o.enumerate {

@@ -1,6 +1,6 @@
 // Package cli is the front door cmd/tssim and cmd/experiments share.
 //
-// What: the fourteen flags both commands take, declared once (Register);
+// What: the twelve flags both commands take, declared once (Register);
 // their validation, the profilers and the telemetry observers they
 // switch on (Start); and the machine they describe (Config).
 //
@@ -53,8 +53,6 @@ type Flags struct {
 	interconnect string
 	cpuProfile   string
 	memProfile   string
-	mutexProfile string
-	blockProfile string
 	progress     time.Duration
 	statusAddr   string
 	runnerStats  string
@@ -73,11 +71,9 @@ func Register(fs *flag.FlagSet, scale, seeds int) *Flags {
 	fs.StringVar(&f.interconnect, "interconnect", "", "coherence fabric: "+strings.Join(bus.Kinds(), "|")+" (default: atomic snoop bus)")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
-	fs.StringVar(&f.mutexProfile, "mutexprofile", "", "write a mutex-contention profile to this file at exit")
-	fs.StringVar(&f.blockProfile, "blockprofile", "", "write a goroutine-blocking profile to this file at exit")
 	fs.DurationVar(&f.progress, "progress", 0, "emit periodic progress heartbeats to stderr at this interval (e.g. 1s; 0 = off)")
 	fs.StringVar(&f.statusAddr, "status-addr", "", "serve GET /status, expvar and pprof on this address while running (e.g. :8080 or 127.0.0.1:0)")
-	fs.StringVar(&f.runnerStats, "runnerstats", "", "write a tssim-runnerstats/v1 JSON harness report to this file at exit")
+	fs.StringVar(&f.runnerStats, "runnerstats", "", "write a tssim-runnerstats/v2 JSON harness report to this file at exit")
 	return f
 }
 
@@ -143,12 +139,9 @@ func (f *Flags) Config() sim.Config {
 	return cfg
 }
 
-// startProfiles begins the CPU profile, which covers the whole process,
-// and arms the runtime's mutex and block sampling at every event
-// (fraction/rate 1): those two diagnose the Runner, where exact data
-// matters more than sampling overhead, and cost nothing when their
-// flag is off. stop writes the heap profile after a GC, so live-heap
-// numbers are settled.
+// startProfiles begins the CPU profile, which covers the whole process.
+// stop writes the heap profile after a GC, so live-heap numbers are
+// settled.
 func (f *Flags) startProfiles(logw io.Writer) (stop func(), err error) {
 	var cpuFile *os.File
 	if f.cpuProfile != "" {
@@ -160,42 +153,26 @@ func (f *Flags) startProfiles(logw io.Writer) (stop func(), err error) {
 			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
 	}
-	if f.mutexProfile != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	if f.blockProfile != "" {
-		runtime.SetBlockProfileRate(1)
-	}
 	return func() {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
 		}
-		if f.memProfile != "" {
-			runtime.GC()
+		if f.memProfile == "" {
+			return
 		}
-		writeProfile(logw, "allocs", "-memprofile", f.memProfile)
-		writeProfile(logw, "mutex", "-mutexprofile", f.mutexProfile)
-		writeProfile(logw, "block", "-blockprofile", f.blockProfile)
+		runtime.GC()
+		file, err := os.Create(f.memProfile)
+		if err == nil {
+			err = pprof.Lookup("allocs").WriteTo(file, 0)
+			if cerr := file.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(logw, "-memprofile: %v\n", err)
+		}
 	}, nil
-}
-
-// writeProfile dumps the named runtime profile to path (no-op when
-// path is empty), reporting a failure on logw under the flag's name.
-func writeProfile(logw io.Writer, profile, flagName, path string) {
-	if path == "" {
-		return
-	}
-	file, err := os.Create(path)
-	if err == nil {
-		err = pprof.Lookup(profile).WriteTo(file, 0)
-		if cerr := file.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(logw, "%s: %v\n", flagName, err)
-	}
 }
 
 // startTelemetry builds the collector and the observers the flags ask

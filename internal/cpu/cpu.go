@@ -433,10 +433,10 @@ func (c *Core) MemoizedRetries() uint64 { return c.memoized }
 
 // AttachMachine registers machine-wide aggregation targets: retired is
 // incremented once per committed instruction and halted once when this
-// core retires its Halt. The system run loop keeps its progress
-// watchdog and termination check O(1) per cycle by reading these
-// aggregates instead of scanning every core. Either pointer may be
-// nil.
+// core retires its Halt. A run loop keeps its progress watchdog and
+// termination check O(1) per cycle by reading these aggregates instead
+// of scanning every core (sim.System reads halted only). Either pointer
+// may be nil.
 func (c *Core) AttachMachine(retired *uint64, halted *int) {
 	c.machRetired = retired
 	c.machHalted = halted

@@ -53,8 +53,8 @@ type Params struct {
 	Scale   int // workload iteration multiplier
 	Seeds   int // Figure 7's runs per configuration, for confidence intervals
 	Jobs    int // concurrent simulations (0 = GOMAXPROCS)
-	// Telemetry, when non-nil, collects harness telemetry (per-job
-	// spans, worker busy time, runtime metrics) across the sweep.
+	// Telemetry, when non-nil, collects harness telemetry (progress,
+	// worker busy time, the shares of host time) across the sweep.
 	// Purely observational: tables are byte-identical with or without
 	// it.
 	Telemetry *telemetry.Collector

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tssim/internal/isa"
 	"tssim/internal/telemetry"
 	"tssim/internal/workload"
 )
@@ -209,29 +210,65 @@ func TestFastForwardMaxCyclesIdentical(t *testing.T) {
 	}
 }
 
-// TestFastForwardWatchdogIdentical uses the cold-miss stall (watchdog
-// tightened below one miss-service time, so the trip happens while
-// every component is quiescent and the kernel wants to skip past it)
-// and requires the watchdog to fire at the same architectural cycle
-// with the same reason under both paths: the skip target is capped at
-// lastProgress+watchdog+1 precisely so this holds.
+// TestFastForwardWatchdogIdentical requires the watchdog to fire at
+// the same architectural cycle with the same reason under both paths:
+// the skip target is capped at lastProgress+watchdog+1 precisely so
+// this holds. Two inputs: the cold-miss stall (watchdog tightened
+// below one miss-service time, so the trip happens while every
+// component is quiescent and the kernel wants to skip past it), and a
+// livelock whose CPUs retire forever, so only a store performing or a
+// CPU halting may count as progress if the watchdog is to trip before
+// MaxCycles.
 func TestFastForwardWatchdogIdentical(t *testing.T) {
-	run := func(noFF bool) (uint64, string) {
-		w, cfg := stallWorkload(2)
-		cfg.CPUs = 2
-		cfg.NoFastForward = noFF
-		s := New(cfg, w)
-		r, err := s.RunErr(w)
-		var re *RunError
-		if !errors.As(err, &re) {
-			t.Fatalf("expected watchdog RunError, got %v", err)
+	stallW, stallCfg := stallWorkload(2)
+	stallCfg.CPUs = 2
+	spinW, spinCfg := livelockWorkload()
+	for _, in := range []struct {
+		w   Workload
+		cfg Config
+	}{{stallW, stallCfg}, {spinW, spinCfg}} {
+		run := func(noFF bool) (uint64, string) {
+			cfg := in.cfg
+			cfg.NoFastForward = noFF
+			s := New(cfg, in.w)
+			r, err := s.RunErr(in.w)
+			var re *RunError
+			if !errors.As(err, &re) || !strings.Contains(re.Reason, "deadlock") {
+				t.Fatalf("%s: expected watchdog RunError, got %v", in.w.Name, err)
+			}
+			return r.Cycles, re.Reason
 		}
-		return r.Cycles, re.Reason
+		nCycles, nReason := run(true)
+		fCycles, fReason := run(false)
+		if nCycles != fCycles || nReason != fReason {
+			t.Fatalf("%s: watchdog diverges:\nnaive: cycle %d, %q\nff:    cycle %d, %q",
+				in.w.Name, nCycles, nReason, fCycles, fReason)
+		}
 	}
-	nCycles, nReason := run(true)
-	fCycles, fReason := run(false)
-	if nCycles != fCycles || nReason != fReason {
-		t.Fatalf("watchdog diverges:\nnaive: cycle %d, %q\nff:    cycle %d, %q",
-			nCycles, nReason, fCycles, fReason)
+}
+
+// livelockWorkload: two CPUs race for a lock; the winner then spins on
+// a flag nobody sets and the loser on the lock. Both retire loads and
+// branches forever, MaxCycles is ten watchdog periods, and nothing
+// performs a store after the acquire.
+func livelockWorkload() (Workload, Config) {
+	const lockAddr, flagAddr = 0x1000, 0x2000
+	progs := make([]*isa.Program, 2)
+	for i := range progs {
+		b := isa.NewBuilder(fmt.Sprintf("livelock-cpu%d", i))
+		b.Li(isa.R10, lockAddr)
+		b.Li(isa.R11, flagAddr)
+		workload.EmitAcquire(b, isa.R10, false, 0)
+		spin := b.Here()
+		b.Ld(isa.R12, isa.R11, 0)
+		b.Beq(isa.R12, isa.R0, spin)
+		workload.EmitRelease(b, isa.R10)
+		b.Halt()
+		progs[i] = b.Build()
 	}
+	cfg := fastCfg(Techniques{})
+	cfg.CPUs = 2
+	cfg.NoProgressCycles = 2000
+	cfg.MaxCycles = 10 * cfg.NoProgressCycles
+	return Workload{Name: "livelock", Programs: progs}, cfg
 }

@@ -62,9 +62,9 @@ func RunOneErr(cfg Config, w Workload) Result {
 
 // runOne is RunOneErr with an optional wall-clock phase breakdown for
 // the telemetry layer: when ph is non-nil, construction (New, including
-// workload memory init) is timed apart from the simulate loop and the
-// merge epilogue (see System.run). With ph nil no clock is read; the
-// result is the same either way.
+// workload memory init) and the merge epilogue (see System.run) are
+// timed. With ph nil no clock is read; the result is the same either
+// way.
 func runOne(cfg Config, w Workload, ph *telemetry.JobPhases) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -113,10 +113,10 @@ func (r *Runner) Jobs(n int) *Runner {
 }
 
 // Collect attaches a telemetry collector: every subsequent RunAll
-// reports per-job spans, per-worker busy time, and runtime metrics to
-// it. With a nil collector (the default) no clock is read per job;
-// results are byte-identical either way. Returns the Runner for
-// chaining.
+// reports each job's queue wait, busy time, construct and merge phases
+// and cycles to it. With a nil collector (the default) no clock is read
+// per job; results are byte-identical either way. Returns the Runner
+// for chaining.
 func (r *Runner) Collect(c *telemetry.Collector) *Runner {
 	r.tel = c
 	return r
@@ -142,21 +142,21 @@ func (r *Runner) RunAll(jobs []Job) []Result {
 		tel.SweepStart(poolWidth, len(jobs))
 		defer tel.SweepEnd()
 	}
-	// runJob executes jobs[i] on the given worker slot; with a
-	// collector it also times the job's phases and reports them.
-	runJob := func(worker, i int) {
+	// runJob executes jobs[i]; with a collector it also times the
+	// job's phases and reports them.
+	runJob := func(i int) {
 		if tel == nil {
 			results[i] = RunOneErr(jobs[i].Cfg, jobs[i].W)
 			return
 		}
-		tok := tel.JobStart(worker)
+		tok := tel.JobStart()
 		var ph telemetry.JobPhases
 		results[i] = runOne(jobs[i].Cfg, jobs[i].W, &ph)
 		tel.JobEnd(tok, results[i].Cycles, results[i].Err != nil, ph)
 	}
 	if workers <= 1 {
 		for i := range jobs {
-			runJob(0, i)
+			runJob(i)
 		}
 		return results
 	}
@@ -164,12 +164,12 @@ func (r *Runner) RunAll(jobs []Job) []Result {
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range next {
-				runJob(worker, i)
+				runJob(i)
 			}
-		}(w)
+		}()
 	}
 	for i := range jobs {
 		next <- i

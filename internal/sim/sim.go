@@ -104,11 +104,12 @@ type Config struct {
 	// MaxCycles bounds a run; reaching it is a failure (0 = DefaultMaxCycles).
 	MaxCycles uint64
 
-	// NoProgressCycles is the deadlock watchdog threshold: if no
-	// instruction retires machine-wide for this many cycles the run
-	// fails with a *RunError carrying the post-mortem dump
-	// (0 = DefaultNoProgressCycles). Tests tighten it to exercise the
-	// watchdog quickly.
+	// NoProgressCycles is the deadlock watchdog threshold: if no store
+	// performs and no CPU halts machine-wide for this many cycles the
+	// run fails with a *RunError carrying the post-mortem dump
+	// (0 = DefaultNoProgressCycles). Retirement is not progress: CPUs
+	// spinning on a lock nobody releases retire forever. Tests tighten
+	// it to exercise the watchdog quickly.
 	NoProgressCycles uint64
 
 	// Trace, when non-nil, receives every coherence/speculation event
@@ -160,8 +161,10 @@ type Config struct {
 const DefaultMaxCycles = 50_000_000
 
 // DefaultNoProgressCycles is the deadlock watchdog threshold: the
-// paper-scale interconnect round-trips in ~10^3 cycles, so 2M cycles
-// with zero retirements machine-wide is unambiguous livelock.
+// paper-scale interconnect round-trips in ~10^3 cycles, and the longest
+// stretch a generator was measured to run without a store performing
+// or a CPU halting is under 5×10^5 cycles (specjbb at 64 CPUs, scale
+// 2), so 2M such cycles is unambiguous livelock.
 const DefaultNoProgressCycles = 2_000_000
 
 // withDefaults fills in the values c's zero fields select: the machine
@@ -254,12 +257,10 @@ type System struct {
 	Cores    []*cpu.Core
 	now      uint64
 
-	// Machine-wide aggregates maintained incrementally by the cores
-	// (cpu.Core.AttachMachine): total committed instructions and the
-	// number of halted cores. The run loop's progress watchdog and
-	// termination check read these instead of scanning every core
-	// every cycle.
-	retired     uint64
+	// haltedCores is maintained incrementally by the cores
+	// (cpu.Core.AttachMachine): the run loop's progress watchdog and
+	// termination check read it instead of scanning every core every
+	// cycle.
 	haltedCores int
 
 	// skipped counts cycles the fast-forward path jumped over
@@ -317,7 +318,7 @@ func New(cfg Config, w Workload) *System {
 			c.SetOracle(&s.auditErr)
 		}
 		c.SetTracer(cfg.Trace)
-		c.AttachMachine(&s.retired, &s.haltedCores)
+		c.AttachMachine(nil, &s.haltedCores)
 		ctrl := core.NewController(cfg.Node, cfg.Tech, s.Bus, c, s.Counters)
 		if cfg.NoFastForward {
 			ctrl.SetOracle(&s.auditErr)
@@ -418,26 +419,26 @@ func (s *System) RunErr(w Workload) (Result, error) {
 	return s.run(w, nil)
 }
 
-// run is the one run loop. When ph is non-nil the simulate loop and
-// the merge epilogue (counter snapshots + validation) are wall-clocked
-// into it for the telemetry layer; with ph nil the host clock is never
-// read. Phase timing is a pure observation — nothing simulated reads
-// the host clock.
+// run is the one run loop. When ph is non-nil the merge epilogue
+// (counter snapshots + validation) is wall-clocked into it for the
+// telemetry layer; with ph nil the host clock is never read. Phase
+// timing is a pure observation — nothing simulated reads the host
+// clock.
 func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
-	var start time.Time
-	if ph != nil {
-		start = time.Now()
-	}
-	lastRetired := uint64(0)
+	// Progress is a store performing or a CPU halting: a CPU spinning
+	// on a lock or a flag retires loads and branches forever, so
+	// retirement alone cannot tell a livelock from work.
+	performed := s.Counters.Counter("store/performed")
+	lastSeen := uint64(0)
 	lastProgress := uint64(0)
 	watchdog := s.cfg.NoProgressCycles
 	var runErr *RunError
 	for s.now < s.cfg.MaxCycles {
-		if s.retired != lastRetired {
-			lastRetired = s.retired
+		if p := performed.Get() + uint64(s.haltedCores); p != lastSeen {
+			lastSeen = p
 			lastProgress = s.now
 		} else if s.now-lastProgress > watchdog {
-			reason := fmt.Sprintf("no instruction retired for %d cycles at cycle %d (workload %q, tech %s) — deadlock",
+			reason := fmt.Sprintf("no store performed and no CPU halted for %d cycles at cycle %d (workload %q, tech %s) — deadlock",
 				watchdog, s.now, w.Name, s.cfg.Tech)
 			runErr = s.failWithPostMortem(w, reason)
 			break
@@ -494,7 +495,6 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 	var mergeStart time.Time
 	if ph != nil {
 		mergeStart = time.Now()
-		ph.Simulate = mergeStart.Sub(start).Nanoseconds()
 	}
 	res := Result{
 		Workload:      w.Name,

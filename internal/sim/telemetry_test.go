@@ -46,9 +46,8 @@ func TestCollectorDoesNotPerturbResults(t *testing.T) {
 		t.Errorf("collector saw %d done / %d failed, want %d/0",
 			rep.JobsDone, rep.JobsFailed, len(jobs))
 	}
-	if rep.Spans[telemetry.PhaseSimulate].N != uint64(len(jobs)) {
-		t.Errorf("simulate spans recorded = %d, want %d",
-			rep.Spans[telemetry.PhaseSimulate].N, len(jobs))
+	if d := rep.Diagnosis; d.ConstructShare <= 0 || d.MergeShare <= 0 {
+		t.Errorf("construct/merge shares %v/%v: the runner timed no phase", d.ConstructShare, d.MergeShare)
 	}
 	var cycles uint64
 	for _, r := range observed {

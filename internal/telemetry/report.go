@@ -5,162 +5,127 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"tssim/internal/stats"
+	"time"
 )
 
-// WorkerReport is one worker's share of the sweep.
-type WorkerReport struct {
-	Worker int   `json:"worker"`
-	Jobs   int64 `json:"jobs"`
-	BusyNS int64 `json:"busy_ns"`
-	// BusyFraction is busy time over the sweep's wall time: a healthy
-	// saturated pool shows ~1.0 on every worker; values well below 1
-	// mean the worker starved (queue drained, stragglers, GC stalls).
-	BusyFraction float64 `json:"busy_fraction"`
+// Report is the tssim-runnerstats/v2 document: the sweep's progress
+// and the pool's utilization so far, and the diagnosis of where its
+// host time went. Its readers are the heartbeat line (String),
+// scripts/status_smoke.sh, CI's experiments smoke and bench/'s runner.*
+// metrics (Diagnosis).
+type Report struct {
+	Schema     string `json:"schema"`
+	JobsTotal  int64  `json:"jobs_total"`
+	JobsDone   int64  `json:"jobs_done"`
+	JobsFailed int64  `json:"jobs_failed"`
+	Workers    int    `json:"workers"`
+	BusyNow    int64  `json:"busy_workers"`
+
+	SimCycles uint64 `json:"sim_cycles"`
+	ElapsedNS int64  `json:"elapsed_ns"` // sweep wall time, the running sweep's included
+
+	// CellsPerSec is finished jobs over elapsed wall time; ETANS
+	// extrapolates it over the remaining jobs (0 when unknowable).
+	CellsPerSec float64 `json:"cells_per_sec"`
+	ETANS       int64   `json:"eta_ns"`
+
+	// Utilization is worker busy time, running jobs' time so far
+	// included, over pool capacity (workers × elapsed): the headline
+	// "are my -j workers actually working" number. At the end of a
+	// sweep it equals Diagnosis.WorkerBusyFraction.
+	Utilization float64 `json:"utilization"`
+
+	Diagnosis Diagnosis `json:"diagnosis"`
 }
 
-// RuntimeReport is the Go runtime's accounting over the sweep, from
-// runtime/metrics deltas between the sweep-start baseline and the last
-// sample.
-type RuntimeReport struct {
-	GOMAXPROCS        int    `json:"gomaxprocs"`
-	GCCycles          uint64 `json:"gc_cycles"`
-	GCPauseNS         int64  `json:"gc_pause_ns"`
-	HeapLiveBytes     uint64 `json:"heap_live_bytes"`
-	HeapLiveMaxBytes  uint64 `json:"heap_live_max_bytes"`
-	SchedLatencyP50NS int64  `json:"sched_latency_p50_ns"`
-	SchedLatencyP99NS int64  `json:"sched_latency_p99_ns"`
-}
-
-// Diagnosis is the derived block that explains a bad parallel speedup
-// instead of just stating it. All fractions are in [0,1] (busy
-// fraction can exceed 1 slightly when workers outnumber wall-clock
-// accounting granularity).
+// Diagnosis explains a parallel speedup instead of just stating it:
+// shares of host time, each in [0,1] up to clock granularity, over
+// finished jobs.
 type Diagnosis struct {
-	// WorkerBusyFraction is the mean of per-worker busy fractions:
-	// the fraction of pool capacity actually spent running jobs.
-	WorkerBusyFraction    float64 `json:"worker_busy_fraction"`
-	WorkerBusyFractionMin float64 `json:"worker_busy_fraction_min"`
-	WorkerBusyFractionMax float64 `json:"worker_busy_fraction_max"`
-	// GCPauseShare is total GC stop-the-world pause over sweep wall
-	// time — pauses stall every worker at once.
-	GCPauseShare float64 `json:"gc_pause_share"`
-	// ConstructShare is machine construction over total busy time:
-	// the price of building a fresh System per job (the ROADMAP's
-	// pool-and-reuse candidate).
+	// WorkerBusyFraction is finished jobs' busy time over pool capacity
+	// (workers × wall): the mean of the workers' busy fractions.
+	WorkerBusyFraction float64 `json:"worker_busy_fraction"`
+	// ConstructShare is machine construction over busy time: the price
+	// of building a fresh System per job.
 	ConstructShare float64 `json:"construct_share"`
-	// QueueShare is mean queue wait over wall time — high values with
+	// MergeShare is stats merge and validation over busy time.
+	MergeShare float64 `json:"merge_share"`
+	// QueueShare is mean queue wait over wall time: high values with
 	// low busy fractions indicate imbalance, not saturation.
 	QueueShare float64 `json:"queue_share"`
-	// MergeShare is stats merge/validation over total busy time.
-	MergeShare float64 `json:"merge_share"`
-	// SimCyclesPerSec is aggregate simulated cycles per wall second —
-	// the sweep-level throughput figure of merit. The numerator is
-	// *architectural* cycles (sim.Result.Cycles), which counts cycles
-	// the next-event fast-forward skipped as simulated: the figure
-	// stays comparable across runs regardless of how many cycles were
-	// actually ticked, and fast-forward improvements show up here as a
-	// genuine throughput gain.
-	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
+	// GCPauseShare is GC stop-the-world pause since the first sweep
+	// started over wall time: a pause stalls every worker at once.
+	GCPauseShare float64 `json:"gc_pause_share"`
 }
 
-// Report is the tssim-runnerstats/v1 record: everything the collector
-// gathered over its sweeps, plus the derived diagnosis.
-type Report struct {
-	Schema     string                        `json:"schema"`
-	Workers    int                           `json:"workers"`
-	JobsTotal  int64                         `json:"jobs_total"`
-	JobsDone   int64                         `json:"jobs_done"`
-	JobsFailed int64                         `json:"jobs_failed"`
-	WallNS     int64                         `json:"wall_ns"`
-	BusyNS     int64                         `json:"busy_ns"`
-	SimCycles  uint64                        `json:"sim_cycles"`
-	Spans      map[string]stats.HistSnapshot `json:"spans"` // per-phase ns histograms
-	PhaseNS    map[string]int64              `json:"phase_total_ns"`
-	IdleGap    stats.HistSnapshot            `json:"idle_gap_ns"`
-	PerWorker  []WorkerReport                `json:"per_worker"`
-	Runtime    RuntimeReport                 `json:"runtime"`
-	Diagnosis  Diagnosis                     `json:"diagnosis"`
-}
-
-// Report aggregates everything collected so far. Safe to call
-// mid-sweep (progress/status use Snapshot for the cheap path; Report
-// is the full story at end of run).
+// Report builds the document from what the collector holds now. Safe
+// to call from any goroutine at any rate, mid-sweep included. A call
+// racing a job's start or end, or a sweep's, may count that event
+// half: the reading is off by at most the running sweep's elapsed time
+// in one sum, and the next reading is whole.
 func (c *Collector) Report() Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rt.sample()
-
-	wall := c.elapsedNS()
-	busy := c.busyNS.Load()
+	now := c.ns()
 	r := Report{
 		Schema:     Schema,
-		Workers:    c.workers,
 		JobsTotal:  c.jobsTotal.Load(),
 		JobsDone:   c.jobsDone.Load(),
 		JobsFailed: c.jobsFailed.Load(),
-		WallNS:     wall,
-		BusyNS:     busy,
+		Workers:    int(c.workers.Load()),
+		BusyNow:    c.busyWorkers.Load(),
 		SimCycles:  c.simCycles.Load(),
-		Spans:      make(map[string]stats.HistSnapshot, len(c.spans)),
-		PhaseNS:    make(map[string]int64, len(c.phaseTotal)),
-		IdleGap:    c.idleGap.Snapshot(),
-		Runtime: RuntimeReport{
-			GOMAXPROCS:        c.rt.gomaxprocs,
-			GCCycles:          c.rt.gcCycles,
-			GCPauseNS:         c.rt.gcPauseNS,
-			HeapLiveBytes:     c.rt.heapLive,
-			HeapLiveMaxBytes:  c.rt.heapLiveMax,
-			SchedLatencyP50NS: c.rt.schedP50NS,
-			SchedLatencyP99NS: c.rt.schedP99NS,
-		},
+		ElapsedNS:  c.wallNS.Load(),
 	}
-	for _, name := range phaseNames {
-		r.Spans[name] = c.spans[name].Snapshot()
-		r.PhaseNS[name] = c.phaseTotal[name]
+	finished := c.busyNS.Load()
+	busy := finished
+	if c.inSweep.Load() {
+		sweep := now - c.sweepStart.Load()
+		r.ElapsedNS += sweep
+		busy += r.BusyNow*sweep - c.inflightNS.Load()
 	}
-	for i, ws := range c.perWorker {
-		wr := WorkerReport{Worker: i, Jobs: ws.jobs.Load(), BusyNS: ws.busyNS.Load()}
-		if wall > 0 {
-			wr.BusyFraction = float64(wr.BusyNS) / float64(wall)
-		}
-		r.PerWorker = append(r.PerWorker, wr)
-	}
-
 	d := &r.Diagnosis
-	if n := len(r.PerWorker); n > 0 {
-		min, max, sum := r.PerWorker[0].BusyFraction, r.PerWorker[0].BusyFraction, 0.0
-		for _, wr := range r.PerWorker {
-			sum += wr.BusyFraction
-			if wr.BusyFraction < min {
-				min = wr.BusyFraction
-			}
-			if wr.BusyFraction > max {
-				max = wr.BusyFraction
-			}
+	if wall := float64(r.ElapsedNS); wall > 0 {
+		r.CellsPerSec = float64(r.JobsDone) / (wall / 1e9)
+		if remaining := r.JobsTotal - r.JobsDone; remaining > 0 && r.CellsPerSec > 0 {
+			r.ETANS = int64(float64(remaining) / r.CellsPerSec * 1e9)
 		}
-		d.WorkerBusyFraction = sum / float64(n)
-		d.WorkerBusyFractionMin = min
-		d.WorkerBusyFractionMax = max
-	}
-	if wall > 0 {
-		d.GCPauseShare = float64(r.Runtime.GCPauseNS) / float64(wall)
-		d.SimCyclesPerSec = float64(r.SimCycles) / (float64(wall) / 1e9)
-		if done := r.JobsDone; done > 0 {
-			d.QueueShare = (float64(r.PhaseNS[PhaseQueue]) / float64(done)) / float64(wall)
+		if r.Workers > 0 {
+			capacity := float64(r.Workers) * wall
+			r.Utilization = float64(busy) / capacity
+			d.WorkerBusyFraction = float64(finished) / capacity
 		}
+		if r.JobsDone > 0 {
+			d.QueueShare = float64(c.queueNS.Load()) / float64(r.JobsDone) / wall
+		}
+		d.GCPauseShare = c.gcPauseShare(r.ElapsedNS)
 	}
-	if busy > 0 {
-		d.ConstructShare = float64(r.PhaseNS[PhaseConstruct]) / float64(busy)
-		d.MergeShare = float64(r.PhaseNS[PhaseMerge]) / float64(busy)
+	if finished > 0 {
+		d.ConstructShare = float64(c.constructNS.Load()) / float64(finished)
+		d.MergeShare = float64(c.mergeNS.Load()) / float64(finished)
 	}
 	return r
 }
 
+// String renders the one-line heartbeat form.
+func (r Report) String() string {
+	pct := 0.0
+	if r.JobsTotal > 0 {
+		pct = 100 * float64(r.JobsDone) / float64(r.JobsTotal)
+	}
+	eta := "?"
+	if r.ETANS > 0 {
+		eta = time.Duration(r.ETANS).Round(time.Second).String()
+	}
+	line := fmt.Sprintf("progress: %d/%d cells (%.1f%%), %.1f cells/s, eta %s, workers %d/%d busy, util %.0f%%",
+		r.JobsDone, r.JobsTotal, pct, r.CellsPerSec, eta, r.BusyNow, r.Workers, 100*r.Utilization)
+	if r.JobsFailed > 0 {
+		line += fmt.Sprintf(", FAILED %d", r.JobsFailed)
+	}
+	return line
+}
+
 // WriteJSON writes v as two-space indented JSON and a newline: the one
 // encoding of every JSON view of a run — the -report and -runnerstats
-// files, GET /status and GET /runnerstats.
+// files and GET /status.
 func WriteJSON(w io.Writer, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

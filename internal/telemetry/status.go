@@ -8,13 +8,12 @@ import (
 )
 
 // StatusServer is the embryo of the ROADMAP's sweep service: an HTTP
-// server exposing the live sweep snapshot, the full runner-stats
-// report, expvar, and pprof while a sweep runs.
+// server exposing the runner-stats document, expvar, and pprof while a
+// sweep runs.
 //
-//	GET /status        atomics-based Snapshot (never blocks workers)
-//	GET /runnerstats   full tssim-runnerstats/v1 Report so far
+//	GET /status        the tssim-runnerstats/v2 Report so far (never blocks workers)
 //	GET /debug/vars    expvar: the Go runtime's own variables (memstats, cmdline)
-//	GET /debug/pprof/  net/http/pprof index (CPU, heap, mutex, block…)
+//	GET /debug/pprof/  net/http/pprof index (CPU, heap, goroutines…)
 type StatusServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -24,17 +23,13 @@ type StatusServer struct {
 // for c in a background goroutine. Close the returned server when the
 // sweep ends.
 func ServeStatus(addr string, c *Collector) (*StatusServer, error) {
-	serveJSON := func(view func() any) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := WriteJSON(w, view()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		}
-	}
 	mux := http.NewServeMux()
-	mux.Handle("/status", serveJSON(func() any { c.Sample(); return c.Snapshot() }))
-	mux.Handle("/runnerstats", serveJSON(func() any { return c.Report() }))
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := WriteJSON(w, c.Report()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -14,8 +14,8 @@ func startTestServer(t *testing.T) (*StatusServer, *Collector) {
 	t.Helper()
 	c := New()
 	c.SweepStart(2, 4)
-	tok := c.JobStart(0)
-	c.JobEnd(tok, 1234, false, JobPhases{Construct: 10, Simulate: 80, Merge: 5})
+	tok := c.JobStart()
+	c.JobEnd(tok, 1234, false, JobPhases{Construct: 10, Merge: 5})
 
 	s, err := ServeStatus("127.0.0.1:0", c)
 	if err != nil {
@@ -39,8 +39,8 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestStatusEndpoint: /status serves the live snapshot as JSON on a
-// dynamically bound port (the ":0" flow scripts rely on).
+// TestStatusEndpoint: /status serves the runner-stats document as
+// JSON on a dynamically bound port (the ":0" flow scripts rely on).
 func TestStatusEndpoint(t *testing.T) {
 	s, _ := startTestServer(t)
 
@@ -48,37 +48,16 @@ func TestStatusEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/status = HTTP %d", code)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/status body is not a Snapshot: %v\n%s", err, body)
+	var r Report
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatalf("/status body is not a Report: %v\n%s", err, body)
 	}
-	if snap.JobsTotal != 4 || snap.JobsDone != 1 || snap.Workers != 2 {
-		t.Errorf("snapshot = total %d done %d workers %d, want 4/1/2",
-			snap.JobsTotal, snap.JobsDone, snap.Workers)
+	if r.Schema != Schema || r.JobsTotal != 4 || r.JobsDone != 1 || r.Workers != 2 {
+		t.Errorf("document = %s total %d done %d workers %d, want %s 4/1/2",
+			r.Schema, r.JobsTotal, r.JobsDone, r.Workers, Schema)
 	}
-	if snap.SimCycles != 1234 {
-		t.Errorf("sim cycles = %d, want 1234", snap.SimCycles)
-	}
-}
-
-// TestRunnerstatsEndpoint: /runnerstats serves the full versioned
-// report mid-sweep.
-func TestRunnerstatsEndpoint(t *testing.T) {
-	s, _ := startTestServer(t)
-
-	code, body := get(t, fmt.Sprintf("http://%s/runnerstats", s.Addr()))
-	if code != http.StatusOK {
-		t.Fatalf("/runnerstats = HTTP %d", code)
-	}
-	var rep Report
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatalf("/runnerstats body is not a Report: %v", err)
-	}
-	if rep.Schema != Schema {
-		t.Errorf("schema = %q, want %q", rep.Schema, Schema)
-	}
-	if rep.Spans[PhaseSimulate].N != 1 {
-		t.Errorf("simulate span n = %d, want 1", rep.Spans[PhaseSimulate].N)
+	if r.SimCycles != 1234 {
+		t.Errorf("sim cycles = %d, want 1234", r.SimCycles)
 	}
 }
 

@@ -1,251 +1,187 @@
 // Package telemetry instruments the simulation *harness* — the
 // sim.Runner worker pool, not the simulated machine (that is
-// internal/trace's job). It answers the question BENCH_0.json's
-// parallel_speedup of 0.95 raised but could not explain: where does
-// worker wall-clock actually go when a sweep runs slower in parallel
-// than serial?
+// internal/trace's job). It answers one question: where did the pool's
+// host time go? Its answer is one document, Report
+// (tssim-runnerstats/v2): the sweep's progress, the pool's
+// utilization, and five shares of host time — workers busy, machine
+// construction, stats merge, queue wait and GC pause. The heartbeat
+// line is its String form, GET /status serves it, -runnerstats writes
+// it at exit, and bench/ reads its Diagnosis.
 //
-// A Collector records, per job, how long the job waited in the queue
-// and how long each execution phase took (machine construction, the
-// simulate loop, stats merge, teardown), accumulates per-worker
-// busy/idle time, and samples Go runtime metrics (GC cycles and pause
-// time, live heap, goroutine scheduling latency) over the sweep. The
-// result aggregates into a versioned tssim-runnerstats/v1 JSON report
-// whose Diagnosis block carries the derived ratios — worker busy
-// fraction, GC-pause share of wall time, construction share of busy
-// time — that turn "speedup 0.95" into "workers are 40% idle and a
-// third of busy time is rebuilding machines".
+// Telemetry must never perturb what it measures:
 //
-// The design constraint throughout is that telemetry must never
-// perturb what it measures:
-//
-//   - A nil or absent Collector costs the Runner nothing — the
-//     instrumented paths are only entered when a collector is
-//     attached, and simulation output is byte-identical either way
-//     (per-job wall clocks never feed back into simulated state).
-//   - The live snapshot path (progress heartbeats, the /status
-//     endpoint) reads only atomics, so an observer polling at any
-//     rate cannot block a worker. The mutex-guarded histograms are
-//     touched once per completed job (milliseconds of work each),
-//     never per cycle, and never by Snapshot.
+//   - A nil Collector costs the Runner nothing: with none attached no
+//     clock is read per job, and simulation output is byte-identical
+//     either way (per-job wall clocks never feed back into simulated
+//     state).
+//   - The Collector is atomics only. A worker adds to a few counters
+//     once per job (milliseconds of work each), never per cycle, and
+//     an observer polling at any rate takes no lock a worker waits on.
 package telemetry
 
 import (
-	"sync"
+	"math"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
-
-	"tssim/internal/stats"
 )
 
-// Schema versions the runner-stats report; consumers check it before
+// Schema versions the runner-stats document; consumers check it before
 // parsing.
-const Schema = "tssim-runnerstats/v1"
+const Schema = "tssim-runnerstats/v2"
 
-// Span phase names, used as keys in Report.Spans and PhaseTotalNS.
-const (
-	PhaseQueue     = "queue"     // dequeue time minus sweep start
-	PhaseConstruct = "construct" // sim.New: machine assembly + workload init
-	PhaseSimulate  = "simulate"  // the cycle loop itself
-	PhaseMerge     = "merge"     // counter/histogram snapshots + validation
-	PhaseTeardown  = "teardown"  // result delivery + bookkeeping after the run
-)
-
-// phaseNames fixes the iteration order for reports.
-var phaseNames = []string{PhaseQueue, PhaseConstruct, PhaseSimulate, PhaseMerge, PhaseTeardown}
-
-// JobPhases carries one job's per-phase wall time in nanoseconds. The
-// simulator fills Construct/Simulate/Merge (see sim.Runner.RunAll);
-// the Runner derives Queue and Teardown around them.
+// JobPhases carries the wall time, in nanoseconds, of the two phases of
+// one job the shares price: machine construction (sim.New, workload
+// memory init included) and the merge epilogue (counter snapshots and
+// validation). The simulator fills it (see sim.Runner.RunAll).
 type JobPhases struct {
-	Queue     int64
 	Construct int64
-	Simulate  int64
 	Merge     int64
-	Teardown  int64
 }
 
-// JobToken links a JobStart to its JobEnd: which worker, when the job
-// was dequeued, and how long it had queued by then.
+// JobToken links a JobStart to its JobEnd: when the job was dequeued,
+// in nanoseconds after its sweep started, which is also how long it
+// waited for a worker.
 type JobToken struct {
-	worker  int
-	start   time.Time
-	queueNS int64
+	at int64
 }
 
-// workerState accumulates one worker's busy time and job count. Each
-// worker owns its slot exclusively during a sweep, so the fields are
-// atomics only so that Report/Snapshot may read them mid-sweep.
-type workerState struct {
-	busyNS  atomic.Int64
-	jobs    atomic.Int64
-	startNS atomic.Int64 // wall nanos when the in-flight job began (0 = idle)
-}
-
-// Collector gathers harness telemetry across one or more Runner
-// sweeps (an `experiments -all` invocation attaches one collector to
-// every artifact's sweep). All methods are safe for concurrent use.
+// Collector gathers harness telemetry across one or more Runner sweeps
+// (an `experiments -all` invocation attaches one collector to every
+// artifact's sweep). Sweeps do not overlap; every method is safe for
+// concurrent use.
 type Collector struct {
-	// now is the clock; tests substitute a synthetic one.
-	now func() time.Time
+	// now is the clock and epoch its zero; tests substitute a synthetic
+	// clock. Every instant below is nanoseconds after epoch.
+	now   func() time.Time
+	epoch time.Time
 
-	// Lock-free live state: the snapshot path reads only these.
 	jobsTotal   atomic.Int64
 	jobsDone    atomic.Int64
 	jobsFailed  atomic.Int64
-	simCycles   atomic.Uint64
+	workers     atomic.Int64 // pool width of the widest sweep seen
 	busyWorkers atomic.Int64
-	busyNS      atomic.Int64 // total worker busy time across the pool
-	wallNS      atomic.Int64 // completed sweeps' wall time (current sweep added live)
 
-	mu         sync.Mutex
-	workers    int // pool width of the widest sweep seen
-	perWorker  []*workerState
-	spans      map[string]*stats.Hist // phase name -> ns histogram
-	phaseTotal map[string]int64
-	idleGap    *stats.Hist // ns between consecutive jobs on one worker
-	lastEnd    []time.Time // per worker: previous job's end, for idleGap
+	// busyNS is the finished jobs' dequeue-to-done time; inflightNS sums
+	// the running jobs' dequeue instants (after their sweep's start), so
+	// a long cell counts as busy before it finishes.
+	busyNS     atomic.Int64
+	inflightNS atomic.Int64
 
-	sweepStart time.Time // current sweep's start (zero when idle)
-	firstStart time.Time // first sweep's start, for Snapshot rates
-	inSweep    bool
-	rt         *runtimeSampler
+	queueNS     atomic.Int64
+	constructNS atomic.Int64
+	mergeNS     atomic.Int64
+	simCycles   atomic.Uint64
+
+	wallNS     atomic.Int64 // finished sweeps' wall time
+	sweepStart atomic.Int64 // the running sweep's start
+	inSweep    atomic.Bool
+
+	// gcBase is the GC pause total when the first sweep started, plus
+	// one, so that zero means not read yet.
+	gcBase atomic.Int64
 }
 
 // New returns an empty collector.
-func New() *Collector {
-	c := &Collector{
-		now:        time.Now,
-		spans:      make(map[string]*stats.Hist, len(phaseNames)),
-		phaseTotal: make(map[string]int64, len(phaseNames)),
-		idleGap:    &stats.Hist{},
-		rt:         newRuntimeSampler(),
-	}
-	for _, p := range phaseNames {
-		c.spans[p] = &stats.Hist{}
-	}
-	return c
+func New() *Collector { return newCollector(time.Now) }
+
+func newCollector(now func() time.Time) *Collector {
+	return &Collector{now: now, epoch: now()}
 }
+
+// ns reads the clock.
+func (c *Collector) ns() int64 { return int64(c.now().Sub(c.epoch)) }
 
 // SweepStart marks the beginning of one Runner.RunAll batch of n jobs
 // on a pool of the given width. Called by the Runner before any worker
-// starts; a collector accumulates across successive sweeps.
+// starts; a collector accumulates across successive sweeps, and the GC
+// pause share counts from the first one.
 func (c *Collector) SweepStart(workers, n int) {
+	c.gcBase.CompareAndSwap(0, gcPauseNS()+1)
 	c.jobsTotal.Add(int64(n))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if workers > c.workers {
-		c.workers = workers
+	if int64(workers) > c.workers.Load() {
+		c.workers.Store(int64(workers))
 	}
-	for len(c.perWorker) < c.workers {
-		c.perWorker = append(c.perWorker, &workerState{})
-		c.lastEnd = append(c.lastEnd, time.Time{})
-	}
-	c.sweepStart = c.now()
-	if c.firstStart.IsZero() {
-		c.firstStart = c.sweepStart
-	}
-	c.inSweep = true
-	c.rt.sampleBaseline()
+	c.sweepStart.Store(c.ns())
+	c.inSweep.Store(true)
 }
 
-// SweepEnd marks the end of the current RunAll batch, folding its wall
-// time into the cumulative total and taking a closing runtime-metrics
-// sample.
+// SweepEnd marks the end of the running batch, folding its wall time
+// into the total.
 func (c *Collector) SweepEnd() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.inSweep {
-		return
-	}
-	c.wallNS.Add(c.now().Sub(c.sweepStart).Nanoseconds())
-	c.inSweep = false
-	c.rt.sample()
+	c.wallNS.Add(c.ns() - c.sweepStart.Load())
+	c.inSweep.Store(false)
 }
 
-// JobStart records that the given worker dequeued a job now. The queue
-// span is the time since the sweep started: every job of a batch is
-// known (and conceptually enqueued) at RunAll entry, so this measures
-// how long the cell waited for a free worker.
-func (c *Collector) JobStart(worker int) JobToken {
-	now := c.now()
+// JobStart records that a worker dequeued a job now. Every job of a
+// batch is known (and conceptually enqueued) when RunAll starts, so the
+// time since the sweep started is how long the cell waited for a free
+// worker.
+func (c *Collector) JobStart() JobToken {
+	at := c.ns() - c.sweepStart.Load()
+	c.inflightNS.Add(at)
 	c.busyWorkers.Add(1)
-	c.mu.Lock()
-	start := c.sweepStart
-	if worker < len(c.lastEnd) {
-		if last := c.lastEnd[worker]; !last.IsZero() {
-			if gap := now.Sub(last); gap > 0 {
-				c.idleGap.Observe(uint64(gap.Nanoseconds()))
-			}
-		}
-		c.perWorker[worker].startNS.Store(now.UnixNano())
-	}
-	c.mu.Unlock()
-	qns := int64(0)
-	if !start.IsZero() {
-		qns = now.Sub(start).Nanoseconds()
-	}
-	return JobToken{worker: worker, start: now, queueNS: qns}
+	return JobToken{at: at}
 }
 
 // JobEnd records one finished job: its simulated-cycle count, whether
-// it failed, and its phase breakdown. Teardown is derived as the
-// worker time not attributed to construct/simulate/merge, so the five
-// phases plus queue account for the whole dequeue-to-done interval.
+// it failed, and its phases.
 func (c *Collector) JobEnd(tok JobToken, cycles uint64, failed bool, ph JobPhases) {
-	now := c.now()
-	busy := now.Sub(tok.start).Nanoseconds()
-	ph.Queue = tok.queueNS
-	if td := busy - ph.Construct - ph.Simulate - ph.Merge; td > 0 {
-		ph.Teardown = td
-	}
-
-	c.jobsDone.Add(1)
+	busy := c.ns() - c.sweepStart.Load() - tok.at
+	c.busyNS.Add(busy)
+	c.queueNS.Add(tok.at)
+	c.constructNS.Add(ph.Construct)
+	c.mergeNS.Add(ph.Merge)
+	c.simCycles.Add(cycles)
 	if failed {
 		c.jobsFailed.Add(1)
 	}
-	c.simCycles.Add(cycles)
-	c.busyNS.Add(busy)
+	c.inflightNS.Add(-tok.at)
 	c.busyWorkers.Add(-1)
+	c.jobsDone.Add(1)
+}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if tok.worker < len(c.perWorker) {
-		ws := c.perWorker[tok.worker]
-		ws.busyNS.Add(busy)
-		ws.jobs.Add(1)
-		ws.startNS.Store(0)
-		c.lastEnd[tok.worker] = now
+// gcPauseShare is the GC stop-the-world pause since the first sweep
+// started, over wall (nanoseconds).
+func (c *Collector) gcPauseShare(wall int64) float64 {
+	base := c.gcBase.Load()
+	if base == 0 || wall <= 0 {
+		return 0
 	}
-	for name, v := range map[string]int64{
-		PhaseQueue:     ph.Queue,
-		PhaseConstruct: ph.Construct,
-		PhaseSimulate:  ph.Simulate,
-		PhaseMerge:     ph.Merge,
-		PhaseTeardown:  ph.Teardown,
-	} {
-		if v < 0 {
-			v = 0
+	pause := gcPauseNS() - (base - 1)
+	if pause < 0 {
+		pause = 0
+	}
+	return float64(pause) / float64(wall)
+}
+
+// gcPauseNS is the process's total GC stop-the-world pause so far, in
+// nanoseconds: the runtime's pause histogram summed at bucket
+// midpoints (the ±Inf edge buckets at their finite boundary), exact
+// enough for a share since nearly all pauses land in its fine-grained
+// low buckets. Reading it does not stop the world; a toolchain without
+// the series reads zero.
+func gcPauseNS() int64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/gc:seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
+		return 0
+	}
+	h := s[0].Value.Float64Histogram()
+	var sum float64
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
 		}
-		c.spans[name].Observe(uint64(v))
-		c.phaseTotal[name] += v
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		mid := (lo + hi) / 2
+		switch {
+		case math.IsInf(lo, -1):
+			mid = hi
+		case math.IsInf(hi, 1):
+			mid = lo
+		}
+		sum += float64(n) * mid
 	}
-}
-
-// Sample takes an on-demand runtime-metrics sample (the progress loop
-// calls this each tick so heap-live peaks inside a sweep are seen).
-func (c *Collector) Sample() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rt.sample()
-}
-
-// elapsedNS returns cumulative sweep wall time including the live
-// sweep. Callers must hold mu.
-func (c *Collector) elapsedNS() int64 {
-	ns := c.wallNS.Load()
-	if c.inSweep {
-		ns += c.now().Sub(c.sweepStart).Nanoseconds()
-	}
-	return ns
+	return int64(sum * 1e9)
 }
