@@ -53,7 +53,7 @@ func litmusShapeMain(name string, enumerate bool, tech sim.Techniques, noFF bool
 		return 0
 	}
 	knobs := litmus.DefaultKnobs(sim.AllCombos())
-	knobs.Interconnects = []string{interconnect}
+	knobs.Interconnect = interconnect
 	if s.CPUs() > 2 {
 		// The per-CPU axes are exponential in CPU count; trim them so
 		// the 4-core IRIW shapes stay tractable.
@@ -66,22 +66,6 @@ func litmusShapeMain(name string, enumerate bool, tech sim.Techniques, noFF bool
 		return 1
 	}
 	return 0
-}
-
-// newTracer checks the format, then creates path and builds a Tracer
-// streaming to it in that format. A bad format leaves path untouched.
-func newTracer(path, format string) (*trace.Tracer, error) {
-	if format != "jsonl" && format != "chrome" {
-		return nil, fmt.Errorf("unknown trace format %q (use jsonl|chrome)", format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if format == "chrome" {
-		return trace.New(0, trace.NewChromeSink(f)), nil
-	}
-	return trace.New(0, trace.NewJSONLSink(f)), nil
 }
 
 // fail reports a failed run on errw — the captured post-mortem, then one
@@ -137,12 +121,11 @@ func sortedKeys[V any](m map[string]V) []string {
 // options are tssim's own flags; the ones it shares with cmd/experiments
 // live in internal/cli.
 type options struct {
-	workload, tech     string
-	verbose            bool
-	litmusShape        string
-	enumerate          bool
-	trace, traceFormat string
-	report             string
+	workload, tech string
+	verbose        bool
+	litmusShape    string
+	enumerate      bool
+	trace, report  string
 }
 
 func main() {
@@ -154,7 +137,6 @@ func main() {
 	flag.StringVar(&o.litmusShape, "litmus-shape", "", "run one memory-model litmus shape instead of a workload: "+strings.Join(litmus.ShapeNames(), "|"))
 	flag.BoolVar(&o.enumerate, "enumerate", false, "with -litmus-shape: exhaustively sweep the schedule-perturbation grid (all combos, both kernel paths) and compare reachable vs TSO-allowed outcomes")
 	flag.StringVar(&o.trace, "trace", "", "write a coherence event trace to this file")
-	flag.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace format: jsonl|chrome (chrome loads in Perfetto)")
 	flag.StringVar(&o.report, "report", "", "write a machine-readable JSON run report to this file")
 	flag.Parse()
 	if err := o.validate(flag.CommandLine); err != nil {
@@ -236,9 +218,11 @@ func run(shared *cli.Flags, o options) int {
 		return 0
 	}
 	if o.trace != "" {
-		if cfg.Trace, err = newTracer(o.trace, o.traceFormat); err != nil {
+		f, err := os.Create(o.trace)
+		if err != nil {
 			return usage(err)
 		}
+		cfg.Trace = trace.New(trace.NewJSONLSink(f))
 	}
 	// One job through the Runner: with telemetry flags the single run
 	// gets the same heartbeats, /status endpoint and runner-stats report
@@ -250,7 +234,7 @@ func run(shared *cli.Flags, o options) int {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s (%s)\n", cfg.Trace.Total(), o.trace, o.traceFormat)
+		fmt.Fprintf(os.Stderr, "trace: %d events -> %s\n", cfg.Trace.Total(), o.trace)
 	}
 	if o.report != "" && r.Err == nil {
 		if err := telemetry.WriteJSONFile(o.report, sim.NewReport(cfg, r)); err != nil {

@@ -66,7 +66,6 @@ func TestNonsenseSizesRejected(t *testing.T) {
 	usageError(t, `workload: unknown name "tpc-x"`, "-workload", "tpc-x")
 	usageError(t, "-trace and -report record a single run; use -seeds 1", "-seeds", "2", "-report", "r.json")
 	usageError(t, "-enumerate requires -litmus-shape", "-enumerate")
-	usageError(t, `unknown trace format "xml"`, "-trace", os.DevNull, "-trace-format", "xml")
 }
 
 // The litmus mode refuses every flag it would not read, naming all of
@@ -92,20 +91,6 @@ func TestLitmusRejectsFlagsItDoesNotRead(t *testing.T) {
 	out, code := runMain(t, "-litmus-shape", "SB", "-tech", "emesti", "-interconnect", "splitbus", "-no-fastforward")
 	if code != 0 || !strings.Contains(out, "under E-MESTI: observed (0,0)") {
 		t.Errorf("single litmus run: exit status %d:\n%s", code, out)
-	}
-}
-
-// A bad -trace-format is refused before the trace file is created: an
-// existing file keeps its bytes.
-func TestBadTraceFormatKeepsTraceFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.jsonl")
-	const before = "earlier trace\n"
-	if err := os.WriteFile(path, []byte(before), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	usageError(t, `unknown trace format "bogus"`, "-trace", path, "-trace-format", "bogus")
-	if got, err := os.ReadFile(path); err != nil || string(got) != before {
-		t.Fatalf("trace file after a refused format: %q, %v; want %q", got, err, before)
 	}
 }
 

@@ -22,8 +22,9 @@ import (
 // per-CPU serialized delays spliced into the shape before its last
 // memory op (Shape.Programs), the initial bus arbitration pointer
 // (bus.Config.ArbStart), the technique combo, the kernel path
-// (fast-forward vs naive), the machine jitter seed, and the coherence
-// backend (atomic bus, split-transaction bus, directory).
+// (fast-forward vs naive) and the coherence backend (atomic bus,
+// split-transaction bus, directory), fixed for one sweep. Every point
+// runs at machine jitter seed 1.
 
 // Variant is one point of the perturbation grid.
 type Variant struct {
@@ -56,21 +57,21 @@ func (v Variant) String() string {
 
 // Knobs spans the grid: per-CPU axes (Offsets, Delays) take every
 // n-tuple over their value lists, the rest combine as a plain cross
-// product. An empty axis takes its default: 0, Baseline, ff, seed 1, bus.
+// product. An empty axis takes its default: 0, Baseline, ff. The
+// whole grid runs on one fabric.
 type Knobs struct {
-	Offsets       []uint64
-	Delays        []int
-	ArbStarts     []int
-	Combos        []sim.Techniques
-	Paths         []bool // NoFF values: false the fast-forward kernel, true the naive one
-	Seeds         []uint64
-	Interconnects []string // bus.Kinds values; "" is the atomic snoop bus
+	Offsets      []uint64
+	Delays       []int
+	ArbStarts    []int
+	Combos       []sim.Techniques
+	Paths        []bool // NoFF values: false the fast-forward kernel, true the naive one
+	Interconnect string // a bus.Kinds value; "" is the atomic snoop bus
 }
 
 // DefaultKnobs is the grid the acceptance tests and the CI
 // enumeration step sweep for 2-core shapes: 3 start offsets and 2
 // delays per CPU, 2 arbitration rotations — 9*4*2 = 72 schedules per
-// combo/path/seed. Offsets 0/320/760 and delay 500 are chosen against
+// combo/path. Offsets 0/320/760 and delay 500 are chosen against
 // the litmus machine's latencies (address 20, memory 60, c2c 40) to
 // land before, inside, and after a remote CPU's first miss service.
 func DefaultKnobs(combos []sim.Techniques) Knobs {
@@ -80,13 +81,12 @@ func DefaultKnobs(combos []sim.Techniques) Knobs {
 		ArbStarts: []int{0, 1},
 		Combos:    combos,
 		Paths:     []bool{false, true},
-		Seeds:     []uint64{1},
 	}
 }
 
 // variants lists the grid's points for a cpus-core shape in sweep
-// order (offsets, delays, arb, combo, path, seed, fabric — outermost
-// first), so FirstSeen variants are stable run to run.
+// order (offsets, delays, arb, combo, path — outermost first), so
+// FirstSeen variants are stable run to run.
 func (k Knobs) variants(cpus int) []Variant {
 	var out []Variant
 	for _, offs := range tuples(k.Offsets, cpus, []uint64{0}) {
@@ -94,15 +94,11 @@ func (k Knobs) variants(cpus int) []Variant {
 			for _, arb := range or(k.ArbStarts, []int{0}) {
 				for _, tech := range or(k.Combos, []sim.Techniques{{}}) {
 					for _, noFF := range or(k.Paths, []bool{false}) {
-						for _, seed := range or(k.Seeds, []uint64{1}) {
-							for _, ic := range or(k.Interconnects, []string{""}) {
-								out = append(out, Variant{
-									Offsets: offs, Delays: dls, ArbStart: arb,
-									Tech: tech, NoFF: noFF, Seed: seed,
-									Interconnect: ic,
-								})
-							}
-						}
+						out = append(out, Variant{
+							Offsets: offs, Delays: dls, ArbStart: arb,
+							Tech: tech, NoFF: noFF, Seed: 1,
+							Interconnect: k.Interconnect,
+						})
 					}
 				}
 			}

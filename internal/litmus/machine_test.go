@@ -160,7 +160,7 @@ func TestEnumerateBackendsDifferential(t *testing.T) {
 			reachedBy := map[string]string{}
 			for _, ic := range bus.Kinds() {
 				knobs := DefaultKnobs(combos)
-				knobs.Interconnects = []string{ic}
+				knobs.Interconnect = ic
 				rep := Enumerate(ShapeByName(name), knobs)
 				if !rep.OK() {
 					t.Fatalf("%s violations:\n%s", ic, rep)
@@ -193,7 +193,7 @@ func TestEnumerateBackendsDifferential(t *testing.T) {
 // report's text is the replay syntax, the fabric included.
 func TestFirstAtReplaysItsOutcome(t *testing.T) {
 	knobs := DefaultKnobs([]sim.Techniques{{}, all})
-	knobs.Interconnects = []string{"directory"}
+	knobs.Interconnect = "directory"
 	rep := Enumerate(ShapeByName("SB"), knobs)
 	n := 0
 	for _, line := range strings.Split(rep.String(), "\n") {

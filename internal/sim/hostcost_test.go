@@ -71,8 +71,8 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		tracer func() *trace.Tracer
 	}{
 		{"disabled", func() *trace.Tracer { return nil }},
-		{"ring", func() *trace.Tracer { return trace.New(0, nil) }},
-		{"jsonl", func() *trace.Tracer { return trace.New(0, trace.NewJSONLSink(io.Discard)) }},
+		{"ring", func() *trace.Tracer { return trace.New(nil) }},
+		{"jsonl", func() *trace.Tracer { return trace.New(trace.NewJSONLSink(io.Discard)) }},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {

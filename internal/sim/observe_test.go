@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // attached and checks that events flow from every layer in cycle order.
 func TestTracerThreading(t *testing.T) {
 	sink := &orderSink{t: t}
-	tr := trace.New(0, sink)
+	tr := trace.New(sink)
 	cfg := fastCfg(Techniques{MESTI: true, EMESTI: true, LVP: true})
 	cfg.Trace = tr
 	w := lockCounterWorkload(cfg.CPUs, 20, 40, false)
@@ -168,7 +169,7 @@ func TestWatchdogPostMortem(t *testing.T) {
 	cfg := fastCfg(Techniques{MESTI: true})
 	w := singleCPUWorkload("stall", b.Build(), cfg.CPUs)
 	cfg.NoProgressCycles = 10
-	cfg.Trace = trace.New(64, nil) // ring-only: feeds the dump's event tail
+	cfg.Trace = trace.New(nil) // ring-only: feeds the dump's event tail
 
 	_, err := New(cfg, w).RunErr(w)
 	var re *RunError
@@ -185,6 +186,37 @@ func TestWatchdogPostMortem(t *testing.T) {
 		if !strings.Contains(re.PostMortem, want) {
 			t.Errorf("post-mortem missing %q:\n%s", want, re.PostMortem)
 		}
+	}
+}
+
+// A post-mortem prints its event tail in the trace file's encoding: the
+// dump of a run cut short at MaxCycles ends with exactly the last lines
+// of its JSONL trace, so any tail line greps verbatim in the file.
+func TestPostMortemTailIsTheTraceTail(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := fastCfg(Techniques{MESTI: true, EMESTI: true})
+	cfg.Trace = trace.New(trace.NewJSONLSink(&buf))
+	cfg.MaxCycles = 3000
+	w := lockCounterWorkload(cfg.CPUs, 20, 40, false)
+	_, err := New(cfg, w).RunErr(w)
+	if err := cfg.Trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || !strings.Contains(re.Reason, "MaxCycles 3000") {
+		t.Fatalf("run was not cut at MaxCycles: %v", err)
+	}
+	if cfg.Trace.Total() <= trace.RingSize {
+		t.Fatalf("%d events traced; the cut must come after the ring wraps", cfg.Trace.Total())
+	}
+	_, tail, ok := strings.Cut(re.PostMortem, fmt.Sprintf("last %d trace events (of %d emitted):\n",
+		trace.RingSize, cfg.Trace.Total()))
+	if !ok {
+		t.Fatalf("post-mortem has no full event tail:\n%s", re.PostMortem)
+	}
+	tail = strings.TrimSuffix(tail, "=== end post-mortem ===\n")
+	if file := buf.String(); !strings.HasSuffix(file, tail) || strings.Count(tail, "\n") != trace.RingSize {
+		t.Errorf("post-mortem tail is not the trace file's last %d lines:\n%s", trace.RingSize, tail)
 	}
 }
 

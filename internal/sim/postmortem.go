@@ -3,18 +3,13 @@ package sim
 import (
 	"fmt"
 	"strings"
-
-	"tssim/internal/trace"
 )
-
-// postMortemEvents bounds how many trailing trace events a post-mortem
-// includes.
-const postMortemEvents = 64
 
 // postMortem renders a full machine dump: per-core pipeline state, live
 // MSHRs and store buffers, the interconnect's queues and in-flight
-// transactions, and — when a tracer is attached — the last events
-// before the failure. It becomes RunError.PostMortem.
+// transactions, and — when a tracer is attached — the tracer's ring,
+// the last events before the failure, one JSON line each as the trace
+// file has them. It becomes RunError.PostMortem.
 func (s *System) postMortem(reason string) string {
 	var w strings.Builder
 	fmt.Fprintf(&w, "=== tssim post-mortem: %s ===\n", reason)
@@ -26,9 +21,13 @@ func (s *System) postMortem(reason string) string {
 		w.WriteString(s.Nodes[i].DebugStoreBuf())
 	}
 	if tr := s.cfg.Trace; tr != nil {
-		evs := tr.Last(postMortemEvents)
-		fmt.Fprintf(&w, "last %d trace events (of %d emitted):\n%s",
-			len(evs), tr.Total(), trace.FormatEvents(evs))
+		evs := tr.Last()
+		fmt.Fprintf(&w, "last %d trace events (of %d emitted):\n", len(evs), tr.Total())
+		var lines []byte
+		for _, e := range evs {
+			lines = append(e.AppendJSON(lines), '\n')
+		}
+		w.Write(lines)
 	} else {
 		w.WriteString("no event trace recorded (set Config.Trace to capture one)\n")
 	}

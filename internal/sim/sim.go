@@ -287,7 +287,7 @@ func New(cfg Config, w Workload) *System {
 	if cfg.Check && cfg.Trace == nil {
 		// Ring-only tracer so a checker violation's post-mortem can
 		// attach the last trace events. Purely observational.
-		cfg.Trace = trace.New(0, nil)
+		cfg.Trace = trace.New(nil)
 	}
 	s := &System{cfg: cfg, Mem: mem.New(), Counters: stats.NewCounters()}
 	if w.Init != nil {

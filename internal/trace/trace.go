@@ -1,8 +1,10 @@
 // Package trace is the structured event tracer of the simulator: a
 // fixed-size ring of typed coherence events (bus grants and aborts,
 // protocol state transitions, validate outcomes, LVP speculation, SLE
-// elision) with optional streaming sinks in JSONL and Chrome
-// trace_event format (loadable in chrome://tracing or Perfetto).
+// elision) with an optional streaming sink. An event has one encoding,
+// a JSON line (Event.AppendJSON): the JSONL sink writes it, and a
+// post-mortem prints the ring's tail in it, so a post-mortem line can
+// be found verbatim in the trace file.
 //
 // The tracer is built to cost nothing when absent: every component
 // holds a *Tracer that may be nil, and Emit on a nil receiver returns
@@ -10,13 +12,13 @@
 // allocate nothing — trace.Event{...} literals live on the stack —
 // and a disabled run is bit-identical in behaviour and allocation
 // profile to one with no tracer compiled in. When a tracer is live,
-// the last ringSize events are always retained for post-mortems
+// the last RingSize events are always retained for post-mortems
 // (deadlock dumps) even if no sink is attached.
 package trace
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Kind is the event type. The A/B payload bytes are kind-specific:
@@ -70,7 +72,7 @@ var kindNames = [kindCount]string{
 }
 
 // KindCount returns the number of defined kinds (exhaustive iteration
-// in tests and exporters).
+// in tests).
 func KindCount() Kind { return kindCount }
 
 // String returns the hyphenated event name used in exports.
@@ -79,41 +81,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// Category groups kinds into exporter lanes (Chrome tid / Perfetto
-// track per category, so related events share a row).
-func (k Kind) Category() string {
-	switch k {
-	case KBusGrant, KBusAbort, KBusDeliver:
-		return "bus"
-	case KState, KMiss, KMSHROrphan:
-		return "coherence"
-	case KTSDetect, KValIssue, KValSuppress, KValCancel, KValUseful, KValUseless:
-		return "validate"
-	case KLVPPredict, KLVPVerifyOK, KLVPSquash:
-		return "lvp"
-	case KSLEElide, KSLECommit, KSLEAbort:
-		return "sle"
-	}
-	return "other"
-}
-
-// categoryTID maps a category to a stable Chrome thread id.
-func categoryTID(cat string) int {
-	switch cat {
-	case "bus":
-		return 0
-	case "coherence":
-		return 1
-	case "validate":
-		return 2
-	case "lvp":
-		return 3
-	case "sle":
-		return 4
-	}
-	return 5
 }
 
 // StateNames labels the protocol-state bytes carried in KState events,
@@ -173,13 +140,27 @@ func (e Event) Detail() string {
 	return ""
 }
 
-// String renders one event for post-mortems and logs.
-func (e Event) String() string {
-	d := e.Detail()
-	if d != "" {
-		d = " " + d
-	}
-	return fmt.Sprintf("[%d] node%d %s%s addr=%#x arg=%d", e.Cycle, e.Node, e.Kind, d, e.Addr, e.Arg)
+// AppendJSON appends e's one encoding, a JSON object without a
+// trailing newline, to b:
+//
+//	{"cycle":412,"node":1,"kind":"state","detail":"S>M","addr":"0x1000","arg":0}
+//
+// The JSONL sink writes it as a line and a post-mortem prints the
+// ring's tail in it.
+func (e Event) AppendJSON(b []byte) []byte {
+	b = append(b, `{"cycle":`...)
+	b = strconv.AppendUint(b, e.Cycle, 10)
+	b = append(b, `,"node":`...)
+	b = strconv.AppendInt(b, int64(e.Node), 10)
+	b = append(b, `,"kind":`...)
+	b = strconv.AppendQuote(b, e.Kind.String())
+	b = append(b, `,"detail":`...)
+	b = strconv.AppendQuote(b, e.Detail())
+	b = append(b, `,"addr":"0x`...)
+	b = strconv.AppendUint(b, e.Addr, 16)
+	b = append(b, `","arg":`...)
+	b = strconv.AppendUint(b, e.Arg, 10)
+	return append(b, '}')
 }
 
 // Tracer collects events. A nil *Tracer is the disabled tracer: every
@@ -187,26 +168,21 @@ func (e Event) String() string {
 type Tracer struct {
 	now   uint64
 	total uint64
-	ring  []Event
+	ring  [RingSize]Event
 	head  int // next write position
-	count int // live entries in ring (≤ len(ring))
 	sink  Sink
 	err   error
 }
 
-// DefaultRingSize bounds post-mortem retention when the caller does
-// not choose.
-const DefaultRingSize = 4096
+// RingSize is how many of the latest events a tracer retains: the
+// event tail a post-mortem prints.
+const RingSize = 64
 
-// New builds a tracer retaining the last ringSize events (0 takes
-// DefaultRingSize). sink may be nil for ring-only (post-mortem)
-// tracing; a non-nil sink additionally receives every event as it is
-// emitted.
-func New(ringSize int, sink Sink) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	return &Tracer{ring: make([]Event, ringSize), sink: sink}
+// New builds a tracer retaining the last RingSize events. sink may be
+// nil for ring-only (post-mortem) tracing; a non-nil sink additionally
+// receives every event as it is emitted.
+func New(sink Sink) *Tracer {
+	return &Tracer{sink: sink}
 }
 
 // Advance sets the cycle stamped on subsequently emitted events. The
@@ -229,11 +205,8 @@ func (t *Tracer) Emit(e Event) {
 	e.Cycle = t.now
 	t.ring[t.head] = e
 	t.head++
-	if t.head == len(t.ring) {
+	if t.head == RingSize {
 		t.head = 0
-	}
-	if t.count < len(t.ring) {
-		t.count++
 	}
 	t.total++
 	if t.sink != nil && t.err == nil {
@@ -250,36 +223,18 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
-// Err returns the first sink write error, if any. After an error the
-// sink receives no further events (the ring keeps recording).
-func (t *Tracer) Err() error {
+// Last returns the retained events, oldest first.
+func (t *Tracer) Last() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.err
-}
-
-// Last returns up to n most recent events, oldest first.
-func (t *Tracer) Last(n int) []Event {
-	if t == nil || n <= 0 || t.count == 0 {
-		return nil
-	}
-	if n > t.count {
-		n = t.count
-	}
-	out := make([]Event, 0, n)
-	start := t.head - n
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
-	}
-	return out
+	n := int(min(t.total, RingSize))
+	return append(append([]Event(nil), t.ring[t.head:n]...), t.ring[:t.head]...)
 }
 
 // Close flushes and closes the sink (if any) and returns the first
-// error seen over the tracer's life.
+// error seen over the tracer's life. After a write error the sink
+// receives no further events; the ring keeps recording.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
@@ -291,15 +246,4 @@ func (t *Tracer) Close() error {
 		t.sink = nil
 	}
 	return t.err
-}
-
-// FormatEvents renders events one per line (post-mortem dumps).
-func FormatEvents(evs []Event) string {
-	var b strings.Builder
-	for _, e := range evs {
-		b.WriteString("  ")
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
