@@ -172,6 +172,18 @@ type Controller struct {
 	idle    bool
 	skipped uint64
 	audit   *error
+
+	// Sleep (see Doze): an asleep controller is not ticked and owes the
+	// ticks from owed on, which its idle verdict answers; wake replays
+	// them in one step. clock is its loop's: the first cycle whose node
+	// phase has not run, so the cycle a call's wake replays up to; bit is
+	// set in *awake while the controller is awake. Nil: the controller
+	// never sleeps.
+	asleep bool
+	clock  *uint64
+	awake  *uint64
+	bit    uint64
+	owed   uint64
 }
 
 // NewController builds a controller running tech's protocol
@@ -240,9 +252,9 @@ func (c *Controller) SetCheckSink(s CheckSink) { c.sink = s }
 // machine-wide goes to *violation, the latch the oracle cores share.
 func (c *Controller) SetOracle(violation *error) { c.audit = violation }
 
-// SkippedTicks counts the ticks this controller answered from its idle
-// verdict instead of retrying the store-buffer head (always 0 on an
-// oracle).
+// SkippedTicks counts the cycles this controller answered from its idle
+// verdict instead of retrying the store-buffer head: ticks, and cycles it
+// slept through or skipped (always 0 on an oracle).
 func (c *Controller) SkippedTicks() uint64 { return c.skipped }
 
 // Config returns the controller configuration.
@@ -301,6 +313,11 @@ func (c *Controller) popStore() {
 // StateVersion implements cpu.MemSystem (see setState).
 func (c *Controller) StateVersion() uint64 { return c.stateVer }
 
+// StateVersionWord is where StateVersion is kept, for a loop that reads
+// it every cycle without a call (cpu.Core.SleepOn). Only the seam writes
+// it.
+func (c *Controller) StateVersionWord() *uint64 { return &c.stateVer }
+
 // useVS is the "local request" arc of §2.3: a Validate_Shared line moves
 // to Shared — it has now been *used* since its validate, so future
 // useful snoop responses assert — and reports whether it did.
@@ -340,6 +357,7 @@ func (c *Controller) request(ty bus.TxnType, la uint64) {
 
 // Load services a load (or load-locked) issued by the core's LSQ.
 func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
+	c.Wake()
 	addr = mem.AlignWord(addr)
 	la := mem.LineAddr(addr)
 	slot := mem.WordIndex(addr)
@@ -441,6 +459,7 @@ func (c *Controller) Load(seq uint64, addr uint64, isLL bool) LoadResult {
 // ReplayL1Hits is Load's side of L1 hits (not load-locked) on lines hit
 // before under this StateVersion, unanswered: the core's steady verdict.
 func (c *Controller) ReplayL1Hits(addrs []uint64) {
+	c.Wake()
 	for _, a := range addrs {
 		c.l1.Touch(c.l1.Lookup(a))
 	}
@@ -450,7 +469,8 @@ func (c *Controller) ReplayL1Hits(addrs []uint64) {
 
 // ReplayRefusals bumps what loads counted Load refusals (MSHR file full)
 // and stores refused StoreCommits bump, unasked (the core's idle verdict
-// and retry memo); like them it leaves the idle verdict standing.
+// and retry memo); like them it leaves the idle verdict standing, and it
+// wakes nothing: it writes only counters.
 func (c *Controller) ReplayRefusals(loads, stores uint64) {
 	c.cnt.l1Miss.Add(loads)
 	c.cnt.l2Miss.Add(loads)
@@ -482,6 +502,7 @@ func (c *Controller) pushStore(e storeEntry) bool {
 	if len(c.storeBuf) >= c.cfg.StoreBuf {
 		return false
 	}
+	c.Wake()
 	c.idle = false
 	c.storeBuf = append(c.storeBuf, e)
 	if c.sink != nil {
@@ -495,8 +516,8 @@ func (c *Controller) StoreBufEmpty() bool { return len(c.storeBuf) == 0 }
 
 // Squashed implements cpu.MemSystem: a squash killed every op younger
 // than after, so no MSHR waits for their loads any longer. It moves
-// neither stateVer nor the idle verdict: no refusal and nothing tickStore
-// reads looks at a waiter list.
+// neither stateVer nor the idle verdict and wakes nothing: no refusal,
+// nothing tickStore reads and no occupancy sample looks at a waiter list.
 func (c *Controller) Squashed(after uint64) { c.mshrs.DropWaitersAfter(after) }
 
 // setReservation arms the reservation on lineAddr for the load-locked
@@ -526,16 +547,21 @@ func (c *Controller) HasReservation(lineAddr, seq uint64) bool {
 // histograms and tries to perform the store at the head of the store
 // buffer. A tick that moved nothing becomes the idle verdict; while it
 // stands the retry would repeat that tick, so only the oracle runs it.
+// A sleeping controller first replays the ticks it owes (Doze).
 func (c *Controller) Tick(now uint64) {
+	if c.asleep {
+		c.wake(now)
+	}
+	if c.idle && c.audit == nil {
+		c.owed = now
+		c.wake(now + 1)
+		return
+	}
 	c.now = now
 	if c.occCountdown--; c.occCountdown == 0 {
 		c.occCountdown = occSampleEvery
 		c.hOccMSHR.Observe(uint64(c.mshrs.InUse()))
 		c.hOccSB.Observe(uint64(len(c.storeBuf)))
-	}
-	if c.idle && c.audit == nil {
-		c.skipped++
-		return
 	}
 	// Only a buffered store can move, and a move may pop it: read the
 	// head the audit would name before the tick.
@@ -571,7 +597,56 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 // would have left, which bus-phase callbacks (SnoopTxn timestamping
 // a line's Stamp) read before the controller's next Tick.
 func (c *Controller) SkipCycles(from, to uint64) {
-	k := to - from
+	if !c.asleep {
+		c.owed = from
+	}
+	c.wake(to)
+}
+
+// SleepOn lets a loop put the controller to sleep (Doze). clock is the
+// loop's: the first cycle whose node phase has not run; bit is set in
+// *awake while the controller is awake, so the loop can pass over a
+// sleeping one without reading it. Must be called before the first Tick,
+// with bit set in *awake, and never on an oracle (SetOracle), which runs
+// every tick.
+func (c *Controller) SleepOn(clock, awake *uint64, bit uint64) {
+	c.clock, c.awake, c.bit = clock, awake, bit
+}
+
+// Doze puts the controller to sleep at now if its idle verdict stands
+// and returns the cycle it must next be ticked at: ^uint64(0), or now
+// when no verdict stands (or it may not sleep, see SleepOn). A loop does
+// not tick a sleeping controller: every way in that writes what a tick
+// reads, drops the verdict or reads the clock wakes it first (Wake),
+// replaying every tick slept through in one step, through the cycle
+// before *clock — the cycle in progress, once its node phase has run.
+func (c *Controller) Doze(now uint64) uint64 {
+	if c.clock == nil || !c.idle {
+		return now
+	}
+	if !c.asleep {
+		c.asleep, c.owed = true, now
+		*c.awake &^= c.bit
+	}
+	return ^uint64(0)
+}
+
+// Wake replays the ticks a sleeping controller owes, through the cycle
+// before its loop's clock, and leaves it awake: counters and histograms
+// read between cycles are then exact. It does nothing to a controller
+// that is awake.
+func (c *Controller) Wake() {
+	if c.asleep {
+		c.wake(*c.clock)
+	}
+}
+
+// wake answers the ticks [owed, until) from the idle verdict in one step —
+// held ticks, cycles slept through and skipped cycles alike: the
+// occupancy histograms sample the (constant) occupancy at the cycles
+// the naive loop would.
+func (c *Controller) wake(until uint64) {
+	k := until - c.owed
 	if c.occCountdown <= k {
 		m := 1 + (k-c.occCountdown)/occSampleEvery
 		c.hOccMSHR.ObserveN(uint64(c.mshrs.InUse()), m)
@@ -580,7 +655,11 @@ func (c *Controller) SkipCycles(from, to uint64) {
 	} else {
 		c.occCountdown -= k
 	}
-	c.now = to - 1
+	c.skipped += k
+	if c.asleep {
+		*c.awake |= c.bit
+	}
+	c.now, c.asleep = until-1, false
 }
 
 // tickStore performs the head of the store buffer if it can, else gets
@@ -774,6 +853,7 @@ func (c *Controller) performStore(l *cache.Line, e *storeEntry, slot int) {
 // perform instantly. Best effort: structural hazards are simply
 // dropped and retried by the engine.
 func (c *Controller) PrefetchExclusive(addr uint64) {
+	c.Wake()
 	la := mem.LineAddr(addr)
 	l := c.l2.Lookup(la)
 	if l != nil && Writable(l.State) {
@@ -807,6 +887,7 @@ func (c *Controller) HoldsWritable(addr uint64) bool {
 // bus grants nothing can intervene); otherwise nothing is performed
 // and false is returned so the engine keeps prefetching or aborts.
 func (c *Controller) SLECommitStores(stores []SpecStore) bool {
+	c.Wake()
 	for i := range stores {
 		if !c.HoldsWritable(stores[i].Addr) {
 			return false

@@ -19,6 +19,7 @@ import (
 // GrantTxn validates and applies the requester-side transition at the
 // serialization point.
 func (c *Controller) GrantTxn(t *bus.Txn) bool {
+	c.Wake()
 	c.idle = false
 	la := t.Addr
 	switch t.Type {
@@ -87,6 +88,7 @@ func (c *Controller) GrantTxn(t *bus.Txn) bool {
 // SnoopTxn applies the remote-side transition for another node's
 // granted transaction and returns this node's snoop response.
 func (c *Controller) SnoopTxn(t *bus.Txn) bus.SnoopReply {
+	c.Wake()
 	c.idle = false
 	la := t.Addr
 	isWrite := t.Type == bus.TxnReadX || t.Type == bus.TxnUpgrade
@@ -236,6 +238,7 @@ func (c *Controller) enterT(l *cache.Line) {
 // CompleteTxn receives the requester-side completion: data arrival for
 // Read/ReadX, or the end of the address phase for dataless types.
 func (c *Controller) CompleteTxn(t *bus.Txn) {
+	c.Wake()
 	c.idle = false
 	la := t.Addr
 	switch t.Type {

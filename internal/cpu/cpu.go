@@ -318,8 +318,22 @@ type Core struct {
 	// replay idleSpin instead of running the pipeline.
 	idle       bool
 	idleUntil  uint64
-	idleSpin   coreSpin
 	idleMemVer uint64
+
+	// Sleep (see Doze): an asleep core is not ticked and owes the ticks
+	// from owed on, which its idle verdict answers; wake replays them in
+	// one step. clock is its loop's: the first cycle whose core phase has
+	// not run, so the cycle a callback's wake replays up to; memVer is
+	// where the memory system keeps its StateVersion; bit is set in
+	// *awake while the core is awake. Nil: the core never sleeps.
+	asleep bool
+	clock  *uint64
+	memVer *uint64
+	awake  *uint64
+	bit    uint64
+	owed   uint64
+
+	idleSpin coreSpin
 
 	st steady // the steady verdict (steady.go)
 
@@ -422,8 +436,9 @@ func (c *Core) violated(format string, args ...any) {
 	}
 }
 
-// ReplayedTicks counts the ticks this core answered from its idle
-// verdict instead of running the pipeline (always 0 on an oracle).
+// ReplayedTicks counts the cycles this core answered from its idle
+// verdict instead of running the pipeline: ticks, and cycles it slept
+// through or skipped (always 0 on an oracle).
 func (c *Core) ReplayedTicks() uint64 { return c.replayed }
 
 // MemoizedRetries counts the counted load retries this core answered
@@ -543,21 +558,25 @@ func (c *Core) enqueueReady(e *entry) {
 	c.readyQ = q
 }
 
-// Tick advances the core one cycle. While the idle or the steady
-// verdict holds the pipeline is not run: the tick is known to repeat
-// the one that established the verdict, so its effects are replayed in
-// O(1). Otherwise the pipeline runs, and if no stage moved anything
-// that tick becomes the idle verdict (the steady one: observeSteady).
-// An oracle core (SetOracle) always runs the pipeline and checks it
-// against a verdict that holds.
+// Tick advances the core one cycle. A sleeping core first replays the
+// ticks it owes (Doze). While the idle or the steady verdict holds the
+// pipeline is not run: the tick is known to repeat the one that
+// established the verdict, so its effects are replayed in O(1).
+// Otherwise the pipeline runs, and if no stage moved anything that tick
+// becomes the idle verdict (the steady one: observeSteady). An oracle
+// core (SetOracle) always runs the pipeline and checks it against a
+// verdict that holds.
 func (c *Core) Tick(now uint64) {
+	if c.asleep {
+		c.wake(now)
+	}
 	held := c.idle && c.idleUntil > now && c.memsys.StateVersion() == c.idleMemVer
-	c.now = now
 	if held && c.audit == nil {
-		c.replaySpin(c.idleSpin, 1)
-		c.replayed++
+		c.owed = now
+		c.wake(now + 1)
 		return
 	}
+	c.now = now
 	if c.st.on && c.memsys.StateVersion() != c.st.memVer {
 		c.hear()
 	} else if c.st.on && c.audit == nil {
@@ -656,8 +675,62 @@ func (c *Core) NextEvent(now uint64) uint64 {
 // the next cycle's bus phase (LoadDone, SCDone) read before the core's
 // next Tick.
 func (c *Core) SkipCycles(from, to uint64) {
-	c.replaySpin(c.idleSpin, to-from)
-	c.now = to - 1
+	if !c.asleep {
+		c.owed = from
+	}
+	c.wake(to)
+}
+
+// SleepOn lets a loop put the core to sleep (Doze). clock is the loop's:
+// the first cycle whose core phase has not run; stateVer is where the
+// memory system keeps its StateVersion (core.Controller.StateVersionWord),
+// read in place at every Doze; bit is set in *awake while the core is
+// awake, so the loop can pass over a sleeping core without reading it.
+// Must be called before the first Tick, with bit set in *awake, and
+// never on an oracle (SetOracle), which runs every tick.
+func (c *Core) SleepOn(clock, stateVer, awake *uint64, bit uint64) {
+	c.clock, c.memVer, c.awake, c.bit = clock, stateVer, awake, bit
+}
+
+// Doze puts the core to sleep if its idle verdict stands and returns the
+// cycle it must next be ticked at: the verdict's horizon, or now when no
+// verdict stands (or the core may not sleep, see SleepOn). A loop ticks
+// the core at now only if Doze returns now or earlier. A sleeping core
+// wakes on a core.Client callback, and at the first Doze after its
+// memory system's StateVersion moves or the clock reaches the horizon;
+// the loop must ask it every cycle either can have happened. A wake
+// replays every tick slept through in one step, up to *clock or to the
+// cycle a Tick runs.
+func (c *Core) Doze(now uint64) uint64 {
+	if c.clock == nil || !c.idle || *c.memVer != c.idleMemVer || c.idleUntil <= now {
+		return now
+	}
+	if !c.asleep {
+		c.asleep, c.owed = true, now
+		*c.awake &^= c.bit
+	}
+	return c.idleUntil
+}
+
+// Wake replays the ticks a sleeping core owes, through the cycle before
+// its loop's clock, and leaves it awake: counters read between cycles
+// are then exact. It does nothing to a core that is awake.
+func (c *Core) Wake() {
+	if c.asleep {
+		c.wake(*c.clock)
+	}
+}
+
+// wake answers the ticks [owed, until) from the idle verdict in one step:
+// held ticks, cycles slept through and skipped cycles alike.
+func (c *Core) wake(until uint64) {
+	k := until - c.owed
+	c.replaySpin(c.idleSpin, k)
+	c.replayed += k
+	if c.asleep {
+		*c.awake |= c.bit
+	}
+	c.now, c.asleep = until-1, false
 }
 
 // replaySpin applies k ticks' worth of the counter bumps in spin.
@@ -1559,6 +1632,7 @@ var _ core.Client = (*Core)(nil)
 
 // DebugState renders the core's window for deadlock diagnostics.
 func (c *Core) DebugState() string {
+	c.Wake()
 	c.catchUp()
 	memos := 0
 	for _, r := range c.readyQ {

@@ -84,6 +84,7 @@ func (c *Core) catchUp() {
 
 // hear ends every verdict and record: a callback or StateVersion moved.
 func (c *Core) hear() {
+	c.Wake()
 	if c.st.on {
 		c.catchUp()
 	}

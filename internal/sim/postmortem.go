@@ -11,6 +11,7 @@ import (
 // the last events before the failure, one JSON line each as the trace
 // file has them. It becomes RunError.PostMortem.
 func (s *System) postMortem(reason string) string {
+	s.wakeAll()
 	var w strings.Builder
 	fmt.Fprintf(&w, "=== tssim post-mortem: %s ===\n", reason)
 	fmt.Fprintf(&w, "cycle=%d cpus=%d tech=%s\n", s.now, s.cfg.CPUs, s.cfg.Tech)

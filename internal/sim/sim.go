@@ -13,7 +13,9 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -257,6 +259,18 @@ type System struct {
 	Cores    []*cpu.Core
 	now      uint64
 
+	// nodeClock is the first cycle whose node phase has not run: now,
+	// but now+1 during the core phase of Step. A sleeping controller
+	// replays up to it when a call wakes it; a sleeping core replays up
+	// to now, its core phase being the last (see Step).
+	nodeClock uint64
+
+	// coreAwake and nodeAwake hold bit i%64 of word i/64 for core and
+	// node i while it is awake (the components keep them: SleepOn), and
+	// wakeAt[i] is core i's horizon from its last Doze, exact while it
+	// sleeps. A phase asks only what can have woken: see corePhase.
+	coreAwake, nodeAwake, wakeAt []uint64
+
 	// haltedCores is maintained incrementally by the cores
 	// (cpu.Core.AttachMachine): the run loop's progress watchdog and
 	// termination check read it instead of scanning every core every
@@ -309,7 +323,12 @@ func New(cfg Config, w Workload) *System {
 
 	coreCfg := cpu.DefaultConfig()
 	coreCfg.SLE = cfg.Tech.SLE
+	words := (cfg.CPUs + 63) / 64
+	s.coreAwake, s.nodeAwake, s.wakeAt = make([]uint64, words), make([]uint64, words), make([]uint64, cfg.CPUs)
 	for i := 0; i < cfg.CPUs; i++ {
+		word, bit := i/64, uint64(1)<<(i%64)
+		s.coreAwake[word] |= bit
+		s.nodeAwake[word] |= bit
 		c := cpu.New(coreCfg, i, w.Programs[i], nil, s.Counters)
 		if i < len(cfg.StartOffsets) {
 			c.SetStartCycle(cfg.StartOffsets[i])
@@ -322,6 +341,9 @@ func New(cfg Config, w Workload) *System {
 		ctrl := core.NewController(cfg.Node, cfg.Tech, s.Bus, c, s.Counters)
 		if cfg.NoFastForward {
 			ctrl.SetOracle(&s.auditErr)
+		} else {
+			c.SleepOn(&s.now, ctrl.StateVersionWord(), &s.coreAwake[word], bit)
+			ctrl.SleepOn(&s.nodeClock, &s.nodeAwake[word], bit)
 		}
 		ctrl.SetTracer(cfg.Trace)
 		c.SetMemSystem(ctrl)
@@ -342,47 +364,91 @@ func New(cfg Config, w Workload) *System {
 // Config.Check). Tests use it to force sweeps and inspect violations.
 func (s *System) Checker() *check.Checker { return s.check }
 
-// Step advances the whole machine one cycle.
+// Step advances the whole machine one cycle in three phases: the
+// fabric (whose snoops squash unretired loads before cores commit),
+// every controller, every core. A controller or core whose idle verdict
+// holds sleeps instead of ticking (Doze); it replays what it slept
+// through when something wakes it, or at wakeAll.
 func (s *System) Step() {
+	now := s.now
 	if s.cfg.Trace != nil {
-		s.cfg.Trace.Advance(s.now)
+		s.cfg.Trace.Advance(now)
 	}
-	s.Bus.Tick(s.now)
-	for _, n := range s.Nodes {
-		n.Tick(s.now)
+	s.Bus.Tick(now)
+	s.nodePhase(now)
+	s.corePhase(now)
+	s.now = now + 1
+}
+
+// nodePhase ticks every controller that is awake at now. A sleeping
+// one needs no asking: only a call wakes it, and the call sets its bit.
+func (s *System) nodePhase(now uint64) {
+	for w, awake := range s.nodeAwake {
+		for ; awake != 0; awake &= awake - 1 {
+			if n := s.Nodes[w<<6|bits.TrailingZeros64(awake)]; n.Doze(now) <= now {
+				n.Tick(now)
+			}
+		}
 	}
-	for _, c := range s.Cores {
-		c.Tick(s.now)
+	s.nodeClock = now + 1
+}
+
+// corePhase ticks every core that is awake at now, in index order.
+func (s *System) corePhase(now uint64) {
+	for w := range s.coreAwake {
+		for may := s.mayWake(w, now); may != 0; may &= may - 1 {
+			i := w<<6 | bits.TrailingZeros64(may)
+			if ne := s.Cores[i].Doze(now); ne <= now {
+				s.Cores[i].Tick(now)
+			} else {
+				s.wakeAt[i] = ne
+			}
+		}
 	}
-	s.now++
+}
+
+// mayWake returns the cores of word w that must be asked whether they
+// are awake at now: those awake, those whose horizon has come, and those
+// whose node is awake. A node's StateVersion moves only in a call or a
+// tick, which leave it awake through the cycle's core phase, so a core
+// whose node sleeps has seen no move since its own Doze.
+func (s *System) mayWake(w int, now uint64) uint64 {
+	may := s.coreAwake[w] | s.nodeAwake[w]
+	for j, t := range s.wakeAt[w<<6 : min(len(s.wakeAt), w<<6+64)] {
+		if t <= now {
+			may |= 1 << j
+		}
+	}
+	return may
 }
 
 // nextEvent returns the earliest cycle any component can change
-// observable state. A return of s.now (or less) means some component
-// acts on the very next Step, so there is nothing to skip; the scan
-// bails out on the first such component. ^uint64(0) means every
-// component is idle until an external bound (watchdog, MaxCycles).
+// observable state, putting every core and controller it finds idle to
+// sleep. A return of s.now (or less) means some component acts on the
+// very next Step, so there is nothing to skip; the scan bails out on
+// the first such component. ^uint64(0) means every component is idle
+// until an external bound (watchdog, MaxCycles).
 func (s *System) nextEvent() uint64 {
 	now := s.now
-	next := ^uint64(0)
-	for _, c := range s.Cores {
-		ne := c.NextEvent(now)
-		if ne <= now {
-			return now
-		}
-		if ne < next {
-			next = ne
-		}
-	}
-	for _, n := range s.Nodes {
-		ne := n.NextEvent(now)
-		if ne <= now {
-			return now
-		}
-		if ne < next {
-			next = ne
+	for w := range s.coreAwake {
+		for may := s.mayWake(w, now); may != 0; may &= may - 1 {
+			i := w<<6 | bits.TrailingZeros64(may)
+			ne := s.Cores[i].Doze(now)
+			if ne <= now {
+				return now
+			}
+			s.wakeAt[i] = ne
 		}
 	}
+	for w, awake := range s.nodeAwake {
+		for ; awake != 0; awake &= awake - 1 {
+			if s.Nodes[w<<6|bits.TrailingZeros64(awake)].Doze(now) <= now {
+				return now
+			}
+		}
+	}
+	// Every core sleeps now, on the horizon wakeAt holds.
+	next := slices.Min(s.wakeAt)
 	if ne := s.Bus.NextEvent(now); ne <= now {
 		return now
 	} else if ne < next {
@@ -391,21 +457,23 @@ func (s *System) nextEvent() uint64 {
 	return next
 }
 
-// skipTo replays the per-cycle side effects of ticking every cycle in
-// [s.now, target) — occupancy-histogram sampling in the controllers
-// and each component's clock, which bus-phase callbacks read — then
-// jumps the machine clock to target. Callers must have established
-// via nextEvent that no component changes observable state before
-// target.
+// skipTo jumps the machine clock to target. Callers must have
+// established via nextEvent that no component changes observable state
+// before target, so every core and controller is asleep: each replays
+// the skipped cycles with the rest of its sleep when it wakes.
 func (s *System) skipTo(target uint64) {
-	for _, c := range s.Cores {
-		c.SkipCycles(s.now, target)
-	}
-	for _, n := range s.Nodes {
-		n.SkipCycles(s.now, target)
-	}
 	s.skipped += target - s.now
-	s.now = target
+	s.now, s.nodeClock = target, target
+}
+
+// wakeAll makes every sleeping core and controller replay what it owes
+// through the last cycle run, so counters, histograms and the
+// components' clocks read between cycles are exact.
+func (s *System) wakeAll() {
+	for i, c := range s.Cores {
+		c.Wake()
+		s.Nodes[i].Wake()
+	}
 }
 
 // RunErr executes until the machine drains or MaxCycles elapse, then
@@ -496,6 +564,7 @@ func (s *System) run(w Workload, ph *telemetry.JobPhases) (Result, error) {
 	if ph != nil {
 		mergeStart = time.Now()
 	}
+	s.wakeAll()
 	res := Result{
 		Workload:      w.Name,
 		Tech:          s.cfg.Tech,

@@ -121,25 +121,6 @@ type Event struct {
 	A, B  uint8 // kind-specific bytes (states, txn type, outcome)
 }
 
-// Detail renders the kind-specific payload bytes for humans
-// ("S>M", "readx", "comm"). Empty when the kind carries none.
-func (e Event) Detail() string {
-	switch e.Kind {
-	case KBusGrant, KBusAbort, KBusDeliver, KMSHROrphan:
-		return TxnName(e.A)
-	case KState:
-		return StateName(e.A) + ">" + StateName(e.B)
-	case KMiss:
-		if e.A == 1 {
-			return "comm"
-		}
-		return "mem"
-	case KSLEAbort:
-		return fmt.Sprintf("outcome(%d)", e.A)
-	}
-	return ""
-}
-
 // AppendJSON appends e's one encoding, a JSON object without a
 // trailing newline, to b:
 //
@@ -154,13 +135,33 @@ func (e Event) AppendJSON(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(e.Node), 10)
 	b = append(b, `,"kind":`...)
 	b = strconv.AppendQuote(b, e.Kind.String())
-	b = append(b, `,"detail":`...)
-	b = strconv.AppendQuote(b, e.Detail())
-	b = append(b, `,"addr":"0x`...)
+	b = append(b, `,"detail":"`...)
+	b = e.appendDetail(b)
+	b = append(b, `","addr":"0x`...)
 	b = strconv.AppendUint(b, e.Addr, 16)
 	b = append(b, `","arg":`...)
 	b = strconv.AppendUint(b, e.Arg, 10)
 	return append(b, '}')
+}
+
+// appendDetail appends the kind-specific payload bytes for humans
+// ("S>M", "readx", "comm"), nothing when the kind carries none. No name
+// needs escaping in a JSON string.
+func (e Event) appendDetail(b []byte) []byte {
+	switch e.Kind {
+	case KBusGrant, KBusAbort, KBusDeliver, KMSHROrphan:
+		return append(b, TxnName(e.A)...)
+	case KState:
+		return append(append(append(b, StateName(e.A)...), '>'), StateName(e.B)...)
+	case KMiss:
+		if e.A == 1 {
+			return append(b, "comm"...)
+		}
+		return append(b, "mem"...)
+	case KSLEAbort:
+		return append(strconv.AppendUint(append(b, "outcome("...), uint64(e.A), 10), ')')
+	}
+	return b
 }
 
 // Tracer collects events. A nil *Tracer is the disabled tracer: every

@@ -85,17 +85,24 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.Advance(500)
 	tr.Emit(trace.Event{Node: 2, Kind: trace.KBusDeliver, Addr: 0x2040, A: 1, Arg: 88})
 	tr.Emit(trace.Event{Node: -1, Kind: trace.KMiss, A: 1})
+	tr.Emit(trace.Event{Node: 3, Kind: trace.KSLEAbort, Addr: 0x80, A: 2})
+	tr.Emit(trace.Event{Node: 0, Kind: trace.KValIssue, Addr: 0x40})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d JSONL lines, want 3:\n%s", len(lines), buf.String())
+	if len(lines) != 5 {
+		t.Fatalf("got %d JSONL lines, want 5:\n%s", len(lines), buf.String())
 	}
 	// The encoding's bytes are fixed: a trace file and a post-mortem
 	// tail print them, and tools grep them.
-	if want := `{"cycle":412,"node":1,"kind":"state","detail":"S>M","addr":"0x1000","arg":0}`; lines[0] != want {
-		t.Errorf("line 0 = %s, want %s", lines[0], want)
+	for i, want := range map[int]string{
+		0: `{"cycle":412,"node":1,"kind":"state","detail":"S>M","addr":"0x1000","arg":0}`,
+		3: `{"cycle":500,"node":3,"kind":"sle-abort","detail":"outcome(2)","addr":"0x80","arg":0}`,
+	} {
+		if lines[i] != want {
+			t.Errorf("line %d = %s, want %s", i, lines[i], want)
+		}
 	}
 	type rec struct {
 		Cycle  uint64 `json:"cycle"`
@@ -117,6 +124,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{412, 1, "state", "S>M", "0x1000", 0},
 		{500, 2, "bus-deliver", "readx", "0x2040", 88},
 		{500, -1, "miss", "comm", "0x0", 0},
+		{500, 3, "sle-abort", "outcome(2)", "0x80", 0},
+		{500, 0, "validate-issue", "", "0x40", 0},
 	}
 	for i := range want {
 		if got[i] != want[i] {
