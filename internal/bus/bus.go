@@ -167,17 +167,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// lineHold defers a busy-line release until the given cycle.
-type lineHold struct {
-	addr uint64
-	at   uint64
-}
-
-// busyLine is one entry of the busy-line set: a line address with an
-// in-flight data transfer and how many transfers overlap it.
+// busyLine is one entry of the busy-line set: a line address with a
+// granted data transfer and the cycle its fill hold ends (delivery +
+// fillHold), the first cycle a conflicting grant may take the line.
 type busyLine struct {
-	addr uint64
-	n    int
+	addr  uint64
+	until uint64
 }
 
 // Interconnect kinds as accepted by NewInterconnect and the CLIs'
@@ -279,18 +274,16 @@ type Bus struct {
 	// free recycles completed transactions (see NewTxn).
 	free []*Txn
 
-	// busy tracks lines with a granted data transfer still in
-	// flight. A transaction to such a line is held in its queue until
-	// the transfer lands: the requester logically owns the line from
-	// its grant (bus order) but has no data to supply to a snoop yet.
-	// Real protocols cover this window with transient states and
-	// retry responses; holding the grant is the equivalent, simpler
-	// serialization. A handful of transfers are in flight at once on
-	// a 4-node machine, so a linear-scanned slice beats a map.
+	// busy tracks lines with a granted data transfer whose delivery
+	// or fill hold is still pending. A transaction to such a line is
+	// held in its queue until the hold ends: the requester logically
+	// owns the line from its grant (bus order) but has no data to
+	// supply to a snoop yet. Real protocols cover this window with
+	// transient states and retry responses; holding the grant is the
+	// equivalent, simpler serialization. A line is never busy twice
+	// (its queue heads are not granted), and a handful of transfers
+	// are in flight at once, so a linear-scanned slice beats a map.
 	busy []busyLine
-
-	// holds are deferred busy-line releases (post-delivery fillHold).
-	holds []lineHold
 
 	// The two things a kind varies: the bound on granted transactions
 	// awaiting completion, past which address grants stall (0 = none),
@@ -390,11 +383,11 @@ func (b *Bus) OnSerialized(fn func(now uint64, t *Txn)) { b.onSerialized = fn }
 // data transfer (grant issued, delivery or fill hold pending). While
 // busy, custody of the line's current value may rest in the in-flight
 // transaction rather than any cache or memory.
-func (b *Bus) LineBusy(addr uint64) bool { return b.busyCount(mem.LineAddr(addr)) > 0 }
+func (b *Bus) LineBusy(addr uint64) bool { return b.lineBusy(mem.LineAddr(addr)) }
 
 // SetOracle makes the fabric audit its horizon on the every-cycle loop
 // (sim.Config.NoFastForward): it runs the ticks before the standing
-// horizon that the fast path skips, and one that releases a hold,
+// horizon that the fast path skips, and one that ends a fill hold,
 // arbitrates or delivers is a violation. The first violation
 // machine-wide goes to *violation, the oracles' shared latch.
 func (b *Bus) SetOracle(violation *error) { b.audit = violation }
@@ -442,7 +435,7 @@ func (b *Bus) jitter() uint64 {
 	return uint64(b.rng.Intn(b.cfg.JitterMax))
 }
 
-// Tick advances the interconnect one cycle: releases the holds due,
+// Tick advances the interconnect one cycle: ends the fill holds due,
 // possibly grants one transaction and delivers any completions due.
 // Before the standing horizon it can do none of these, so it returns at
 // once unless it is the oracle.
@@ -453,7 +446,7 @@ func (b *Bus) Tick(now uint64) {
 		b.skipped++
 		return
 	}
-	released := b.releaseHolds(now)
+	released := b.pruneBusy(now)
 	arb := -1 // the node whose queue head was arbitrated, if any
 	var arbType TxnType
 	var arbAddr uint64
@@ -493,87 +486,58 @@ func (b *Bus) NextEvent(now uint64) uint64 {
 }
 
 // derive computes the horizon from scratch: the next completion
-// delivery, the next busy-line hold release, or the next possible grant
-// when a grantable request is queued. It returns now when the next Tick
-// would act immediately, and ^uint64(0) when the bus is fully idle.
-// Queues whose head targets a busy line need no separate term, nor does
-// any queue while the in-flight bound is reached: they unblock only at
-// a delivery or hold release, both already in the horizon.
+// delivery, the next fill-hold end, or the next possible grant when a
+// grantable request is queued. It returns now when the next Tick would
+// act immediately, and ^uint64(0) when the bus is fully idle. Every
+// grantable queue head waits for the same addrFree, so the first one
+// found settles the grant term. Queues whose head targets a busy line
+// need no term, nor does any queue while the in-flight bound is
+// reached: they unblock only at a delivery or hold end, both already in
+// the horizon. An in-flight transfer's until is later than its doneAt,
+// so it never lowers the horizon.
 func (b *Bus) derive(now uint64) uint64 {
 	next := ^uint64(0)
 	for _, t := range b.inflight {
-		if t.doneAt < next {
-			next = t.doneAt
-		}
+		next = min(next, t.doneAt)
 	}
-	for _, h := range b.holds {
-		if h.at < next {
-			next = h.at
-		}
+	for _, l := range b.busy {
+		next = min(next, l.until)
 	}
 	if !b.hasSlot() {
 		return next
 	}
 	for _, q := range b.queues {
-		if len(q) == 0 || b.busyCount(q[0].Addr) > 0 {
+		if len(q) == 0 || b.lineBusy(q[0].Addr) {
 			continue
 		}
 		if b.addrFree <= now {
 			return now
 		}
-		if b.addrFree < next {
-			next = b.addrFree
-		}
+		return min(next, b.addrFree)
 	}
 	return next
 }
 
-func (b *Bus) busyCount(addr uint64) int {
-	for i := range b.busy {
-		if b.busy[i].addr == addr {
-			return b.busy[i].n
+func (b *Bus) lineBusy(addr uint64) bool {
+	for _, l := range b.busy {
+		if l.addr == addr {
+			return true
 		}
 	}
-	return 0
+	return false
 }
 
-func (b *Bus) busyInc(addr uint64) {
-	for i := range b.busy {
-		if b.busy[i].addr == addr {
-			b.busy[i].n++
-			return
+// pruneBusy ends the fill holds due and returns how many it ended.
+func (b *Bus) pruneBusy(now uint64) int {
+	out := b.busy[:0]
+	for _, l := range b.busy {
+		if l.until > now {
+			out = append(out, l)
 		}
 	}
-	b.busy = append(b.busy, busyLine{addr: addr, n: 1})
-}
-
-func (b *Bus) busyDec(addr uint64) {
-	for i := range b.busy {
-		if b.busy[i].addr != addr {
-			continue
-		}
-		if b.busy[i].n--; b.busy[i].n <= 0 {
-			last := len(b.busy) - 1
-			b.busy[i] = b.busy[last]
-			b.busy = b.busy[:last]
-		}
-		return
-	}
-}
-
-// releaseHolds ends the fill holds due and returns how many it ended.
-func (b *Bus) releaseHolds(now uint64) int {
-	out := b.holds[:0]
-	for _, h := range b.holds {
-		if h.at <= now {
-			b.busyDec(h.addr)
-		} else {
-			out = append(out, h)
-		}
-	}
-	released := len(b.holds) - len(out)
-	b.holds = out
-	return released
+	ended := len(b.busy) - len(out)
+	b.busy = out
+	return ended
 }
 
 // nextRequest pops the next transaction under round-robin arbitration,
@@ -589,7 +553,7 @@ func (b *Bus) nextRequest() *Txn {
 		}
 		q := b.queues[node]
 		t := q[0]
-		if b.busyCount(t.Addr) > 0 {
+		if b.lineBusy(t.Addr) {
 			continue
 		}
 		// Pop by sliding elements down rather than reslicing the
@@ -674,11 +638,9 @@ func (b *Bus) snoopCombine(t *Txn) *mem.Line {
 }
 
 // sourceData fills a Read/ReadX payload from the supplying owner cache
-// or from memory, marks the line busy until the transfer lands, and
-// returns the source's latency, jitter included.
+// or from memory and returns the source's latency, jitter included.
 func (b *Bus) sourceData(t *Txn, supplier *mem.Line) uint64 {
 	t.HasData = true
-	b.busyInc(t.Addr)
 	if supplier != nil {
 		t.Data = *supplier
 		b.cntC2C.Inc()
@@ -706,7 +668,8 @@ func (b *Bus) scheduleData(t *Txn, supplier *mem.Line, now uint64) {
 // scheduled a Read/ReadX's transfer; a dataless transaction completes
 // when its address phase does, plus whatever acknowledgement time the
 // directory collects (a writeback's payload reaches memory here). Then
-// in-flight tracking and the serialization observer.
+// in-flight tracking, the busy mark of a data transfer, whose doneAt is
+// final here, and the serialization observer.
 func (b *Bus) finishGrant(t *Txn, now, acks uint64) {
 	switch t.Type {
 	case TxnRead, TxnReadX:
@@ -719,6 +682,9 @@ func (b *Bus) finishGrant(t *Txn, now, acks uint64) {
 		panic(fmt.Sprintf("bus: unknown txn type %d", t.Type))
 	}
 	b.inflight = append(b.inflight, t)
+	if t.HasData {
+		b.busy = append(b.busy, busyLine{addr: t.Addr, until: t.doneAt + fillHold})
+	}
 	if b.onSerialized != nil {
 		b.onSerialized(now, t)
 	}
@@ -767,8 +733,6 @@ func (b *Bus) deliver(now uint64) int {
 	for _, t := range b.inflight {
 		if t.doneAt <= now {
 			if t.HasData {
-				// The busy mark persists through the fill hold.
-				b.holds = append(b.holds, lineHold{addr: t.Addr, at: now + fillHold})
 				b.hMiss.Observe(now - t.reqAt)
 			}
 			b.tr.Emit(trace.Event{Kind: trace.KBusDeliver, Node: int32(t.Src), Addr: t.Addr, A: uint8(t.Type), Arg: now - t.reqAt})
@@ -796,8 +760,8 @@ func (b *Bus) DebugString() string {
 	for _, t := range b.inflight {
 		fmt.Fprintf(&sb, "  inflight node%d %s %#x doneAt=%d\n", t.Src, t.Type, t.Addr, t.doneAt)
 	}
-	for _, bl := range b.busy {
-		fmt.Fprintf(&sb, "  busy %#x count=%d\n", bl.addr, bl.n)
+	for _, l := range b.busy {
+		fmt.Fprintf(&sb, "  busy %#x until=%d\n", l.addr, l.until)
 	}
 	addrs := make([]uint64, 0, len(b.dir))
 	for addr := range b.dir {

@@ -429,6 +429,61 @@ func TestDirectoryDebugStringInAddressOrder(t *testing.T) {
 	}
 }
 
+// A data transfer keeps its line busy from its grant until fillHold
+// cycles after its delivery, on every kind: LineBusy says so after each
+// tick, DebugString names the cycle the hold ends, and a rival read of
+// the line queued behind it is granted exactly then.
+func TestBusyWindowEndsFillHoldAfterDelivery(t *testing.T) {
+	const addr = 0x1000
+	for _, kind := range Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			b, ports, _, _ := testFabric(kind, 2, fastCfg())
+			b.Request(&Txn{Type: TxnRead, Addr: addr, Src: 0})
+			g, d := -1, -1 // the read's grant and delivery cycles
+			var busy []bool
+			var dump string
+			for now := 0; now < 100; now++ {
+				b.Tick(uint64(now))
+				if g < 0 && len(ports[0].granted) == 1 {
+					g, dump = now, b.DebugString()
+				}
+				if d < 0 && len(ports[0].completed) == 1 {
+					d = now
+				}
+				busy = append(busy, b.LineBusy(addr))
+			}
+			if g < 0 || d < 0 {
+				t.Fatalf("read granted at %d, delivered at %d: it did not run", g, d)
+			}
+			end := d + fillHold
+			for now, got := range busy {
+				if want := now >= g && now < end; got != want {
+					t.Fatalf("LineBusy after the tick of cycle %d is %v, want %v (grant %d, delivery %d)", now, got, want, g, d)
+				}
+			}
+			if want := fmt.Sprintf("  busy %#x until=%d\n", addr, end); !strings.Contains(dump, want) {
+				t.Fatalf("DebugString at the grant lacks %q:\n%s", want, dump)
+			}
+
+			b, ports, _, _ = testFabric(kind, 2, fastCfg())
+			b.Request(&Txn{Type: TxnRead, Addr: addr, Src: 0})
+			rg := -1
+			for now := 0; now < 100 && rg < 0; now++ {
+				b.Tick(uint64(now))
+				if now == g {
+					b.Request(&Txn{Type: TxnRead, Addr: addr, Src: 1})
+				}
+				if len(ports[1].granted) == 1 {
+					rg = now
+				}
+			}
+			if rg != end {
+				t.Fatalf("rival read granted at %d, want %d (delivery %d + fillHold)", rg, end, d)
+			}
+		})
+	}
+}
+
 // The fabric oracle keeps a standing horizon. A tick that releases a
 // hold, delivers or arbitrates before it latches an error naming the
 // cycle, the horizon and what moved; a Request drops the horizon, so
@@ -555,7 +610,7 @@ func runScript(t *testing.T, kind string, oracle bool) (log []string, hists []st
 			}
 			b.Request(&Txn{Type: r.ty, Addr: r.addr, Src: r.src})
 		}
-		if next == len(fabricScript) && b.Idle() && len(b.holds) == 0 {
+		if next == len(fabricScript) && b.Idle() && len(b.busy) == 0 {
 			break
 		}
 	}

@@ -31,10 +31,6 @@ import (
 	"tssim/internal/telemetry"
 )
 
-// maxCPUs is where the workload generators' address layouts and the
-// directory's 64-bit sharer vector both end.
-const maxCPUs = 64
-
 // Flags holds the parsed shared flags. Callers read the three sweep
 // sizes and, after Start, the collector; the rest reaches them through
 // Config.
@@ -62,7 +58,7 @@ type Flags struct {
 // given defaults, and returns where they parse to.
 func Register(fs *flag.FlagSet, scale, seeds int) *Flags {
 	f := &Flags{fs: fs}
-	fs.IntVar(&f.cpus, "cpus", 4, fmt.Sprintf("number of CPUs (1..%d)", maxCPUs))
+	fs.IntVar(&f.cpus, "cpus", 4, fmt.Sprintf("number of CPUs (1..%d)", sim.MaxCPUs))
 	fs.IntVar(&f.Scale, "scale", scale, "workload scale factor")
 	fs.IntVar(&f.Seeds, "seeds", seeds, "runs per configuration with latency jitter (95% CI when > 1)")
 	fs.IntVar(&f.Jobs, "j", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -88,8 +84,8 @@ func (f *Flags) validate(args []string) error {
 		return fmt.Errorf("unexpected argument %q (flags after it were not read)", args[0])
 	case !bus.ValidKind(f.interconnect):
 		return fmt.Errorf("unknown -interconnect %q (use %s)", f.interconnect, strings.Join(bus.Kinds(), "|"))
-	case f.cpus < 1 || f.cpus > maxCPUs:
-		return fmt.Errorf("-cpus %d: must be between 1 and %d", f.cpus, maxCPUs)
+	case f.cpus < 1 || f.cpus > sim.MaxCPUs:
+		return fmt.Errorf("-cpus %d: must be between 1 and %d", f.cpus, sim.MaxCPUs)
 	case f.Scale < 1:
 		return fmt.Errorf("-scale %d: must be at least 1", f.Scale)
 	case f.Seeds < 1:

@@ -191,11 +191,12 @@ type Controller struct {
 // and returns it. All controllers in a system share counters.
 func NewController(cfg Config, tech Techniques, b *bus.Bus, client Client, counters *stats.Counters) *Controller {
 	tech = tech.Effective()
+	d := DefaultConfig()
 	if cfg.MSHRs <= 0 {
-		cfg.MSHRs = 8
+		cfg.MSHRs = d.MSHRs
 	}
 	if cfg.StoreBuf <= 0 {
-		cfg.StoreBuf = 16
+		cfg.StoreBuf = d.StoreBuf
 	}
 	if counters == nil {
 		counters = stats.NewCounters()

@@ -222,25 +222,37 @@ func TestRunAllIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestRunOneErrRecoversPanic: a panic out of assembly (wrong program
-// count) is recovered into the error with a stack capture.
+// TestRunOneErrRecoversPanic: a panic out of assembly is recovered
+// into the error with a stack capture, one row per way New refuses a
+// machine.
 func TestRunOneErrRecoversPanic(t *testing.T) {
-	w := lockCounterWorkload(2, 5, 10, false) // 2 programs
-	cfg := fastCfg(Techniques{})
-	cfg.CPUs = 4 // mismatch: New panics
-	r := RunOneErr(cfg, w)
-	if r.Err == nil {
-		t.Fatal("panic was not recovered into Result.Err")
-	}
-	var re *RunError
-	if !errors.As(r.Err, &re) {
-		t.Fatalf("Err is %T, want *RunError", r.Err)
-	}
-	if !strings.Contains(re.Reason, "panic:") {
-		t.Errorf("reason %q does not mark a recovered panic", re.Reason)
-	}
-	if re.PostMortem == "" {
-		t.Error("no stack captured for the recovered panic")
+	for _, row := range []struct {
+		name string
+		w    Workload
+		cpus int
+		want string // in the reason
+	}{
+		{"program count", lockCounterWorkload(2, 5, 10, false), 4, "has 2 programs for 4 CPUs"},
+		{"wider than MaxCPUs", lockCounterWorkload(MaxCPUs+1, 5, 10, false), MaxCPUs + 1, "65 CPUs: a machine has at most MaxCPUs = 64"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := fastCfg(Techniques{})
+			cfg.CPUs = row.cpus
+			r := RunOneErr(cfg, row.w)
+			if r.Err == nil {
+				t.Fatal("panic was not recovered into Result.Err")
+			}
+			var re *RunError
+			if !errors.As(r.Err, &re) {
+				t.Fatalf("Err is %T, want *RunError", r.Err)
+			}
+			if !strings.Contains(re.Reason, "panic: sim: ") || !strings.Contains(re.Reason, row.want) {
+				t.Errorf("reason %q is not a recovered panic naming %q", re.Reason, row.want)
+			}
+			if re.PostMortem == "" {
+				t.Error("no stack captured for the recovered panic")
+			}
+		})
 	}
 }
 

@@ -159,6 +159,11 @@ type Config struct {
 	StartOffsets []uint64
 }
 
+// MaxCPUs is the widest machine: where System's one-word awake sets,
+// the directory's 64-bit sharer vector and the workload generators'
+// address layouts all end. New rejects a wider Config.CPUs.
+const MaxCPUs = 64
+
 // DefaultMaxCycles bounds runaway workloads.
 const DefaultMaxCycles = 50_000_000
 
@@ -265,11 +270,12 @@ type System struct {
 	// to now, its core phase being the last (see Step).
 	nodeClock uint64
 
-	// coreAwake and nodeAwake hold bit i%64 of word i/64 for core and
-	// node i while it is awake (the components keep them: SleepOn), and
-	// wakeAt[i] is core i's horizon from its last Doze, exact while it
-	// sleeps. A phase asks only what can have woken: see corePhase.
-	coreAwake, nodeAwake, wakeAt []uint64
+	// coreAwake and nodeAwake hold bit i for core and node i while it
+	// is awake (the components keep them: SleepOn), and wakeAt[i] is
+	// core i's horizon from its last Doze, exact while it sleeps. A
+	// phase asks only what can have woken: see corePhase.
+	coreAwake, nodeAwake uint64
+	wakeAt               []uint64
 
 	// haltedCores is maintained incrementally by the cores
 	// (cpu.Core.AttachMachine): the run loop's progress watchdog and
@@ -294,6 +300,9 @@ type System struct {
 // New assembles a system for the workload.
 func New(cfg Config, w Workload) *System {
 	cfg = cfg.withDefaults()
+	if cfg.CPUs > MaxCPUs {
+		panic(fmt.Sprintf("sim: %d CPUs: a machine has at most MaxCPUs = %d", cfg.CPUs, MaxCPUs))
+	}
 	if len(w.Programs) != cfg.CPUs {
 		panic(fmt.Sprintf("sim: workload %q has %d programs for %d CPUs",
 			w.Name, len(w.Programs), cfg.CPUs))
@@ -323,12 +332,11 @@ func New(cfg Config, w Workload) *System {
 
 	coreCfg := cpu.DefaultConfig()
 	coreCfg.SLE = cfg.Tech.SLE
-	words := (cfg.CPUs + 63) / 64
-	s.coreAwake, s.nodeAwake, s.wakeAt = make([]uint64, words), make([]uint64, words), make([]uint64, cfg.CPUs)
+	s.wakeAt = make([]uint64, cfg.CPUs)
 	for i := 0; i < cfg.CPUs; i++ {
-		word, bit := i/64, uint64(1)<<(i%64)
-		s.coreAwake[word] |= bit
-		s.nodeAwake[word] |= bit
+		bit := uint64(1) << i
+		s.coreAwake |= bit
+		s.nodeAwake |= bit
 		c := cpu.New(coreCfg, i, w.Programs[i], nil, s.Counters)
 		if i < len(cfg.StartOffsets) {
 			c.SetStartCycle(cfg.StartOffsets[i])
@@ -342,8 +350,8 @@ func New(cfg Config, w Workload) *System {
 		if cfg.NoFastForward {
 			ctrl.SetOracle(&s.auditErr)
 		} else {
-			c.SleepOn(&s.now, ctrl.StateVersionWord(), &s.coreAwake[word], bit)
-			ctrl.SleepOn(&s.nodeClock, &s.nodeAwake[word], bit)
+			c.SleepOn(&s.now, ctrl.StateVersionWord(), &s.coreAwake, bit)
+			ctrl.SleepOn(&s.nodeClock, &s.nodeAwake, bit)
 		}
 		ctrl.SetTracer(cfg.Trace)
 		c.SetMemSystem(ctrl)
@@ -383,11 +391,9 @@ func (s *System) Step() {
 // nodePhase ticks every controller that is awake at now. A sleeping
 // one needs no asking: only a call wakes it, and the call sets its bit.
 func (s *System) nodePhase(now uint64) {
-	for w, awake := range s.nodeAwake {
-		for ; awake != 0; awake &= awake - 1 {
-			if n := s.Nodes[w<<6|bits.TrailingZeros64(awake)]; n.Doze(now) <= now {
-				n.Tick(now)
-			}
+	for awake := s.nodeAwake; awake != 0; awake &= awake - 1 {
+		if n := s.Nodes[bits.TrailingZeros64(awake)]; n.Doze(now) <= now {
+			n.Tick(now)
 		}
 	}
 	s.nodeClock = now + 1
@@ -395,28 +401,26 @@ func (s *System) nodePhase(now uint64) {
 
 // corePhase ticks every core that is awake at now, in index order.
 func (s *System) corePhase(now uint64) {
-	for w := range s.coreAwake {
-		for may := s.mayWake(w, now); may != 0; may &= may - 1 {
-			i := w<<6 | bits.TrailingZeros64(may)
-			if ne := s.Cores[i].Doze(now); ne <= now {
-				s.Cores[i].Tick(now)
-			} else {
-				s.wakeAt[i] = ne
-			}
+	for may := s.mayWake(now); may != 0; may &= may - 1 {
+		i := bits.TrailingZeros64(may)
+		if ne := s.Cores[i].Doze(now); ne <= now {
+			s.Cores[i].Tick(now)
+		} else {
+			s.wakeAt[i] = ne
 		}
 	}
 }
 
-// mayWake returns the cores of word w that must be asked whether they
-// are awake at now: those awake, those whose horizon has come, and those
-// whose node is awake. A node's StateVersion moves only in a call or a
-// tick, which leave it awake through the cycle's core phase, so a core
-// whose node sleeps has seen no move since its own Doze.
-func (s *System) mayWake(w int, now uint64) uint64 {
-	may := s.coreAwake[w] | s.nodeAwake[w]
-	for j, t := range s.wakeAt[w<<6 : min(len(s.wakeAt), w<<6+64)] {
+// mayWake returns the cores that must be asked whether they are awake
+// at now: those awake, those whose horizon has come, and those whose
+// node is awake. A node's StateVersion moves only in a call or a tick,
+// which leave it awake through the cycle's core phase, so a core whose
+// node sleeps has seen no move since its own Doze.
+func (s *System) mayWake(now uint64) uint64 {
+	may := s.coreAwake | s.nodeAwake
+	for i, t := range s.wakeAt {
 		if t <= now {
-			may |= 1 << j
+			may |= 1 << i
 		}
 	}
 	return may
@@ -430,21 +434,17 @@ func (s *System) mayWake(w int, now uint64) uint64 {
 // until an external bound (watchdog, MaxCycles).
 func (s *System) nextEvent() uint64 {
 	now := s.now
-	for w := range s.coreAwake {
-		for may := s.mayWake(w, now); may != 0; may &= may - 1 {
-			i := w<<6 | bits.TrailingZeros64(may)
-			ne := s.Cores[i].Doze(now)
-			if ne <= now {
-				return now
-			}
-			s.wakeAt[i] = ne
+	for may := s.mayWake(now); may != 0; may &= may - 1 {
+		i := bits.TrailingZeros64(may)
+		ne := s.Cores[i].Doze(now)
+		if ne <= now {
+			return now
 		}
+		s.wakeAt[i] = ne
 	}
-	for w, awake := range s.nodeAwake {
-		for ; awake != 0; awake &= awake - 1 {
-			if s.Nodes[w<<6|bits.TrailingZeros64(awake)].Doze(now) <= now {
-				return now
-			}
+	for awake := s.nodeAwake; awake != 0; awake &= awake - 1 {
+		if s.Nodes[bits.TrailingZeros64(awake)].Doze(now) <= now {
+			return now
 		}
 	}
 	// Every core sleeps now, on the horizon wakeAt holds.
