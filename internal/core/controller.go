@@ -161,6 +161,11 @@ type Controller struct {
 
 	stateVer uint64 // see setState
 
+	// moved is the seam's log: moved[v%movedSlots] is the line the move
+	// to version v touched (noLine for a free or a pop), for the last
+	// movedSlots versions (see RefusalStands).
+	moved [movedSlots]uint64
+
 	// idle is the idle verdict: the last Tick moved nothing (see
 	// tickStore) and nothing has called in since, so the next would
 	// repeat it. Whatever can change what tickStore reads drops the
@@ -286,16 +291,20 @@ func (c *Controller) Config() Config { return c.cfg }
 // no refusal), the reservation (written by the core's own Load or with
 // a Client callback) or line data (popStore, the core's own
 // SLECommitStores, a fill).
+//
+// Each mutator also logs the line its move touched (see RefusalStands).
 func (c *Controller) setState(l *cache.Line, to State) {
 	c.tr.Emit(trace.Event{Kind: trace.KState, Node: int32(c.id), Addr: l.Addr, A: l.State, B: to})
 	l.State = to
 	c.stateVer++
+	c.moved[c.stateVer%movedSlots] = l.Addr
 }
 
 func (c *Controller) allocMSHR(la uint64, write bool) *cache.MSHR {
 	m := c.mshrs.Alloc(la, write)
 	if m != nil {
 		c.stateVer++
+		c.moved[c.stateVer%movedSlots] = la
 	}
 	return m
 }
@@ -303,16 +312,46 @@ func (c *Controller) allocMSHR(la uint64, write bool) *cache.MSHR {
 func (c *Controller) freeMSHR(m *cache.MSHR) {
 	c.mshrs.Free(m)
 	c.stateVer++
+	c.moved[c.stateVer%movedSlots] = noLine
 }
 
 func (c *Controller) popStore() {
 	n := copy(c.storeBuf, c.storeBuf[1:])
 	c.storeBuf = c.storeBuf[:n]
 	c.stateVer++
+	c.moved[c.stateVer%movedSlots] = noLine
 }
+
+// movedSlots is how many version moves the seam's log reaches back;
+// noLine, never a line address, is what a move that touched none logs.
+const (
+	movedSlots = 16
+	noLine     = ^uint64(0)
+)
 
 // StateVersion implements cpu.MemSystem (see setState).
 func (c *Controller) StateVersion() uint64 { return c.stateVer }
+
+// RefusalStands implements cpu.MemSystem: whether a load of addr that
+// Load refused, counted, under version ver would be refused, counted,
+// now. Such a refusal found no store-buffer entry for the word (the
+// core's clear scan keeps it so), the line neither in the L1 nor
+// readable in the L2 and without an MSHR (each changes only through a
+// setState or an allocMSHR of the line), and a full file, read here. So
+// it stands while the file is full and no move logged since ver touched
+// the line; a log that no longer reaches back to ver answers false.
+func (c *Controller) RefusalStands(addr, ver uint64) bool {
+	if c.stateVer-ver > movedSlots || c.mshrs.InUse() < c.cfg.MSHRs {
+		return false
+	}
+	la := mem.LineAddr(addr)
+	for v := ver + 1; v <= c.stateVer; v++ {
+		if c.moved[v%movedSlots] == la {
+			return false
+		}
+	}
+	return true
+}
 
 // StateVersionWord is where StateVersion is kept, for a loop that reads
 // it every cycle without a call (cpu.Core.SleepOn). Only the seam writes

@@ -14,10 +14,11 @@ import (
 )
 
 // The seam is a property of the source: in this package's non-test
-// files a line's State is assigned only in setState, stateVer moves only
-// in the four named mutators, and the MSHR file is allocated from and
-// freed into only through their wrappers. A transition written anywhere
-// else is one the trace and the core's memo key would not see.
+// files a line's State is assigned only in setState, stateVer moves and
+// its log of moved lines is written only in the four named mutators,
+// and the MSHR file is allocated from and freed into only through their
+// wrappers. A transition written anywhere else is one the trace, the
+// core's memo key and the seam's log would not see.
 func TestOnlyTheSeamWrites(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -29,6 +30,7 @@ func TestOnlyTheSeamWrites(t *testing.T) {
 	allowed := map[string][]string{
 		".State =":    {"setState"},
 		"stateVer":    {"setState", "allocMSHR", "freeMSHR", "popStore"},
+		"moved":       {"setState", "allocMSHR", "freeMSHR", "popStore"},
 		"mshrs.Alloc": {"allocMSHR"},
 		"mshrs.Free":  {"freeMSHR"},
 	}
@@ -64,6 +66,9 @@ func TestOnlyTheSeamWrites(t *testing.T) {
 						}
 						if selector(lhs, "stateVer") {
 							note("stateVer", fd.Name.Name, n.Pos())
+						}
+						if ix, ok := lhs.(*ast.IndexExpr); ok && selector(ix.X, "moved") {
+							note("moved", fd.Name.Name, n.Pos())
 						}
 					}
 				case *ast.IncDecStmt:

@@ -262,7 +262,9 @@ func TestUpgradeStolenServedFromLiveLine(t *testing.T) {
 // and HoldsWritable — may change only under a new StateVersion: the core
 // does not ask again while the version stands, and ExternalSnoop tells
 // it that a snoop happened, not what it did. Snoops that leave both
-// answers standing need not move the version.
+// answers standing need not move the version. One that flips an answer
+// has touched the line, so the seam's log no longer vouches for a
+// refusal given before it.
 func TestRefusalFlipsOnlyUnderNewStateVersion(t *testing.T) {
 	type answer struct {
 		load     LoadResult
@@ -310,11 +312,83 @@ func TestRefusalFlipsOnlyUnderNewStateVersion(t *testing.T) {
 			r.snoop.Addr, r.snoop.Src = la, 1
 			n.SnoopTxn(&r.snoop)
 			moved := n.StateVersion() != ver
+			if r.before != r.after && n.RefusalStands(la, ver) {
+				t.Fatalf("the snoop turned %+v into %+v and the seam's log still says a refusal under version %d stands", r.before, r.after, ver)
+			}
 			if got := ask(); got != r.after {
 				t.Fatalf("after the snoop: %+v, want %+v", got, r.after)
 			}
 			if r.before != r.after && !moved {
 				t.Fatalf("the snoop turned %+v into %+v under StateVersion %d", r.before, r.after, ver)
+			}
+		})
+	}
+}
+
+// The seam's log answers for a counted refusal exactly when nothing since
+// can have changed it: each row moves a node whose MSHR file is full and
+// whose load of a T line was refused, counted, and then compares
+// RefusalStands for the refusal's version against what Load answers on a
+// twin moved the same way. True must mean refused; false may only mean
+// that the log cannot tell (the last row).
+func TestRefusalLogFollowsTheLine(t *testing.T) {
+	const filler, third, other = uint64(0x8000), uint64(0x9000), uint64(0x4040)
+	refused := LoadResult{Status: LoadRetry, Counted: true}
+	// freeFiller completes the first filler's fetch: its MSHR frees.
+	freeFiller := func(n *Controller) {
+		n.CompleteTxn(&bus.Txn{Type: bus.TxnRead, Addr: filler, Data: lineOf(0)})
+	}
+	// moves puts k version moves on another line.
+	moves := func(k int) func(*harness, *Controller, uint64) {
+		return func(_ *harness, n *Controller, _ uint64) {
+			for i := 0; i < k; i++ {
+				n.installL2(other, lineOf(0), StateS)
+			}
+		}
+	}
+	rows := []struct {
+		name   string
+		move   func(h *harness, n *Controller, la uint64)
+		stands bool
+		load   LoadResult
+	}{
+		{"another line's MSHR frees and a third line allocates", func(h *harness, n *Controller, _ uint64) {
+			freeFiller(n)
+			if r := n.Load(h.seq(), third, false); r.Status != LoadMiss {
+				h.t.Fatalf("load of the third line: %+v, want a miss", r)
+			}
+		}, true, refused},
+		{"a free alone", func(_ *harness, n *Controller, _ uint64) { freeFiller(n) },
+			false, LoadResult{Status: LoadMiss}},
+		{"PrefetchExclusive allocates the line", func(_ *harness, n *Controller, la uint64) {
+			freeFiller(n)
+			n.PrefetchExclusive(la)
+		}, false, LoadResult{Status: LoadMiss}},
+		{"an E-MESTI validate restores the line", func(_ *harness, n *Controller, la uint64) {
+			n.SnoopTxn(&bus.Txn{Type: bus.TxnValidate, Addr: la, Src: 1, WData: lineOf(7)})
+		}, false, LoadResult{Status: LoadHit, Value: 7, Lat: L1Latency + L2Latency}},
+		{"16 moves of another line", moves(movedSlots), true, refused},
+		{"17 moves of another line: the log is overrun", moves(movedSlots + 1), false, refused},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			build := func() (*harness, *Controller, uint64) {
+				h, n, la := snoopHarness(t, true, StateT, lineOf(7))
+				h.fillMSHRs(0)
+				if got := n.Load(h.seq(), la, false); got != refused {
+					t.Fatalf("load of the T line behind a full file: %+v, want %+v", got, refused)
+				}
+				return h, n, la
+			}
+			h, n, la := build()
+			ver := n.StateVersion()
+			r.move(h, n, la)
+			stands := n.RefusalStands(la, ver)
+			h, twin, la := build()
+			r.move(h, twin, la)
+			got := twin.Load(h.seq(), la, false)
+			if stands != r.stands || got != r.load {
+				t.Fatalf("the log says the refusal stands: %v, want %v; Load answers %+v, want %+v", stands, r.stands, got, r.load)
 			}
 		})
 	}

@@ -38,6 +38,10 @@ type MemSystem interface {
 	// the verdict, and keys each load's memoized counted refusal on it
 	// (readyRef).
 	StateVersion() uint64
+	// RefusalStands reports whether a load of addr refused, counted,
+	// under StateVersion ver would be refused, counted, now; false when
+	// it cannot tell (core.Controller.RefusalStands has the contract).
+	RefusalStands(addr, ver uint64) bool
 
 	// ReplayL1Hits applies L1-hit loads of addrs unanswered (steady.go).
 	ReplayL1Hits(addrs []uint64)
@@ -341,6 +345,9 @@ type Core struct {
 	audit    *error
 	replayed uint64 // ticks answered from the verdict
 	memoized uint64 // load retries answered from readyRef.retryVer
+	// Of the memos met with a port free after their version passed:
+	// those RefusalStands answered, and all of them.
+	logged, passed uint64
 
 	// graves, on an oracle, is a ring of the last loads squashes killed
 	// while the memory system held them, so that a callback naming one
@@ -419,8 +426,9 @@ func (c *Core) SetStartCycle(at uint64) { c.startAt = at }
 // queue must hold exactly the window's stores and the wake-up chains
 // exactly the window's unready source slots; a reference carrying a
 // memo must be to a live unissued load that still scans clear and that
-// the memory system refuses, counted, and no squash may run inside the
-// issue walk. A controller callback must name a seq in the window
+// the memory system refuses, counted, while the memo's version stands
+// or RefusalStands says the refusal does, and no squash may run inside
+// the issue walk. A controller callback must name a seq in the window
 // (MemSystem.Squashed), where the fast path ignores one that is not.
 // The first violation machine-wide is stored in *violation for the run
 // loop to fail on. Must be called before the first Tick.
@@ -445,6 +453,12 @@ func (c *Core) ReplayedTicks() uint64 { return c.replayed }
 // from the load's retry memo instead of asking the memory system
 // (always 0 on an oracle).
 func (c *Core) MemoizedRetries() uint64 { return c.memoized }
+
+// LoggedRetries counts, of the retry memos met with a memory port free
+// after their version had passed, those answered from the memory
+// system's log (RefusalStands) instead of asked again, and all of them
+// (both 0 on an oracle). The answered ones are also MemoizedRetries.
+func (c *Core) LoggedRetries() (answered, passed uint64) { return c.logged, c.passed }
 
 // AttachMachine registers machine-wide aggregation targets: retired is
 // incremented once per committed instruction and halted once when this
@@ -1048,15 +1062,25 @@ func (c *Core) issue() {
 			if ver == 0 {
 				ver = c.memsys.StateVersion() + 1
 			}
-			if r.retryVer == ver {
+			stands := r.retryVer == ver
+			if !stands && memIssued < MemPorts {
+				// Passed: the memory system's log may still vouch for the
+				// refusal, which then counts as the call it replaces and
+				// is memoized under the version it would have got.
+				c.passed++
+				if c.memsys.RefusalStands(r.e.effAddr, r.retryVer-1) {
+					stands, r.retryVer = true, ver
+					c.logged++
+					c.st.calls++
+				}
+			}
+			if stands {
 				// The refusal stands (see readyRef): the load takes its
 				// turn at the port limit and is refused again, unasked.
 				if memIssued < MemPorts {
 					refused++
 				}
-				if w != i { // else it is where it stays
-					c.readyQ[w] = r
-				}
+				c.readyQ[w] = r
 				w++
 				continue
 			}
@@ -1333,10 +1357,16 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 	// restoring permission bumps the version too, and no store that can
 	// still retire ahead of a load that scanned clear writes its word.
 	ver := c.memsys.StateVersion() + 1 // never 0, a reference without a memo
+	// An oracle asks the log of every passed memo too, and Load after it.
+	logged := c.audit != nil && retryVer != 0 && retryVer != ver && c.memsys.RefusalStands(e.effAddr, retryVer-1)
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)
 	c.st.calls++
-	if c.audit != nil && retryVer == ver && r != (core.LoadResult{Status: core.LoadRetry, Counted: true}) {
-		c.violated("retry memo (version %d) violated: seq %d addr %#x answered %+v", ver-1, e.seq, e.effAddr, r)
+	if c.audit != nil && (retryVer == ver || logged) && r != (core.LoadResult{Status: core.LoadRetry, Counted: true}) {
+		how := ""
+		if logged {
+			how = ", which the log said stands"
+		}
+		c.violated("retry memo (version %d) violated: seq %d addr %#x answered %+v%s", retryVer-1, e.seq, e.effAddr, r, how)
 	}
 	switch r.Status {
 	case core.LoadRetry:

@@ -35,6 +35,10 @@ type fakeMem struct {
 	sbFull    bool            // StoreCommit refuses, counting store/buffer_full
 	mshrFull  map[uint64]bool // word addrs whose loads get a counted retry
 	scBlocked map[uint64]bool // word addrs whose loads get a pure retry
+	refused   int             // counted retries Load gave
+	// log answers RefusalStands; nil answers false, so every passed
+	// memo is asked again.
+	log func(addr, ver uint64) bool
 
 	squashes     []uint64 // the cut of every Squashed call
 	prefetches   []uint64
@@ -77,6 +81,7 @@ func (f *fakeMem) Load(seq uint64, addr uint64, isLL bool) core.LoadResult {
 		return core.LoadResult{Status: core.LoadRetry}
 	}
 	if f.mshrFull[addr] {
+		f.refused++
 		f.ReplayRefusals(1, 0)
 		return core.LoadResult{Status: core.LoadRetry, Counted: true}
 	}
@@ -145,6 +150,7 @@ func (f *fakeMem) PrefetchExclusive(addr uint64)            { f.prefetches = app
 func (f *fakeMem) HoldsWritable(addr uint64) bool           { return f.sleWritable }
 func (f *fakeMem) StoreBufEmpty() bool                      { return true }
 func (f *fakeMem) StateVersion() uint64                     { return f.ver }
+func (f *fakeMem) RefusalStands(addr, ver uint64) bool      { return f.log != nil && f.log(addr, ver) }
 func (f *fakeMem) Squashed(after uint64) {
 	f.squashes = append(f.squashes, after)
 	for seq := range f.pendLoad {

@@ -270,6 +270,64 @@ func TestRetryMemoVersionMovesMidWalk(t *testing.T) {
 	memoizedPerTick(t, tw, 4, 2, 8)
 }
 
+// truthfulLog makes the fake's RefusalStands answer what its Load would:
+// a word whose loads are refused, counted, stands.
+func truthfulLog(f *fakeMem) { f.log = func(addr, _ uint64) bool { return f.mshrFull[addr] } }
+
+// loggedPerTick is memoizedPerTick on twins whose memory system keeps
+// the log, its version moved before every tick when move is set: each
+// tick it also requires that the fast core asked Load nothing for the
+// parked loads, the log having answered every passed memo it met.
+func loggedPerTick(t *testing.T, tw *twins, move bool, want ...uint64) {
+	t.Helper()
+	tw.both(truthfulLog)
+	step := func() (memo uint64, asked int) {
+		if move {
+			tw.both(func(f *fakeMem) { f.ver++ })
+		}
+		before := tw.fMem.refused
+		memo = tw.memoized()
+		return memo, tw.fMem.refused - before
+	}
+	for i := 0; i < parkedWarm; i++ {
+		step()
+	}
+	if memo, asked := step(); memo != 8 || asked != 0 {
+		t.Fatalf("before the head load: %d of 8 parked loads answered from memos, %d refused by Load", memo, asked)
+	}
+	tw.deliverHead()
+	for i, w := range want {
+		if memo, asked := step(); memo != w || asked != 0 {
+			t.Fatalf("tick %d after the head load: %d retries answered from memos, want %d; %d refused by Load, want 0", i+1, memo, w, asked)
+		}
+	}
+	tw.tick(5)
+	tw.done()
+	if logged, passed := tw.fast.LoggedRetries(); logged == 0 || logged != passed {
+		t.Fatalf("the log answered %d of %d passed memos, want all of them and some", logged, passed)
+	}
+	if logged, passed := tw.oracle.LoggedRetries(); logged != 0 || passed != 0 {
+		t.Fatalf("oracle answered %d of %d passed memos from the log", logged, passed)
+	}
+}
+
+// A memo whose version has passed is answered from the log, without a
+// Load call, when the log says its refusal stands, and counted at the
+// walk's limits exactly as a standing one: with the version moved
+// before every tick, the counts of TestRetryMemoWidthAndPortLimits.
+func TestRetryMemoLogAnswersPassedVersion(t *testing.T) {
+	loggedPerTick(t, newTwinsOn(t, wideProgram(6), 8, refuseCounted), true, 4, 6, 8)
+}
+
+// A load issued in the middle of the walk moves the version: the memos
+// met after it (parked 4-5) go to the log, not back to Load (4 + 2);
+// next tick 4-5 stand and the log answers the other six.
+func TestRetryMemoLogAfterMidWalkMove(t *testing.T) {
+	tw := newTwinsOn(t, wideProgram(2), 8, refuseCounted)
+	tw.both(func(f *fakeMem) { f.bumps[parkedDep] = true })
+	loggedPerTick(t, tw, false, 6, 8, 8)
+}
+
 // A mispredicted branch squashes the younger half of the memo'd loads:
 // their references leave readyQ with them, and only the older half is
 // refused from then on.
@@ -294,36 +352,56 @@ func TestRetryMemoSquashCutsReadyQueue(t *testing.T) {
 	}
 }
 
-// A refusal that flips while the version stands breaks the memo's
-// contract: the fast core cannot see it, so the oracle must, and must
-// say which load on which core.
+// A refusal that flips while the version stands, or while the log says
+// it stands, breaks the memo's contract: the fast core cannot see it, so
+// the oracle must, and must say which load on which core.
 func TestOracleAuditLocatesRetryMemoViolation(t *testing.T) {
-	var violation error
-	c, f, _ := parkedCore(8, refuseCounted, &violation)
-	now := uint64(0)
-	for ; now < parkedWarm; now++ {
-		c.Tick(now)
+	cases := []struct {
+		name, how string
+		// flip, made once the load's refusal is freed, leaves the fast
+		// path a reason to keep it.
+		flip func(f *fakeMem)
+	}{
+		{"version stands", "", func(*fakeMem) {}},
+		{"the log lies", ", which the log said stands", func(f *fakeMem) {
+			f.log = func(uint64, uint64) bool { return true }
+			f.ver++
+		}},
 	}
-	if violation != nil {
-		t.Fatalf("violation before the change: %v", violation)
-	}
-	addr := parkedAddr(5)
-	e := c.loadAt(addr)
-	delete(f.mshrFull, addr)
-	c.Tick(now)
-	if violation == nil {
-		t.Fatal("oracle ticked through a flipped refusal without reporting it")
-	}
-	for _, w := range []string{
-		fmt.Sprintf("cpu0 cycle %d:", now), "retry memo (version 0) violated",
-		fmt.Sprintf("seq %d ", e.seq), fmt.Sprintf("addr %#x ", addr), "Status:",
-	} {
-		if !strings.Contains(violation.Error(), w) {
-			t.Errorf("violation %q does not name %q", violation, w)
-		}
-	}
-	if !e.issued {
-		t.Error("the oracle did not act on what the memory system answered")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var violation error
+			c, f, _ := parkedCore(8, refuseCounted, &violation)
+			now := uint64(0)
+			for ; now < parkedWarm; now++ {
+				c.Tick(now)
+			}
+			if violation != nil {
+				t.Fatalf("violation before the change: %v", violation)
+			}
+			addr := parkedAddr(5)
+			e := c.loadAt(addr)
+			delete(f.mshrFull, addr)
+			tc.flip(f)
+			c.Tick(now)
+			if violation == nil {
+				t.Fatal("oracle ticked through a flipped refusal without reporting it")
+			}
+			for _, w := range []string{
+				fmt.Sprintf("cpu0 cycle %d:", now), "retry memo (version 0) violated",
+				fmt.Sprintf("seq %d ", e.seq), fmt.Sprintf("addr %#x ", addr), "Status:",
+			} {
+				if !strings.Contains(violation.Error(), w) {
+					t.Errorf("violation %q does not name %q", violation, w)
+				}
+			}
+			if !strings.HasSuffix(violation.Error(), "}"+tc.how) {
+				t.Errorf("violation %q does not end with %q", violation, "}"+tc.how)
+			}
+			if !e.issued {
+				t.Error("the oracle did not act on what the memory system answered")
+			}
+		})
 	}
 }
 
