@@ -179,16 +179,15 @@ type Controller struct {
 	audit   *error
 
 	// Sleep (see Doze): an asleep controller is not ticked and owes the
-	// ticks from owed on, which its idle verdict answers; wake replays
-	// them in one step. clock is its loop's: the first cycle whose node
-	// phase has not run, so the cycle a call's wake replays up to; bit is
-	// set in *awake while the controller is awake. Nil: the controller
-	// never sleeps.
+	// ticks after the last it ran, which its idle verdict answers; wake
+	// replays them in one step. clock is its loop's: the first cycle
+	// whose node phase has not run, so the cycle a call's wake replays up
+	// to; bit is set in *awake while the controller is awake. Nil: the
+	// controller never sleeps.
 	asleep bool
 	clock  *uint64
 	awake  *uint64
 	bit    uint64
-	owed   uint64
 }
 
 // NewController builds a controller running tech's protocol
@@ -329,9 +328,6 @@ const (
 	noLine     = ^uint64(0)
 )
 
-// StateVersion implements cpu.MemSystem (see setState).
-func (c *Controller) StateVersion() uint64 { return c.stateVer }
-
 // RefusalStands implements cpu.MemSystem: whether a load of addr that
 // Load refused, counted, under version ver would be refused, counted,
 // now. Such a refusal found no store-buffer entry for the word (the
@@ -353,9 +349,8 @@ func (c *Controller) RefusalStands(addr, ver uint64) bool {
 	return true
 }
 
-// StateVersionWord is where StateVersion is kept, for a loop that reads
-// it every cycle without a call (cpu.Core.SleepOn). Only the seam writes
-// it.
+// StateVersionWord implements cpu.MemSystem: where stateVer is kept, for
+// a core that reads it in place (see setState). Only the seam writes it.
 func (c *Controller) StateVersionWord() *uint64 { return &c.stateVer }
 
 // useVS is the "local request" arc of §2.3: a Validate_Shared line moves
@@ -593,7 +588,6 @@ func (c *Controller) Tick(now uint64) {
 		c.wake(now)
 	}
 	if c.idle && c.audit == nil {
-		c.owed = now
 		c.wake(now + 1)
 		return
 	}
@@ -635,13 +629,9 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 // histograms sample the (constant) occupancy at the same cycles the
 // naive loop would, and the clock lands on to-1 — the value Tick(to-1)
 // would have left, which bus-phase callbacks (SnoopTxn timestamping
-// a line's Stamp) read before the controller's next Tick.
-func (c *Controller) SkipCycles(from, to uint64) {
-	if !c.asleep {
-		c.owed = from
-	}
-	c.wake(to)
-}
+// a line's Stamp) read before the controller's next Tick. from is the
+// cycle after the last tick, which the controller knows.
+func (c *Controller) SkipCycles(from, to uint64) { c.wake(to) }
 
 // SleepOn lets a loop put the controller to sleep (Doze). clock is the
 // loop's: the first cycle whose node phase has not run; bit is set in
@@ -653,22 +643,18 @@ func (c *Controller) SleepOn(clock, awake *uint64, bit uint64) {
 	c.clock, c.awake, c.bit = clock, awake, bit
 }
 
-// Doze puts the controller to sleep at now if its idle verdict stands
-// and returns the cycle it must next be ticked at: ^uint64(0), or now
-// when no verdict stands (or it may not sleep, see SleepOn). A loop does
-// not tick a sleeping controller: every way in that writes what a tick
-// reads, drops the verdict or reads the clock wakes it first (Wake),
-// replaying every tick slept through in one step, through the cycle
-// before *clock — the cycle in progress, once its node phase has run.
-func (c *Controller) Doze(now uint64) uint64 {
-	if c.clock == nil || !c.idle {
-		return now
-	}
-	if !c.asleep {
-		c.asleep, c.owed = true, now
+// Doze puts the controller to sleep if its idle verdict stands (and it
+// may sleep, see SleepOn); it then sleeps until a call wakes it, the
+// controller keeping no timers. A loop does not tick a sleeping
+// controller: every way in that writes what a tick reads, drops the
+// verdict or reads the clock wakes it first (Wake), replaying every
+// tick slept through in one step, through the cycle before *clock —
+// the cycle in progress, once its node phase has run.
+func (c *Controller) Doze() {
+	if c.clock != nil && c.idle && !c.asleep {
+		c.asleep = true
 		*c.awake &^= c.bit
 	}
-	return ^uint64(0)
 }
 
 // Wake replays the ticks a sleeping controller owes, through the cycle
@@ -681,12 +667,12 @@ func (c *Controller) Wake() {
 	}
 }
 
-// wake answers the ticks [owed, until) from the idle verdict in one step —
+// wake answers the ticks (c.now, until) from the idle verdict in one step —
 // held ticks, cycles slept through and skipped cycles alike: the
 // occupancy histograms sample the (constant) occupancy at the cycles
 // the naive loop would.
 func (c *Controller) wake(until uint64) {
-	k := until - c.owed
+	k := until - c.now - 1
 	if c.occCountdown <= k {
 		m := 1 + (k-c.occCountdown)/occSampleEvery
 		c.hOccMSHR.ObserveN(uint64(c.mshrs.InUse()), m)

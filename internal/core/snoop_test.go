@@ -308,10 +308,10 @@ func TestRefusalFlipsOnlyUnderNewStateVersion(t *testing.T) {
 			if got := ask(); got != r.before {
 				t.Fatalf("before the snoop: %+v, want %+v", got, r.before)
 			}
-			ver := n.StateVersion() // after asking: the first hit of a VS line is itself a transition
+			ver := *n.StateVersionWord() // after asking: the first hit of a VS line is itself a transition
 			r.snoop.Addr, r.snoop.Src = la, 1
 			n.SnoopTxn(&r.snoop)
-			moved := n.StateVersion() != ver
+			moved := *n.StateVersionWord() != ver
 			if r.before != r.after && n.RefusalStands(la, ver) {
 				t.Fatalf("the snoop turned %+v into %+v and the seam's log still says a refusal under version %d stands", r.before, r.after, ver)
 			}
@@ -381,7 +381,7 @@ func TestRefusalLogFollowsTheLine(t *testing.T) {
 				return h, n, la
 			}
 			h, n, la := build()
-			ver := n.StateVersion()
+			ver := *n.StateVersionWord()
 			r.move(h, n, la)
 			stands := n.RefusalStands(la, ver)
 			h, twin, la := build()

@@ -31,9 +31,9 @@ func TestSquashedLoadsLeaveTheMSHR(t *testing.T) {
 			}
 			m := n.mshrs.Lookup(addr)
 			for i := 0; i < k; i++ {
-				ver := n.StateVersion()
+				ver := *n.StateVersionWord()
 				n.Squashed(seq - 1) // the squash kills the load and everything younger
-				if n.StateVersion() != ver {
+				if *n.StateVersionWord() != ver {
 					t.Fatal("Squashed moved the state version")
 				}
 				if !r.reissue {

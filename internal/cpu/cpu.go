@@ -28,18 +28,18 @@ type MemSystem interface {
 	PrefetchExclusive(addr uint64)
 	HoldsWritable(addr uint64) bool
 	SLECommitStores(stores []core.SpecStore) bool
-	StoreBufEmpty() bool
 
-	// StateVersion changes whenever a refusal — a LoadRetry, a refused
-	// StoreCommit or SCExecute, HoldsWritable false — may be answered
-	// otherwise: a line's state, the MSHR file or the store-buffer head
-	// was written (core.Controller.setState has the contract). The core
-	// snapshots it with its idle verdict and revalidates before trusting
-	// the verdict, and keys each load's memoized counted refusal on it
-	// (readyRef).
-	StateVersion() uint64
+	// StateVersionWord is where the memory system keeps its state
+	// version, which the core reads in place. The version changes
+	// whenever a refusal — a LoadRetry, a refused StoreCommit or
+	// SCExecute, HoldsWritable false — may be answered otherwise: a
+	// line's state, the MSHR file or the store-buffer head was written
+	// (core.Controller.setState has the contract). The core snapshots it
+	// with its idle verdict and revalidates before trusting the verdict,
+	// and keys each load's memoized counted refusal on it (readyRef).
+	StateVersionWord() *uint64
 	// RefusalStands reports whether a load of addr refused, counted,
-	// under StateVersion ver would be refused, counted, now; false when
+	// under state version ver would be refused, counted, now; false when
 	// it cannot tell (core.Controller.RefusalStands has the contract).
 	RefusalStands(addr, ver uint64) bool
 
@@ -155,7 +155,7 @@ type entryRef struct {
 }
 
 // readyRef is readyQ's element: an entryRef that also carries a load's
-// memoized counted refusal — memsys.StateVersion()+1 at its last
+// memoized counted refusal — the state version plus 1 at its last
 // LoadRetry{Counted}, 0 when it has none. While the version stands the
 // refusal stands, and issue makes its counter bumps without asking
 // again or touching the entry: squashAfter cuts readyQ's tail and only
@@ -316,26 +316,28 @@ type Core struct {
 	// exactly as it found it, so every later tick repeats it — bumps
 	// idleSpin and nothing else — until something the pipeline reads
 	// changes: a core.Client callback (each clears idle), the memory
-	// system (StateVersion no longer equals idleMemVer), or the clock
-	// reaching idleUntil, the earliest execution-done or fetch-ready
-	// time in flight. While the verdict holds, Tick and SkipCycles
+	// system (its state version no longer equals idleMemVer), or the
+	// clock reaching idleUntil, the earliest execution-done or
+	// fetch-ready time in flight. While the verdict holds, Tick and SkipCycles
 	// replay idleSpin instead of running the pipeline.
 	idle       bool
 	idleUntil  uint64
 	idleMemVer uint64
 
+	// memVer is where the memory system keeps its state version
+	// (MemSystem.StateVersionWord), read in place.
+	memVer *uint64
+
 	// Sleep (see Doze): an asleep core is not ticked and owes the ticks
-	// from owed on, which its idle verdict answers; wake replays them in
-	// one step. clock is its loop's: the first cycle whose core phase has
-	// not run, so the cycle a callback's wake replays up to; memVer is
-	// where the memory system keeps its StateVersion; bit is set in
-	// *awake while the core is awake. Nil: the core never sleeps.
+	// after the last it ran, which its idle verdict answers; wake replays
+	// them in one step. clock is its loop's: the first cycle whose core
+	// phase has not run, so the cycle a callback's wake replays up to;
+	// bit is set in *awake while the core is awake. Nil: the core never
+	// sleeps.
 	asleep bool
 	clock  *uint64
-	memVer *uint64
 	awake  *uint64
 	bit    uint64
-	owed   uint64
 
 	idleSpin coreSpin
 
@@ -369,7 +371,6 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 		cfg:      cfg,
 		id:       id,
 		prog:     prog,
-		memsys:   m,
 		ctrs:     counters,
 		cnt:      resolveCPUCounters(counters),
 		ruuBuf:   make([]*entry, cfg.RUUSize),
@@ -394,6 +395,9 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 	if cfg.SLE {
 		c.sle = newSLEEngine(c, counters)
 	}
+	if m != nil {
+		c.SetMemSystem(m)
+	}
 	return c
 }
 
@@ -401,7 +405,7 @@ func New(cfg Config, id int, prog *isa.Program, m MemSystem, counters *stats.Cou
 // and its controller reference each other (the controller's client is
 // the core), so one side must be bound late; New accepts a nil m for
 // this purpose. It must be called before the first Tick.
-func (c *Core) SetMemSystem(m MemSystem) { c.memsys = m }
+func (c *Core) SetMemSystem(m MemSystem) { c.memsys, c.memVer = m, m.StateVersionWord() }
 
 // EnableChecker turns on in-order commit checking: the first retired
 // instruction whose result an in-order evaluation disagrees with is
@@ -485,9 +489,6 @@ func (c *Core) Cycles() uint64 { return c.now }
 
 // Reg returns a committed architected register (tests, results).
 func (c *Core) Reg(r int) uint64 { return c.regs[r] }
-
-// SLEStats exposes the elision engine (nil when disabled).
-func (c *Core) SLEStats() *sleEngine { return c.sle }
 
 // ElidedLockValue reports the lock word and speculative (never
 // performed) acquire value of the currently active SLE region. The
@@ -584,14 +585,13 @@ func (c *Core) Tick(now uint64) {
 	if c.asleep {
 		c.wake(now)
 	}
-	held := c.idle && c.idleUntil > now && c.memsys.StateVersion() == c.idleMemVer
+	held := c.idle && c.idleUntil > now && *c.memVer == c.idleMemVer
 	if held && c.audit == nil {
-		c.owed = now
 		c.wake(now + 1)
 		return
 	}
 	c.now = now
-	if c.st.on && c.memsys.StateVersion() != c.st.memVer {
+	if c.st.on && *c.memVer != c.st.memVer {
 		c.hear()
 	} else if c.st.on && c.audit == nil {
 		c.replaySteady()
@@ -623,7 +623,7 @@ func (c *Core) Tick(now uint64) {
 	if c.idle {
 		c.idleUntil = c.wakeAt()
 		c.idleSpin = c.spin
-		c.idleMemVer = c.memsys.StateVersion()
+		c.idleMemVer = *c.memVer
 	}
 	c.observeSteady(retired, seq, armed)
 }
@@ -675,7 +675,7 @@ func (c *Core) wakeAt() uint64 {
 // holds: idleness is only ever observed, so a core that has not just
 // ticked idle must be ticked to find out.
 func (c *Core) NextEvent(now uint64) uint64 {
-	if c.idle && c.memsys.StateVersion() == c.idleMemVer {
+	if c.idle && *c.memVer == c.idleMemVer {
 		return c.idleUntil
 	}
 	return now
@@ -687,40 +687,35 @@ func (c *Core) NextEvent(now uint64) uint64 {
 // skipped cycle count, and the clock lands on to-1 — the value
 // Tick(to-1) would have left, which controller callbacks firing during
 // the next cycle's bus phase (LoadDone, SCDone) read before the core's
-// next Tick.
-func (c *Core) SkipCycles(from, to uint64) {
-	if !c.asleep {
-		c.owed = from
-	}
-	c.wake(to)
-}
+// next Tick. from is the cycle after the last tick, which the core knows.
+func (c *Core) SkipCycles(from, to uint64) { c.wake(to) }
 
 // SleepOn lets a loop put the core to sleep (Doze). clock is the loop's:
-// the first cycle whose core phase has not run; stateVer is where the
-// memory system keeps its StateVersion (core.Controller.StateVersionWord),
-// read in place at every Doze; bit is set in *awake while the core is
-// awake, so the loop can pass over a sleeping core without reading it.
-// Must be called before the first Tick, with bit set in *awake, and
-// never on an oracle (SetOracle), which runs every tick.
-func (c *Core) SleepOn(clock, stateVer, awake *uint64, bit uint64) {
-	c.clock, c.memVer, c.awake, c.bit = clock, stateVer, awake, bit
+// the first cycle whose core phase has not run; bit is set in *awake
+// while the core is awake, so the loop can pass over a sleeping core
+// without reading it. Must be called before the first Tick, with bit
+// set in *awake, and never on an oracle (SetOracle), which runs every
+// tick.
+func (c *Core) SleepOn(clock, awake *uint64, bit uint64) {
+	c.clock, c.awake, c.bit = clock, awake, bit
 }
 
-// Doze puts the core to sleep if its idle verdict stands and returns the
-// cycle it must next be ticked at: the verdict's horizon, or now when no
-// verdict stands (or the core may not sleep, see SleepOn). A loop ticks
-// the core at now only if Doze returns now or earlier. A sleeping core
+// Doze puts the core to sleep if its idle verdict stands at now, the
+// cycle after its last tick or later, and returns the cycle it must
+// next be ticked at: the verdict's horizon, or now when no verdict
+// stands (or the core may not sleep, see SleepOn). A loop ticks the
+// core at now only if Doze returns now or earlier. A sleeping core
 // wakes on a core.Client callback, and at the first Doze after its
-// memory system's StateVersion moves or the clock reaches the horizon;
-// the loop must ask it every cycle either can have happened. A wake
-// replays every tick slept through in one step, up to *clock or to the
-// cycle a Tick runs.
+// memory system's state version moves or the clock reaches the
+// horizon; the loop must ask it every cycle either can have happened.
+// A wake replays every tick slept through in one step, up to *clock or
+// to the cycle a Tick runs.
 func (c *Core) Doze(now uint64) uint64 {
 	if c.clock == nil || !c.idle || *c.memVer != c.idleMemVer || c.idleUntil <= now {
 		return now
 	}
 	if !c.asleep {
-		c.asleep, c.owed = true, now
+		c.asleep = true
 		*c.awake &^= c.bit
 	}
 	return c.idleUntil
@@ -735,10 +730,10 @@ func (c *Core) Wake() {
 	}
 }
 
-// wake answers the ticks [owed, until) from the idle verdict in one step:
-// held ticks, cycles slept through and skipped cycles alike.
+// wake answers the ticks (c.now, until) from the idle verdict in one
+// step: held ticks, cycles slept through and skipped cycles alike.
 func (c *Core) wake(until uint64) {
-	k := until - c.owed
+	k := until - c.now - 1
 	c.replaySpin(c.idleSpin, k)
 	c.replayed += k
 	if c.asleep {
@@ -1040,10 +1035,8 @@ func (c *Core) issue() {
 		c.auditStoreQueue()
 	}
 	issued, memIssued, window := 0, 0, len(c.ruu)
-	// ver is memsys.StateVersion()+1, read when the first memo needs it
-	// and dropped after every call that can move it; refused counts the
-	// loads refused again from their memo.
-	var ver, refused uint64
+	// refused counts the loads refused again from their memo.
+	var refused uint64
 	// Walk the actionable entries in program order, compacting
 	// in place with a write cursor. The queue can grow mid-walk (an
 	// elided SC's broadcast enqueues consumers, always beyond the read
@@ -1059,9 +1052,7 @@ func (c *Core) issue() {
 		}
 		r := c.readyQ[i]
 		if r.retryVer != 0 && c.audit == nil {
-			if ver == 0 {
-				ver = c.memsys.StateVersion() + 1
-			}
+			ver := *c.memVer + 1
 			stands := r.retryVer == ver
 			if !stands && memIssued < MemPorts {
 				// Passed: the memory system's log may still vouch for the
@@ -1117,7 +1108,6 @@ func (c *Core) issue() {
 				if memIssued < MemPorts {
 					var ok bool
 					ok, r.retryVer = c.issueLoad(e, r.retryVer)
-					ver = 0
 					if ok {
 						c.acted.issue = true
 						issued++
@@ -1140,7 +1130,6 @@ func (c *Core) issue() {
 				// until its completion or elision marks it done.
 				if len(c.ruu) > 0 && e == c.ruu[0] && !e.scSent {
 					c.issueSC(e)
-					ver = 0
 				}
 				keep = !e.done
 			case e.isBranch || e.ins.Op == isa.OpNop || e.ins.Op == isa.OpISync || e.ins.Op == isa.OpHalt:
@@ -1356,7 +1345,7 @@ func (c *Core) issueLoad(e *entry, retryVer uint64) (ok bool, refusedAt uint64) 
 	// and completions free an MSHR or fill a line, a snooped validate
 	// restoring permission bumps the version too, and no store that can
 	// still retire ahead of a load that scanned clear writes its word.
-	ver := c.memsys.StateVersion() + 1 // never 0, a reference without a memo
+	ver := *c.memVer + 1 // never 0, a reference without a memo
 	// An oracle asks the log of every passed memo too, and Load after it.
 	logged := c.audit != nil && retryVer != 0 && retryVer != ver && c.memsys.RefusalStands(e.effAddr, retryVer-1)
 	r := c.memsys.Load(e.seq, e.effAddr, e.ins.Op == isa.OpLL)

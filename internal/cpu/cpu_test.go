@@ -148,8 +148,7 @@ func (f *fakeMem) SCExecute(seq, pc, addr, val uint64) bool {
 func (f *fakeMem) HasReservation(lineAddr, seq uint64) bool { return f.reservations }
 func (f *fakeMem) PrefetchExclusive(addr uint64)            { f.prefetches = append(f.prefetches, addr) }
 func (f *fakeMem) HoldsWritable(addr uint64) bool           { return f.sleWritable }
-func (f *fakeMem) StoreBufEmpty() bool                      { return true }
-func (f *fakeMem) StateVersion() uint64                     { return f.ver }
+func (f *fakeMem) StateVersionWord() *uint64                { return &f.ver }
 func (f *fakeMem) RefusalStands(addr, ver uint64) bool      { return f.log != nil && f.log(addr, ver) }
 func (f *fakeMem) Squashed(after uint64) {
 	f.squashes = append(f.squashes, after)

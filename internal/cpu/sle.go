@@ -98,9 +98,6 @@ func newSLEEngine(c *Core, counters *stats.Counters) *sleEngine {
 
 func (s *sleEngine) speculating() bool { return s.active }
 
-// Predictor exposes the elision-confidence predictor (tests).
-func (s *sleEngine) Predictor() *predictor.ElisionPredictor { return s.pred }
-
 // tryStart is called when a store-conditional reaches the window head.
 // If the idiom matches and confidence allows, the SC is elided: it
 // completes immediately with success and the engine goes speculative.

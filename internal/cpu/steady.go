@@ -13,12 +13,12 @@ import (
 // steady is the steady verdict (DESIGN.md §7): a tick that moved the
 // pipeline by a pure shift — it left what the tick before left, seqs
 // relative to nextSeq and cycles to now, and moved the same counters —
-// repeats until something is heard or StateVersion moves. The fast side
-// replays it, counting the replays in k for catchUp.
+// repeats until something is heard or the state version moves. The fast
+// side replays it, counting the replays in k for catchUp.
 type steady struct {
 	on           bool
 	since        uint64 // cycle of the tick that formed it
-	memVer       uint64 // the StateVersion it stands on
+	memVer       uint64 // the state version it stands on
 	dseq, retire uint64 // seqs dispatched and instructions retired per tick
 	k, total     uint64 // ticks replayed since the last catch-up; ever
 
@@ -82,7 +82,7 @@ func (c *Core) catchUp() {
 	}
 }
 
-// hear ends every verdict and record: a callback or StateVersion moved.
+// hear ends every verdict and record: a callback or the state version moved.
 func (c *Core) hear() {
 	c.Wake()
 	if c.st.on {
@@ -131,7 +131,7 @@ func (c *Core) observeSteady(retired, seq uint64, armed bool) {
 	st.last, st.cur = st.cur, st.last
 	st.armed = true
 	if form { // it ran under the version it leaves: its calls were hits
-		st.on, st.since, st.memVer, st.dseq, st.retire = true, c.now, c.memsys.StateVersion(), dispatched, retired
+		st.on, st.since, st.memVer, st.dseq, st.retire = true, c.now, *c.memVer, dispatched, retired
 	}
 }
 

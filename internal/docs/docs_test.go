@@ -42,7 +42,7 @@ func TestDocsResolve(t *testing.T) {
 func TestDocsResolveRefusesBogusNames(t *testing.T) {
 	ix := newIndex(t)
 	live := "`sim.Config`, `sim.Config.NoFastForward`, `Controller.Tick`, " +
-		"`MSHR.Waiters`, `readyRef.retryVer`, `MemSystem.StateVersion()`, `sim.skip_fraction`, " +
+		"`MSHR.Waiters`, `readyRef.retryVer`, `MemSystem.StateVersionWord()`, `sim.skip_fraction`, " +
 		"`internal/sim/sim.go`, `cmd/*/testdata/usage.txt`, `golden.json`, `BENCHMARK.json`, " +
 		"`-no-fastforward`, `TestDocsResolve`, and\n" +
 		"```sh\ngo run -C bench . -quick\ngo test ./internal/check -litmus.replay x -run TestLitmusCorpus\n```\n"

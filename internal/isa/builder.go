@@ -28,9 +28,6 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name}
 }
 
-// PC returns the index the next emitted instruction will occupy.
-func (b *Builder) PC() int { return len(b.code) }
-
 // NewLabel allocates an unplaced label.
 func (b *Builder) NewLabel() Label {
 	b.marks = append(b.marks, -1)

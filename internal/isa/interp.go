@@ -51,14 +51,8 @@ func NewInterp(m *mem.Memory, progs ...*Program) *Interp {
 // step. Tests use adversarial schedules to probe lock correctness.
 func (in *Interp) SetSchedule(fn func(step int) int) { in.sched = fn }
 
-// PC returns CPU cpu's current program counter.
-func (in *Interp) PC(cpu int) int { return in.cpus[cpu].pc }
-
 // Reg returns CPU cpu's register r.
 func (in *Interp) Reg(cpu int, r int) uint64 { return in.cpus[cpu].regs[r] }
-
-// Halted reports whether the CPU has executed OpHalt.
-func (in *Interp) Halted(cpu int) bool { return in.cpus[cpu].halted }
 
 // AllHalted reports whether every CPU has halted.
 func (in *Interp) AllHalted() bool {

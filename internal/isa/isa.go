@@ -388,9 +388,6 @@ func (p *Program) At(pc int) *Instr {
 	return &p.Code[pc]
 }
 
-// Len returns the number of instructions.
-func (p *Program) Len() int { return len(p.Code) }
-
 // Disassemble renders one instruction at a given pc.
 func Disassemble(pc int, i Instr) string {
 	switch i.Op {

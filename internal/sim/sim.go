@@ -350,7 +350,7 @@ func New(cfg Config, w Workload) *System {
 		if cfg.NoFastForward {
 			ctrl.SetOracle(&s.auditErr)
 		} else {
-			c.SleepOn(&s.now, ctrl.StateVersionWord(), &s.coreAwake, bit)
+			c.SleepOn(&s.now, &s.coreAwake, bit)
 			ctrl.SleepOn(&s.nodeClock, &s.nodeAwake, bit)
 		}
 		ctrl.SetTracer(cfg.Trace)
@@ -372,11 +372,12 @@ func New(cfg Config, w Workload) *System {
 // Config.Check). Tests use it to force sweeps and inspect violations.
 func (s *System) Checker() *check.Checker { return s.check }
 
-// Step advances the whole machine one cycle in three phases: the
-// fabric (whose snoops squash unretired loads before cores commit),
-// every controller, every core. A controller or core whose idle verdict
-// holds sleeps instead of ticking (Doze); it replays what it slept
-// through when something wakes it, or at wakeAll.
+// Step advances the whole machine one cycle in four phases: the fabric
+// (whose snoops squash unretired loads before cores commit), every
+// controller, every core, and the controllers' doze. A core or
+// controller whose idle verdict holds sleeps instead of ticking (Doze);
+// it replays what it slept through when something wakes it, or at
+// wakeAll.
 func (s *System) Step() {
 	now := s.now
 	if s.cfg.Trace != nil {
@@ -385,6 +386,7 @@ func (s *System) Step() {
 	s.Bus.Tick(now)
 	s.nodePhase(now)
 	s.corePhase(now)
+	s.dozePhase()
 	s.now = now + 1
 }
 
@@ -392,22 +394,41 @@ func (s *System) Step() {
 // one needs no asking: only a call wakes it, and the call sets its bit.
 func (s *System) nodePhase(now uint64) {
 	for awake := s.nodeAwake; awake != 0; awake &= awake - 1 {
-		if n := s.Nodes[bits.TrailingZeros64(awake)]; n.Doze(now) <= now {
-			n.Tick(now)
-		}
+		s.Nodes[bits.TrailingZeros64(awake)].Tick(now)
 	}
 	s.nodeClock = now + 1
 }
 
-// corePhase ticks every core that is awake at now, in index order.
+// corePhase ticks every core that is awake at now, in index order, and
+// puts it to sleep right after the tick that forms its idle verdict:
+// nothing later in the phase writes what the verdict reads, since a
+// core calls only its own controller and no controller call made here
+// calls back another core. A sleeper is asked only when mayWake says it
+// may be due.
 func (s *System) corePhase(now uint64) {
 	for may := s.mayWake(now); may != 0; may &= may - 1 {
 		i := bits.TrailingZeros64(may)
-		if ne := s.Cores[i].Doze(now); ne <= now {
-			s.Cores[i].Tick(now)
-		} else {
-			s.wakeAt[i] = ne
+		c := s.Cores[i]
+		if s.coreAwake&(1<<i) == 0 {
+			if ne := c.Doze(now); ne > now {
+				s.wakeAt[i] = ne
+				continue
+			}
 		}
+		c.Tick(now)
+		s.wakeAt[i] = c.Doze(now + 1)
+	}
+}
+
+// dozePhase puts every awake controller whose idle verdict holds to
+// sleep, at the end of the cycle. Not right after its own tick: mayWake
+// reads an awake node as "this node's state version may have moved this
+// cycle", and a bus-phase call can move it without calling the core
+// back (an Upgrade completion frees its MSHR), so the node stays awake
+// through the core phase that asks its sleeping core.
+func (s *System) dozePhase() {
+	for awake := s.nodeAwake; awake != 0; awake &= awake - 1 {
+		s.Nodes[bits.TrailingZeros64(awake)].Doze()
 	}
 }
 
@@ -427,34 +448,17 @@ func (s *System) mayWake(now uint64) uint64 {
 }
 
 // nextEvent returns the earliest cycle any component can change
-// observable state, putting every core and controller it finds idle to
-// sleep. A return of s.now (or less) means some component acts on the
-// very next Step, so there is nothing to skip; the scan bails out on
-// the first such component. ^uint64(0) means every component is idle
-// until an external bound (watchdog, MaxCycles).
+// observable state. It only reads: Step put every core and controller
+// whose verdict holds to sleep. An awake one acts on the very next
+// Step, so the answer is s.now, nothing to skip; otherwise it is the
+// earliest sleeping core's horizon or the fabric's. ^uint64(0) means
+// every component is idle until an external bound (watchdog,
+// MaxCycles).
 func (s *System) nextEvent() uint64 {
-	now := s.now
-	for may := s.mayWake(now); may != 0; may &= may - 1 {
-		i := bits.TrailingZeros64(may)
-		ne := s.Cores[i].Doze(now)
-		if ne <= now {
-			return now
-		}
-		s.wakeAt[i] = ne
+	if s.coreAwake|s.nodeAwake != 0 {
+		return s.now
 	}
-	for awake := s.nodeAwake; awake != 0; awake &= awake - 1 {
-		if s.Nodes[bits.TrailingZeros64(awake)].Doze(now) <= now {
-			return now
-		}
-	}
-	// Every core sleeps now, on the horizon wakeAt holds.
-	next := slices.Min(s.wakeAt)
-	if ne := s.Bus.NextEvent(now); ne <= now {
-		return now
-	} else if ne < next {
-		next = ne
-	}
-	return next
+	return min(slices.Min(s.wakeAt), s.Bus.NextEvent(s.now))
 }
 
 // skipTo jumps the machine clock to target. Callers must have

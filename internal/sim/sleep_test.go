@@ -58,14 +58,11 @@ const (
 
 func (p wakePhase) String() string { return [...]string{"bus phase", "core phase"}[p] }
 
-// stepCalling runs one cycle of s as the run loop does — nextEvent,
-// whose answer it ignores (a skip would pass the cycle a row calls at),
-// then Step — making call (when not nil) at phase p.
+// stepCalling runs one cycle of s as Step does, phase by phase, never
+// skipping (a skip would pass the cycle a row calls at), making call
+// (when not nil) at phase p.
 func stepCalling(s *System, p wakePhase, call func(*System)) {
 	now := s.now
-	if !s.cfg.NoFastForward {
-		s.nextEvent()
-	}
 	s.Bus.Tick(now)
 	if call != nil && p == busPhase {
 		call(s)
@@ -75,6 +72,7 @@ func stepCalling(s *System, p wakePhase, call func(*System)) {
 		call(s)
 	}
 	s.corePhase(now)
+	s.dozePhase()
 	s.now = now + 1
 }
 
@@ -213,6 +211,94 @@ func TestSleeperWokenAtEveryWakeSite(t *testing.T) {
 					t.Errorf("histograms diverge:\nfast   %v\noracle %v", f, o)
 				}
 			})
+		}
+	}
+}
+
+// sleepState is what a sleep decision writes: the awake sets, the
+// cores' horizons and every component's replay counts.
+type sleepState struct {
+	coreAwake, nodeAwake uint64
+	wakeAt               []uint64
+	replayed, skipped    []uint64
+}
+
+func sleepStateOf(s *System) sleepState {
+	st := sleepState{coreAwake: s.coreAwake, nodeAwake: s.nodeAwake, wakeAt: append([]uint64(nil), s.wakeAt...)}
+	for i := range s.Cores {
+		st.replayed = append(st.replayed, s.Cores[i].ReplayedTicks())
+		st.skipped = append(st.skipped, s.Nodes[i].SkippedTicks())
+	}
+	return st
+}
+
+// runAskingTwice is the run loop with every nextEvent asked a second
+// time first, its answer dropped.
+func runAskingTwice(s *System) Result {
+	for !s.drained() && s.now < s.cfg.MaxCycles {
+		s.nextEvent()
+		if nxt := s.nextEvent(); nxt > s.now {
+			s.skipTo(min(nxt, s.cfg.MaxCycles))
+			continue
+		}
+		s.Step()
+	}
+	s.wakeAll()
+	res := Result{Cycles: s.now, Counters: s.Counters.Snapshot(), Hists: s.Counters.HistSnapshots(), SkippedCycles: s.skipped}
+	for _, c := range s.Cores {
+		res.PerCPU = append(res.PerCPU, c.Retired())
+		res.Retired += c.Retired()
+	}
+	return res
+}
+
+// TestNextEventIsARead requires that nextEvent put no component to
+// sleep: Step does that where each verdict forms. Right after the tick
+// that forms core 0's idle verdict, three calls change neither the
+// awake sets, the horizons nor any replay count; and a run whose loop
+// asks twice a cycle gives the run loop's result.
+func TestNextEventIsARead(t *testing.T) {
+	w, cfg := sleepWorkload()
+	s := New(cfg, w)
+	for s.Cores[0].NextEvent(s.now) <= s.now {
+		if s.now > 1000 {
+			t.Fatal("core 0 formed no idle verdict by cycle 1000")
+		}
+		s.Step()
+	}
+	before := sleepStateOf(s)
+	var answers [3]uint64
+	for i := range answers {
+		answers[i] = s.nextEvent()
+	}
+	if after := sleepStateOf(s); !reflect.DeepEqual(after, before) {
+		t.Errorf("cycle %d: nextEvent wrote sleep state:\nbefore %+v\nafter  %+v", s.now, before, after)
+	}
+	if answers[1] != answers[0] || answers[2] != answers[0] {
+		t.Errorf("cycle %d: nextEvent answered %v", s.now, answers)
+	}
+
+	for _, c := range []struct {
+		name string
+		w    Workload
+		cfg  Config
+	}{
+		{"sleep", w, cfg},
+		{"lock counter", lockCounterWorkload(4, 20, 30, false), fastCfg(Techniques{MESTI: true})},
+	} {
+		want, err := New(c.cfg, c.w).RunErr(c.w)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := runAskingTwice(New(c.cfg, c.w))
+		if want.SkippedCycles == 0 {
+			t.Errorf("%s: the run loop skipped nothing, so the twin checks no skip", c.name)
+		}
+		if got.Cycles != want.Cycles || got.Retired != want.Retired || got.SkippedCycles != want.SkippedCycles ||
+			!reflect.DeepEqual(got.PerCPU, want.PerCPU) || !reflect.DeepEqual(got.Counters, want.Counters) ||
+			!reflect.DeepEqual(got.Hists, want.Hists) {
+			t.Errorf("%s: asking twice a cycle ran %d cycles (%d skipped), retired %v; the run loop %d (%d), %v",
+				c.name, got.Cycles, got.SkippedCycles, got.PerCPU, want.Cycles, want.SkippedCycles, want.PerCPU)
 		}
 	}
 }
