@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tssim/internal/experiments"
+	"tssim/internal/fixed"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed
@@ -38,9 +39,16 @@ func runMain(t *testing.T, args ...string) (string, int) {
 // runMainEnv is runMain with env added to the command's environment.
 func runMainEnv(t *testing.T, env []string, args ...string) (string, int) {
 	t.Helper()
+	return execMain(t, (*exec.Cmd).CombinedOutput, env, args...)
+}
+
+// execMain runs the command with env added to its environment and
+// returns what output collects of what it printed, and its exit status.
+func execMain(t *testing.T, output func(*exec.Cmd) ([]byte, error), env []string, args ...string) (string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(append(os.Environ(), "TSSIM_TEST_MAIN=1"), env...)
-	out, err := cmd.CombinedOutput()
+	out, err := output(cmd)
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatal(err)
@@ -94,6 +102,17 @@ func TestFailedCellExitsOne(t *testing.T) {
 	if code != 1 || out != want {
 		t.Errorf("-fig7 with a failed cell: want exit status 1 and\n%s\ngot status %d:\n%s", want, code, out)
 	}
+}
+
+// Every fixed point recorded from this command (internal/fixed) prints
+// its recorded stdout again and exits 0.
+func TestFixedPoints(t *testing.T) {
+	skip := map[string]string{
+		"testdata/fixed/experiments_all.txt": "every artifact takes ~6 s on a 2-core host; CI reruns it",
+	}
+	fixed.Check(t, "../..", "./cmd/experiments", skip, func(args ...string) (string, int) {
+		return execMain(t, (*exec.Cmd).Output, nil, args...)
+	})
 }
 
 // Any flag added, dropped or reworded shows up as a diff against

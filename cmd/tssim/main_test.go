@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"tssim/internal/fixed"
 	"tssim/internal/sim"
 	"tssim/internal/stats"
 )
@@ -30,9 +31,16 @@ func TestMain(m *testing.M) {
 // status.
 func runMain(t *testing.T, args ...string) (string, int) {
 	t.Helper()
+	return execMain(t, (*exec.Cmd).CombinedOutput, args...)
+}
+
+// execMain runs the command and returns what output collects of what it
+// printed, and its exit status.
+func execMain(t *testing.T, output func(*exec.Cmd) ([]byte, error), args ...string) (string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "TSSIM_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
+	out, err := output(cmd)
 	var ee *exec.ExitError
 	if err != nil && !errors.As(err, &ee) {
 		t.Fatal(err)
@@ -92,6 +100,18 @@ func TestLitmusRejectsFlagsItDoesNotRead(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "under E-MESTI: observed (0,0)") {
 		t.Errorf("single litmus run: exit status %d:\n%s", code, out)
 	}
+}
+
+// Every fixed point recorded from this command (internal/fixed) prints
+// its recorded stdout again and exits 0. scripts/check_recorded.sh
+// rewrites a point that moved; CI reruns the one skipped here.
+func TestFixedPoints(t *testing.T) {
+	skip := map[string]string{
+		"testdata/fixed/tssim_tpcb_emesti_lvp_directory64_check.txt": "the full machine width, checked, takes ~9 s on a 2-core host; CI reruns it",
+	}
+	fixed.Check(t, "../..", "./cmd/tssim", skip, func(args ...string) (string, int) {
+		return execMain(t, (*exec.Cmd).Output, args...)
+	})
 }
 
 // Any flag added, dropped or reworded shows up as a diff against

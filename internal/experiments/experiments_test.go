@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -141,18 +140,6 @@ func TestRunReportsFailedCells(t *testing.T) {
 }
 
 func small() Params { return Params{Scale: 1, Seeds: 1}.withDefaults() }
-
-// Table 1 prints the machine's constants and default configuration;
-// testdata/table1_golden.txt holds every byte of it.
-func TestTable1Renders(t *testing.T) {
-	want, err := os.ReadFile("testdata/table1_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := Table1(Params{}).Render(nil); out != string(want) {
-		t.Errorf("Table1 differs from testdata/table1_golden.txt:\n%s", out)
-	}
-}
 
 func TestTable2AllWorkloads(t *testing.T) {
 	if testing.Short() {
