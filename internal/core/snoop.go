@@ -48,6 +48,11 @@ func (c *Controller) GrantTxn(t *bus.Txn) bool {
 
 	case bus.TxnUpgrade:
 		l := c.l2.Lookup(la)
+		if l != nil {
+			// A copy invalidated to T and revalidated to VS while the
+			// Upgrade waited is current: the grant is its use.
+			c.useVS(l)
+		}
 		if l == nil || !Upgradable(l.State) {
 			// Upgrade race lost: the line was invalidated between
 			// enqueue and grant. Convert to a full ReadX in place.

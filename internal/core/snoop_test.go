@@ -256,6 +256,37 @@ func TestUpgradeStolenServedFromLiveLine(t *testing.T) {
 	}
 }
 
+// An Upgrade queued from S whose copy a remote write invalidates to T
+// and a validate revives to VS before the grant still holds current
+// data: at the grant the VS copy is used (to S, as a store's request
+// and an SLE prefetch use it) and the Upgrade stands. Converting it to
+// a ReadX would pay a data transfer for a current copy, leave the use
+// uncounted and make E-MESTI time differently from MESTI with no
+// validate suppressed.
+func TestUpgradeGrantUsesVS(t *testing.T) {
+	h, n, la := snoopHarness(t, true, StateS, lineOf(7))
+	n.StoreCommit(h.seq(), 0, la, 9)
+	h.tick(1)
+	if h.bus.Idle() || n.LineState(la) != StateS {
+		t.Fatalf("after one tick: bus idle %v, line %s; want an Upgrade queued from S", h.bus.Idle(), StateName(n.LineState(la)))
+	}
+	n.SnoopTxn(&bus.Txn{Type: bus.TxnReadX, Addr: la})
+	n.SnoopTxn(&bus.Txn{Type: bus.TxnValidate, Addr: la, WData: lineOf(7)})
+	if st := n.LineState(la); st != StateVS {
+		t.Fatalf("invalidated and revalidated before the grant: line %s, want VS", StateName(st))
+	}
+	h.drain()
+	if got := h.counter("coherence/upgrade_converted"); got != 0 {
+		t.Errorf("the Upgrade was converted to a ReadX (%d)", got)
+	}
+	if got := h.counter("emesti/vs_use"); got != 1 {
+		t.Errorf("emesti/vs_use = %d, want 1: the grant is a use of the VS copy", got)
+	}
+	if d, _ := n.LineData(la); n.LineState(la) != StateM || d.Word(0) != 9 {
+		t.Errorf("after the grant: line %s holding %d, want M holding 9", StateName(n.LineState(la)), d.Word(0))
+	}
+}
+
 // --- StateVersion: the key of the core's retry memo ---
 
 // What the core was last answered — here a load with the MSHR file full,
