@@ -107,12 +107,32 @@ func TestFailedCellExitsOne(t *testing.T) {
 // Every fixed point recorded from this command (internal/fixed) prints
 // its recorded stdout again and exits 0.
 func TestFixedPoints(t *testing.T) {
-	skip := map[string]string{
-		"testdata/fixed/experiments_all.txt": "every artifact takes ~6 s on a 2-core host; CI reruns it",
-	}
-	fixed.Check(t, "../..", "./cmd/experiments", skip, func(args ...string) (string, int) {
+	fixed.Check(t, "../..", "./cmd/experiments", nil, func(args ...string) (string, int) {
 		return execMain(t, (*exec.Cmd).Output, nil, args...)
 	})
+}
+
+// The Figure 7 section of the -all fixed point is the Figure 7 golden:
+// the other tables read Figure 7's cells (internal/experiments'
+// TestPlanSharesCells), and sharing them must not perturb it. Both
+// files are fixed points, so this compares them and simulates nothing.
+func TestAllHoldsTheFig7Golden(t *testing.T) {
+	all, err := os.ReadFile("../../testdata/fixed/experiments_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("../../internal/experiments/testdata/fig7_atomic_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(all), "\n== Figure 7")
+	section = "== Figure 7" + section
+	if end := strings.Index(section, "\n== "); end >= 0 {
+		section = section[:end+1]
+	}
+	if section != string(golden) {
+		t.Errorf("the Figure 7 section of experiments_all.txt is not fig7_atomic_golden.txt:\n%s", section)
+	}
 }
 
 // Any flag added, dropped or reworded shows up as a diff against

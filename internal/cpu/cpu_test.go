@@ -215,7 +215,7 @@ func run(t *testing.T, c *Core, maxCycles int) {
 // the pc and both values, and the core runs on to its halt.
 func TestCommitCheckerLocatesDivergence(t *testing.T) {
 	b := isa.NewBuilder("planted")
-	b.Li(isa.R1, 6).Li(isa.R2, 7).Mul(isa.R3, isa.R1, isa.R2).Halt()
+	b.Li(isa.R1, 6).Li(isa.R2, 7).Add(isa.R3, isa.R1, isa.R2).Halt()
 	f, ctrs := newFakeMem(), stats.NewCounters()
 	c := New(DefaultConfig(), 0, b.Build(), f, ctrs)
 	f.attach(c, ctrs)
@@ -225,8 +225,8 @@ func TestCommitCheckerLocatesDivergence(t *testing.T) {
 	for cyc := uint64(0); cyc < 1000 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
 		for _, e := range c.ruu {
-			if !planted && e.done && e.ins.Op == isa.OpMul {
-				e.result++ // 43: the broadcast already carried 42
+			if !planted && e.done && e.ins.Op == isa.OpAdd {
+				e.result++ // 14: the broadcast already carried 13
 				planted = true
 			}
 		}
@@ -238,7 +238,7 @@ func TestCommitCheckerLocatesDivergence(t *testing.T) {
 		t.Fatal("a wrong ALU result retired unnoticed")
 	}
 	msg := diverged.Error()
-	for _, want := range []string{"cpu0 cycle ", "pc 2 ", "retired 43", "in order 42"} {
+	for _, want := range []string{"cpu0 cycle ", "pc 2 ", "retired 14", "in order 13"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("divergence %q does not name %q", msg, want)
 		}
@@ -248,14 +248,14 @@ func TestCommitCheckerLocatesDivergence(t *testing.T) {
 // TestCommitCheckerReadsCommittedOperands plants a wrong operand after
 // rename: execute computes a consistent result from it, so only an
 // in-order evaluation on the committed registers can tell that the
-// retiring mul read something no older instruction wrote.
+// retiring add read something no older instruction wrote.
 func TestCommitCheckerReadsCommittedOperands(t *testing.T) {
 	b := isa.NewBuilder("planted-operand")
 	b.Li(isa.R1, 6).Li(isa.R2, 7)
 	for i := 0; i < 16; i++ {
-		b.Nop() // the mul dispatches after both producers are done
+		b.Work(0) // the add dispatches after both producers are done
 	}
-	b.Mul(isa.R3, isa.R1, isa.R2).Halt()
+	b.Add(isa.R3, isa.R1, isa.R2).Halt()
 	f, ctrs := newFakeMem(), stats.NewCounters()
 	c := New(DefaultConfig(), 0, b.Build(), f, ctrs)
 	f.attach(c, ctrs)
@@ -265,8 +265,8 @@ func TestCommitCheckerReadsCommittedOperands(t *testing.T) {
 	for cyc := uint64(0); cyc < 1000 && !c.Halted(); cyc++ {
 		c.Tick(cyc)
 		for _, e := range c.ruu {
-			if !planted && e.ins.Op == isa.OpMul && !e.issued && e.srcReady[0] && e.srcReady[1] {
-				e.src[0]++ // 7: execute will compute and broadcast 49
+			if !planted && e.ins.Op == isa.OpAdd && !e.issued && e.srcReady[0] && e.srcReady[1] {
+				e.src[0]++ // 7: execute will compute and broadcast 14
 				planted = true
 			}
 		}
@@ -275,10 +275,10 @@ func TestCommitCheckerReadsCommittedOperands(t *testing.T) {
 		t.Fatalf("planted %v, halted %v", planted, c.Halted())
 	}
 	if diverged == nil {
-		t.Fatal("a mul that read a wrong operand retired unnoticed")
+		t.Fatal("an add that read a wrong operand retired unnoticed")
 	}
 	msg := diverged.Error()
-	for _, want := range []string{"cpu0 cycle ", "pc 18 ", "retired 49", "in order 42"} {
+	for _, want := range []string{"cpu0 cycle ", "pc 18 ", "retired 14", "in order 13"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("divergence %q does not name %q", msg, want)
 		}
@@ -287,11 +287,11 @@ func TestCommitCheckerReadsCommittedOperands(t *testing.T) {
 
 func TestPipelineArithmetic(t *testing.T) {
 	b := isa.NewBuilder("arith")
-	b.Li(isa.R1, 6).Li(isa.R2, 7).Mul(isa.R3, isa.R1, isa.R2)
+	b.Li(isa.R1, 6).Li(isa.R2, 7).Add(isa.R3, isa.R1, isa.R2)
 	b.Addi(isa.R4, isa.R3, 100).Halt()
 	c, _, _ := newTestCore(t, b.Build(), false)
 	run(t, c, 1000)
-	if c.Reg(isa.R3) != 42 || c.Reg(isa.R4) != 142 {
+	if c.Reg(isa.R3) != 13 || c.Reg(isa.R4) != 113 {
 		t.Fatalf("r3=%d r4=%d", c.Reg(isa.R3), c.Reg(isa.R4))
 	}
 	if c.Retired() != 5 {

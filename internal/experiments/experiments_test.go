@@ -24,11 +24,11 @@ func keySet(arts ...Artifact) map[Key]bool {
 	return keys
 }
 
-// TestPlanSharesCells counts, without simulating, the runs -all makes:
-// every artifact's cells are Figure 7's wherever they study the same
-// machine, so the union is Figure 7's matrix plus Figure 6's finite
-// detectors (14), the ablation's six other tunings and Scaling's 8- and
-// 16-CPU cells (42).
+// TestPlanSharesCells counts, without simulating, the runs -all makes
+// (the keys Run hands to fill): every artifact's cells are Figure 7's
+// wherever they study the same machine, so the union is Figure 7's
+// matrix plus Figure 6's finite detectors (14), the ablation's six
+// other tunings and Scaling's 8- and 16-CPU cells (42).
 func TestPlanSharesCells(t *testing.T) {
 	for _, c := range []struct{ seeds, want int }{{1, 125}, {3, 251}} {
 		p := Params{Scale: 1, Seeds: c.seeds}.withDefaults()
@@ -36,7 +36,7 @@ func TestPlanSharesCells(t *testing.T) {
 		for _, plan := range every {
 			arts = append(arts, plan(p))
 		}
-		if got := len(keySet(arts...)); got != c.want {
+		if got := len(union(arts)); got != c.want {
 			t.Errorf("-seeds %d: the artifacts read %d distinct cells, want %d", c.seeds, got, c.want)
 		}
 	}

@@ -59,9 +59,6 @@ func (b *Builder) emitBranch(op Op, ra, rb uint8, l Label) *Builder {
 	return b.emit(Instr{Op: op, Ra: ra, Rb: rb})
 }
 
-// Nop emits a unit-latency non-memory instruction.
-func (b *Builder) Nop() *Builder { return b.emit(Instr{Op: OpNop}) }
-
 // Work emits a non-memory instruction with the given extra latency; it
 // models computation (the paper's FP-heavy inner loops) without
 // fabricating arithmetic.
@@ -74,22 +71,16 @@ func (b *Builder) Work(lat int) *Builder {
 }
 
 // Delay emits a serialized delay of approximately the given number of
-// cycles: a dependence chain of medium-latency adds through register
-// r. Unlike Work, whose independent instructions execute in parallel
-// (modeling compute with ILP), Delay models wall-clock think time.
-// The chain uses many short links rather than a few long ones so the
-// instruction count resembles real code: an out-of-order front end
-// can only run ahead of think time by its window size, not by the
-// whole delay.
+// cycles: a dependence chain of one-cycle adds (r = r + 0) through
+// register r, one per cycle. Unlike Work, whose independent
+// instructions execute in parallel (modeling compute with ILP), Delay
+// models wall-clock think time. The chain uses many short links rather
+// than a few long ones so the instruction count resembles real code:
+// an out-of-order front end can only run ahead of think time by its
+// window size, not by the whole delay.
 func (b *Builder) Delay(r uint8, cycles int) *Builder {
-	const link = 1
-	for cycles > 0 {
-		step := cycles
-		if step > link {
-			step = link
-		}
-		b.emit(Instr{Op: OpAddi, Rd: r, Ra: r, Imm: 0, Lat: uint8(step - 1)})
-		cycles -= step
+	for ; cycles > 0; cycles-- {
+		b.Mv(r, r)
 	}
 	return b
 }
@@ -110,24 +101,9 @@ func (b *Builder) Li(rd uint8, imm int64) *Builder { return b.Addi(rd, R0, imm) 
 // Mv copies a register: rd = ra.
 func (b *Builder) Mv(rd, ra uint8) *Builder { return b.Addi(rd, ra, 0) }
 
-// Sub emits rd = ra - rb.
-func (b *Builder) Sub(rd, ra, rb uint8) *Builder {
-	return b.emit(Instr{Op: OpSub, Rd: rd, Ra: ra, Rb: rb})
-}
-
-// Mul emits rd = ra * rb.
-func (b *Builder) Mul(rd, ra, rb uint8) *Builder {
-	return b.emit(Instr{Op: OpMul, Rd: rd, Ra: ra, Rb: rb})
-}
-
 // And emits rd = ra & rb.
 func (b *Builder) And(rd, ra, rb uint8) *Builder {
 	return b.emit(Instr{Op: OpAnd, Rd: rd, Ra: ra, Rb: rb})
-}
-
-// Or emits rd = ra | rb.
-func (b *Builder) Or(rd, ra, rb uint8) *Builder {
-	return b.emit(Instr{Op: OpOr, Rd: rd, Ra: ra, Rb: rb})
 }
 
 // Xor emits rd = ra ^ rb.
@@ -143,16 +119,6 @@ func (b *Builder) Shli(rd, ra uint8, imm int64) *Builder {
 // Shri emits rd = ra >> imm.
 func (b *Builder) Shri(rd, ra uint8, imm int64) *Builder {
 	return b.emit(Instr{Op: OpShri, Rd: rd, Ra: ra, Imm: imm})
-}
-
-// Slt emits rd = (ra < rb).
-func (b *Builder) Slt(rd, ra, rb uint8) *Builder {
-	return b.emit(Instr{Op: OpSlt, Rd: rd, Ra: ra, Rb: rb})
-}
-
-// Slti emits rd = (ra < imm).
-func (b *Builder) Slti(rd, ra uint8, imm int64) *Builder {
-	return b.emit(Instr{Op: OpSlti, Rd: rd, Ra: ra, Imm: imm})
 }
 
 // Mix emits rd = splitmix64(ra ^ imm) — a deterministic pseudo-random
@@ -187,9 +153,6 @@ func (b *Builder) Beq(ra, rb uint8, l Label) *Builder { return b.emitBranch(OpBe
 
 // Bne emits a branch to l when ra != rb.
 func (b *Builder) Bne(ra, rb uint8, l Label) *Builder { return b.emitBranch(OpBne, ra, rb, l) }
-
-// Blt emits a branch to l when ra < rb (unsigned).
-func (b *Builder) Blt(ra, rb uint8, l Label) *Builder { return b.emitBranch(OpBlt, ra, rb, l) }
 
 // Bge emits a branch to l when ra >= rb (unsigned).
 func (b *Builder) Bge(ra, rb uint8, l Label) *Builder { return b.emitBranch(OpBge, ra, rb, l) }

@@ -8,7 +8,7 @@ import (
 
 func TestInterpSingleCPUArithmetic(t *testing.T) {
 	b := NewBuilder("arith")
-	b.Li(R1, 10).Li(R2, 32).Add(R3, R1, R2).Mul(R4, R3, R1).Halt()
+	b.Li(R1, 10).Li(R2, 32).Add(R3, R1, R2).Shli(R4, R3, 1).Halt()
 	m := mem.New()
 	in := NewInterp(m, b.Build())
 	if _, err := in.Run(100); err != nil {
@@ -17,8 +17,8 @@ func TestInterpSingleCPUArithmetic(t *testing.T) {
 	if got := in.Reg(0, R3); got != 42 {
 		t.Fatalf("r3 = %d, want 42", got)
 	}
-	if got := in.Reg(0, R4); got != 420 {
-		t.Fatalf("r4 = %d, want 420", got)
+	if got := in.Reg(0, R4); got != 84 {
+		t.Fatalf("r4 = %d, want 84", got)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestInterpLLSCSuccess(t *testing.T) {
 func TestInterpSCFailsOnRemoteWrite(t *testing.T) {
 	// CPU0: ll; (wait); sc — CPU1 stores to the same line in between.
 	b0 := NewBuilder("cpu0")
-	b0.Li(R1, 0x100).LL(R2, R1, 0).Nop().Nop().SC(R2, R1, 0, R4).Halt()
+	b0.Li(R1, 0x100).LL(R2, R1, 0).Work(0).Work(0).SC(R2, R1, 0, R4).Halt()
 	b1 := NewBuilder("cpu1")
 	b1.Li(R1, 0x100).Li(R2, 5).St(R2, R1, 8).Halt() // same line, different word
 	in := NewInterp(mem.New(), b0.Build(), b1.Build())
@@ -200,7 +200,7 @@ func TestInterpFuelExhaustion(t *testing.T) {
 
 func TestInterpRetiredCounts(t *testing.T) {
 	b := NewBuilder("count")
-	b.Nop().Nop().Nop().Halt()
+	b.Work(0).Work(0).Work(0).Halt()
 	in := NewInterp(mem.New(), b.Build())
 	if _, err := in.Run(100); err != nil {
 		t.Fatal(err)

@@ -31,15 +31,10 @@ const (
 	// ALU register-register / register-immediate.
 	OpAdd  // Rd = Ra + Rb
 	OpAddi // Rd = Ra + Imm
-	OpSub  // Rd = Ra - Rb
-	OpMul  // Rd = Ra * Rb (long latency)
 	OpAnd  // Rd = Ra & Rb
-	OpOr   // Rd = Ra | Rb
 	OpXor  // Rd = Ra ^ Rb
 	OpShli // Rd = Ra << Imm
 	OpShri // Rd = Ra >> Imm (logical)
-	OpSlt  // Rd = (Ra < Rb) ? 1 : 0 (unsigned)
-	OpSlti // Rd = (Ra < Imm) ? 1 : 0 (unsigned)
 	OpMix  // Rd = splitmix64(Ra ^ Imm); deterministic pseudo-random
 
 	// Memory.
@@ -51,7 +46,6 @@ const (
 	// Control.
 	OpBeq // if Ra == Rb goto Target
 	OpBne // if Ra != Rb goto Target
-	OpBlt // if Ra <  Rb goto Target (unsigned)
 	OpBge // if Ra >= Rb goto Target (unsigned)
 	OpJmp // goto Target
 
@@ -63,11 +57,10 @@ const (
 )
 
 var opNames = [...]string{
-	OpNop: "nop", OpAdd: "add", OpAddi: "addi", OpSub: "sub", OpMul: "mul",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShli: "shli", OpShri: "shri",
-	OpSlt: "slt", OpSlti: "slti", OpMix: "mix",
+	OpNop: "nop", OpAdd: "add", OpAddi: "addi", OpAnd: "and", OpXor: "xor",
+	OpShli: "shli", OpShri: "shri", OpMix: "mix",
 	OpLd: "ld", OpSt: "st", OpLL: "ll", OpSC: "sc",
-	OpBeq: "beq", OpBne: "bne", OpBlt: "blt", OpBge: "bge", OpJmp: "jmp",
+	OpBeq: "beq", OpBne: "bne", OpBge: "bge", OpJmp: "jmp",
 	OpISync: "isync", OpHalt: "halt",
 }
 
@@ -161,12 +154,12 @@ var (
 // undefined opcodes are inert: the zero opProps), so a lookup needs no
 // bounds check.
 var opTable = [256]opProps{
-	OpAdd: alu2, OpSub: alu2, OpMul: alu2, OpAnd: alu2, OpOr: alu2, OpXor: alu2, OpSlt: alu2,
-	OpAddi: alu1, OpShli: alu1, OpShri: alu1, OpSlti: alu1, OpMix: alu1,
+	OpAdd: alu2, OpAnd: alu2, OpXor: alu2,
+	OpAddi: alu1, OpShli: alu1, OpShri: alu1, OpMix: alu1,
 	OpLd: load, OpLL: load,
 	OpSt:  {store: true, nsrc: 2, valRd: true},
 	OpSC:  {store: true, nsrc: 2, valRd: true, dstRb: true},
-	OpBeq: cond, OpBne: cond, OpBlt: cond, OpBge: cond,
+	OpBeq: cond, OpBne: cond, OpBge: cond,
 	OpJmp: {branch: true},
 }
 
@@ -211,16 +204,10 @@ func (i *Instr) SrcRegs() (s0, s1 uint8, n int) {
 	return i.Ra, s1, int(p.nsrc)
 }
 
-// BaseLatency returns the execute latency of the op in cycles,
-// before Instr.Lat is added. Memory op latency is determined by the
-// memory system, so their base here is the address-generation cycle.
-func (i *Instr) BaseLatency() int {
-	base := 1
-	if i.Op == OpMul {
-		base = 3
-	}
-	return base + int(i.Lat)
-}
+// BaseLatency returns the execute latency in cycles: one, plus
+// Instr.Lat. Memory op latency is determined by the memory system, so
+// their one cycle here is the address-generation cycle.
+func (i *Instr) BaseLatency() int { return 1 + int(i.Lat) }
 
 // splitmix64 is the mixing function behind OpMix. It is a pure
 // function so speculative re-execution after a squash reproduces the
@@ -242,30 +229,14 @@ func EvalALU(i Instr, ra, rb uint64) uint64 {
 		return ra + rb
 	case OpAddi:
 		return ra + uint64(i.Imm)
-	case OpSub:
-		return ra - rb
-	case OpMul:
-		return ra * rb
 	case OpAnd:
 		return ra & rb
-	case OpOr:
-		return ra | rb
 	case OpXor:
 		return ra ^ rb
 	case OpShli:
 		return ra << (uint64(i.Imm) & 63)
 	case OpShri:
 		return ra >> (uint64(i.Imm) & 63)
-	case OpSlt:
-		if ra < rb {
-			return 1
-		}
-		return 0
-	case OpSlti:
-		if ra < uint64(i.Imm) {
-			return 1
-		}
-		return 0
 	case OpMix:
 		return splitmix64(ra ^ uint64(i.Imm))
 	}
@@ -279,8 +250,6 @@ func BranchTaken(i Instr, ra, rb uint64) bool {
 		return ra == rb
 	case OpBne:
 		return ra != rb
-	case OpBlt:
-		return ra < rb
 	case OpBge:
 		return ra >= rb
 	case OpJmp:
@@ -400,9 +369,9 @@ func Disassemble(pc int, i Instr) string {
 			s += fmt.Sprintf(" lat=%d", i.Lat)
 		}
 		return s
-	case OpAddi, OpShli, OpShri, OpSlti, OpMix:
+	case OpAddi, OpShli, OpShri, OpMix:
 		return fmt.Sprintf("%s r%d, r%d, %d", i.Op, i.Rd, i.Ra, i.Imm)
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpSlt:
+	case OpAdd, OpAnd, OpXor:
 		return fmt.Sprintf("%s r%d, r%d, r%d", i.Op, i.Rd, i.Ra, i.Rb)
 	case OpLd, OpLL:
 		return fmt.Sprintf("%s r%d, %d(r%d)", i.Op, i.Rd, i.Imm, i.Ra)
@@ -410,7 +379,7 @@ func Disassemble(pc int, i Instr) string {
 		return fmt.Sprintf("st r%d, %d(r%d)", i.Rd, i.Imm, i.Ra)
 	case OpSC:
 		return fmt.Sprintf("sc r%d, %d(r%d), ok=r%d", i.Rd, i.Imm, i.Ra, i.Rb)
-	case OpBeq, OpBne, OpBlt, OpBge:
+	case OpBeq, OpBne, OpBge:
 		return fmt.Sprintf("%s r%d, r%d, @%d", i.Op, i.Ra, i.Rb, i.Target)
 	case OpJmp:
 		return fmt.Sprintf("jmp @%d", i.Target)

@@ -15,17 +15,10 @@ func TestEvalALU(t *testing.T) {
 	}{
 		{Instr{Op: OpAdd}, 2, 3, 5},
 		{Instr{Op: OpAddi, Imm: -1}, 5, 0, 4},
-		{Instr{Op: OpSub}, 2, 3, ^uint64(0)},
-		{Instr{Op: OpMul}, 7, 6, 42},
 		{Instr{Op: OpAnd}, 0b1100, 0b1010, 0b1000},
-		{Instr{Op: OpOr}, 0b1100, 0b1010, 0b1110},
 		{Instr{Op: OpXor}, 0b1100, 0b1010, 0b0110},
 		{Instr{Op: OpShli, Imm: 4}, 1, 0, 16},
 		{Instr{Op: OpShri, Imm: 4}, 32, 0, 2},
-		{Instr{Op: OpSlt}, 1, 2, 1},
-		{Instr{Op: OpSlt}, 2, 1, 0},
-		{Instr{Op: OpSlti, Imm: 10}, 9, 0, 1},
-		{Instr{Op: OpSlti, Imm: 10}, 10, 0, 0},
 	}
 	for _, c := range cases {
 		if got := EvalALU(c.ins, c.ra, c.rb); got != c.want {
@@ -56,9 +49,6 @@ func TestBranchTaken(t *testing.T) {
 	}
 	if !BranchTaken(Instr{Op: OpBne}, 5, 6) || BranchTaken(Instr{Op: OpBne}, 5, 5) {
 		t.Fatal("bne")
-	}
-	if !BranchTaken(Instr{Op: OpBlt}, 1, 2) || BranchTaken(Instr{Op: OpBlt}, 2, 1) {
-		t.Fatal("blt")
 	}
 	if !BranchTaken(Instr{Op: OpBge}, 2, 2) || BranchTaken(Instr{Op: OpBge}, 1, 2) {
 		t.Fatal("bge")
@@ -145,13 +135,13 @@ func TestOpTableExhaustive(t *testing.T) {
 	cond := row{branch: true, srcs: []uint8{a, b}}
 	want := map[Op]row{
 		OpNop: {}, OpISync: {}, OpHalt: {},
-		OpAdd: alu2, OpSub: alu2, OpMul: alu2, OpAnd: alu2, OpOr: alu2, OpXor: alu2, OpSlt: alu2,
-		OpAddi: alu1, OpShli: alu1, OpShri: alu1, OpSlti: alu1, OpMix: alu1,
+		OpAdd: alu2, OpAnd: alu2, OpXor: alu2,
+		OpAddi: alu1, OpShli: alu1, OpShri: alu1, OpMix: alu1,
 		OpLd:  {load: true, srcs: []uint8{a}, dst: d},
 		OpLL:  {load: true, srcs: []uint8{a}, dst: d},
 		OpSt:  {store: true, srcs: []uint8{a, d}},
 		OpSC:  {store: true, srcs: []uint8{a, d}, dst: b},
-		OpBeq: cond, OpBne: cond, OpBlt: cond, OpBge: cond,
+		OpBeq: cond, OpBne: cond, OpBge: cond,
 		OpJmp: {branch: true},
 	}
 	for op := Op(0); op < opCount; op++ {
@@ -198,7 +188,7 @@ func TestBuilderForwardReference(t *testing.T) {
 	b := NewBuilder("t")
 	done := b.NewLabel()
 	b.Beq(R0, R0, done)
-	b.Nop()
+	b.Work(0)
 	b.Mark(done)
 	b.Halt()
 	p := b.Build()
@@ -249,7 +239,7 @@ func TestWorkSplitsLongLatency(t *testing.T) {
 }
 
 func TestProgramAtOutOfRangeHalts(t *testing.T) {
-	p := NewBuilder("t").Nop().Build()
+	p := NewBuilder("t").Work(0).Build()
 	if p.At(5).Op != OpHalt {
 		t.Fatal("running past the end must behave like halt")
 	}
@@ -278,7 +268,7 @@ func TestDisassembleCoverage(t *testing.T) {
 func TestEvalALUAddSubInverseProperty(t *testing.T) {
 	f := func(a, b uint64) bool {
 		sum := EvalALU(Instr{Op: OpAdd}, a, b)
-		return EvalALU(Instr{Op: OpSub}, sum, b) == a
+		return EvalALU(Instr{Op: OpAddi, Imm: -int64(b)}, sum, 0) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -286,18 +276,23 @@ func TestEvalALUAddSubInverseProperty(t *testing.T) {
 }
 
 func TestBranchTrichotomyProperty(t *testing.T) {
-	// Property: exactly one of blt / beq / (bge and not beq) holds.
+	// Property: exactly one of a < b, a == b, a > b holds, with the
+	// two orders read from bge and equality from beq; bne is beq's
+	// complement.
 	f := func(a, b uint64) bool {
-		lt := BranchTaken(Instr{Op: OpBlt}, a, b)
+		lt := !BranchTaken(Instr{Op: OpBge}, a, b)
+		gt := !BranchTaken(Instr{Op: OpBge}, b, a)
 		eq := BranchTaken(Instr{Op: OpBeq}, a, b)
-		ge := BranchTaken(Instr{Op: OpBge}, a, b)
-		if lt && (eq || ge) {
+		if BranchTaken(Instr{Op: OpBne}, a, b) == eq {
 			return false
 		}
-		if eq && !ge {
-			return false
+		n := 0
+		for _, holds := range []bool{lt, gt, eq} {
+			if holds {
+				n++
+			}
 		}
-		return lt || ge
+		return n == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

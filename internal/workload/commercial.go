@@ -81,9 +81,7 @@ func SpecJBB(p Params) Workload {
 		b.Jmp(knoise)
 		b.Mark(lockPass)
 		b.Li(rA1, kData)
-		b.Ld(rV0, rA1, 0)
-		b.Addi(rV0, rV0, 1)
-		b.St(rV0, rA1, 0)
+		emitAddWord(b, rV0, rA1, 0, 1)
 		EmitRelease(b, rKAddr)
 		b.Mark(afterNoise)
 
@@ -148,24 +146,14 @@ func SpecWeb(p Params) Workload {
 		b.Li(rMode, 1)
 		unsafeIS := p.UnsafeISyncEvery > 0 && cpu%p.UnsafeISyncEvery == 0
 		EmitKernelOp(b, unsafeIS, 140+cpu*110)
-		b.Ld(rV0, rKAddr, 8) // hit count in word 1 of the lock line
-		b.Addi(rV0, rV0, 1)
-		b.St(rV0, rKAddr, 8)
+		emitAddWord(b, rV0, rKAddr, 8, 1) // hit count in word 1 of the lock line
 		b.Mix(rV1, rRnd, 55)
 		b.St(rV1, rKAddr, 16) // last-request tag
 		EmitRelease(b, rKAddr)
 		EmitRandStep(b, rRnd, 37)
 
-		// Kernel request accounting (atomic inc, shared SC PC),
-		// sampled every fourth request as real kernels batch stats.
-		b.Li(rT3, 3)
-		b.And(rT3, rIter, rT3)
-		skipCtr := b.NewLabel()
-		b.Bne(rT3, isa.R0, skipCtr)
-		b.Li(rKAddr, reqCtr)
-		b.Li(rMode, 0)
-		EmitKernelOp(b, false, 140+cpu*110)
-		b.Mark(skipCtr)
+		// Kernel request accounting, sampled as real kernels batch stats.
+		emitSampledKernelInc(b, reqCtr, 140+cpu*110)
 
 		EmitVariableDelay(b, rRnd, 600, 8, 120)
 		b.Addi(rIter, rIter, -1)
@@ -254,17 +242,13 @@ func TPCB(p Params) Workload {
 
 		// Update the branch balance (migratory line).
 		b.Addi(rA1, rKAddr, 64)
-		b.Ld(rV0, rA1, 0)
-		b.Addi(rV0, rV0, 1)
-		b.St(rV0, rA1, 0)
+		emitAddWord(b, rV0, rA1, 0, 1)
 
 		// Update a random teller (shared array, more migration).
 		EmitRandIndexMasked(b, rRnd, rA3, tellers, 6)
 		b.Li(rA2, tellerBase)
 		b.Add(rA2, rA2, rA3)
-		b.Ld(rV1, rA2, 0)
-		b.Addi(rV1, rV1, 1)
-		b.St(rV1, rA2, 0)
+		emitAddWord(b, rV1, rA2, 0, 1)
 
 		// Append to the private history stream.
 		b.Mix(rV1, rRnd, 71)
@@ -274,16 +258,8 @@ func TPCB(p Params) Workload {
 		EmitRelease(b, rKAddr)
 		EmitRandStep(b, rRnd, 43)
 
-		// Commit accounting via the shared kernel atomic, sampled
-		// every fourth transaction.
-		b.Li(rT3, 3)
-		b.And(rT3, rIter, rT3)
-		skipCtr := b.NewLabel()
-		b.Bne(rT3, isa.R0, skipCtr)
-		b.Li(rKAddr, txnCtr)
-		b.Li(rMode, 0)
-		EmitKernelOp(b, false, 140+cpu*110)
-		b.Mark(skipCtr)
+		// Commit accounting via the shared kernel atomic, sampled.
+		emitSampledKernelInc(b, txnCtr, 140+cpu*110)
 
 		EmitVariableDelay(b, rRnd, 1200, 8, 200)
 		b.Addi(rIter, rIter, -1)
@@ -350,6 +326,7 @@ func TPCH(p Params) Workload {
 	)
 	phases := int64(3 * p.Scale)
 	chunk := int64(tableLines) / int64(p.CPUs)
+	rest := int64(tableLines) % int64(p.CPUs) // the last CPU scans these too
 	// Each accumulator group holds one word per CPU. At ≤8 CPUs a group
 	// is exactly one line (stride 64, the paper's layout); beyond that
 	// the stride widens to the next power of two so CPU c's word never
@@ -377,7 +354,11 @@ func TPCH(p Params) Workload {
 		// Scan this CPU's chunk of the table, one line at a time,
 		// aggregating into the falsely shared accumulator lines.
 		b.Li(rA0, int64(tableBase)+int64(cpu)*chunk*mem.LineSize)
-		b.Li(rInner, chunk)
+		lines := chunk
+		if cpu == p.CPUs-1 {
+			lines += rest
+		}
+		b.Li(rInner, lines)
 		scan := b.Here()
 		// Every 256th line, take the buffer-pool latch through the
 		// kernel routine and bump its statistic — the DB2-style
@@ -391,9 +372,7 @@ func TPCH(p Params) Workload {
 		b.Li(rMode, 1)
 		EmitKernelOp(b, p.UnsafeISyncEvery > 0 && cpu%p.UnsafeISyncEvery == 2, 140+cpu*110)
 		b.Li(rT4, latchStat)
-		b.Ld(rT0, rT4, 0)
-		b.Addi(rT0, rT0, 1)
-		b.St(rT0, rT4, 0)
+		emitAddWord(b, rT0, rT4, 0, 1)
 		EmitRelease(b, rKAddr)
 		b.Mark(skipLatch)
 		b.Ld(rV0, rA0, 0)
@@ -446,7 +425,7 @@ func TPCH(p Params) Workload {
 			if bc := read(barCount); bc != 0 {
 				return fmt.Errorf("tpc-h: barrier count %d, want 0", bc)
 			}
-			latchOps := uint64(phases) * uint64(p.CPUs) * uint64(chunk/256)
+			latchOps := uint64(phases) * uint64(int64(p.CPUs-1)*(chunk/256)+(chunk+rest)/256)
 			if got := read(latchStat); got != latchOps {
 				return fmt.Errorf("tpc-h: latch stat %d, want %d", got, latchOps)
 			}

@@ -67,9 +67,7 @@ func EmitKernelOp(b *isa.Builder, unsafeISync bool, backoff int) {
 	// so the reservation window stays narrow; atomic mode goes
 	// straight to the LL.
 	b.Beq(rMode, isa.R0, atomicEntry)
-	testSpin := b.Here()
-	b.Ld(rT0, rKAddr, 0)
-	b.Bne(rT0, isa.R0, testSpin) // held: park on the shared copy
+	emitSpin(b, rT0, rKAddr, isa.R0) // held: park on the shared copy
 	b.Mark(atomicEntry)
 	b.LL(rT0, rKAddr, 0)
 	atomic := b.NewLabel()
@@ -100,6 +98,21 @@ func EmitKernelOp(b *isa.Builder, unsafeISync bool, backoff int) {
 	b.Beq(rMode, isa.R0, skipISync)
 	b.ISync(unsafeISync)
 	b.Mark(skipISync)
+}
+
+// emitSampledKernelInc emits a kernel statistic, batched: on every
+// fourth pass of the loop counted down in rIter, one atomic increment
+// of the word at ctr through EmitKernelOp's shared SC PC. Clobbers rT3,
+// rKAddr and rMode.
+func emitSampledKernelInc(b *isa.Builder, ctr int64, backoff int) {
+	b.Li(rT3, 3)
+	b.And(rT3, rIter, rT3)
+	skip := b.NewLabel()
+	b.Bne(rT3, isa.R0, skip)
+	b.Li(rKAddr, ctr)
+	b.Li(rMode, 0)
+	EmitKernelOp(b, false, backoff)
+	b.Mark(skip)
 }
 
 // expectWord builds a Validate closure checking one final word value.

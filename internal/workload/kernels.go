@@ -34,9 +34,7 @@ func EmitAcquire(b *isa.Builder, rAddr uint8, unsafeISync bool, backoff int) {
 	// Test-and-test-and-set: poll with a plain load (cache-hit spin
 	// on a held lock — the reservation is only opened once the lock
 	// looks free, keeping the LL->SC window narrow under contention).
-	spin := b.Here()
-	b.Ld(rT0, rAddr, 0)
-	b.Bne(rT0, isa.R0, spin) // held: park on the shared copy
+	spin := emitSpin(b, rT0, rAddr, isa.R0) // held: park on the shared copy
 	b.LL(rT0, rAddr, 0)
 	b.Bne(rT0, isa.R0, spin) // taken between test and LL
 	b.Li(rT1, 1)
@@ -49,6 +47,16 @@ func EmitAcquire(b *isa.Builder, rAddr uint8, unsafeISync bool, backoff int) {
 	b.Jmp(spin) // lost the race: back off, retry
 	b.Mark(done)
 	b.ISync(unsafeISync)
+}
+
+// emitSpin emits the one wait every kernel uses: load the word at
+// (rAddr) into rTmp until it equals rWant, spinning on the cached copy.
+// It returns the label of the load, for a caller that comes back to it.
+func emitSpin(b *isa.Builder, rTmp, rAddr, rWant uint8) isa.Label {
+	spin := b.Here()
+	b.Ld(rTmp, rAddr, 0)
+	b.Bne(rTmp, rWant, spin)
+	return spin
 }
 
 // EmitRelease emits the lock release: the temporally silent store
@@ -98,9 +106,7 @@ func EmitBarrier(b *isa.Builder, rCount, rSense, rLocalSense, rOne uint8, n int6
 	b.St(rLocalSense, rSense, 0)
 	b.Jmp(done)
 	b.Mark(notLast)
-	spin := b.Here()
-	b.Ld(rT4, rSense, 0)
-	b.Bne(rT4, rLocalSense, spin)
+	emitSpin(b, rT4, rSense, rLocalSense)
 	b.Mark(done)
 }
 
@@ -109,10 +115,16 @@ func EmitBarrier(b *isa.Builder, rCount, rSense, rLocalSense, rOne uint8, n int6
 // section of the lock-based workloads.
 func EmitCriticalAdd(b *isa.Builder, rLock, rData uint8, delta int64, unsafeISync bool) {
 	EmitAcquire(b, rLock, unsafeISync, 150)
-	b.Ld(rT3, rData, 0)
-	b.Addi(rT3, rT3, delta)
-	b.St(rT3, rData, 0)
+	emitAddWord(b, rT3, rData, 0, delta)
 	EmitRelease(b, rLock)
+}
+
+// emitAddWord emits a plain, non-atomic "word += delta" on the word at
+// off(rAddr), through rTmp: callers hold the word's lock or own it.
+func emitAddWord(b *isa.Builder, rTmp, rAddr uint8, off, delta int64) {
+	b.Ld(rTmp, rAddr, off)
+	b.Addi(rTmp, rTmp, delta)
+	b.St(rTmp, rAddr, off)
 }
 
 // EmitTouchRange emits a read sweep of count words starting at the

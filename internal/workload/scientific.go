@@ -92,9 +92,7 @@ func Ocean(p Params) Workload {
 		b.Beq(rMode, isa.R0, wasAtomic)
 		// Lock path: bump the protected word, release, move on.
 		b.Li(rA1, kData)
-		b.Ld(rV0, rA1, 0)
-		b.Addi(rV0, rV0, 1)
-		b.St(rV0, rA1, 0)
+		emitAddWord(b, rV0, rA1, 0, 1)
 		EmitRelease(b, rKAddr)
 		b.Jmp(afterNoise)
 		// Atomic path: loop back once more, now in lock mode.
@@ -199,9 +197,7 @@ func Radiosity(p Params) Workload {
 		b.Li(rA1, patchData)
 		b.Add(rA1, rA1, rV1)
 		EmitAcquire(b, rA0, false, 140+cpu*110)
-		b.Ld(rV1, rA1, 0)
-		b.Addi(rV1, rV1, 1)
-		b.St(rV1, rA1, 0)
+		emitAddWord(b, rV1, rA1, 0, 1)
 		EmitRelease(b, rA0)
 
 		// Advance within the batch.
@@ -260,10 +256,12 @@ func Raytrace(p Params) Workload {
 	// Tile queues are shared by pairs of CPUs: the locks see real
 	// handoffs, but the critical sections (counter decrements on
 	// *different* queues most of the time, render work on private
-	// data) are non-conflicting — the concurrency SLE can unlock.
-	nq := p.CPUs / 2
-	if nq < 1 {
-		nq = 1
+	// data) are non-conflicting — the concurrency SLE can unlock. A
+	// queue index is masked with nq-1, so nq is the largest power of two
+	// ≤ max(1, CPUs/2).
+	nq := 1
+	for 2*nq <= p.CPUs/2 {
+		nq *= 2
 	}
 	perQueue := int64(24*p.Scale) * 2
 	progs := make([]*isa.Program, p.CPUs)
@@ -278,8 +276,8 @@ func Raytrace(p Params) Workload {
 		b.Li(rA2, int64(cpu/2))
 		b.Add(rA2, rA2, rV1)
 		b.Li(rA3, int64(nq-1))
-		b.And(rA2, rA2, rA3) // nq is a power of two in practice
-		b.Shli(rA2, rA2, 7)  // *128
+		b.And(rA2, rA2, rA3)
+		b.Shli(rA2, rA2, 7) // *128
 		b.Li(rA0, qBase)
 		b.Add(rA0, rA0, rA2) // queue counter addr
 		b.Addi(rA1, rA0, 64) // queue lock addr
@@ -313,9 +311,7 @@ func Raytrace(p Params) Workload {
 
 		// Count the rendered ray (private line).
 		b.Li(rA2, doneBase+int64(cpu)*64)
-		b.Ld(rV0, rA2, 0)
-		b.Addi(rV0, rV0, 1)
-		b.St(rV0, rA2, 0)
+		emitAddWord(b, rV0, rA2, 0, 1)
 		b.Jmp(loop)
 
 		b.Mark(allDone)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,20 +20,36 @@ func runFunctional(t *testing.T, w Workload, fuel int) {
 	}
 	in := isa.NewInterp(m, w.Programs...)
 	if _, err := in.Run(fuel); err != nil {
-		t.Fatalf("%s: %v", w.Name, err)
+		t.Fatalf("%s at %d CPUs: %v", w.Name, len(w.Programs), err)
 	}
 	if w.Validate != nil {
 		if err := w.Validate(m, m.ReadWord); err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
+			t.Fatalf("%s at %d CPUs: %v", w.Name, len(w.Programs), err)
 		}
 	}
 }
 
+// TestAllWorkloadsFunctional runs every generator on the interpreter at
+// CPU counts from 1 to 63: the powers of two the experiments use, the
+// counts that do not divide tpc-h's table or raytrace's queues evenly,
+// and the widths at which tpc-h's accumulator stride widens. Nothing in
+// a generator may assume the historical 4-CPU machine.
 func TestAllWorkloadsFunctional(t *testing.T) {
-	for _, w := range All(Params{CPUs: 4, Scale: 1}) {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			runFunctional(t, w, 30_000_000)
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 63}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			for _, cpus := range counts {
+				t.Run(fmt.Sprintf("%dcpus", cpus), func(t *testing.T) {
+					w, err := ByName(name, Params{CPUs: cpus, Scale: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(w.Programs) != cpus {
+						t.Fatalf("%s at %d CPUs: %d programs", name, cpus, len(w.Programs))
+					}
+					runFunctional(t, w, 2_000_000*cpus)
+				})
+			}
 		})
 	}
 }
@@ -57,43 +74,6 @@ func TestWorkloadsFunctionalAdversarialSchedule(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-func TestAllWorkloadsFunctionalEightCPUs(t *testing.T) {
-	// CPU-count flexibility upward: nothing in the generators may
-	// assume the historical 4-CPU machine.
-	for _, w := range All(Params{CPUs: 8, Scale: 1}) {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			if len(w.Programs) != 8 {
-				t.Fatalf("%d programs", len(w.Programs))
-			}
-			runFunctional(t, w, 60_000_000)
-		})
-	}
-}
-
-func TestTPCHAccumulatorsSixteenCPUs(t *testing.T) {
-	// Regression for the hardwired accumulator stride: the old layout
-	// packed per-CPU accumulator slots 8 words apart inside a 64-byte
-	// line region, so at >8 CPUs slot (cpu, k) aliased slot (cpu-8,
-	// k+1) — lost updates plus validator double-counting made every
-	// functional run at >=9 CPUs fail deterministically. The stride now
-	// widens with the CPU count.
-	runFunctional(t, TPCH(Params{CPUs: 16, Scale: 1}), 120_000_000)
-}
-
-func TestWorkloadsTwoCPUs(t *testing.T) {
-	// CPU-count flexibility: the kernels must work at 2 CPUs too.
-	for _, w := range All(Params{CPUs: 2, Scale: 1}) {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			if len(w.Programs) != 2 {
-				t.Fatalf("%d programs", len(w.Programs))
-			}
-			runFunctional(t, w, 30_000_000)
 		})
 	}
 }
